@@ -14,20 +14,25 @@ their counterparts for the full flag manifold.
 """
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .perm import FlagShape, Perm, length, sn_elements, validate
 from .poly import (
+    EchelonSystem,
+    NonIntegralError,
     Polynomial,
     VerificationError,
     _var_key,
     c_var,
     g_var,
+    mon_grade,
+    mon_mul,
     q_var,
     sigma_var,
     x_var,
 )
-from .qring import QuantumClass, RingError, _GradedQuotientRing, _weighted_monomials
+from .qring import QuantumClass, RingError, _GradedQuotientRing
 from .universal import path_poly, universal_schubert_c
 
 __all__ = [
@@ -226,12 +231,42 @@ def partial_relations(shape: FlagShape) -> list:
     return list(_partial_relations(shape))
 
 
+def _weighted_monomials(vs: tuple, grades: tuple, m: int) -> tuple:
+    """All monomials of grade m in the given variables, deterministic order.
+
+    vs must already be sorted in canonical variable order.
+    """
+    out = []
+
+    def rec(idx, rem, acc):
+        if idx == len(vs):
+            if rem == 0:
+                out.append(acc)
+            return
+        g = grades[idx]
+        for e in range(rem // g, -1, -1):
+            if e:
+                rec(idx + 1, rem - e * g, acc + ((vs[idx], e),))
+            else:
+                rec(idx + 1, rem, acc)
+
+    rec(0, m, ())
+    return tuple(out)
+
+
 class PartialRing(_GradedQuotientRing):
     """QH*(Fl(N)): basis σ_w for w ∈ S^(N) over Z[q_1,…,q_m].
 
     The working alphabet is σ_i^l for blocks l = 1..m+1 and 1 ≤ i ≤ block
     size, with grade(σ_i^l) = i and grade(q_l) = n_{l+1} − n_{l−1}; complete
     shapes use x_1,…,x_n in place of the grade-1 block classes.
+
+    Expansion works stratum by stratum in the q-degree: the q-free part of a
+    polynomial is reduced against an integer row echelon spanned by the
+    classical basis polynomials of the matching grade together with monomial
+    multiples of the classical relations; each generator used is then
+    replaced by its quantum lift, which pushes the mismatch into strictly
+    higher q-strata, and the loop repeats until the residual vanishes.
     """
 
     def __init__(self, shape: FlagShape):
@@ -258,13 +293,15 @@ class PartialRing(_GradedQuotientRing):
             cl = r.substitute(self._q_zero)
             ideal.append((cl, r - cl))
         self._ideal = tuple(ideal)
+        for cl, _ in self._ideal:
+            if cl.is_zero() or not cl.is_homogeneous():
+                raise RingError("ideal generators must have homogeneous, "
+                                "nonzero classical parts")
+        self._slices = {}
         self._init_engine()
 
     def relations(self) -> tuple:
         return _partial_relations(self.shape)
-
-    def _q_grade(self, i):
-        return self.q_grades[i]
 
     def _normalize(self, p):
         return p
@@ -280,14 +317,154 @@ class PartialRing(_GradedQuotientRing):
     def _basis_lift(self, w):
         return partial_quantum_schubert(w, self.shape)
 
-    def _ideal_pairs(self):
-        return self._ideal
-
     def _grade_monomials(self, m):
         return _weighted_monomials(self.sigma_vars, self._sigma_grades, m)
 
     def _expected_rank(self, m):
         return len(self._grade_monomials(m))
+
+    # -- echelon slices ---------------------------------------------------
+    def _split_mon(self, mon):
+        d = [0] * self.q_count
+        rest = []
+        for v, e in mon:
+            if v[0] == "q":
+                d[v[1] - 1] = e
+            else:
+                rest.append((v, e))
+        return tuple(d), tuple(rest)
+
+    def _slice(self, m: int):
+        got = self._slices.get(m)
+        if got is not None:
+            return got
+        with self._lock:
+            got = self._slices.get(m)
+            if got is not None:
+                return got
+            ws = tuple(w for w in self.basis if length(w) == m)
+            gens, corrections = [], []
+            for w in ws:
+                lift = self._basis_lift(w)
+                cl = lift.substitute(self._q_zero)
+                gens.append(cl)
+                corrections.append(lift - cl)
+            for cl_k, corr_k in self._ideal:
+                k = cl_k.grade()
+                if m < k:
+                    continue
+                for mon in self._grade_monomials(m - k):
+                    shift = Polynomial({mon: 1})
+                    gens.append(shift * cl_k)
+                    corrections.append(shift * corr_k)
+            ech = EchelonSystem(gens)
+            bad = [j for j in ech.dependent_indices if j < len(ws)]
+            if bad:
+                raise RingError(
+                    f"grade-{m} basis classes are not independent: {bad}"
+                )
+            expected = self._expected_rank(m)
+            if ech.rank != expected:
+                raise RingError(
+                    f"grade-{m} slice has rank {ech.rank}, expected {expected}"
+                )
+            got = (ech, ws, tuple(corrections))
+            self._slices[m] = got
+            return got
+
+    def _reduce_exact(self, ech, terms):
+        """Reduce a term dict (int or Fraction coefficients) and return the
+        generator coefficients; the remainder must vanish."""
+        denom = 1
+        for c in terms.values():
+            dc = getattr(c, "denominator", 1)
+            if dc != 1:
+                denom = denom * dc // math.gcd(denom, dc)
+        target = Polynomial({mon: int(c * denom) for mon, c in terms.items()})
+        coeffs, leftover = ech.reduce(target)
+        if not leftover.is_zero():
+            raise RingError(
+                f"reduction left a remainder: {leftover.to_text()}"
+            )
+        if denom == 1:
+            return coeffs
+        return {j: c / denom for j, c in coeffs.items()}
+
+    def _expand(self, p):
+        residual = dict(p._terms)
+        out = {}
+        rounds = 0
+        while residual:
+            rounds += 1
+            if rounds > 100000:
+                raise RingError("quantum expansion did not terminate")
+            best_key = best_d = None
+            for mon in residual:
+                d, _ = self._split_mon(mon)
+                key = (
+                    sum(e * self.q_grades[i + 1] for i, e in enumerate(d)),
+                    d,
+                )
+                if best_key is None or key < best_key:
+                    best_key, best_d = key, d
+            d = best_d
+            qmon = self._q_monomial(d)
+            strata = {}
+            for mon in list(residual):
+                dd, xmon = self._split_mon(mon)
+                if dd == d:
+                    strata.setdefault(mon_grade(xmon), {})[xmon] = residual.pop(mon)
+            for m in sorted(strata):
+                ech, ws, corrections = self._slice(m)
+                coeffs = self._reduce_exact(ech, strata[m])
+                for j in sorted(coeffs):
+                    c = coeffs[j]
+                    if not c:
+                        continue
+                    if j < len(ws):
+                        if getattr(c, "denominator", 1) != 1:
+                            raise NonIntegralError(
+                                f"coefficient {c} on basis class {ws[j]} "
+                                f"is not an integer"
+                            )
+                        key = (d, ws[j])
+                        tot = out.get(key, 0) + int(c)
+                        if tot:
+                            out[key] = tot
+                        else:
+                            out.pop(key, None)
+                    corr = corrections[j]
+                    if corr.is_zero():
+                        continue
+                    # replace the classical generator by its quantum lift;
+                    # every correction term carries a positive q-degree, so
+                    # the residual moves to strictly higher strata
+                    for mon2, c2 in corr._terms.items():
+                        mon3 = mon_mul(mon2, qmon)
+                        tot = residual.get(mon3, 0) - c * c2
+                        if tot:
+                            residual[mon3] = tot
+                        else:
+                            residual.pop(mon3, None)
+        return QuantumClass(self.n, out, shape=self.shape)
+
+    def _expand_classical(self, p):
+        out = {}
+        d0 = (0,) * self.q_count
+        for m in sorted(p.grades()):
+            part = p.homogeneous_component(m)
+            ech, ws, _ = self._slice(m)
+            coeffs = self._reduce_exact(ech, dict(part._terms))
+            for j in sorted(coeffs):
+                c = coeffs[j]
+                if j < len(ws) and c:
+                    if getattr(c, "denominator", 1) != 1:
+                        raise NonIntegralError(
+                            f"coefficient {c} on basis class {ws[j]} "
+                            f"is not an integer"
+                        )
+                    out[(d0, ws[j])] = int(c)
+        return QuantumClass(self.n, out, shape=self.shape)
 
     def _moduli_dimension(self, d):
         return self.shape.dimension + sum(

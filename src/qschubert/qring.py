@@ -4,39 +4,49 @@ Elements are integer combinations of Schubert classes σ_w scaled by monomials
 in the deformation parameters q_1,…,q_{n−1} (each of grade 2).  Products are
 computed by multiplying quantum Schubert polynomial representatives and
 rewriting the result in the basis {q^d·σ_w} modulo the quantum relations
-e^q_k(n) = 0, entirely over exact integer and rational arithmetic.
+e^q_k(n) = 0, over the integers alone.
 
-The rewriting works stratum by stratum in the q-degree: the q-free part of a
-polynomial is reduced against an integer row echelon spanned by the classical
-Schubert polynomials of the matching grade together with monomial multiples of
-the classical relations; each generator used is then replaced by its quantum
-lift, which pushes the mismatch into strictly higher q-strata, and the loop
-repeats until the residual vanishes identically.
+The rewrite has two steps.  After x_n is eliminated by e^q_1(n) = 0, the
+polynomials
+
+    H^q_k = Σ_{i=1..k} (−1)^{i+1}·e^q_i(n)·h_{k−i}(x_1,…,x_{n−k+1}),  k = 2..n,
+
+lie in the quantum ideal (Fomin–Gelfand–Postnikov) and have leading term
+x_{n−k+1}^k, as h_k(x_1,…,x_{n−k+1}) does in the classical Gröbner basis of
+the symmetric ideal.  The order is: grade first, then lower q-degree first,
+then lex with x_{n−1} > … > x_1.
+
+1. Normal form.  Each x-monomial is reduced modulo {H^q_k} to a
+   Z[q]-combination of the n! staircase monomials x^a, a_i ≤ n − i, and the
+   result is memoized per exponent vector.
+2. Peel.  The normal form of the quantum Schubert polynomial 𝔖^q_w has
+   leading term x^code(w) with coefficient 1.  So the expansion is read off
+   the residual from the top: take its largest term c·x^a·q^d, record
+   c·q^d·σ_w for the w with code(w) = a, subtract c·q^d·NF(𝔖^q_w), and
+   repeat until the residual vanishes.
+
+The classical expansion runs the same two steps on the q = 0 rules and the
+classical 𝔖_w.  Partial flag shapes expand by echelon slices (partial.py).
 """
 from __future__ import annotations
 
-import math
+import operator
 import threading
-from fractions import Fraction
+from bisect import insort
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 from .perm import (
     Perm,
     all_permutations,
     dual,
     hyperquot_dim,
+    lehmer_code,
     length,
     validate,
 )
-from .poly import (
-    EchelonSystem,
-    NonIntegralError,
-    Polynomial,
-    VerificationError,
-    mon_grade,
-    mon_mul,
-    x_var,
-)
+from .poly import Polynomial, VerificationError, x_var
+from .schubert import schubert_poly
 from .universal import quantum_e, quantum_schubert
 
 __all__ = [
@@ -176,51 +186,43 @@ class QuantumClass:
         return f"QuantumClass({self.to_text()!r})"
 
 
-def _weighted_monomials(vs: tuple, grades: tuple, m: int) -> tuple:
-    """All monomials of grade m in the given variables, deterministic order.
+def _term_key(a: tuple, d: tuple) -> tuple:
+    """Sorting by this key lists terms x^a·q^d in increasing order: grade
+    first, then lower q-degree first, then lex with x_{n−1} > … > x_1."""
+    qd = sum(d)
+    return (sum(a) + 2 * qd, -qd, a[::-1], d)
 
-    vs must already be sorted in canonical variable order.
-    """
-    out = []
 
-    def rec(idx, rem, acc):
-        if idx == len(vs):
-            if rem == 0:
-                out.append(acc)
-            return
-        g = grades[idx]
-        for e in range(rem // g, -1, -1):
-            if e:
-                rec(idx + 1, rem - e * g, acc + ((vs[idx], e),))
-            else:
-                rec(idx + 1, rem, acc)
+def _add(u: tuple, v: tuple) -> tuple:
+    return tuple(map(operator.add, u, v))
 
-    rec(0, m, ())
-    return tuple(out)
+
+def _complete_poly(r: int, m: int) -> Polynomial:
+    """h_r(x_1,…,x_m): every monomial of grade r in the first m variables."""
+    terms = {}
+    for idx in combinations_with_replacement(range(1, m + 1), r):
+        mon = {}
+        for i in idx:
+            mon[("x", i)] = mon.get(("x", i), 0) + 1
+        terms[tuple(sorted(mon.items()))] = 1
+    return Polynomial(terms)
 
 
 class _GradedQuotientRing:
-    """Shared expansion engine for the complete and partial quantum rings.
+    """Public product and invariant API of the complete and partial rings.
 
-    Subclasses provide the presentation: the basis permutations, the lift of
-    each basis element to a polynomial representative, the ideal generators
-    split into classical part and q-correction, the working variable alphabet
-    with its grading, and the expected rank of each graded slice.
+    Subclasses provide the presentation (the basis permutations, the lift of
+    each basis element to a polynomial representative, the working alphabet)
+    and the expansion engine: `_expand` rewrites a normalized polynomial in
+    the basis q^d·σ_w, `_expand_classical` a normalized q-free one in the
+    basis σ_w.
     """
 
     def _init_engine(self):
-        self._slices = {}
         self._products = {}
         self._lock = threading.RLock()
-        for cl, _ in self._ideal_pairs():
-            if cl.is_zero() or not cl.is_homogeneous():
-                raise RingError("ideal generators must have homogeneous, "
-                                "nonzero classical parts")
 
     # -- hooks ----------------------------------------------------------
-    def _q_grade(self, i: int) -> int:
-        raise NotImplementedError
-
     def _normalize(self, p: Polynomial) -> Polynomial:
         raise NotImplementedError
 
@@ -233,13 +235,13 @@ class _GradedQuotientRing:
     def _basis_lift(self, w: Perm) -> Polynomial:
         raise NotImplementedError
 
-    def _ideal_pairs(self):
+    def _classical_lift(self, w: Perm) -> Polynomial:
+        return self._basis_lift(w).substitute(self._q_zero)
+
+    def _expand(self, p: Polynomial) -> QuantumClass:
         raise NotImplementedError
 
-    def _grade_monomials(self, m: int) -> tuple:
-        raise NotImplementedError
-
-    def _expected_rank(self, m: int) -> int:
+    def _expand_classical(self, p: Polynomial) -> QuantumClass:
         raise NotImplementedError
 
     def _moduli_dimension(self, d) -> int:
@@ -249,78 +251,8 @@ class _GradedQuotientRing:
         raise NotImplementedError
 
     # -- shared machinery -------------------------------------------------
-    def _basis_pair(self, w):
-        lift = self._basis_lift(w)
-        cl = lift.substitute(self._q_zero)
-        return cl, lift - cl
-
-    def _split_mon(self, mon):
-        d = [0] * self.q_count
-        rest = []
-        for v, e in mon:
-            if v[0] == "q":
-                d[v[1] - 1] = e
-            else:
-                rest.append((v, e))
-        return tuple(d), tuple(rest)
-
     def _q_monomial(self, d):
         return tuple((("q", i + 1), e) for i, e in enumerate(d) if e)
-
-    def _slice(self, m: int):
-        got = self._slices.get(m)
-        if got is not None:
-            return got
-        with self._lock:
-            got = self._slices.get(m)
-            if got is not None:
-                return got
-            ws = tuple(w for w in self.basis if length(w) == m)
-            gens, corrections = [], []
-            for w in ws:
-                cl, corr = self._basis_pair(w)
-                gens.append(cl)
-                corrections.append(corr)
-            for cl_k, corr_k in self._ideal_pairs():
-                k = cl_k.grade()
-                if m < k:
-                    continue
-                for mon in self._grade_monomials(m - k):
-                    shift = Polynomial({mon: 1})
-                    gens.append(shift * cl_k)
-                    corrections.append(shift * corr_k)
-            ech = EchelonSystem(gens)
-            bad = [j for j in ech.dependent_indices if j < len(ws)]
-            if bad:
-                raise RingError(
-                    f"grade-{m} basis classes are not independent: {bad}"
-                )
-            expected = self._expected_rank(m)
-            if ech.rank != expected:
-                raise RingError(
-                    f"grade-{m} slice has rank {ech.rank}, expected {expected}"
-                )
-            got = (ech, ws, tuple(corrections))
-            self._slices[m] = got
-            return got
-
-    def _reduce_exact(self, ech, terms):
-        """Reduce a term dict (int or Fraction coefficients) and return the
-        generator coefficients; the remainder must vanish."""
-        denom = 1
-        for c in terms.values():
-            dc = getattr(c, "denominator", 1)
-            if dc != 1:
-                denom = denom * dc // math.gcd(denom, dc)
-        target = Polynomial({mon: int(c * denom) for mon, c in terms.items()})
-        coeffs, leftover = ech.reduce(target)
-        if not leftover.is_zero():
-            raise RingError(
-                f"reduction left a remainder: {leftover.to_text()}"
-            )
-        if denom == 1:
-            return coeffs
-        return {j: c / denom for j, c in coeffs.items()}
 
     def expand_in_quantum_basis(self, p: Polynomial) -> QuantumClass:
         """Rewrite p as an integer combination of classes q^d·σ_w."""
@@ -328,62 +260,7 @@ class _GradedQuotientRing:
         for v in p.variables():
             if not self._allowed(v):
                 raise ValueError(f"variable {v} is not in the ring alphabet")
-        residual = dict(p._terms)
-        out = {}
-        rounds = 0
-        while residual:
-            rounds += 1
-            if rounds > 100000:
-                raise RingError("quantum expansion did not terminate")
-            best_key = best_d = None
-            for mon in residual:
-                d, _ = self._split_mon(mon)
-                key = (
-                    sum(e * self._q_grade(i + 1) for i, e in enumerate(d)),
-                    d,
-                )
-                if best_key is None or key < best_key:
-                    best_key, best_d = key, d
-            d = best_d
-            qmon = self._q_monomial(d)
-            strata = {}
-            for mon in list(residual):
-                dd, xmon = self._split_mon(mon)
-                if dd == d:
-                    strata.setdefault(mon_grade(xmon), {})[xmon] = residual.pop(mon)
-            for m in sorted(strata):
-                ech, ws, corrections = self._slice(m)
-                coeffs = self._reduce_exact(ech, strata[m])
-                for j in sorted(coeffs):
-                    c = coeffs[j]
-                    if not c:
-                        continue
-                    if j < len(ws):
-                        if getattr(c, "denominator", 1) != 1:
-                            raise NonIntegralError(
-                                f"coefficient {c} on basis class {ws[j]} "
-                                f"is not an integer"
-                            )
-                        key = (d, ws[j])
-                        tot = out.get(key, 0) + int(c)
-                        if tot:
-                            out[key] = tot
-                        else:
-                            out.pop(key, None)
-                    corr = corrections[j]
-                    if corr.is_zero():
-                        continue
-                    # replace the classical generator by its quantum lift;
-                    # every correction term carries a positive q-degree, so
-                    # the residual moves to strictly higher strata
-                    for mon2, c2 in corr._terms.items():
-                        mon3 = mon_mul(mon2, qmon)
-                        tot = residual.get(mon3, 0) - c * c2
-                        if tot:
-                            residual[mon3] = tot
-                        else:
-                            residual.pop(mon3, None)
-        return QuantumClass(self.n, out, shape=self.shape)
+        return self._expand(p)
 
     def expand_classical(self, p: Polynomial) -> QuantumClass:
         """Rewrite a q-free polynomial in the Schubert basis (all d = 0)."""
@@ -393,22 +270,7 @@ class _GradedQuotientRing:
                 raise ValueError("classical expansion needs a q-free input")
             if not self._allowed(v):
                 raise ValueError(f"variable {v} is not in the ring alphabet")
-        out = {}
-        d0 = (0,) * self.q_count
-        for m in sorted(p.grades()):
-            part = p.homogeneous_component(m)
-            ech, ws, _ = self._slice(m)
-            coeffs = self._reduce_exact(ech, dict(part._terms))
-            for j in sorted(coeffs):
-                c = coeffs[j]
-                if j < len(ws) and c:
-                    if getattr(c, "denominator", 1) != 1:
-                        raise NonIntegralError(
-                            f"coefficient {c} on basis class {ws[j]} "
-                            f"is not an integer"
-                        )
-                    out[(d0, ws[j])] = int(c)
-        return QuantumClass(self.n, out, shape=self.shape)
+        return self._expand_classical(p)
 
     def basis_polynomial(self, w) -> Polynomial:
         """The polynomial representative of the basis class σ_w."""
@@ -451,9 +313,9 @@ class _GradedQuotientRing:
     def classical_product(self, u, v) -> QuantumClass:
         u = self._check_element(u)
         v = self._check_element(v)
-        pu, _ = self._basis_pair(u)
-        pv, _ = self._basis_pair(v)
-        return self.expand_classical(pu * pv)
+        return self.expand_classical(
+            self._classical_lift(u) * self._classical_lift(v)
+        )
 
     def gromov_witten(self, ws, w, d) -> int:
         """N-point genus-zero invariant ⟨σ_{w_1},…,σ_{w_N}, σ_w⟩_d, read off
@@ -483,6 +345,12 @@ class QuantumRing(_GradedQuotientRing):
     x_n is eliminated via the vanishing of e^q_1(n) = x_1+…+x_n, after which
     the remaining relations e^q_k(n) = 0 (k = 2..n) present the ring on the
     alphabet x_1,…,x_{n−1}, q_1,…,q_{n−1}.
+
+    A term x^a·q^d is keyed (a, d) by its exponent vectors.  Two engines
+    share the code below, selected by `quantum`: the quantum one reduces
+    modulo {H^q_k} and peels against NF(𝔖^q_w); the classical one reduces
+    modulo the q = 0 rules {h_k(x_1,…,x_{n−k+1})} and peels against the
+    classical 𝔖_w.  Each keeps its own normal-form memo.
     """
 
     def __init__(self, n: int):
@@ -503,19 +371,27 @@ class QuantumRing(_GradedQuotientRing):
         if not reduced[0].is_zero():
             raise RingError("the linear relation must vanish after "
                             "eliminating x_n")
-        ideal = []
-        for r in reduced[1:]:
-            cl = r.substitute(self._q_zero)
-            ideal.append((cl, r - cl))
-        self._ideal = tuple(ideal)
+        self._zero_d = (0,) * (n - 1)
+        # staircase caps: x_i survives a normal form only below x_i^{n−i+1}
+        self._caps = tuple(n - i for i in range(1, n))
+        self._rules = {True: [], False: []}
+        for i in range(1, n):
+            k = n - i + 1
+            h = Polynomial.zero()
+            for j in range(2, k + 1):
+                h = h + (-1) ** (j + 1) * reduced[j - 1] * _complete_poly(k - j, i)
+            self._rules[True].append(self._rule(h, i, k))
+            self._rules[False].append(self._rule(h.substitute(self._q_zero), i, k))
+        self._nf = {True: {}, False: {}}
+        self._tables = {}
+        self._by_length = {}
+        for w in self.basis:
+            self._by_length.setdefault(length(w), []).append(w)
         self._init_engine()
 
     def relations(self) -> tuple:
         """The quantum relations e^q_1(n),…,e^q_n(n) before elimination."""
         return self._relations
-
-    def _q_grade(self, i):
-        return 2
 
     def _normalize(self, p):
         return p.substitute(self._xelim)
@@ -534,15 +410,8 @@ class QuantumRing(_GradedQuotientRing):
     def _basis_lift(self, w):
         return quantum_schubert(w)
 
-    def _ideal_pairs(self):
-        return self._ideal
-
-    def _grade_monomials(self, m):
-        vs = tuple(("x", i) for i in range(1, self.n))
-        return _weighted_monomials(vs, (1,) * (self.n - 1), m)
-
-    def _expected_rank(self, m):
-        return math.comb(m + self.n - 2, self.n - 2)
+    def _classical_lift(self, w):
+        return schubert_poly(w)
 
     def _moduli_dimension(self, d):
         return hyperquot_dim(self.n, d)
@@ -550,10 +419,169 @@ class QuantumRing(_GradedQuotientRing):
     def _dual(self, w):
         return dual(w)
 
+    # -- normal form and peel ---------------------------------------------
+    def _keyed(self, p: Polynomial):
+        """p as (a, d, c) triples over x_1..x_{n−1} and q_1..q_{n−1}."""
+        r = self.n - 1
+        out = []
+        for mon, c in p._terms.items():
+            a = [0] * r
+            d = [0] * r
+            for v, e in mon:
+                (a if v[0] == "x" else d)[v[1] - 1] = e
+            out.append((tuple(a), tuple(d), c))
+        return out
+
+    def _lead_and_tail(self, terms: dict, lead, what):
+        """The terms (a, d, c) other than `lead`, after checking that `lead`
+        is the largest key of `terms` and has coefficient 1."""
+        top = max(terms, key=lambda ad: _term_key(*ad), default=None)
+        if top != lead or terms[lead] != 1:
+            raise RingError(f"{what} does not have leading term "
+                            f"x^{lead[0]} with coefficient 1")
+        return tuple((a, d, c) for (a, d), c in terms.items() if (a, d) != lead)
+
+    def _rule(self, h: Polynomial, i: int, k: int):
+        """(i − 1, k, tail) for the rule x_i^k → x_i^k − H_k."""
+        lead = tuple(k if j == i else 0 for j in range(1, self.n)), self._zero_d
+        terms = {(a, d): c for a, d, c in self._keyed(h)}
+        return i - 1, k, self._lead_and_tail(terms, lead, f"H_{k}")
+
+    def _nf_monomial(self, a: tuple, quantum: bool) -> tuple:
+        """Normal form of x^a as ((a', d'), c) pairs over staircase a'.
+
+        Dependencies are resolved with an explicit stack; each memo entry is
+        stored only once it is complete, so concurrent readers never see a
+        partial one and a race costs at most a duplicate computation.
+        """
+        memo = self._nf[quantum]
+        got = memo.get(a)
+        if got is not None:
+            return got
+        rules = self._rules[quantum]
+        caps = self._caps
+        stack = [a]
+        while stack:
+            top = stack[-1]
+            if top in memo:
+                stack.pop()
+                continue
+            # reduce at the largest variable above its cap
+            rule = next((rules[i] for i in range(len(top) - 1, -1, -1)
+                         if top[i] > caps[i]), None)
+            if rule is None:
+                memo[top] = (((top, self._zero_d), 1),)
+                stack.pop()
+                continue
+            i, k, tail = rule
+            base = top[:i] + (top[i] - k,) + top[i + 1:]
+            deps = [_add(base, ta) for ta, _, _ in tail]
+            missing = [dep for dep in deps if dep not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
+            acc = {}
+            for dep, (_, td, c) in zip(deps, tail):
+                shift = any(td)
+                for (a2, d2), c2 in memo[dep]:
+                    key = (a2, _add(td, d2) if shift else d2)
+                    acc[key] = acc.get(key, 0) - c * c2
+            memo[top] = tuple((key, c) for key, c in acc.items() if c)
+            stack.pop()
+        return memo[a]
+
+    def _normal_form(self, p: Polynomial, quantum: bool) -> dict:
+        """p reduced to staircase terms keyed (a, d)."""
+        out = {}
+        for a, d, c in self._keyed(p):
+            shift = any(d)
+            for (a2, d2), c2 in self._nf_monomial(a, quantum):
+                key = (a2, _add(d, d2) if shift else d2)
+                s = out.get(key, 0) + c * c2
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+        return out
+
+    def _grade_table(self, m: int) -> dict:
+        """code(w) → (w, quantum tail, classical tail) for every ℓ(w) = m.
+
+        A tail lists the terms of NF(𝔖^q_w), resp. NF(𝔖_w), other than the
+        leading x^code(w).  The whole grade is lifted at once, under the
+        lock, and published complete.
+        """
+        got = self._tables.get(m)
+        if got is not None:
+            return got
+        with self._lock:
+            got = self._tables.get(m)
+            if got is not None:
+                return got
+            table = {}
+            for w in self._by_length.get(m, ()):
+                lead = (lehmer_code(w), self._zero_d)
+                tails = []
+                for quantum, lift in ((True, self._basis_lift(w)),
+                                      (False, self._classical_lift(w))):
+                    nf = self._normal_form(self._normalize(lift), quantum)
+                    tails.append(self._lead_and_tail(
+                        nf, lead, f"NF of the {'quantum ' * quantum}Schubert "
+                                  f"polynomial of {w}"))
+                table[lead[0]] = (w, *tails)
+            self._tables[m] = table
+            return table
+
+    def _lift_grades(self, p: Polynomial):
+        """The first expansion that meets an input of grade m lifts every
+        σ_w with ℓ(w) = m, even where the normal form leaves nothing to peel
+        at that grade."""
+        if len(self._tables) < len(self._by_length):
+            for m in p.grades():
+                if m in self._by_length:
+                    self._grade_table(m)
+
+    def _peel(self, residual: dict, quantum: bool) -> QuantumClass:
+        """Read the basis expansion off a normal form, largest term first."""
+        slot = 1 if quantum else 2
+        out = {}
+        # the largest term last; every term a peel step adds is smaller
+        # than the one it removes, so it is inserted below the top
+        todo = sorted((_term_key(a, d), (a, d)) for a, d in residual)
+        while todo:
+            _, key = todo.pop()
+            c = residual.pop(key, 0)
+            if not c:
+                continue
+            a, d = key
+            entry = self._grade_table(sum(a)).get(a)
+            if entry is None:
+                raise RingError(f"no basis class has code {a}")
+            out[(d, entry[0])] = c
+            shift = any(d)
+            for a2, d2, c2 in entry[slot]:
+                k2 = (a2, _add(d, d2) if shift else d2)
+                s = residual.get(k2, 0) - c * c2
+                if s:
+                    if k2 not in residual:
+                        insort(todo, (_term_key(*k2), k2))
+                    residual[k2] = s
+                else:
+                    residual.pop(k2, None)
+        return QuantumClass(self.n, out)
+
+    def _expand(self, p):
+        self._lift_grades(p)
+        return self._peel(self._normal_form(p, True), True)
+
+    def _expand_classical(self, p):
+        self._lift_grades(p)
+        return self._peel(self._normal_form(p, False), False)
+
 
 @lru_cache(maxsize=None)
 def quantum_ring(n: int) -> QuantumRing:
-    """Shared per-n ring instance (echelon slices are cached inside)."""
+    """Shared per-n ring instance (normal forms are memoized inside)."""
     return QuantumRing(n)
 
 

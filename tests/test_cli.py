@@ -158,6 +158,13 @@ def test_verify_more_suites_pass(capsys, cache_dir):
         ("verify", "--suite", "giambelli", "--n", "3"),
         ("verify", "--suite", "grading", "--n", "3"),
         ("verify", "--suite", "two-point", "--n", "3"),
+        ("verify", "--suite", "associativity", "--n", "4"),
+        ("verify", "--suite", "q0-classical", "--n", "4"),
+        ("verify", "--suite", "duality", "--n", "4"),
+        ("verify", "--suite", "relations", "--n", "4"),
+        ("verify", "--suite", "giambelli", "--n", "4"),
+        ("verify", "--suite", "grading", "--n", "4"),
+        ("verify", "--suite", "two-point", "--n", "4"),
         ("verify", "--suite", "specialization", "--n", "3"),
         ("verify", "--suite", "kernel-chern", "--n", "4"),
         ("verify", "--suite", "lemma-es", "--n", "4"),

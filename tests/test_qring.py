@@ -1,12 +1,20 @@
 """Quantum cohomology ring of the complete flag manifold."""
 
 import random
+import sys
+import threading
+import time
+from fractions import Fraction
 
 import pytest
 
 from qschubert import (
+    EchelonSystem,
+    PartialRing,
     Polynomial,
     QuantumClass,
+    QuantumRing,
+    RingError,
     all_permutations,
     classical_product,
     compose,
@@ -22,6 +30,7 @@ from qschubert import (
     quantum_ring,
     quantum_schubert,
     relations,
+    schubert_poly,
     transposition,
     q_var,
     x_var,
@@ -254,3 +263,95 @@ def test_quantum_class_json_round_trip():
 def test_ring_object_reuse_returns_same_instance():
     assert quantum_ring(3) is quantum_ring(3)
     assert quantum_ring(3).relations()[0] == relations(3)[0]
+
+
+def _full_table(ring, order=None):
+    basis = all_permutations(ring.n)
+    pairs = [(u, v) for i, u in enumerate(basis) for v in basis[i:]]
+    if order is not None:
+        random.Random(order).shuffle(pairs)
+    return {
+        (u, v): (ring.quantum_product(u, v), ring.classical_product(u, v))
+        for u, v in pairs
+    }
+
+
+class _SlowLifts(QuantumRing):
+    """Lifts that give up the interpreter lock, so that other threads run
+    while a grade table is half built."""
+
+    def _basis_lift(self, w):
+        time.sleep(0.0002)
+        return super()._basis_lift(w)
+
+    def _classical_lift(self, w):
+        time.sleep(0.0002)
+        return super()._classical_lift(w)
+
+
+def test_concurrent_table_matches_serial():
+    serial = _full_table(QuantumRing(4))
+    ring = _SlowLifts(4)
+    workers = 4
+    start = threading.Barrier(workers)
+    results = [None] * workers
+    errors = []
+
+    def work(slot):
+        try:
+            start.wait(timeout=60)
+            # each thread walks the pairs in its own order, so the threads
+            # meet unbuilt grades and memo entries at different times
+            results[slot] = _full_table(ring, order=slot)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert all(got == serial for got in results)
+
+
+def test_complete_flags_expand_without_echelon_or_fractions(monkeypatch):
+    # the basis lifts themselves go through e_decomposition's solver;
+    # warm them so that only the expansion runs under the patch
+    for w in all_permutations(4):
+        quantum_schubert(w)
+        schubert_poly(w)
+    created = []
+
+    def refuse(*args, **kwargs):
+        created.append(args)
+        raise AssertionError("complete flags must not build echelons or fractions")
+
+    monkeypatch.setattr(EchelonSystem, "__init__", refuse)
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    table = _full_table(QuantumRing(4))
+    assert created == []
+    assert table[(S1 + (4,), S1 + (4,))][0].to_text() == "σ[3,1,2,4] + q1·σ[1,2,3,4]"
+
+
+def test_slice_hooks_live_on_partial_rings_only():
+    for name in ("_slice", "_reduce_exact", "_grade_monomials", "_expected_rank"):
+        assert not hasattr(QuantumRing, name), name
+        assert hasattr(PartialRing, name), name
+
+
+def test_basis_lift_without_unit_leading_term_is_refused():
+    class Doubled(QuantumRing):
+        def _basis_lift(self, w):
+            return 2 * quantum_schubert(w)
+
+    with pytest.raises(RingError, match="leading term"):
+        Doubled(3).quantum_product(S1, S1)
+
