@@ -14,25 +14,22 @@ their counterparts for the full flag manifold.
 """
 from __future__ import annotations
 
-import math
+import operator
+from bisect import insort
 from functools import lru_cache
 
 from .perm import FlagShape, Perm, length, sn_elements, validate
 from .poly import (
-    EchelonSystem,
-    NonIntegralError,
     Polynomial,
     VerificationError,
     _var_key,
     c_var,
     g_var,
-    mon_grade,
-    mon_mul,
     q_var,
     sigma_var,
     x_var,
 )
-from .qring import QuantumClass, RingError, _GradedQuotientRing
+from .qring import QuantumClass, RingError, _GradedQuotientRing, _add
 from .universal import path_poly, universal_schubert_c
 
 __all__ = [
@@ -231,27 +228,101 @@ def partial_relations(shape: FlagShape) -> list:
     return list(_partial_relations(shape))
 
 
-def _weighted_monomials(vs: tuple, grades: tuple, m: int) -> tuple:
-    """All monomials of grade m in the given variables, deterministic order.
+def _divides(u: tuple, v: tuple) -> bool:
+    return all(map(operator.le, u, v))
 
-    vs must already be sorted in canonical variable order.
+
+def _reduce(p: dict, basis: list, key) -> dict:
+    """The remainder of p (exponent → int) modulo `basis`, a list of
+    (lead, poly) with leading coefficient 1; every term is reduced."""
+    p = dict(p)
+    rem = {}
+    while p:
+        t = max(p, key=key)
+        c = p.pop(t)
+        for lead, g in basis:
+            if _divides(lead, t):
+                shift = tuple(map(operator.sub, t, lead))
+                for e, cg in g.items():
+                    if e != lead:
+                        e2 = _add(e, shift)
+                        s = p.get(e2, 0) - c * cg
+                        if s:
+                            p[e2] = s
+                        else:
+                            p.pop(e2, None)
+                break
+        else:
+            rem[t] = c
+    return rem
+
+
+def _monic(p: dict, key):
+    """(lead, p divided by its leading coefficient c).  Raises RingError
+    unless c is ±1 after removing the content, that is, unless c divides
+    every coefficient."""
+    lead = max(p, key=key)
+    c = p[lead]
+    if any(v % c for v in p.values()):
+        raise RingError("a Gröbner basis element does not have leading "
+                        "coefficient ±1 after removing its content")
+    return lead, {e: v // c for e, v in p.items()}
+
+
+def _groebner(gens, key) -> list:
+    """Reduced Gröbner basis over Z of the ideal of `gens` (dicts exponent →
+    int) under the term order `key`, as (lead, poly) pairs in increasing
+    order of leads, each with leading coefficient 1.
+
+    Buchberger's algorithm with his two criteria, taking pairs by smallest
+    lcm first; every remainder must be monic up to its content.
     """
+    basis = []
+    pairs = set()   # (i, j) with i < j, not yet treated
+    queue = []      # (key of lcm, i, j, lcm), the smallest lcm first
+
+    def include(p):
+        p = _reduce(p, basis, key)
+        if p:
+            lead, g = _monic(p, key)
+            for i, (other, _) in enumerate(basis):
+                lcm = tuple(map(max, other, lead))
+                pairs.add((i, len(basis)))
+                insort(queue, (key(lcm), i, len(basis), lcm))
+            basis.append((lead, g))
+
+    for g in gens:
+        include(g)
+    while queue:
+        _, i, j, lcm = queue.pop(0)
+        pairs.remove((i, j))
+        (li, gi), (lj, gj) = basis[i], basis[j]
+        if not any(map(min, li, lj)):
+            continue    # coprime leads
+        if any(k not in (i, j) and _divides(basis[k][0], lcm)
+               and (min(i, k), max(i, k)) not in pairs
+               and (min(j, k), max(j, k)) not in pairs
+               for k in range(len(basis))):
+            continue    # chain criterion
+        s = {}
+        for sign, lead, g in ((1, li, gi), (-1, lj, gj)):
+            shift = tuple(map(operator.sub, lcm, lead))
+            for e, c in g.items():
+                e2 = _add(e, shift)
+                s[e2] = s.get(e2, 0) + sign * c
+        include({e: c for e, c in s.items() if c})
+    # a remainder's lead is divisible by no earlier lead, so the leads are
+    # distinct; keep the minimal ones and reduce their tails
+    leads = [lead for lead, _ in basis]
+    minimal = [(lead, g) for lead, g in basis
+               if not any(_divides(other, lead) for other in leads
+                          if other != lead)]
     out = []
-
-    def rec(idx, rem, acc):
-        if idx == len(vs):
-            if rem == 0:
-                out.append(acc)
-            return
-        g = grades[idx]
-        for e in range(rem // g, -1, -1):
-            if e:
-                rec(idx + 1, rem - e * g, acc + ((vs[idx], e),))
-            else:
-                rec(idx + 1, rem, acc)
-
-    rec(0, m, ())
-    return tuple(out)
+    for lead, g in minimal:
+        others = [lg for lg in minimal if lg[0] != lead]
+        tail = _reduce({e: c for e, c in g.items() if e != lead}, others, key)
+        out.append((lead, {lead: 1, **tail}))
+    return sorted(out, key=lambda lg: key(lg[0]))
 
 
 class PartialRing(_GradedQuotientRing):
@@ -261,12 +332,13 @@ class PartialRing(_GradedQuotientRing):
     size, with grade(σ_i^l) = i and grade(q_l) = n_{l+1} − n_{l−1}; complete
     shapes use x_1,…,x_n in place of the grade-1 block classes.
 
-    Expansion works stratum by stratum in the q-degree: the q-free part of a
-    polynomial is reduced against an integer row echelon spanned by the
-    classical basis polynomials of the matching grade together with monomial
-    multiples of the classical relations; each generator used is then
-    replaced by its quantum lift, which pushes the mismatch into strictly
-    higher q-strata, and the loop repeats until the residual vanishes.
+    The rewriting rules are the reduced Gröbner basis of the relations ẽ^q_k,
+    with the q_l as variables, computed over Z at construction.  The term
+    order is weighted grade, then lower q-weight first, then reverse lex with
+    the blocks from last to first, larger i first in the last block and
+    smaller i first in the others (x_n > … > x_1 for complete shapes).
+    Every leading term is then q-free, and the classical rules are the q = 0
+    part of the quantum ones.
     """
 
     def __init__(self, shape: FlagShape):
@@ -278,193 +350,53 @@ class PartialRing(_GradedQuotientRing):
         self.q_grades = dict(_q_grade_dict(shape))
         ns = shape.ns
         complete = shape.is_complete()
-        pairs = []
-        for l in range(1, shape.m + 2):
-            for i in range(1, ns[l] - ns[l - 1] + 1):
-                v = ("x", l) if complete else ("sigma", i, l)
-                pairs.append((v, i))
-        pairs.sort(key=lambda vg: _var_key(vg[0]))
-        self.sigma_vars = tuple(v for v, _ in pairs)
-        self._sigma_grades = tuple(g for _, g in pairs)
-        self._var_set = frozenset(self.sigma_vars)
+        order = []
+        for l in range(shape.m + 1, 0, -1):
+            size = ns[l] - ns[l - 1]
+            for i in (range(size, 0, -1) if l == shape.m + 1
+                      else range(1, size + 1)):
+                order.append((("x", l) if complete else ("sigma", i, l), i))
+        self.sigma_vars = tuple(sorted((v for v, _ in order), key=_var_key))
+        self._vars = tuple(v for v, _ in order)
+        self._var_grades = tuple(g for _, g in order)
+        self._q_weights = shape.q_grades
         self._q_zero = {("q", l): 0 for l in range(1, shape.m + 1)}
-        ideal = []
-        for r in _partial_relations(shape):
-            cl = r.substitute(self._q_zero)
-            ideal.append((cl, r - cl))
-        self._ideal = tuple(ideal)
-        for cl, _ in self._ideal:
-            if cl.is_zero() or not cl.is_homogeneous():
-                raise RingError("ideal generators must have homogeneous, "
-                                "nonzero classical parts")
-        self._slices = {}
         self._init_engine()
+        r = len(self._vars)
+        keys = {}
+
+        def key(e):
+            got = keys.get(e)
+            if got is None:
+                got = keys[e] = self._term_key(e[:r], e[r:])
+            return got
+
+        gens = [{a + d: c for a, d, c in self._keyed(rel)}
+                for rel in self.relations()]
+        self._rules = {True: [], False: []}
+        for lead, g in _groebner(gens, key):
+            if any(lead[r:]):
+                raise RingError(f"a Gröbner basis element of "
+                                f"{shape.to_string()} has a leading term "
+                                f"with q")
+            support = tuple((i, e) for i, e in enumerate(lead) if e)
+            tail = tuple((e[:r], e[r:], c) for e, c in g.items() if e != lead)
+            self._rules[True].append((support, tail))
+            self._rules[False].append(
+                (support, tuple(t for t in tail if not any(t[1]))))
+
+    def _term_key(self, a: tuple, d: tuple) -> tuple:
+        qw = sum(map(operator.mul, d, self._q_weights))
+        return (self._grade(a) + qw, -qw, tuple(map(operator.neg, a[::-1])), d)
 
     def relations(self) -> tuple:
         return _partial_relations(self.shape)
-
-    def _normalize(self, p):
-        return p
-
-    def _allowed(self, v):
-        if v[0] == "q":
-            return 1 <= v[1] <= self.q_count
-        return v in self._var_set
 
     def _check_element(self, w):
         return _check_min_rep(w, self.shape)
 
     def _basis_lift(self, w):
         return partial_quantum_schubert(w, self.shape)
-
-    def _grade_monomials(self, m):
-        return _weighted_monomials(self.sigma_vars, self._sigma_grades, m)
-
-    def _expected_rank(self, m):
-        return len(self._grade_monomials(m))
-
-    # -- echelon slices ---------------------------------------------------
-    def _split_mon(self, mon):
-        d = [0] * self.q_count
-        rest = []
-        for v, e in mon:
-            if v[0] == "q":
-                d[v[1] - 1] = e
-            else:
-                rest.append((v, e))
-        return tuple(d), tuple(rest)
-
-    def _slice(self, m: int):
-        got = self._slices.get(m)
-        if got is not None:
-            return got
-        with self._lock:
-            got = self._slices.get(m)
-            if got is not None:
-                return got
-            ws = tuple(w for w in self.basis if length(w) == m)
-            gens, corrections = [], []
-            for w in ws:
-                lift = self._basis_lift(w)
-                cl = lift.substitute(self._q_zero)
-                gens.append(cl)
-                corrections.append(lift - cl)
-            for cl_k, corr_k in self._ideal:
-                k = cl_k.grade()
-                if m < k:
-                    continue
-                for mon in self._grade_monomials(m - k):
-                    shift = Polynomial({mon: 1})
-                    gens.append(shift * cl_k)
-                    corrections.append(shift * corr_k)
-            ech = EchelonSystem(gens)
-            bad = [j for j in ech.dependent_indices if j < len(ws)]
-            if bad:
-                raise RingError(
-                    f"grade-{m} basis classes are not independent: {bad}"
-                )
-            expected = self._expected_rank(m)
-            if ech.rank != expected:
-                raise RingError(
-                    f"grade-{m} slice has rank {ech.rank}, expected {expected}"
-                )
-            got = (ech, ws, tuple(corrections))
-            self._slices[m] = got
-            return got
-
-    def _reduce_exact(self, ech, terms):
-        """Reduce a term dict (int or Fraction coefficients) and return the
-        generator coefficients; the remainder must vanish."""
-        denom = 1
-        for c in terms.values():
-            dc = getattr(c, "denominator", 1)
-            if dc != 1:
-                denom = denom * dc // math.gcd(denom, dc)
-        target = Polynomial({mon: int(c * denom) for mon, c in terms.items()})
-        coeffs, leftover = ech.reduce(target)
-        if not leftover.is_zero():
-            raise RingError(
-                f"reduction left a remainder: {leftover.to_text()}"
-            )
-        if denom == 1:
-            return coeffs
-        return {j: c / denom for j, c in coeffs.items()}
-
-    def _expand(self, p):
-        residual = dict(p._terms)
-        out = {}
-        rounds = 0
-        while residual:
-            rounds += 1
-            if rounds > 100000:
-                raise RingError("quantum expansion did not terminate")
-            best_key = best_d = None
-            for mon in residual:
-                d, _ = self._split_mon(mon)
-                key = (
-                    sum(e * self.q_grades[i + 1] for i, e in enumerate(d)),
-                    d,
-                )
-                if best_key is None or key < best_key:
-                    best_key, best_d = key, d
-            d = best_d
-            qmon = self._q_monomial(d)
-            strata = {}
-            for mon in list(residual):
-                dd, xmon = self._split_mon(mon)
-                if dd == d:
-                    strata.setdefault(mon_grade(xmon), {})[xmon] = residual.pop(mon)
-            for m in sorted(strata):
-                ech, ws, corrections = self._slice(m)
-                coeffs = self._reduce_exact(ech, strata[m])
-                for j in sorted(coeffs):
-                    c = coeffs[j]
-                    if not c:
-                        continue
-                    if j < len(ws):
-                        if getattr(c, "denominator", 1) != 1:
-                            raise NonIntegralError(
-                                f"coefficient {c} on basis class {ws[j]} "
-                                f"is not an integer"
-                            )
-                        key = (d, ws[j])
-                        tot = out.get(key, 0) + int(c)
-                        if tot:
-                            out[key] = tot
-                        else:
-                            out.pop(key, None)
-                    corr = corrections[j]
-                    if corr.is_zero():
-                        continue
-                    # replace the classical generator by its quantum lift;
-                    # every correction term carries a positive q-degree, so
-                    # the residual moves to strictly higher strata
-                    for mon2, c2 in corr._terms.items():
-                        mon3 = mon_mul(mon2, qmon)
-                        tot = residual.get(mon3, 0) - c * c2
-                        if tot:
-                            residual[mon3] = tot
-                        else:
-                            residual.pop(mon3, None)
-        return QuantumClass(self.n, out, shape=self.shape)
-
-    def _expand_classical(self, p):
-        out = {}
-        d0 = (0,) * self.q_count
-        for m in sorted(p.grades()):
-            part = p.homogeneous_component(m)
-            ech, ws, _ = self._slice(m)
-            coeffs = self._reduce_exact(ech, dict(part._terms))
-            for j in sorted(coeffs):
-                c = coeffs[j]
-                if j < len(ws) and c:
-                    if getattr(c, "denominator", 1) != 1:
-                        raise NonIntegralError(
-                            f"coefficient {c} on basis class {ws[j]} "
-                            f"is not an integer"
-                        )
-                    out[(d0, ws[j])] = int(c)
-        return QuantumClass(self.n, out, shape=self.shape)
 
     def _moduli_dimension(self, d):
         return self.shape.dimension + sum(

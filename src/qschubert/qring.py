@@ -1,4 +1,5 @@
-"""Quantum cohomology ring of the complete flag manifold.
+"""Quantum cohomology ring of the complete flag manifold, and the expansion
+engine that it shares with the partial flag rings (partial.py).
 
 Elements are integer combinations of Schubert classes σ_w scaled by monomials
 in the deformation parameters q_1,…,q_{n−1} (each of grade 2).  Products are
@@ -6,27 +7,31 @@ computed by multiplying quantum Schubert polynomial representatives and
 rewriting the result in the basis {q^d·σ_w} modulo the quantum relations
 e^q_k(n) = 0, over the integers alone.
 
-The rewrite has two steps.  After x_n is eliminated by e^q_1(n) = 0, the
-polynomials
+Every ring rewrites by the same two steps (`_GradedQuotientRing`); a ring
+supplies only its presentation: its variables and their grades, a term order
+and rewriting rules x^lead → tail with q-free leading terms.
+
+1. Normal form.  Each monomial is reduced by the rules to a Z[q]-combination
+   of standard monomials, those that no leading term divides, and the result
+   is memoized per exponent vector.
+2. Peel.  The normal form of each basis lift leads with a q-free monomial at
+   coefficient 1, a different one for each class of a grade.  So the
+   expansion is read off the residual from the top: take its largest term
+   c·x^a·q^d, record c·q^d·σ_w for the w whose lift leads with x^a, subtract
+   c·q^d·NF(lift of σ_w), and repeat until the residual vanishes.
+
+For Fl_n, x_n is eliminated by e^q_1(n) = 0; then the polynomials
 
     H^q_k = Σ_{i=1..k} (−1)^{i+1}·e^q_i(n)·h_{k−i}(x_1,…,x_{n−k+1}),  k = 2..n,
 
 lie in the quantum ideal (Fomin–Gelfand–Postnikov) and have leading term
 x_{n−k+1}^k, as h_k(x_1,…,x_{n−k+1}) does in the classical Gröbner basis of
 the symmetric ideal.  The order is: grade first, then lower q-degree first,
-then lex with x_{n−1} > … > x_1.
-
-1. Normal form.  Each x-monomial is reduced modulo {H^q_k} to a
-   Z[q]-combination of the n! staircase monomials x^a, a_i ≤ n − i, and the
-   result is memoized per exponent vector.
-2. Peel.  The normal form of the quantum Schubert polynomial 𝔖^q_w has
-   leading term x^code(w) with coefficient 1.  So the expansion is read off
-   the residual from the top: take its largest term c·x^a·q^d, record
-   c·q^d·σ_w for the w with code(w) = a, subtract c·q^d·NF(𝔖^q_w), and
-   repeat until the residual vanishes.
-
-The classical expansion runs the same two steps on the q = 0 rules and the
-classical 𝔖_w.  Partial flag shapes expand by echelon slices (partial.py).
+then lex with x_{n−1} > … > x_1.  The standard monomials are the n!
+staircase monomials x^a, a_i ≤ n − i, and NF(𝔖^q_w) leads with x^code(w).
+Partial flag shapes compute their rules by a Gröbner basis (partial.py).
+The classical expansion runs the same steps on the q = 0 rules and the
+classical lifts (for Fl_n, the Schubert polynomials 𝔖_w).
 """
 from __future__ import annotations
 
@@ -41,7 +46,6 @@ from .perm import (
     all_permutations,
     dual,
     hyperquot_dim,
-    lehmer_code,
     length,
     validate,
 )
@@ -186,13 +190,6 @@ class QuantumClass:
         return f"QuantumClass({self.to_text()!r})"
 
 
-def _term_key(a: tuple, d: tuple) -> tuple:
-    """Sorting by this key lists terms x^a·q^d in increasing order: grade
-    first, then lower q-degree first, then lex with x_{n−1} > … > x_1."""
-    qd = sum(d)
-    return (sum(a) + 2 * qd, -qd, a[::-1], d)
-
-
 def _add(u: tuple, v: tuple) -> tuple:
     return tuple(map(operator.add, u, v))
 
@@ -209,25 +206,49 @@ def _complete_poly(r: int, m: int) -> Polynomial:
 
 
 class _GradedQuotientRing:
-    """Public product and invariant API of the complete and partial rings.
+    """Public product and invariant API, and the expansion engine, of the
+    complete and partial rings.
 
-    Subclasses provide the presentation (the basis permutations, the lift of
-    each basis element to a polynomial representative, the working alphabet)
-    and the expansion engine: `_expand` rewrites a normalized polynomial in
-    the basis q^d·σ_w, `_expand_classical` a normalized q-free one in the
-    basis σ_w.
+    A subclass supplies its presentation:
+    - `_vars`, the variables other than q, with their grades `_var_grades`,
+      and `_q_weights`, the grades of q_1, q_2, …; a term x^a·q^d is keyed
+      (a, d) by its exponent vectors over `_vars` and the q_l (`_keyed`);
+      `_init_engine` needs these, and the rules can be built after it;
+    - `_term_key(a, d)`, which sorts terms in increasing term order;
+    - `_rules[quantum]`, a list of rules (lead, tail) for the quantum ideal
+      (True) and its q = 0 part (False): each x^lead is q-free, given by its
+      support ((i, e), …), and rewrites to −Σ c·x^a·q^d over the tail's
+      terms (a, d, c);
+    - the basis permutations and their lifts `_basis_lift`, `_classical_lift`.
+
+    Expansion has two steps, over the integers alone.
+    1. Normal form.  A monomial x^a reduces by the first rule whose leading
+       exponent divides it, until only monomials that no leading exponent
+       divides remain; the result is memoized per exponent vector.
+    2. Peel.  The normal form of each lift leads with a q-free monomial at
+       coefficient 1, a different one for each class of a grade.  So the
+       expansion is read off the residual from the top: take its largest
+       term c·x^a·q^d, record c·q^d·σ_w for the w whose lift leads with x^a,
+       subtract c·q^d·NF(lift of σ_w), and repeat until nothing is left.
+    The classical expansion runs the same steps on the q = 0 rules and the
+    classical lifts, with its own memo.
     """
 
     def _init_engine(self):
+        self._index = {v: i for i, v in enumerate(self._vars)}
+        self._q_grade_map = dict(enumerate(self._q_weights, start=1))
+        self._zero_d = (0,) * self.q_count
+        self._nf = {True: {}, False: {}}
+        self._tables = {}
+        self._by_length = {}
+        for w in self.basis:
+            self._by_length.setdefault(length(w), []).append(w)
         self._products = {}
         self._lock = threading.RLock()
 
     # -- hooks ----------------------------------------------------------
     def _normalize(self, p: Polynomial) -> Polynomial:
-        raise NotImplementedError
-
-    def _allowed(self, v) -> bool:
-        raise NotImplementedError
+        return p
 
     def _check_element(self, w) -> Perm:
         raise NotImplementedError
@@ -237,12 +258,6 @@ class _GradedQuotientRing:
 
     def _classical_lift(self, w: Perm) -> Polynomial:
         return self._basis_lift(w).substitute(self._q_zero)
-
-    def _expand(self, p: Polynomial) -> QuantumClass:
-        raise NotImplementedError
-
-    def _expand_classical(self, p: Polynomial) -> QuantumClass:
-        raise NotImplementedError
 
     def _moduli_dimension(self, d) -> int:
         raise NotImplementedError
@@ -254,23 +269,28 @@ class _GradedQuotientRing:
     def _q_monomial(self, d):
         return tuple((("q", i + 1), e) for i, e in enumerate(d) if e)
 
-    def expand_in_quantum_basis(self, p: Polynomial) -> QuantumClass:
-        """Rewrite p as an integer combination of classes q^d·σ_w."""
+    def _checked(self, p: Polynomial) -> Polynomial:
         p = self._normalize(p)
         for v in p.variables():
-            if not self._allowed(v):
+            if v not in self._index and not (
+                v[0] == "q" and 1 <= v[1] <= self.q_count
+            ):
                 raise ValueError(f"variable {v} is not in the ring alphabet")
-        return self._expand(p)
+        return p
+
+    def expand_in_quantum_basis(self, p: Polynomial) -> QuantumClass:
+        """Rewrite p as an integer combination of classes q^d·σ_w."""
+        p = self._checked(p)
+        self._lift_grades(p)
+        return self._peel(self._normal_form(p, True), True)
 
     def expand_classical(self, p: Polynomial) -> QuantumClass:
         """Rewrite a q-free polynomial in the Schubert basis (all d = 0)."""
-        p = self._normalize(p)
-        for v in p.variables():
-            if v[0] == "q":
-                raise ValueError("classical expansion needs a q-free input")
-            if not self._allowed(v):
-                raise ValueError(f"variable {v} is not in the ring alphabet")
-        return self._expand_classical(p)
+        if any(v[0] == "q" for v in p.variables()):
+            raise ValueError("classical expansion needs a q-free input")
+        p = self._checked(p)
+        self._lift_grades(p)
+        return self._peel(self._normal_form(p, False), False)
 
     def basis_polynomial(self, w) -> Polynomial:
         """The polynomial representative of the basis class σ_w."""
@@ -338,19 +358,175 @@ class _GradedQuotientRing:
         cls = self.quantum_product_multi(ws)
         return cls.coefficient(d, self._dual(w))
 
+    # -- normal form and peel ---------------------------------------------
+    def _grade(self, a: tuple) -> int:
+        return sum(map(operator.mul, a, self._var_grades))
+
+    def _keyed(self, p: Polynomial):
+        """p as (a, d, c) triples over `_vars` and the q_l."""
+        index = self._index
+        r = len(self._vars)
+        out = []
+        for mon, c in p._terms.items():
+            a = [0] * r
+            d = [0] * self.q_count
+            for v, e in mon:
+                if v[0] == "q":
+                    d[v[1] - 1] = e
+                else:
+                    a[index[v]] = e
+            out.append((tuple(a), tuple(d), c))
+        return out
+
+    def _lead_and_tail(self, terms: dict, what, lead=None):
+        """The largest key (a, d) of `terms` and the other terms as (a, d, c)
+        triples, after checking that the largest is q-free, has coefficient
+        1 and, when `lead` is given, equals it."""
+        top = max(terms, key=lambda ad: self._term_key(*ad), default=None)
+        if (top is None or any(top[1]) or terms[top] != 1
+                or lead is not None and top != lead):
+            raise RingError(f"{what} does not have a q-free leading term "
+                            f"with coefficient 1"
+                            + (f" at x^{lead[0]}" if lead is not None else ""))
+        return top, tuple((a, d, c) for (a, d), c in terms.items() if (a, d) != top)
+
+    def _nf_monomial(self, a: tuple, quantum: bool) -> tuple:
+        """Normal form of x^a as ((a', d'), c) pairs over standard a'.
+
+        Dependencies are resolved with an explicit stack; each memo entry is
+        stored only once it is complete, so concurrent readers never see a
+        partial one and a race costs at most a duplicate computation.
+        """
+        memo = self._nf[quantum]
+        got = memo.get(a)
+        if got is not None:
+            return got
+        rules = self._rules[quantum]
+        stack = [a]
+        while stack:
+            top = stack[-1]
+            if top in memo:
+                stack.pop()
+                continue
+            rule = next((r for r in rules
+                         if all(top[i] >= e for i, e in r[0])), None)
+            if rule is None:
+                memo[top] = (((top, self._zero_d), 1),)
+                stack.pop()
+                continue
+            lead, tail = rule
+            base = list(top)
+            for i, e in lead:
+                base[i] -= e
+            base = tuple(base)
+            deps = [_add(base, ta) for ta, _, _ in tail]
+            missing = [dep for dep in deps if dep not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
+            acc = {}
+            for dep, (_, td, c) in zip(deps, tail):
+                shift = any(td)
+                for (a2, d2), c2 in memo[dep]:
+                    key = (a2, _add(td, d2) if shift else d2)
+                    acc[key] = acc.get(key, 0) - c * c2
+            memo[top] = tuple((key, c) for key, c in acc.items() if c)
+            stack.pop()
+        return memo[a]
+
+    def _normal_form(self, p: Polynomial, quantum: bool) -> dict:
+        """p reduced to standard terms keyed (a, d)."""
+        out = {}
+        for a, d, c in self._keyed(p):
+            shift = any(d)
+            for (a2, d2), c2 in self._nf_monomial(a, quantum):
+                key = (a2, _add(d, d2) if shift else d2)
+                s = out.get(key, 0) + c * c2
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+        return out
+
+    def _grade_table(self, m: int) -> dict:
+        """lead → (w, quantum tail, classical tail) for every ℓ(w) = m.
+
+        The lift of σ_w, quantum and classical, has a normal form led by the
+        q-free x^lead at coefficient 1; a tail lists its other terms.  The
+        whole grade is lifted at once, under the lock, and published
+        complete.
+        """
+        got = self._tables.get(m)
+        if got is not None:
+            return got
+        with self._lock:
+            got = self._tables.get(m)
+            if got is not None:
+                return got
+            table = {}
+            for w in self._by_length.get(m, ()):
+                what = f"NF of the lift of σ_{list(w)}"
+                nf = self._normal_form(self._normalize(self._basis_lift(w)), True)
+                lead, tail = self._lead_and_tail(nf, what)
+                if lead[0] in table:
+                    raise RingError(f"{what} has the same leading term "
+                                    f"x^{lead[0]} as σ_{list(table[lead[0]][0])}")
+                nf = self._normal_form(
+                    self._normalize(self._classical_lift(w)), False)
+                table[lead[0]] = (
+                    w, tail, self._lead_and_tail(nf, f"classical {what}", lead)[1]
+                )
+            self._tables[m] = table
+            return table
+
+    def _lift_grades(self, p: Polynomial):
+        """The first expansion that meets an input of grade m lifts every
+        σ_w with ℓ(w) = m, even where the normal form leaves nothing to peel
+        at that grade."""
+        if len(self._tables) < len(self._by_length):
+            for m in p.grades(self._q_grade_map):
+                if m in self._by_length:
+                    self._grade_table(m)
+
+    def _peel(self, residual: dict, quantum: bool) -> QuantumClass:
+        """Read the basis expansion off a normal form, largest term first."""
+        slot = 1 if quantum else 2
+        key_of = self._term_key
+        out = {}
+        # the largest term last; every term a peel step adds is smaller
+        # than the one it removes, so it is inserted below the top
+        todo = sorted((key_of(a, d), (a, d)) for a, d in residual)
+        while todo:
+            _, key = todo.pop()
+            c = residual.pop(key, 0)
+            if not c:
+                continue
+            a, d = key
+            entry = self._grade_table(self._grade(a)).get(a)
+            if entry is None:
+                raise RingError(f"no basis class leads with x^{a}")
+            out[(d, entry[0])] = c
+            shift = any(d)
+            for a2, d2, c2 in entry[slot]:
+                k2 = (a2, _add(d, d2) if shift else d2)
+                s = residual.get(k2, 0) - c * c2
+                if s:
+                    if k2 not in residual:
+                        insort(todo, (key_of(*k2), k2))
+                    residual[k2] = s
+                else:
+                    residual.pop(k2, None)
+        return QuantumClass(self.n, out, shape=self.shape)
+
 
 class QuantumRing(_GradedQuotientRing):
     """QH*(Fl_n): basis σ_w for w in S_n over Z[q_1,…,q_{n−1}].
 
     x_n is eliminated via the vanishing of e^q_1(n) = x_1+…+x_n, after which
     the remaining relations e^q_k(n) = 0 (k = 2..n) present the ring on the
-    alphabet x_1,…,x_{n−1}, q_1,…,q_{n−1}.
-
-    A term x^a·q^d is keyed (a, d) by its exponent vectors.  Two engines
-    share the code below, selected by `quantum`: the quantum one reduces
-    modulo {H^q_k} and peels against NF(𝔖^q_w); the classical one reduces
-    modulo the q = 0 rules {h_k(x_1,…,x_{n−k+1})} and peels against the
-    classical 𝔖_w.  Each keeps its own normal-form memo.
+    alphabet x_1,…,x_{n−1}, q_1,…,q_{n−1}.  The rules are x_i^{n−i+1} → the
+    rest of H^q_{n−i+1}, largest i first; their leading terms are the
+    staircase caps, so the normal forms live on the n! staircase monomials.
     """
 
     def __init__(self, n: int):
@@ -360,6 +536,9 @@ class QuantumRing(_GradedQuotientRing):
         self.shape = None
         self.q_count = n - 1
         self.basis = all_permutations(n)
+        self._vars = tuple(("x", i) for i in range(1, n))
+        self._var_grades = (1,) * (n - 1)
+        self._q_weights = (2,) * (n - 1)
         xsum = Polynomial.zero()
         for i in range(1, n):
             xsum = xsum - x_var(i)
@@ -371,23 +550,25 @@ class QuantumRing(_GradedQuotientRing):
         if not reduced[0].is_zero():
             raise RingError("the linear relation must vanish after "
                             "eliminating x_n")
-        self._zero_d = (0,) * (n - 1)
-        # staircase caps: x_i survives a normal form only below x_i^{n−i+1}
-        self._caps = tuple(n - i for i in range(1, n))
+        self._init_engine()
         self._rules = {True: [], False: []}
-        for i in range(1, n):
+        for i in range(n - 1, 0, -1):
             k = n - i + 1
             h = Polynomial.zero()
             for j in range(2, k + 1):
                 h = h + (-1) ** (j + 1) * reduced[j - 1] * _complete_poly(k - j, i)
-            self._rules[True].append(self._rule(h, i, k))
-            self._rules[False].append(self._rule(h.substitute(self._q_zero), i, k))
-        self._nf = {True: {}, False: {}}
-        self._tables = {}
-        self._by_length = {}
-        for w in self.basis:
-            self._by_length.setdefault(length(w), []).append(w)
-        self._init_engine()
+            lead = tuple(k if j == i else 0 for j in range(1, n)), self._zero_d
+            for quantum, rel in ((True, h), (False, h.substitute(self._q_zero))):
+                terms = {(a, d): c for a, d, c in self._keyed(rel)}
+                tail = self._lead_and_tail(terms, f"H_{k}", lead)[1]
+                self._rules[quantum].append((((i - 1, k),), tail))
+
+    @staticmethod
+    def _term_key(a: tuple, d: tuple) -> tuple:
+        """Grade first, then lower q-degree first, then lex with
+        x_{n−1} > … > x_1."""
+        qd = sum(d)
+        return (sum(a) + 2 * qd, -qd, a[::-1], d)
 
     def relations(self) -> tuple:
         """The quantum relations e^q_1(n),…,e^q_n(n) before elimination."""
@@ -395,11 +576,6 @@ class QuantumRing(_GradedQuotientRing):
 
     def _normalize(self, p):
         return p.substitute(self._xelim)
-
-    def _allowed(self, v):
-        if v[0] in ("x", "q"):
-            return 1 <= v[1] <= self.n - 1
-        return False
 
     def _check_element(self, w):
         w = validate(w)
@@ -418,165 +594,6 @@ class QuantumRing(_GradedQuotientRing):
 
     def _dual(self, w):
         return dual(w)
-
-    # -- normal form and peel ---------------------------------------------
-    def _keyed(self, p: Polynomial):
-        """p as (a, d, c) triples over x_1..x_{n−1} and q_1..q_{n−1}."""
-        r = self.n - 1
-        out = []
-        for mon, c in p._terms.items():
-            a = [0] * r
-            d = [0] * r
-            for v, e in mon:
-                (a if v[0] == "x" else d)[v[1] - 1] = e
-            out.append((tuple(a), tuple(d), c))
-        return out
-
-    def _lead_and_tail(self, terms: dict, lead, what):
-        """The terms (a, d, c) other than `lead`, after checking that `lead`
-        is the largest key of `terms` and has coefficient 1."""
-        top = max(terms, key=lambda ad: _term_key(*ad), default=None)
-        if top != lead or terms[lead] != 1:
-            raise RingError(f"{what} does not have leading term "
-                            f"x^{lead[0]} with coefficient 1")
-        return tuple((a, d, c) for (a, d), c in terms.items() if (a, d) != lead)
-
-    def _rule(self, h: Polynomial, i: int, k: int):
-        """(i − 1, k, tail) for the rule x_i^k → x_i^k − H_k."""
-        lead = tuple(k if j == i else 0 for j in range(1, self.n)), self._zero_d
-        terms = {(a, d): c for a, d, c in self._keyed(h)}
-        return i - 1, k, self._lead_and_tail(terms, lead, f"H_{k}")
-
-    def _nf_monomial(self, a: tuple, quantum: bool) -> tuple:
-        """Normal form of x^a as ((a', d'), c) pairs over staircase a'.
-
-        Dependencies are resolved with an explicit stack; each memo entry is
-        stored only once it is complete, so concurrent readers never see a
-        partial one and a race costs at most a duplicate computation.
-        """
-        memo = self._nf[quantum]
-        got = memo.get(a)
-        if got is not None:
-            return got
-        rules = self._rules[quantum]
-        caps = self._caps
-        stack = [a]
-        while stack:
-            top = stack[-1]
-            if top in memo:
-                stack.pop()
-                continue
-            # reduce at the largest variable above its cap
-            rule = next((rules[i] for i in range(len(top) - 1, -1, -1)
-                         if top[i] > caps[i]), None)
-            if rule is None:
-                memo[top] = (((top, self._zero_d), 1),)
-                stack.pop()
-                continue
-            i, k, tail = rule
-            base = top[:i] + (top[i] - k,) + top[i + 1:]
-            deps = [_add(base, ta) for ta, _, _ in tail]
-            missing = [dep for dep in deps if dep not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
-            acc = {}
-            for dep, (_, td, c) in zip(deps, tail):
-                shift = any(td)
-                for (a2, d2), c2 in memo[dep]:
-                    key = (a2, _add(td, d2) if shift else d2)
-                    acc[key] = acc.get(key, 0) - c * c2
-            memo[top] = tuple((key, c) for key, c in acc.items() if c)
-            stack.pop()
-        return memo[a]
-
-    def _normal_form(self, p: Polynomial, quantum: bool) -> dict:
-        """p reduced to staircase terms keyed (a, d)."""
-        out = {}
-        for a, d, c in self._keyed(p):
-            shift = any(d)
-            for (a2, d2), c2 in self._nf_monomial(a, quantum):
-                key = (a2, _add(d, d2) if shift else d2)
-                s = out.get(key, 0) + c * c2
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return out
-
-    def _grade_table(self, m: int) -> dict:
-        """code(w) → (w, quantum tail, classical tail) for every ℓ(w) = m.
-
-        A tail lists the terms of NF(𝔖^q_w), resp. NF(𝔖_w), other than the
-        leading x^code(w).  The whole grade is lifted at once, under the
-        lock, and published complete.
-        """
-        got = self._tables.get(m)
-        if got is not None:
-            return got
-        with self._lock:
-            got = self._tables.get(m)
-            if got is not None:
-                return got
-            table = {}
-            for w in self._by_length.get(m, ()):
-                lead = (lehmer_code(w), self._zero_d)
-                tails = []
-                for quantum, lift in ((True, self._basis_lift(w)),
-                                      (False, self._classical_lift(w))):
-                    nf = self._normal_form(self._normalize(lift), quantum)
-                    tails.append(self._lead_and_tail(
-                        nf, lead, f"NF of the {'quantum ' * quantum}Schubert "
-                                  f"polynomial of {w}"))
-                table[lead[0]] = (w, *tails)
-            self._tables[m] = table
-            return table
-
-    def _lift_grades(self, p: Polynomial):
-        """The first expansion that meets an input of grade m lifts every
-        σ_w with ℓ(w) = m, even where the normal form leaves nothing to peel
-        at that grade."""
-        if len(self._tables) < len(self._by_length):
-            for m in p.grades():
-                if m in self._by_length:
-                    self._grade_table(m)
-
-    def _peel(self, residual: dict, quantum: bool) -> QuantumClass:
-        """Read the basis expansion off a normal form, largest term first."""
-        slot = 1 if quantum else 2
-        out = {}
-        # the largest term last; every term a peel step adds is smaller
-        # than the one it removes, so it is inserted below the top
-        todo = sorted((_term_key(a, d), (a, d)) for a, d in residual)
-        while todo:
-            _, key = todo.pop()
-            c = residual.pop(key, 0)
-            if not c:
-                continue
-            a, d = key
-            entry = self._grade_table(sum(a)).get(a)
-            if entry is None:
-                raise RingError(f"no basis class has code {a}")
-            out[(d, entry[0])] = c
-            shift = any(d)
-            for a2, d2, c2 in entry[slot]:
-                k2 = (a2, _add(d, d2) if shift else d2)
-                s = residual.get(k2, 0) - c * c2
-                if s:
-                    if k2 not in residual:
-                        insort(todo, (_term_key(*k2), k2))
-                    residual[k2] = s
-                else:
-                    residual.pop(k2, None)
-        return QuantumClass(self.n, out)
-
-    def _expand(self, p):
-        self._lift_grades(p)
-        return self._peel(self._normal_form(p, True), True)
-
-    def _expand_classical(self, p):
-        self._lift_grades(p)
-        return self._peel(self._normal_form(p, False), False)
 
 
 @lru_cache(maxsize=None)

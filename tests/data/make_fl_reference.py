@@ -1,10 +1,13 @@
-"""Write fl_reference.json: quantum and classical products of Fl_n.
+"""Write fl_reference.json: quantum and classical products of flag manifolds.
 
     PYTHONPATH=src python3 tests/data/make_fl_reference.py [--seed 2001] [OUT]
 
-The file holds the full Fl_3 and Fl_4 product tables (one entry per
-unordered pair) and a seeded sample of Fl_5 pairs, taken round-robin over
-the degrees ℓ(u) + ℓ(v) from 0 to FL5_MAX_DEGREE.
+The file holds one table per ring, with one entry per unordered pair:
+  - the full Fl_3 and Fl_4 product tables and a seeded sample of Fl_5 pairs,
+    taken round-robin over the degrees ℓ(u) + ℓ(v) from 0 to FL5_MAX_DEGREE;
+  - the full tables of the flag shapes in FULL_SHAPES and a seeded sample of
+    PARTIAL_SAMPLE pairs of each shape in SAMPLED_SHAPES, round-robin over
+    all their degrees.
 tests/test_fl_reference.py checks the package against every entry.
 """
 from __future__ import annotations
@@ -15,12 +18,22 @@ import random
 import sys
 from pathlib import Path
 
-from qschubert import all_permutations, length, quantum_ring
+from qschubert import (
+    FlagShape,
+    all_permutations,
+    length,
+    partial_ring,
+    quantum_ring,
+    sn_elements,
+)
 
 FL5_SAMPLE = 40
 # the echelon-slice engine that wrote the file needs about 8 minutes up to
 # degree 16; with degrees 17 to 20 it had not finished after 55 CPU minutes
 FL5_MAX_DEGREE = 16
+FULL_SHAPES = ("2:4", "2:5", "1:3:4", "2:6", "1:2:3:4")
+SAMPLED_SHAPES = ("3:6", "1:3:5")
+PARTIAL_SAMPLE = 40
 
 
 def perm_text(w):
@@ -40,17 +53,16 @@ def entry(ring, u, v):
     }
 
 
-def all_pairs(n):
-    basis = all_permutations(n)
+def all_pairs(basis):
     return [(u, v) for i, u in enumerate(basis) for v in basis[i:]]
 
 
-def sampled_pairs(n, count, seed):
+def sampled_pairs(basis, count, seed, max_degree):
     """`count` unordered pairs, one per degree in turn, seeded within a degree."""
     rng = random.Random(seed)
     by_degree = {}
-    for u, v in all_pairs(n):
-        if length(u) + length(v) <= FL5_MAX_DEGREE:
+    for u, v in all_pairs(basis):
+        if length(u) + length(v) <= max_degree:
             by_degree.setdefault(length(u) + length(v), []).append((u, v))
     for bucket in by_degree.values():
         rng.shuffle(bucket)
@@ -62,6 +74,20 @@ def sampled_pairs(n, count, seed):
     return sorted(out, key=lambda uv: (length(uv[0]) + length(uv[1]), uv))
 
 
+def inputs(seed):
+    """(table key, ring, pairs) for every table, in file order."""
+    for n in (3, 4):
+        yield {"n": n}, quantum_ring(n), all_pairs(all_permutations(n))
+    yield ({"n": 5}, quantum_ring(5),
+           sampled_pairs(all_permutations(5), FL5_SAMPLE, seed, FL5_MAX_DEGREE))
+    for text in FULL_SHAPES + SAMPLED_SHAPES:
+        shape = FlagShape.from_string(text)
+        basis = sn_elements(shape)
+        pairs = (all_pairs(basis) if text in FULL_SHAPES else
+                 sampled_pairs(basis, PARTIAL_SAMPLE, seed, 2 * shape.dimension))
+        yield {"shape": text}, partial_ring(shape), pairs
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=2001)
@@ -69,11 +95,9 @@ def main(argv=None):
                     default=str(Path(__file__).with_name("fl_reference.json")))
     args = ap.parse_args(argv)
     tables = []
-    for n, pairs in ((3, all_pairs(3)), (4, all_pairs(4)),
-                     (5, sampled_pairs(5, FL5_SAMPLE, args.seed))):
-        ring = quantum_ring(n)
-        tables.append({"n": n, "entries": [entry(ring, u, v) for u, v in pairs]})
-        print(f"Fl_{n}: {len(pairs)} pairs", file=sys.stderr, flush=True)
+    for key, ring, pairs in inputs(args.seed):
+        tables.append({**key, "entries": [entry(ring, u, v) for u, v in pairs]})
+        print(f"{key}: {len(pairs)} pairs", file=sys.stderr, flush=True)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump({"seed": args.seed, "tables": tables}, fh, indent=None,
                   separators=(",", ":"))

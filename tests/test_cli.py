@@ -170,6 +170,10 @@ def test_verify_more_suites_pass(capsys, cache_dir):
         ("verify", "--suite", "lemma-es", "--n", "4"),
         ("verify", "--suite", "associativity", "--shape", "2:4"),
         ("verify", "--suite", "kernel-chern-partial", "--shape", "1:3:4"),
+        *(("verify", "--suite", suite, "--shape", shape)
+          for shape in ("2:6", "1:3:4")
+          for suite in ("associativity", "q0-classical", "duality",
+                        "relations", "giambelli", "grading", "two-point")),
     ):
         code, out, _ = run(capsys, *argv, cache=cache_dir)
         assert code == 0, argv

@@ -286,9 +286,11 @@ def test_partial_poincare_duality_pairing():
 
 
 def test_complete_shape_product_table_matches_quantum_ring():
-    for u in all_permutations(3):
-        for v in all_permutations(3):
-            assert partial_quantum_product(u, v, COMPLETE3) == quantum_product(u, v)
+    for n in (3, 4):
+        shape = FlagShape.complete(n)
+        for u in all_permutations(n):
+            for v in all_permutations(n):
+                assert partial_quantum_product(u, v, shape) == quantum_product(u, v)
 
 
 def test_kernel_chern_partial_resolved_reading():

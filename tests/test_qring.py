@@ -10,6 +10,7 @@ import pytest
 
 from qschubert import (
     EchelonSystem,
+    FlagShape,
     PartialRing,
     Polynomial,
     QuantumClass,
@@ -24,6 +25,7 @@ from qschubert import (
     gromov_witten,
     length,
     longest_element,
+    partial_quantum_schubert,
     quantum_e,
     quantum_product,
     quantum_product_multi,
@@ -31,13 +33,16 @@ from qschubert import (
     quantum_schubert,
     relations,
     schubert_poly,
+    sn_elements,
     transposition,
     q_var,
     x_var,
 )
+from qschubert.qring import _GradedQuotientRing
 
 ID3 = (1, 2, 3)
 S1 = (2, 1, 3)
+STEP134 = FlagShape.from_string("1:3:4")
 
 
 def as_map(cls):
@@ -266,7 +271,7 @@ def test_ring_object_reuse_returns_same_instance():
 
 
 def _full_table(ring, order=None):
-    basis = all_permutations(ring.n)
+    basis = list(ring.basis)
     pairs = [(u, v) for i, u in enumerate(basis) for v in basis[i:]]
     if order is not None:
         random.Random(order).shuffle(pairs)
@@ -276,75 +281,91 @@ def _full_table(ring, order=None):
     }
 
 
-class _SlowLifts(QuantumRing):
-    """Lifts that give up the interpreter lock, so that other threads run
-    while a grade table is half built."""
+def _slow_lifts(ring_class):
+    """A subclass whose lifts give up the interpreter lock, so that other
+    threads run while a grade table is half built."""
 
-    def _basis_lift(self, w):
-        time.sleep(0.0002)
-        return super()._basis_lift(w)
+    class Slow(ring_class):
+        def _basis_lift(self, w):
+            time.sleep(0.0002)
+            return super()._basis_lift(w)
 
-    def _classical_lift(self, w):
-        time.sleep(0.0002)
-        return super()._classical_lift(w)
+        def _classical_lift(self, w):
+            time.sleep(0.0002)
+            return super()._classical_lift(w)
+
+    return Slow
 
 
 def test_concurrent_table_matches_serial():
-    serial = _full_table(QuantumRing(4))
-    ring = _SlowLifts(4)
-    workers = 4
-    start = threading.Barrier(workers)
-    results = [None] * workers
-    errors = []
+    for ring_class, arg in ((QuantumRing, 4), (PartialRing, STEP134)):
+        serial = _full_table(ring_class(arg))
+        ring = _slow_lifts(ring_class)(arg)
+        workers = 4
+        start = threading.Barrier(workers)
+        results = [None] * workers
+        errors = []
 
-    def work(slot):
+        def work(slot):
+            try:
+                start.wait(timeout=60)
+                # each thread walks the pairs in its own order, so the threads
+                # meet unbuilt grades and memo entries at different times
+                results[slot] = _full_table(ring, order=slot)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            start.wait(timeout=60)
-            # each thread walks the pairs in its own order, so the threads
-            # meet unbuilt grades and memo entries at different times
-            results[slot] = _full_table(ring, order=slot)
-        except Exception as exc:  # reported by the assertion below
-            errors.append(exc)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(i,))
-                   for i in range(workers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    assert all(got == serial for got in results)
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert all(got == serial for got in results), arg
 
 
-def test_complete_flags_expand_without_echelon_or_fractions(monkeypatch):
-    # the basis lifts themselves go through e_decomposition's solver;
-    # warm them so that only the expansion runs under the patch
+def test_rings_expand_without_echelon_or_fractions(monkeypatch):
+    # the basis lifts themselves go through e_decomposition's solver; warm
+    # them so that only ring construction and expansion run under the patch
+    shapes = [STEP134, FlagShape.from_string("2:6")]
     for w in all_permutations(4):
         quantum_schubert(w)
         schubert_poly(w)
+    for shape in shapes:
+        for w in sn_elements(shape):
+            partial_quantum_schubert(w, shape)
     created = []
 
     def refuse(*args, **kwargs):
         created.append(args)
-        raise AssertionError("complete flags must not build echelons or fractions")
+        raise AssertionError("expansion must not build echelons or fractions")
 
     monkeypatch.setattr(EchelonSystem, "__init__", refuse)
     monkeypatch.setattr(Fraction, "__new__", refuse)
-    table = _full_table(QuantumRing(4))
+    fl4 = _full_table(QuantumRing(4))
+    step134, gr26 = (_full_table(PartialRing(shape)) for shape in shapes)
     assert created == []
-    assert table[(S1 + (4,), S1 + (4,))][0].to_text() == "σ[3,1,2,4] + q1·σ[1,2,3,4]"
+    assert fl4[(S1 + (4,), S1 + (4,))][0].to_text() == "σ[3,1,2,4] + q1·σ[1,2,3,4]"
+    line = (1, 3, 2, 4, 5, 6)
+    assert gr26[(line, line)][0].to_text() == "σ[1,4,2,3,5,6] + σ[2,3,1,4,5,6]"
+    assert len(step134) == 78
 
 
-def test_slice_hooks_live_on_partial_rings_only():
-    for name in ("_slice", "_reduce_exact", "_grade_monomials", "_expected_rank"):
-        assert not hasattr(QuantumRing, name), name
-        assert hasattr(PartialRing, name), name
+def test_no_ring_class_has_slice_hooks():
+    for cls in (_GradedQuotientRing, QuantumRing, PartialRing):
+        for name in ("_slice", "_reduce_exact", "_grade_monomials",
+                     "_expected_rank", "_split_mon", "_expand",
+                     "_expand_classical"):
+            assert not hasattr(cls, name), (cls, name)
+    for ring in (QuantumRing(3), PartialRing(STEP134)):
+        assert not hasattr(ring, "_slices") and not hasattr(ring, "_caps")
 
 
 def test_basis_lift_without_unit_leading_term_is_refused():
@@ -355,3 +376,23 @@ def test_basis_lift_without_unit_leading_term_is_refused():
     with pytest.raises(RingError, match="leading term"):
         Doubled(3).quantum_product(S1, S1)
 
+    class DoubledPartial(PartialRing):
+        def _basis_lift(self, w):
+            return 2 * super()._basis_lift(w)
+
+    line = (1, 3, 2, 4)
+    with pytest.raises(RingError, match="leading term"):
+        DoubledPartial(FlagShape.from_string("2:4")).quantum_product(line, line)
+
+
+def test_relations_without_unit_leading_coefficient_are_refused():
+    class Twice(PartialRing):
+        # x1 + x2 and 2·x1·x2 + q1 reduce, by the rule x2 → −x1, to a
+        # remainder −2·x1^2 + q1 with content 1 and leading coefficient −2
+        def relations(self):
+            x1x2 = x_var(1) * x_var(2)
+            return (x_var(1) + x_var(2), 2 * x1x2 + q_var(1))
+
+    with pytest.raises(RingError, match="leading coefficient"):
+        Twice(FlagShape.from_string("1:2"))
+    PartialRing(FlagShape.from_string("1:2"))
