@@ -579,6 +579,8 @@ def _table_worker(job):
 
 
 def cmd_table(args) -> int:
+    if args.jobs < 1:
+        raise CLIInputError(f"--jobs must be at least 1: {args.jobs}")
     ring = _ring_from_args(args)
     if ring.n > args.max_n:
         raise CLIInputError(
@@ -597,8 +599,10 @@ def cmd_table(args) -> int:
     if todo:
         ring_key = ring.shape.to_string() if ring.shape is not None else ring.n
         jobs = [(ring_key, u, v) for u, v in todo]
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool starts all of its workers at once, so size it to the work
+        workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_table_worker, jobs))
         else:
             results = [_table_worker(job) for job in jobs]

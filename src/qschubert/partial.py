@@ -14,8 +14,6 @@ their counterparts for the full flag manifold.
 """
 from __future__ import annotations
 
-import operator
-from bisect import insort
 from functools import lru_cache
 
 from .perm import FlagShape, Perm, length, sn_elements, validate
@@ -29,7 +27,7 @@ from .poly import (
     sigma_var,
     x_var,
 )
-from .qring import QuantumClass, RingError, _GradedQuotientRing, _add
+from .qring import QuantumClass, RingError, _GradedQuotientRing
 from .universal import path_poly, universal_schubert_c
 
 __all__ = [
@@ -228,166 +226,24 @@ def partial_relations(shape: FlagShape) -> list:
     return list(_partial_relations(shape))
 
 
-def _divides(u: tuple, v: tuple) -> bool:
-    return all(map(operator.le, u, v))
-
-
-def _reduce(p: dict, basis: list, key) -> dict:
-    """The remainder of p (exponent → int) modulo `basis`, a list of
-    (lead, poly) with leading coefficient 1; every term is reduced."""
-    p = dict(p)
-    rem = {}
-    while p:
-        t = max(p, key=key)
-        c = p.pop(t)
-        for lead, g in basis:
-            if _divides(lead, t):
-                shift = tuple(map(operator.sub, t, lead))
-                for e, cg in g.items():
-                    if e != lead:
-                        e2 = _add(e, shift)
-                        s = p.get(e2, 0) - c * cg
-                        if s:
-                            p[e2] = s
-                        else:
-                            p.pop(e2, None)
-                break
-        else:
-            rem[t] = c
-    return rem
-
-
-def _monic(p: dict, key):
-    """(lead, p divided by its leading coefficient c).  Raises RingError
-    unless c is ±1 after removing the content, that is, unless c divides
-    every coefficient."""
-    lead = max(p, key=key)
-    c = p[lead]
-    if any(v % c for v in p.values()):
-        raise RingError("a Gröbner basis element does not have leading "
-                        "coefficient ±1 after removing its content")
-    return lead, {e: v // c for e, v in p.items()}
-
-
-def _groebner(gens, key) -> list:
-    """Reduced Gröbner basis over Z of the ideal of `gens` (dicts exponent →
-    int) under the term order `key`, as (lead, poly) pairs in increasing
-    order of leads, each with leading coefficient 1.
-
-    Buchberger's algorithm with his two criteria, taking pairs by smallest
-    lcm first; every remainder must be monic up to its content.
-    """
-    basis = []
-    pairs = set()   # (i, j) with i < j, not yet treated
-    queue = []      # (key of lcm, i, j, lcm), the smallest lcm first
-
-    def include(p):
-        p = _reduce(p, basis, key)
-        if p:
-            lead, g = _monic(p, key)
-            for i, (other, _) in enumerate(basis):
-                lcm = tuple(map(max, other, lead))
-                pairs.add((i, len(basis)))
-                insort(queue, (key(lcm), i, len(basis), lcm))
-            basis.append((lead, g))
-
-    for g in gens:
-        include(g)
-    while queue:
-        _, i, j, lcm = queue.pop(0)
-        pairs.remove((i, j))
-        (li, gi), (lj, gj) = basis[i], basis[j]
-        if not any(map(min, li, lj)):
-            continue    # coprime leads
-        if any(k not in (i, j) and _divides(basis[k][0], lcm)
-               and (min(i, k), max(i, k)) not in pairs
-               and (min(j, k), max(j, k)) not in pairs
-               for k in range(len(basis))):
-            continue    # chain criterion
-        s = {}
-        for sign, lead, g in ((1, li, gi), (-1, lj, gj)):
-            shift = tuple(map(operator.sub, lcm, lead))
-            for e, c in g.items():
-                e2 = _add(e, shift)
-                s[e2] = s.get(e2, 0) + sign * c
-        include({e: c for e, c in s.items() if c})
-    # a remainder's lead is divisible by no earlier lead, so the leads are
-    # distinct; keep the minimal ones and reduce their tails
-    leads = [lead for lead, _ in basis]
-    minimal = [(lead, g) for lead, g in basis
-               if not any(_divides(other, lead) for other in leads
-                          if other != lead)]
-    out = []
-    for lead, g in minimal:
-        others = [lg for lg in minimal if lg[0] != lead]
-        tail = _reduce({e: c for e, c in g.items() if e != lead}, others, key)
-        out.append((lead, {lead: 1, **tail}))
-    return sorted(out, key=lambda lg: key(lg[0]))
-
-
 class PartialRing(_GradedQuotientRing):
     """QH*(Fl(N)): basis σ_w for w ∈ S^(N) over Z[q_1,…,q_m].
 
     The working alphabet is σ_i^l for blocks l = 1..m+1 and 1 ≤ i ≤ block
     size, with grade(σ_i^l) = i and grade(q_l) = n_{l+1} − n_{l−1}; complete
-    shapes use x_1,…,x_n in place of the grade-1 block classes.
-
-    The rewriting rules are the reduced Gröbner basis of the relations ẽ^q_k,
-    with the q_l as variables, computed over Z at construction.  The term
-    order is weighted grade, then lower q-weight first, then reverse lex with
-    the blocks from last to first, larger i first in the last block and
-    smaller i first in the others (x_n > … > x_1 for complete shapes).
-    Every leading term is then q-free, and the classical rules are the q = 0
-    part of the quantum ones.
+    shapes use x_1,…,x_n in place of the grade-1 block classes.  The ring
+    supplies the relations ẽ^q_k and the lifts 𝔖_w^(N)(σ,q); the rewriting
+    rules are their reduced Gröbner basis over Z, derived at construction by
+    the shared code (`_GradedQuotientRing`).
     """
 
     def __init__(self, shape: FlagShape):
         shape = _check_shape(shape)
         self.shape = shape
-        self.n = shape.n
-        self.q_count = shape.m
         self.basis = tuple(sn_elements(shape))
         self.q_grades = dict(_q_grade_dict(shape))
-        ns = shape.ns
-        complete = shape.is_complete()
-        order = []
-        for l in range(shape.m + 1, 0, -1):
-            size = ns[l] - ns[l - 1]
-            for i in (range(size, 0, -1) if l == shape.m + 1
-                      else range(1, size + 1)):
-                order.append((("x", l) if complete else ("sigma", i, l), i))
-        self.sigma_vars = tuple(sorted((v for v, _ in order), key=_var_key))
-        self._vars = tuple(v for v, _ in order)
-        self._var_grades = tuple(g for _, g in order)
-        self._q_weights = shape.q_grades
-        self._q_zero = {("q", l): 0 for l in range(1, shape.m + 1)}
-        self._init_engine()
-        r = len(self._vars)
-        keys = {}
-
-        def key(e):
-            got = keys.get(e)
-            if got is None:
-                got = keys[e] = self._term_key(e[:r], e[r:])
-            return got
-
-        gens = [{a + d: c for a, d, c in self._keyed(rel)}
-                for rel in self.relations()]
-        self._rules = {True: [], False: []}
-        for lead, g in _groebner(gens, key):
-            if any(lead[r:]):
-                raise RingError(f"a Gröbner basis element of "
-                                f"{shape.to_string()} has a leading term "
-                                f"with q")
-            support = tuple((i, e) for i, e in enumerate(lead) if e)
-            tail = tuple((e[:r], e[r:], c) for e, c in g.items() if e != lead)
-            self._rules[True].append((support, tail))
-            self._rules[False].append(
-                (support, tuple(t for t in tail if not any(t[1]))))
-
-    def _term_key(self, a: tuple, d: tuple) -> tuple:
-        qw = sum(map(operator.mul, d, self._q_weights))
-        return (self._grade(a) + qw, -qw, tuple(map(operator.neg, a[::-1])), d)
+        super().__init__(shape)
+        self.sigma_vars = tuple(sorted(self._vars, key=_var_key))
 
     def relations(self) -> tuple:
         return _partial_relations(self.shape)

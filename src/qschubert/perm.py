@@ -7,7 +7,7 @@ word identity in this package is stated under that convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations as _all_tuples
+from itertools import combinations, permutations as _all_tuples
 from math import comb
 
 Perm = tuple[int, ...]
@@ -237,17 +237,21 @@ class FlagShape:
 def sn_elements(shape: FlagShape) -> list[Perm]:
     """All w ∈ S_n with w(i) < w(i+1) for every i not in the step set.
 
-    Cardinality n!/∏(n_l − n_{l−1})!.  Lexicographic order.
+    Cardinality n!/∏(n_l − n_{l−1})!.  Lexicographic order: built block by
+    block, each block an increasing choice of the values left, taken in
+    lexicographic order.
 
     >>> [list(w) for w in sn_elements(FlagShape((1,), 3))]
     [[1, 2, 3], [2, 1, 3], [3, 1, 2]]
     """
-    steps = set(shape.steps)
-    return [
-        w
-        for w in all_permutations(shape.n)
-        if all(w[i - 1] < w[i] for i in range(1, shape.n) if i not in steps)
-    ]
+    ns = shape.ns
+    out = [()]
+    for l in range(1, shape.m + 2):
+        size = ns[l] - ns[l - 1]
+        out = [w + block for w in out
+               for block in combinations(
+                   [v for v in range(1, shape.n + 1) if v not in w], size)]
+    return out
 
 
 def hyperquot_dim(n: int, d: tuple[int, ...]) -> int:

@@ -1,5 +1,6 @@
-"""Quantum cohomology ring of the complete flag manifold, and the expansion
-engine that it shares with the partial flag rings (partial.py).
+"""Quantum cohomology ring of the complete flag manifold, and the
+presentation and expansion engine that it shares with the partial flag rings
+(partial.py).
 
 Elements are integer combinations of Schubert classes σ_w scaled by monomials
 in the deformation parameters q_1,…,q_{n−1} (each of grade 2).  Products are
@@ -7,9 +8,12 @@ computed by multiplying quantum Schubert polynomial representatives and
 rewriting the result in the basis {q^d·σ_w} modulo the quantum relations
 e^q_k(n) = 0, over the integers alone.
 
-Every ring rewrites by the same two steps (`_GradedQuotientRing`); a ring
-supplies only its presentation: its variables and their grades, a term order
-and rewriting rules x^lead → tail with q-free leading terms.
+Every ring is presented the same way (`_GradedQuotientRing`): a ring
+supplies only its relations, its basis lifts and its element rules.  From the
+flag shape and the relations the shared code derives the variables with their
+grades, a term order, and rewriting rules x^lead → tail with q-free leading
+terms: the reduced Gröbner basis of the relations over Z.  It then rewrites
+by two steps.
 
 1. Normal form.  Each monomial is reduced by the rules to a Z[q]-combination
    of standard monomials, those that no leading term divides, and the result
@@ -17,21 +21,15 @@ and rewriting rules x^lead → tail with q-free leading terms.
 2. Peel.  The normal form of each basis lift leads with a q-free monomial at
    coefficient 1, a different one for each class of a grade.  So the
    expansion is read off the residual from the top: take its largest term
-   c·x^a·q^d, record c·q^d·σ_w for the w whose lift leads with x^a, subtract
-   c·q^d·NF(lift of σ_w), and repeat until the residual vanishes.
+   c·x^a·q^d, record c·q^d·σ_w for the w whose lift leads with x^a,
+   subtract c·q^d·NF(lift of σ_w), and repeat until the residual vanishes.
 
-For Fl_n, x_n is eliminated by e^q_1(n) = 0; then the polynomials
-
-    H^q_k = Σ_{i=1..k} (−1)^{i+1}·e^q_i(n)·h_{k−i}(x_1,…,x_{n−k+1}),  k = 2..n,
-
-lie in the quantum ideal (Fomin–Gelfand–Postnikov) and have leading term
-x_{n−k+1}^k, as h_k(x_1,…,x_{n−k+1}) does in the classical Gröbner basis of
-the symmetric ideal.  The order is: grade first, then lower q-degree first,
-then lex with x_{n−1} > … > x_1.  The standard monomials are the n!
-staircase monomials x^a, a_i ≤ n − i, and NF(𝔖^q_w) leads with x^code(w).
-Partial flag shapes compute their rules by a Gröbner basis (partial.py).
-The classical expansion runs the same steps on the q = 0 rules and the
-classical lifts (for Fl_n, the Schubert polynomials 𝔖_w).
+For Fl_n the order is grade first, then lower q-degree first, then reverse
+lex with x_n > … > x_1; the rules lead with x_n, x_{n−1}², …, x_1^n, so the
+standard monomials are the n! staircase monomials x^a, a_i ≤ n − i, and
+NF(𝔖^q_w) leads with x^code(w).  The classical expansion runs the same steps
+on the q = 0 rules and the classical lifts (for Fl_n, the Schubert
+polynomials 𝔖_w).
 """
 from __future__ import annotations
 
@@ -39,9 +37,9 @@ import operator
 import threading
 from bisect import insort
 from functools import lru_cache
-from itertools import combinations_with_replacement
 
 from .perm import (
+    FlagShape,
     Perm,
     all_permutations,
     dual,
@@ -49,7 +47,7 @@ from .perm import (
     length,
     validate,
 )
-from .poly import Polynomial, VerificationError, x_var
+from .poly import Polynomial, VerificationError
 from .schubert import schubert_poly
 from .universal import quantum_e, quantum_schubert
 
@@ -177,8 +175,6 @@ class QuantumClass:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "QuantumClass":
-        from .perm import FlagShape
-
         shape = FlagShape.from_string(obj["shape"]) if "shape" in obj else None
         terms = {}
         for t in obj["terms"]:
@@ -194,32 +190,125 @@ def _add(u: tuple, v: tuple) -> tuple:
     return tuple(map(operator.add, u, v))
 
 
-def _complete_poly(r: int, m: int) -> Polynomial:
-    """h_r(x_1,…,x_m): every monomial of grade r in the first m variables."""
-    terms = {}
-    for idx in combinations_with_replacement(range(1, m + 1), r):
-        mon = {}
-        for i in idx:
-            mon[("x", i)] = mon.get(("x", i), 0) + 1
-        terms[tuple(sorted(mon.items()))] = 1
-    return Polynomial(terms)
+def _divides(u: tuple, v: tuple) -> bool:
+    return all(map(operator.le, u, v))
+
+
+def _reduce(p: dict, basis: list, key) -> dict:
+    """The remainder of p (exponent → int) modulo `basis`, a list of
+    (lead, poly) with leading coefficient 1; every term is reduced."""
+    p = dict(p)
+    rem = {}
+    while p:
+        t = max(p, key=key)
+        c = p.pop(t)
+        for lead, g in basis:
+            if _divides(lead, t):
+                shift = tuple(map(operator.sub, t, lead))
+                for e, cg in g.items():
+                    if e != lead:
+                        e2 = _add(e, shift)
+                        s = p.get(e2, 0) - c * cg
+                        if s:
+                            p[e2] = s
+                        else:
+                            p.pop(e2, None)
+                break
+        else:
+            rem[t] = c
+    return rem
+
+
+def _monic(p: dict, key):
+    """(lead, p divided by its leading coefficient c).  Raises RingError
+    unless c is ±1 after removing the content, that is, unless c divides
+    every coefficient."""
+    lead = max(p, key=key)
+    c = p[lead]
+    if any(v % c for v in p.values()):
+        raise RingError("a Gröbner basis element does not have leading "
+                        "coefficient ±1 after removing its content")
+    return lead, {e: v // c for e, v in p.items()}
+
+
+def _groebner(gens, key) -> list:
+    """Reduced Gröbner basis over Z of the ideal of `gens` (dicts exponent →
+    int) under the term order `key`, as (lead, poly) pairs in increasing
+    order of leads, each with leading coefficient 1.
+
+    Buchberger's algorithm with his two criteria, taking pairs by smallest
+    lcm first; every remainder must be monic up to its content.
+    """
+    basis = []
+    pairs = set()   # (i, j) with i < j, not yet treated
+    queue = []      # (key of lcm, i, j, lcm), the smallest lcm first
+
+    def include(p):
+        p = _reduce(p, basis, key)
+        if p:
+            lead, g = _monic(p, key)
+            for i, (other, _) in enumerate(basis):
+                lcm = tuple(map(max, other, lead))
+                pairs.add((i, len(basis)))
+                insort(queue, (key(lcm), i, len(basis), lcm))
+            basis.append((lead, g))
+
+    for g in gens:
+        include(g)
+    while queue:
+        _, i, j, lcm = queue.pop(0)
+        pairs.remove((i, j))
+        (li, gi), (lj, gj) = basis[i], basis[j]
+        if not any(map(min, li, lj)):
+            continue    # coprime leads
+        if any(k not in (i, j) and _divides(basis[k][0], lcm)
+               and (min(i, k), max(i, k)) not in pairs
+               and (min(j, k), max(j, k)) not in pairs
+               for k in range(len(basis))):
+            continue    # chain criterion
+        s = {}
+        for sign, lead, g in ((1, li, gi), (-1, lj, gj)):
+            shift = tuple(map(operator.sub, lcm, lead))
+            for e, c in g.items():
+                e2 = _add(e, shift)
+                s[e2] = s.get(e2, 0) + sign * c
+        include({e: c for e, c in s.items() if c})
+    # a remainder's lead is divisible by no earlier lead, so the leads are
+    # distinct; keep the minimal ones and reduce their tails
+    leads = [lead for lead, _ in basis]
+    minimal = [(lead, g) for lead, g in basis
+               if not any(_divides(other, lead) for other in leads
+                          if other != lead)]
+    out = []
+    for lead, g in minimal:
+        others = [lg for lg in minimal if lg[0] != lead]
+        tail = _reduce({e: c for e, c in g.items() if e != lead}, others, key)
+        out.append((lead, {lead: 1, **tail}))
+    return sorted(out, key=lambda lg: key(lg[0]))
 
 
 class _GradedQuotientRing:
-    """Public product and invariant API, and the expansion engine, of the
-    complete and partial rings.
+    """Public product and invariant API, and the presentation and expansion
+    engine, of the complete and partial rings.
 
-    A subclass supplies its presentation:
-    - `_vars`, the variables other than q, with their grades `_var_grades`,
-      and `_q_weights`, the grades of q_1, q_2, …; a term x^a·q^d is keyed
-      (a, d) by its exponent vectors over `_vars` and the q_l (`_keyed`);
-      `_init_engine` needs these, and the rules can be built after it;
-    - `_term_key(a, d)`, which sorts terms in increasing term order;
-    - `_rules[quantum]`, a list of rules (lead, tail) for the quantum ideal
-      (True) and its q = 0 part (False): each x^lead is q-free, given by its
-      support ((i, e), …), and rewrites to −Σ c·x^a·q^d over the tail's
-      terms (a, d, c);
-    - the basis permutations and their lifts `_basis_lift`, `_classical_lift`.
+    A subclass supplies only:
+    - `basis`, the basis permutations, set before `__init__` runs;
+    - `relations()`, generators of the quantum ideal;
+    - the lifts `_basis_lift` and `_classical_lift`, and the element rules
+      `_check_element`, `_dual` and `_moduli_dimension`.
+
+    `__init__(shape)` derives the rest from the flag shape and the relations:
+    - `_vars`, the block classes σ_i^l (x_l for complete shapes) with their
+      grades `_var_grades`, and `_q_weights`, the grades of q_1, q_2, …; a
+      term x^a·q^d is keyed (a, d) by its exponent vectors over `_vars` and
+      the q_l (`_keyed`);
+    - the term order `_term_key(a, d)`: weighted grade, then lower q-weight
+      first, then reverse lex over `_vars`, biggest first;
+    - `_rules[quantum]`, the reduced Gröbner basis over Z of the relations,
+      with the q_l as variables, for the quantum ideal (True) and its q = 0
+      part (False): a rule (lead, tail) has a q-free x^lead, given by its
+      support ((i, e), …), and rewrites it to −Σ c·x^a·q^d over the tail's
+      terms (a, d, c).
 
     Expansion has two steps, over the integers alone.
     1. Normal form.  A monomial x^a reduces by the first rule whose leading
@@ -234,7 +323,23 @@ class _GradedQuotientRing:
     classical lifts, with its own memo.
     """
 
-    def _init_engine(self):
+    def __init__(self, shape: FlagShape):
+        self.n = shape.n
+        self.q_count = shape.m
+        # biggest first: blocks from last to first, larger i first in the
+        # last block and smaller i first in the others
+        ns = shape.ns
+        complete = shape.is_complete()
+        order = []
+        for l in range(shape.m + 1, 0, -1):
+            size = ns[l] - ns[l - 1]
+            for i in (range(size, 0, -1) if l == shape.m + 1
+                      else range(1, size + 1)):
+                order.append((("x", l) if complete else ("sigma", i, l), i))
+        self._vars = tuple(v for v, _ in order)
+        self._var_grades = tuple(g for _, g in order)
+        self._q_weights = shape.q_grades
+        self._q_zero = {("q", l): 0 for l in range(1, shape.m + 1)}
         self._index = {v: i for i, v in enumerate(self._vars)}
         self._q_grade_map = dict(enumerate(self._q_weights, start=1))
         self._zero_d = (0,) * self.q_count
@@ -246,9 +351,32 @@ class _GradedQuotientRing:
         self._products = {}
         self._lock = threading.RLock()
 
+        r = len(self._vars)
+        keys = {}
+
+        def key(e):
+            got = keys.get(e)
+            if got is None:
+                got = keys[e] = self._term_key(e[:r], e[r:])
+            return got
+
+        gens = [{a + d: c for a, d, c in self._keyed(rel)}
+                for rel in self.relations()]
+        self._rules = {True: [], False: []}
+        for lead, g in _groebner(gens, key):
+            if any(lead[r:]):
+                raise RingError(f"a Gröbner basis element of "
+                                f"{shape.to_string()} has a leading term "
+                                f"with q")
+            support = tuple((i, e) for i, e in enumerate(lead) if e)
+            tail = tuple((e[:r], e[r:], c) for e, c in g.items() if e != lead)
+            self._rules[True].append((support, tail))
+            self._rules[False].append(
+                (support, tuple(t for t in tail if not any(t[1]))))
+
     # -- hooks ----------------------------------------------------------
-    def _normalize(self, p: Polynomial) -> Polynomial:
-        return p
+    def relations(self) -> tuple:
+        raise NotImplementedError
 
     def _check_element(self, w) -> Perm:
         raise NotImplementedError
@@ -270,7 +398,6 @@ class _GradedQuotientRing:
         return tuple((("q", i + 1), e) for i, e in enumerate(d) if e)
 
     def _checked(self, p: Polynomial) -> Polynomial:
-        p = self._normalize(p)
         for v in p.variables():
             if v not in self._index and not (
                 v[0] == "q" and 1 <= v[1] <= self.q_count
@@ -361,6 +488,10 @@ class _GradedQuotientRing:
     # -- normal form and peel ---------------------------------------------
     def _grade(self, a: tuple) -> int:
         return sum(map(operator.mul, a, self._var_grades))
+
+    def _term_key(self, a: tuple, d: tuple) -> tuple:
+        qw = sum(map(operator.mul, d, self._q_weights))
+        return (self._grade(a) + qw, -qw, tuple(map(operator.neg, a[::-1])), d)
 
     def _keyed(self, p: Polynomial):
         """p as (a, d, c) triples over `_vars` and the q_l."""
@@ -466,13 +597,12 @@ class _GradedQuotientRing:
             table = {}
             for w in self._by_length.get(m, ()):
                 what = f"NF of the lift of σ_{list(w)}"
-                nf = self._normal_form(self._normalize(self._basis_lift(w)), True)
+                nf = self._normal_form(self._basis_lift(w), True)
                 lead, tail = self._lead_and_tail(nf, what)
                 if lead[0] in table:
                     raise RingError(f"{what} has the same leading term "
                                     f"x^{lead[0]} as σ_{list(table[lead[0]][0])}")
-                nf = self._normal_form(
-                    self._normalize(self._classical_lift(w)), False)
+                nf = self._normal_form(self._classical_lift(w), False)
                 table[lead[0]] = (
                     w, tail, self._lead_and_tail(nf, f"classical {what}", lead)[1]
                 )
@@ -522,60 +652,24 @@ class _GradedQuotientRing:
 class QuantumRing(_GradedQuotientRing):
     """QH*(Fl_n): basis σ_w for w in S_n over Z[q_1,…,q_{n−1}].
 
-    x_n is eliminated via the vanishing of e^q_1(n) = x_1+…+x_n, after which
-    the remaining relations e^q_k(n) = 0 (k = 2..n) present the ring on the
-    alphabet x_1,…,x_{n−1}, q_1,…,q_{n−1}.  The rules are x_i^{n−i+1} → the
-    rest of H^q_{n−i+1}, largest i first; their leading terms are the
-    staircase caps, so the normal forms live on the n! staircase monomials.
+    The ring of the complete shape (1, 2, …, n−1), presented on x_1,…,x_n
+    and q_1,…,q_{n−1} modulo the quantum relations e^q_k(n) = 0, k = 1..n.
+    Its Gröbner rules lead with x_n, x_{n−1}², …, x_1^n, so the normal forms
+    live on the n! staircase monomials.  The lifts are the quantum Schubert
+    polynomials 𝔖^q_w and, classically, the Schubert polynomials 𝔖_w.
+    `shape` is None: classes, JSON and cache keys name the ring by n alone.
     """
 
     def __init__(self, n: int):
         if n < 2:
             raise ValueError(f"need n ≥ 2: {n}")
-        self.n = n
         self.shape = None
-        self.q_count = n - 1
         self.basis = all_permutations(n)
-        self._vars = tuple(("x", i) for i in range(1, n))
-        self._var_grades = (1,) * (n - 1)
-        self._q_weights = (2,) * (n - 1)
-        xsum = Polynomial.zero()
-        for i in range(1, n):
-            xsum = xsum - x_var(i)
-        self._xelim = {("x", n): xsum}
-        self._q_zero = {("q", i): 0 for i in range(1, n)}
-        rels = tuple(quantum_e(k, n) for k in range(1, n + 1))
-        self._relations = rels
-        reduced = [r.substitute(self._xelim) for r in rels]
-        if not reduced[0].is_zero():
-            raise RingError("the linear relation must vanish after "
-                            "eliminating x_n")
-        self._init_engine()
-        self._rules = {True: [], False: []}
-        for i in range(n - 1, 0, -1):
-            k = n - i + 1
-            h = Polynomial.zero()
-            for j in range(2, k + 1):
-                h = h + (-1) ** (j + 1) * reduced[j - 1] * _complete_poly(k - j, i)
-            lead = tuple(k if j == i else 0 for j in range(1, n)), self._zero_d
-            for quantum, rel in ((True, h), (False, h.substitute(self._q_zero))):
-                terms = {(a, d): c for a, d, c in self._keyed(rel)}
-                tail = self._lead_and_tail(terms, f"H_{k}", lead)[1]
-                self._rules[quantum].append((((i - 1, k),), tail))
-
-    @staticmethod
-    def _term_key(a: tuple, d: tuple) -> tuple:
-        """Grade first, then lower q-degree first, then lex with
-        x_{n−1} > … > x_1."""
-        qd = sum(d)
-        return (sum(a) + 2 * qd, -qd, a[::-1], d)
+        super().__init__(FlagShape.complete(n))
 
     def relations(self) -> tuple:
-        """The quantum relations e^q_1(n),…,e^q_n(n) before elimination."""
-        return self._relations
-
-    def _normalize(self, p):
-        return p.substitute(self._xelim)
+        """The quantum relations e^q_1(n),…,e^q_n(n)."""
+        return tuple(quantum_e(k, self.n) for k in range(1, self.n + 1))
 
     def _check_element(self, w):
         w = validate(w)

@@ -1,11 +1,13 @@
 """Command-line interface: output formats, exit codes, and caching."""
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 from qschubert import Polynomial, QuantumClass, quantum_product, quantum_schubert
+from qschubert import cli
 from qschubert.cli import main
 
 
@@ -300,6 +302,53 @@ def test_table_parallel_matches_serial(capsys, cache_dir, tmp_path):
     a = (Path(cache_dir) / "product-table_3_v1.json").read_bytes()
     b = (Path(serial_dir) / "product-table_3_v1.json").read_bytes()
     assert a == b
+
+
+def test_table_pool_is_sized_to_the_work_and_the_cpus(capsys, cache_dir, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records max_workers and maps serially, so no process starts."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    code, _, _ = run(capsys, "table", "--n", "3", "--jobs", "100000", cache=cache_dir)
+    assert code == 0
+    assert all(size <= (os.cpu_count() or 1) for size in sizes)
+    # more cpus than products: one worker per product
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    code, out, _ = run(capsys, "table", "--n", "2", "--jobs", "100000",
+                       cache=cache_dir)
+    assert code == 0
+    assert sizes[-1] == 3
+    assert "3 computed" in out
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, _, _ = run(capsys, "table", "--n", "3", "--jobs", "100000",
+                     cache=cache_dir / "again")
+    assert code == 0
+    assert sizes[-1] == 2
+    a = (cache_dir / "product-table_3_v1.json").read_bytes()
+    assert (cache_dir / "again" / "product-table_3_v1.json").read_bytes() == a
+
+
+def test_table_rejects_jobs_below_one(capsys, cache_dir):
+    for jobs in ("0", "-3"):
+        code, out, err = run(capsys, "table", "--n", "2", "--jobs", jobs,
+                             cache=cache_dir)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --jobs must be at least 1: {jobs}\n"
 
 
 def test_table_json_format(capsys, cache_dir):

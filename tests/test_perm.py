@@ -1,7 +1,7 @@
 """Permutation combinatorics and flag-shape bookkeeping."""
 
 import math
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -214,6 +214,18 @@ def test_sn_elements_cardinality_and_ascents():
             for i in range(1, shape.n):
                 if i not in shape.steps:
                     assert w[i - 1] < w[i]
+
+
+def test_sn_elements_matches_ascent_filter_for_every_shape_up_to_n6():
+    for n in range(2, 7):
+        for r in range(1, n):
+            for steps in combinations(range(1, n), r):
+                shape = FlagShape(steps, n)
+                expected = [
+                    w for w in all_permutations(n)
+                    if all(w[i - 1] < w[i] for i in range(1, n) if i not in steps)
+                ]
+                assert sn_elements(shape) == expected, shape
 
 
 def test_hyperquot_dim_examples():

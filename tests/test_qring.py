@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -362,10 +363,58 @@ def test_no_ring_class_has_slice_hooks():
     for cls in (_GradedQuotientRing, QuantumRing, PartialRing):
         for name in ("_slice", "_reduce_exact", "_grade_monomials",
                      "_expected_rank", "_split_mon", "_expand",
-                     "_expand_classical"):
+                     "_expand_classical", "_normalize", "_xelim"):
             assert not hasattr(cls, name), (cls, name)
+    # the term order is derived from the shape, not chosen per ring class
+    for cls in (QuantumRing, PartialRing):
+        assert "_term_key" not in vars(cls), cls
     for ring in (QuantumRing(3), PartialRing(STEP134)):
-        assert not hasattr(ring, "_slices") and not hasattr(ring, "_caps")
+        for name in ("_slices", "_caps", "_xelim"):
+            assert not hasattr(ring, name), (ring, name)
+
+
+def test_complete_flag_rules_lead_with_the_staircase_caps():
+    for n in range(2, 7):
+        ring = QuantumRing(n)
+        leads = [tuple((ring._vars[i], e) for i, e in lead)
+                 for lead, _ in ring._rules[True]]
+        assert leads == [((("x", n - k + 1), k),) for k in range(1, n + 1)]
+        assert [lead for lead, _ in ring._rules[False]] == [
+            lead for lead, _ in ring._rules[True]]
+
+
+def _complete_poly(r, m):
+    """h_r(x_1,…,x_m): every monomial of grade r in the first m variables."""
+    out = Polynomial.zero()
+    for idx in combinations_with_replacement(range(1, m + 1), r):
+        term = Polynomial.constant(1)
+        for i in idx:
+            term = term * x_var(i)
+        out = out + term
+    return out
+
+
+def test_fgp_relations_lie_in_the_ideal_and_lead_with_the_caps():
+    """The Fomin–Gelfand–Postnikov polynomials
+
+        H^q_k = Σ_{i=1..k} (−1)^{i+1}·e^q_i(n)·h_{k−i}(x_1,…,x_{n−k+1}),
+
+    k = 1..n, lie in the quantum ideal and lead with x_{n−k+1}^k, as
+    h_k(x_1,…,x_{n−k+1}) does in the classical Gröbner basis of the
+    symmetric ideal.  So they are an independent closed form of the rules
+    that the ring derives by Buchberger's algorithm."""
+    for n in range(2, 6):
+        ring = QuantumRing(n)
+        for k in range(1, n + 1):
+            h = Polynomial.zero()
+            for i in range(1, k + 1):
+                h = h + (-1) ** (i + 1) * quantum_e(i, n) * _complete_poly(
+                    k - i, n - k + 1)
+            assert ring.expand_in_quantum_basis(h).is_zero(), (n, k)
+            terms = ring._keyed(h)
+            a, d, c = max(terms, key=lambda t: ring._term_key(t[0], t[1]))
+            lead = tuple((ring._vars[i], e) for i, e in enumerate(a) if e)
+            assert (lead, any(d), c) == (((("x", n - k + 1), k),), False, 1)
 
 
 def test_basis_lift_without_unit_leading_term_is_refused():
@@ -396,3 +445,12 @@ def test_relations_without_unit_leading_coefficient_are_refused():
     with pytest.raises(RingError, match="leading coefficient"):
         Twice(FlagShape.from_string("1:2"))
     PartialRing(FlagShape.from_string("1:2"))
+
+    class TwiceComplete(QuantumRing):
+        def relations(self):
+            x1x2 = x_var(1) * x_var(2)
+            return (x_var(1) + x_var(2), 2 * x1x2 + q_var(1))
+
+    with pytest.raises(RingError, match="leading coefficient"):
+        TwiceComplete(2)
+    QuantumRing(2)
