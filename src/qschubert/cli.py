@@ -81,16 +81,27 @@ def _parse_degree(text: str, want: int) -> tuple:
     return d
 
 
-def _ring_from_args(args):
-    """Either the complete ring for --n or the partial ring for --shape."""
+def _ring_from_args(args, max_n=None):
+    """Either the complete ring for --n or the partial ring for --shape.
+
+    With max_n, a larger n is refused before the ring is built, since
+    building it alone lists all n! permutations.
+    """
+    shape = None
     if getattr(args, "shape", None):
         shape = _parse_shape(args.shape)
-        return partial_ring(shape)
-    if getattr(args, "n", None) is None:
+        n = shape.n
+    elif getattr(args, "n", None) is None:
         raise CLIInputError("one of --n or --shape is required")
-    if args.n < 2:
+    elif args.n < 2:
         raise CLIInputError(f"need n ≥ 2: {args.n}")
-    return quantum_ring(args.n)
+    else:
+        n = args.n
+    if max_n is not None and n > max_n:
+        raise CLIInputError(
+            f"table generation is limited to n ≤ {max_n} (got n = {n})"
+        )
+    return partial_ring(shape) if shape is not None else quantum_ring(n)
 
 
 def _check_basis_element(ring, w) -> tuple:
@@ -581,11 +592,7 @@ def _table_worker(job):
 def cmd_table(args) -> int:
     if args.jobs < 1:
         raise CLIInputError(f"--jobs must be at least 1: {args.jobs}")
-    ring = _ring_from_args(args)
-    if ring.n > args.max_n:
-        raise CLIInputError(
-            f"table generation is limited to n ≤ {args.max_n} (got n = {ring.n})"
-        )
+    ring = _ring_from_args(args, max_n=args.max_n)
     cache = TableCache(args.cache_dir)
     key = _product_cache_key(ring)
     entries = cache.load("product-table", key) or {}

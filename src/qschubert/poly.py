@@ -503,19 +503,25 @@ class EchelonSystem:
     generators, augmented with bookkeeping columns ("#", j) recording the
     combination of input generators each row equals.  The augmented columns
     participate in content stripping, which keeps every entry an integer.
-    Reduction of a target returns exact rational coefficients.
+    Reduction of a target returns exact rational coefficients.  Neither
+    `reduce` nor `solve` mutates the system, so threads may share one.
     """
 
     def __init__(self, generators):
         self.num_generators = len(generators)
         self.pivots = {}
         self.dependent_indices = []
+        # every monomial a pivot row holds comes from a generator, so each
+        # sort key is computed once here rather than at every elimination step
+        self._keys = keys = {}
         for j, gen in enumerate(generators):
             row = {}
             for mon, coeff in gen._terms.items():
                 if coeff.__class__ is not int:
                     raise ValueError("generators must have integer coefficients")
                 row[mon] = coeff
+                if mon not in keys:
+                    keys[mon] = mon_sort_key(mon)
             row[("#", j)] = 1
             lead = self._eliminate(row)
             if lead is None:
@@ -527,16 +533,20 @@ class EchelonSystem:
     def rank(self) -> int:
         return len(self.pivots)
 
-    @staticmethod
-    def _leading(row):
+    def _leading(self, row):
         """Largest surviving monomial (augmented keys start with a string tag
-        and are skipped; the empty monomial is a valid constant column)."""
+        and are skipped; the empty monomial is a valid constant column).
+        A target monomial outside the generators gets its key computed here
+        and not stored, so reduction leaves the system untouched."""
+        keys = self._keys
         lead = None
         lead_key = None
         for k in row:
             if k and k[0].__class__ is str:
                 continue
-            key = mon_sort_key(k)
+            key = keys.get(k)
+            if key is None:
+                key = mon_sort_key(k)
             if lead_key is None or key < lead_key:
                 lead, lead_key = k, key
         return lead
@@ -644,28 +654,31 @@ class EchelonSystem:
         )
         return coeffs, leftover
 
+    def solve(self, target: Polynomial) -> LinearSolution:
+        """Integer coefficients c with target = Σ c_j·generator_j.
+
+        Raises NoSolutionError when the target is outside the span and
+        NonIntegralError when the canonical rational solution is not
+        integral.  Dependent generators receive coefficient 0 and are
+        reported on the result.
+        """
+        coeffs, leftover = self.reduce(target)
+        if not leftover.is_zero():
+            raise NoSolutionError(
+                f"target not in generator span; leftover leading term {leftover.terms()[0]}"
+            )
+        out = []
+        for j in range(self.num_generators):
+            c = coeffs.get(j, 0)
+            if isinstance(c, Fraction):
+                if c.denominator != 1:
+                    raise NonIntegralError(f"coefficient of generator {j} is {c}")
+                c = int(c)
+            out.append(c)
+        return LinearSolution(out, self.dependent_indices)
+
 
 def solve_linear_expansion(target: Polynomial, generators) -> LinearSolution:
-    """Integer coefficients c with target = Σ c_i·generators[i].
-
-    Exact over Q; raises NoSolutionError when the target is outside the span
-    and NonIntegralError when the canonical rational solution is not integral.
-    Linear dependencies among the generators are reported on the result, and
-    the canonical echelon solution is returned in that case.
-    """
-    generators = list(generators)
-    system = EchelonSystem(generators)
-    coeffs, leftover = system.reduce(target)
-    if not leftover.is_zero():
-        raise NoSolutionError(
-            f"target not in generator span; leftover leading term {leftover.terms()[0]}"
-        )
-    out = []
-    for j in range(len(generators)):
-        c = coeffs.get(j, 0)
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise NonIntegralError(f"coefficient of generator {j} is {c}")
-            c = int(c)
-        out.append(c)
-    return LinearSolution(out, system.dependent_indices)
+    """Integer coefficients c with target = Σ c_i·generators[i]; see
+    `EchelonSystem.solve` for the errors and the dependent generators."""
+    return EchelonSystem(list(generators)).solve(target)

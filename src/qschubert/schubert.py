@@ -6,15 +6,20 @@ w = w_0∘s_{i_1}∘…∘s_{i_k}, apply ∂_{i_1} first, ∂_{i_k} last.  Every
 𝔖_w for w ∈ S_n then decomposes uniquely as an integer combination of products
 e_{k_1}(1)⋯e_{k_{n−1}}(n−1) with k_p ≤ p and Σk_p = length(w); those integer
 coefficients drive the quantum and universal substitutions downstream.
+
+The e-monomials of one grade depend only on (n, grade), so one echelon system
+over them serves every 𝔖_w of that length: it is built once and kept for the
+most recent (n, grade) only.  Basis lifts run grade by grade, so they reuse
+it; interleaved grades rebuild it at each change of grade.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 from .perm import Perm, length, reduced_word, validate
-from .poly import Polynomial, _var_key, solve_linear_expansion, x_var
+from .poly import EchelonSystem, Polynomial, _var_key, x_var
 
 __all__ = [
     "divided_difference",
@@ -102,6 +107,39 @@ def elementary_poly(k: int, l: int) -> Polynomial:
     return Polynomial(terms)
 
 
+def _e_monomial(seq: tuple) -> Polynomial:
+    """e_{k_1}(1)⋯e_{k_{n−1}}(n−1) for seq = (k_1,…,k_{n−1})."""
+    prod = Polynomial.constant(1)
+    for p, k in enumerate(seq, start=1):
+        if k:
+            prod = prod * elementary_poly(k, p)
+    return prod
+
+
+def _e_sequences(n: int, m: int) -> list:
+    """Every (k_1,…,k_{n−1}) with 0 ≤ k_p ≤ p and Σk_p = m, in lexicographic
+    order; built position by position, never by filtering all n! tuples."""
+    # prefixes (k_1,…,k_p) with the grade still to place; every prefix kept
+    # can be completed, so no list grows beyond the final one
+    out = [((), m)]
+    for p in range(1, n):
+        room = (n - 1) * n // 2 - p * (p + 1) // 2  # (p+1) + … + (n−1)
+        out = [
+            (seq + (k,), rest - k)
+            for seq, rest in out
+            for k in range(max(0, rest - room), min(p, rest) + 1)
+        ]
+    return [seq for seq, rest in out if not rest]
+
+
+@lru_cache(maxsize=1)
+def _e_system(n: int, m: int) -> tuple:
+    """The sequences K of grade m for S_n and one EchelonSystem over their
+    e-monomials, in the same order.  Only the most recent (n, m) is kept."""
+    seqs = _e_sequences(n, m)
+    return seqs, EchelonSystem([_e_monomial(seq) for seq in seqs])
+
+
 @dataclass(frozen=True)
 class EDecomposition:
     """𝔖_w = Σ coeffs[(k_1,…,k_{n−1})] · e_{k_1}(1)⋯e_{k_{n−1}}(n−1)."""
@@ -113,11 +151,7 @@ class EDecomposition:
     def recombine(self) -> Polynomial:
         out = Polynomial.zero()
         for seq, a in sorted(self.coeffs.items()):
-            prod = Polynomial.constant(a)
-            for p, k in enumerate(seq, start=1):
-                if k:
-                    prod = prod * elementary_poly(k, p)
-            out = out + prod
+            out = out + a * _e_monomial(seq)
         return out
 
     def to_text_lines(self) -> list[str]:
@@ -143,27 +177,17 @@ def e_decomposition(w: Perm) -> EDecomposition:
     """Expand 𝔖_w over products of elementary symmetric polynomials.
 
     Candidate exponent sequences (k_1,…,k_{n−1}) with 0 ≤ k_p ≤ p and
-    Σk_p = length(w) are enumerated lexicographically; the unique integer
-    coefficients come from the exact linear solver, and the recombination is
-    re-checked here before the result is published.
+    Σk_p = length(w) are enumerated lexicographically.  𝔖_w is reduced
+    against the echelon system of its (n, length(w)), which permutations of
+    the same length share; `EchelonSystem.solve` checks that the unique
+    coefficients exist and are integers, and the recombination is re-checked
+    here before the result is published.
     """
     w = validate(w)
     n = len(w)
     target = schubert_poly(w)
-    m = length(w)
-    seqs = [
-        seq
-        for seq in product(*(range(0, p + 1) for p in range(1, n)))
-        if sum(seq) == m
-    ]
-    gens = []
-    for seq in seqs:
-        prod = Polynomial.constant(1)
-        for p, k in enumerate(seq, start=1):
-            if k:
-                prod = prod * elementary_poly(k, p)
-        gens.append(prod)
-    sol = solve_linear_expansion(target, gens)
+    seqs, system = _e_system(n, length(w))
+    sol = system.solve(target)
     coeffs = {seq: a for seq, a in zip(seqs, sol) if a}
     dec = EDecomposition(n=n, w=w, coeffs=coeffs)
     if dec.recombine() != target:

@@ -293,6 +293,20 @@ def test_table_respects_size_bound(capsys, cache_dir):
     assert "n ≤ 5" in err
 
 
+def test_table_size_bound_is_checked_before_the_ring_is_built(
+        capsys, cache_dir, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the ring must not be built past --max-n")
+
+    monkeypatch.setattr(cli, "quantum_ring", refuse)
+    monkeypatch.setattr(cli, "partial_ring", refuse)
+    for argv, n in ((("--n", "9"), 9), (("--shape", "1:2:3:4:5:6:7:8"), 8)):
+        code, out, err = run(capsys, "table", *argv, cache=cache_dir)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: table generation is limited to n ≤ 5 (got n = {n})\n"
+
+
 def test_table_parallel_matches_serial(capsys, cache_dir, tmp_path):
     serial_dir = tmp_path / "serial"
     code, _, _ = run(capsys, "table", "--n", "3", "--jobs", "2", cache=cache_dir)

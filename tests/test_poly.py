@@ -224,6 +224,29 @@ def test_solver_recombines_exactly(extra, coeffs):
     assert rebuilt == target
 
 
+def test_echelon_solve_checks_span_and_integrality():
+    system = EchelonSystem([X1 * (X1 + X2), X1 * X2])
+    assert list(system.solve(X1 * X1)) == [1, -1]
+    with pytest.raises(NoSolutionError):
+        system.solve(X2 * X2)
+    with pytest.raises(NonIntegralError):
+        EchelonSystem([2 * X1]).solve(X1)
+    sol = EchelonSystem([X1, X2, X1 + X2]).solve(X1 + X2)
+    assert list(sol) == list(solve_linear_expansion(X1 + X2, [X1, X2, X1 + X2]))
+    assert sol.dependent_indices == (2,)
+
+
+def test_echelon_solve_leaves_the_system_unchanged():
+    system = EchelonSystem([X1 * X1, X1 * X2])
+    pivots = {lead: dict(row) for lead, row in system.pivots.items()}
+    keys = dict(system._keys)
+    system.solve(3 * X1 * X2)
+    with pytest.raises(NoSolutionError):
+        system.solve(X1 * X1 + X3 * X3)
+    assert system.pivots == pivots
+    assert system._keys == keys
+
+
 def test_echelon_reduce_splits_target():
     gens = [X1 * (X1 + X2), X1 * X2]
     sys = EchelonSystem(gens)

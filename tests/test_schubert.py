@@ -1,6 +1,9 @@
 """Schubert polynomials, divided differences, and e-decompositions."""
 
-from itertools import permutations
+import random
+import sys
+import threading
+from itertools import permutations, product, zip_longest
 
 import pytest
 
@@ -18,6 +21,7 @@ from qschubert import (
     transposition,
     x_var,
 )
+from qschubert import poly, schubert
 
 X1, X2, X3 = x_var(1), x_var(2), x_var(3)
 
@@ -129,6 +133,86 @@ def test_e_decomposition_key_bounds_and_grading():
 
 def test_e_decomposition_recombines_exactly():
     for w in all_permutations(4):
+        assert e_decomposition(w).recombine() == schubert_poly(w)
+
+
+def test_e_sequences_match_the_filter_of_all_tuples():
+    for n in range(1, 8):
+        tuples = list(product(*(range(p + 1) for p in range(1, n))))
+        for m in range(-1, n * (n - 1) // 2 + 2):
+            assert schubert._e_sequences(n, m) == [
+                seq for seq in tuples if sum(seq) == m
+            ], (n, m)
+
+
+def _decompose_uncached(ws):
+    """e_decomposition of each w, bypassing its per-permutation memo."""
+    raw = e_decomposition.__wrapped__
+    return {w: raw(w).coeffs for w in ws}
+
+
+def test_grade_by_grade_lifts_build_one_system_per_grade(monkeypatch):
+    builds = []
+    init = poly.EchelonSystem.__init__
+
+    def counted(self, generators):
+        builds.append(len(generators))
+        init(self, generators)
+
+    monkeypatch.setattr(poly.EchelonSystem, "__init__", counted)
+    schubert._e_system.cache_clear()
+    ws = sorted(all_permutations(5), key=length)
+    _decompose_uncached(ws)
+    assert len(builds) == 11
+    # the one system kept is the last grade's; a repeat of it builds nothing
+    _decompose_uncached([longest_element(5)])
+    assert len(builds) == 11
+    assert schubert._e_system.cache_info().currsize == 1
+
+
+def test_interleaved_grades_match_serial_order():
+    s4 = sorted(all_permutations(4), key=length)
+    s5 = sorted(all_permutations(5), key=length)
+    serial = _decompose_uncached(s4 + s5)
+    # while S_4 lasts, every call changes n, so each one rebuilds the system
+    order = [w for pair in zip_longest(s4, reversed(s5)) for w in pair if w]
+    assert _decompose_uncached(order) == serial
+
+
+def test_threads_sharing_the_system_match_serial():
+    ws = all_permutations(5)
+    serial = _decompose_uncached(ws)
+    workers = 4
+    start = threading.Barrier(workers)
+    results = [None] * workers
+    errors = []
+
+    def work(slot):
+        try:
+            order = list(ws)
+            random.Random(slot).shuffle(order)
+            start.wait(timeout=60)
+            results[slot] = _decompose_uncached(order)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert all(got == serial for got in results)
+
+
+def test_e_decomposition_recombines_on_all_of_s6():
+    for w in sorted(all_permutations(6), key=length):
         assert e_decomposition(w).recombine() == schubert_poly(w)
 
 
