@@ -14,6 +14,7 @@ their counterparts for the full flag manifold.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 
 from .perm import FlagShape, Perm, length, sn_elements, validate
@@ -28,7 +29,7 @@ from .poly import (
     x_var,
 )
 from .qring import QuantumClass, RingError, _GradedQuotientRing
-from .universal import path_poly, universal_schubert_c
+from .universal import _e_specialization, path_poly
 
 __all__ = [
     "PartialRing",
@@ -151,6 +152,12 @@ def _apply_sigma_q(p: Polynomial, shape: FlagShape) -> Polynomial:
 
 
 @lru_cache(maxsize=None)
+def _partial_e(k: int, l: int, shape: FlagShape) -> Polynomial:
+    """ẽ^q_k(l): tilde_E(k, l) after the block σ/q substitution."""
+    return _apply_sigma_q(tilde_E(k, l, shape), shape)
+
+
+@lru_cache(maxsize=None)
 def partial_universal_schubert_c(w: Perm, shape: FlagShape) -> Polynomial:
     """𝔖_w^(N)(c): round every c-column down to the nearest jump value.
 
@@ -162,38 +169,29 @@ def partial_universal_schubert_c(w: Perm, shape: FlagShape) -> Polynomial:
     """
     shape = _check_shape(shape)
     w = _check_min_rep(w, shape)
-    base = universal_schubert_c(w)
     ns = shape.ns
-    asg = {}
-    for v in base.variables():
-        if v[0] != "c":
-            continue
-        i, j = v[1], v[2]
-        col = max(t for t in ns if t <= j)
-        if col != j:
-            asg[v] = c_var(i, col)
-    return base.substitute(asg)
+    return _e_specialization(w, lambda k, p: c_var(k, ns[bisect_right(ns, p) - 1]))
 
 
 @lru_cache(maxsize=None)
 def partial_quantum_schubert(w: Perm, shape: FlagShape) -> Polynomial:
-    """𝔖_w^(N)(σ,q): substitute c_k(n_l) := tilde_E(k,l), then the block
-    σ/q assignment.  Homogeneous of grade length(w); at a complete shape this
-    is exactly the quantum polynomial of the full flag manifold.
+    """𝔖_w^(N)(σ,q): substitute c_k(n_l) := ẽ^q_k(l), the block σ/q image
+    of tilde_E(k,l), into 𝔖_w^(N)(c).  Homogeneous of grade length(w); at a
+    complete shape this is exactly the quantum polynomial of the full flag
+    manifold.
 
     >>> partial_quantum_schubert((2, 1, 3), FlagShape((1,), 3)).to_text()
     's1^1'
     """
     shape = _check_shape(shape)
     w = _check_min_rep(w, shape)
-    p = partial_universal_schubert_c(w, shape)
-    cols = {shape.ns[l]: l for l in range(1, shape.m + 2)}
-    asg = {
-        v: tilde_E(v[1], cols[v[2]], shape)
-        for v in p.variables()
-        if v[0] == "c"
-    }
-    out = _apply_sigma_q(p.substitute(asg), shape)
+
+    def factor(k, p):
+        # column p rounds down to the jump value n_l; c_k(n_0) = 0
+        l = bisect_right(shape.ns, p) - 1
+        return _partial_e(k, l, shape) if l else Polynomial.zero()
+
+    out = _e_specialization(w, factor)
     qg = _q_grade_dict(shape)
     if not out.is_zero() and not (
         out.is_homogeneous(qg) and out.grade(qg) == length(w)
@@ -207,10 +205,7 @@ def partial_quantum_schubert(w: Perm, shape: FlagShape) -> Polynomial:
 
 @lru_cache(maxsize=None)
 def _partial_relations(shape: FlagShape) -> tuple:
-    return tuple(
-        _apply_sigma_q(tilde_E(k, shape.m + 1, shape), shape)
-        for k in range(1, shape.n + 1)
-    )
+    return tuple(_partial_e(k, shape.m + 1, shape) for k in range(1, shape.n + 1))
 
 
 def partial_relations(shape: FlagShape) -> list:

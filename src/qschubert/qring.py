@@ -3,10 +3,13 @@ presentation and expansion engine that it shares with the partial flag rings
 (partial.py).
 
 Elements are integer combinations of Schubert classes σ_w scaled by monomials
-in the deformation parameters q_1,…,q_{n−1} (each of grade 2).  Products are
-computed by multiplying quantum Schubert polynomial representatives and
-rewriting the result in the basis {q^d·σ_w} modulo the quantum relations
-e^q_k(n) = 0, over the integers alone.
+in the deformation parameters q_1,…,q_{n−1} (each of grade 2).  A pairwise
+product σ_u ∗ σ_v is computed once, by multiplying quantum Schubert
+polynomial representatives and rewriting the result in the basis {q^d·σ_w}
+modulo the quantum relations e^q_k(n) = 0, over the integers alone, and then
+memoized.  Every other product and every Gromov–Witten invariant is folded
+from those memoized structure constants by bilinearity; the rewriting below
+serves only the pairwise products and arbitrary polynomial inputs.
 
 Every ring is presented the same way (`_GradedQuotientRing`): a ring
 supplies only its relations, its basis lifts and its element rules.  From the
@@ -291,6 +294,12 @@ class _GradedQuotientRing:
     """Public product and invariant API, and the presentation and expansion
     engine, of the complete and partial rings.
 
+    `quantum_product` expands the product of two lifts once per unordered
+    pair and memoizes it; `quantum_product_multi` and `gromov_witten` fold
+    those structure constants in the class basis and expand nothing.  The
+    expansion below serves the pairwise products and the arbitrary inputs of
+    `expand_in_quantum_basis` and `expand_classical`.
+
     A subclass supplies only:
     - `basis`, the basis permutations, set before `__init__` runs;
     - `relations()`, generators of the quantum ideal;
@@ -444,18 +453,21 @@ class _GradedQuotientRing:
         return got
 
     def quantum_product_multi(self, ws) -> QuantumClass:
-        """Left fold of the quantum product over a nonempty factor list."""
+        """σ_{w_1} ∗ ⋯ ∗ σ_{w_N} over a nonempty factor list: a left fold of
+        the memoized pairwise products by bilinearity,
+        (Σ c·q^d·σ_v) ∗ σ_w = Σ c·q^d·(σ_v ∗ σ_w)."""
         ws = [self._check_element(w) for w in ws]
         if not ws:
             raise ValueError("need at least one factor")
-        if len(ws) == 1:
-            return self.expand_in_quantum_basis(self._basis_lift(ws[0]))
-        acc = self.quantum_product(ws[0], ws[1])
-        for w in ws[2:]:
-            acc = self.expand_in_quantum_basis(
-                self.class_to_poly(acc) * self._basis_lift(w)
-            )
-        return acc
+        acc = {(self._zero_d, ws[0]): 1}
+        for w in ws[1:]:
+            nxt = {}
+            for (d, v), c in acc.items():
+                for (d2, y), c2 in self.quantum_product(v, w)._terms.items():
+                    key = (_add(d, d2), y)
+                    nxt[key] = nxt.get(key, 0) + c * c2
+            acc = {key: c for key, c in nxt.items() if c}
+        return QuantumClass(self.n, acc, shape=self.shape)
 
     def classical_product(self, u, v) -> QuantumClass:
         u = self._check_element(u)

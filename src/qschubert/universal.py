@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .perm import Perm, validate
+from .perm import Perm
 from .poly import (
     Polynomial,
     VerificationError,
@@ -191,19 +191,26 @@ def g_from_c(i: int, j: int) -> Polynomial:
     return out
 
 
-@lru_cache(maxsize=None)
-def universal_schubert_c(w: Perm) -> Polynomial:
-    """𝔖_w(c) = Σ a_K·c_{k_1}(1)⋯c_{k_{n−1}}(n−1); homogeneous of grade length(w)."""
-    w = validate(w)
-    dec = e_decomposition(w)
+def _e_specialization(w: Perm, factor) -> Polynomial:
+    """Σ a_K·factor(k_1, 1)⋯factor(k_{n−1}, n−1) over the e-decomposition
+    𝔖_w = Σ a_K·e_{k_1}(1)⋯e_{k_{n−1}}(n−1); a factor with k_p = 0 is 1.
+
+    Every lift of σ_w is one choice of factor(k, p), the image of e_k(p).
+    """
     out = Polynomial.zero()
-    for seq, a in sorted(dec.coeffs.items()):
+    for seq, a in sorted(e_decomposition(w).coeffs.items()):
         prod = Polynomial.constant(a)
         for p, k in enumerate(seq, start=1):
             if k:
-                prod = prod * c_var(k, p)
+                prod = prod * factor(k, p)
         out = out + prod
     return out
+
+
+@lru_cache(maxsize=None)
+def universal_schubert_c(w: Perm) -> Polynomial:
+    """𝔖_w(c) = Σ a_K·c_{k_1}(1)⋯c_{k_{n−1}}(n−1); homogeneous of grade length(w)."""
+    return _e_specialization(w, c_var)
 
 
 @lru_cache(maxsize=None)
@@ -261,16 +268,7 @@ def quantum_schubert(w: Perm) -> Polynomial:
     >>> quantum_schubert((3, 1, 2)).to_text()
     'x1^2 − q1'
     """
-    w = validate(w)
-    dec = e_decomposition(w)
-    out = Polynomial.zero()
-    for seq, a in sorted(dec.coeffs.items()):
-        prod = Polynomial.constant(a)
-        for p, k in enumerate(seq, start=1):
-            if k:
-                prod = prod * quantum_e(k, p)
-        out = out + prod
-    return out
+    return _e_specialization(w, quantum_e)
 
 
 def kernel_chern_check(k: int, l: int) -> bool:

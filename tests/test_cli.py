@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from qschubert import Polynomial, QuantumClass, quantum_product, quantum_schubert
-from qschubert import cli
+from qschubert import cli, poly, schubert, universal
 from qschubert.cli import main
 
 
@@ -180,6 +180,28 @@ def test_verify_more_suites_pass(capsys, cache_dir):
         code, out, _ = run(capsys, *argv, cache=cache_dir)
         assert code == 0, argv
         assert out.startswith("pass"), argv
+
+
+def test_verify_specialization_builds_one_system_per_grade(
+        capsys, cache_dir, monkeypatch):
+    builds = []
+    init = poly.EchelonSystem.__init__
+
+    def counted(self, generators):
+        builds.append(len(generators))
+        init(self, generators)
+
+    monkeypatch.setattr(poly.EchelonSystem, "__init__", counted)
+    for cached in (schubert._e_system, schubert.e_decomposition,
+                   universal.universal_schubert_c,
+                   universal.universal_schubert_g, universal.quantum_schubert):
+        cached.cache_clear()
+    code, out, _ = run(
+        capsys, "verify", "--suite", "specialization", "--n", "4",
+        cache=cache_dir,
+    )
+    assert (code, out) == (0, "pass, 24 chains\n")
+    assert len(builds) == 7
 
 
 def test_verify_json_format(capsys, cache_dir):

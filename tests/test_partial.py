@@ -33,6 +33,7 @@ from qschubert import (
     universal_schubert_c,
     x_var,
 )
+from qschubert.partial import _apply_sigma_q
 
 P1 = FlagShape((1,), 2)
 P2 = FlagShape((1,), 3)
@@ -107,6 +108,34 @@ def test_partial_schubert_rejects_non_minimal_representatives():
         partial_universal_schubert_c((2, 1, 3), FlagShape((2,), 3))
     with pytest.raises(ValueError):
         partial_quantum_schubert((2, 1, 3, 4), GR24)
+
+
+def _two_stage_lifts(w, shape):
+    """The partial lifts by substitution into the whole polynomial: round the
+    c-columns of 𝔖_w(c) down to the jump values, then substitute
+    c_k(n_l) := tilde_E(k, l) and apply the block σ/q assignment."""
+    ns = shape.ns
+    base = universal_schubert_c(w)
+    c_poly = base.substitute({
+        v: c_var(v[1], max(t for t in ns if t <= v[2]))
+        for v in base.variables()
+    })
+    block = {ns[l]: l for l in range(1, shape.m + 2)}
+    g_poly = c_poly.substitute({
+        v: tilde_E(v[1], block[v[2]], shape) for v in c_poly.variables()
+    })
+    return c_poly, _apply_sigma_q(g_poly, shape)
+
+
+@pytest.mark.parametrize("shape", [
+    "2:4", "2:6", "3:6", "1:3:4", "1:3:5", "2:4:6", "1:2:3:4", "1:2:3:4:5",
+])
+def test_partial_lifts_match_the_two_stage_substitution(shape):
+    shape = FlagShape.from_string(shape)
+    for w in sorted(sn_elements(shape), key=length):
+        c_poly, lift = _two_stage_lifts(w, shape)
+        assert partial_universal_schubert_c(w, shape) == c_poly, w
+        assert partial_quantum_schubert(w, shape) == lift, w
 
 
 def test_partial_quantum_schubert_examples():

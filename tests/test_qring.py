@@ -180,6 +180,55 @@ def test_quantum_product_multi_association_orders():
     assert as_map(left) == acc
 
 
+def _round_trip(ring, ws):
+    """The N-point product by polynomials: lift the running class, multiply
+    by the next factor's lift and expand again, at every step."""
+    acc = ring.expand_in_quantum_basis(ring.basis_polynomial(ws[0]))
+    for w in ws[1:]:
+        acc = ring.expand_in_quantum_basis(
+            ring.class_to_poly(acc) * ring.basis_polynomial(w)
+        )
+    return acc
+
+
+@pytest.mark.parametrize("shape, count, seed", [
+    ("1:2:3:4", 60, 1),
+    ("1:2:3:4:5", 4, 2),
+    ("1:3:4", 60, 3),
+    ("2:5", 40, 4),
+])
+def test_fold_matches_the_polynomial_round_trip(shape, count, seed):
+    shape = FlagShape.from_string(shape)
+    ring = quantum_ring(shape.n) if shape.is_complete() else PartialRing(shape)
+    rng = random.Random(seed)
+    for _ in range(count):
+        ws = [rng.choice(ring.basis) for _ in range(rng.randint(3, 5))]
+        assert ring.quantum_product_multi(ws) == _round_trip(ring, ws), ws
+
+
+def test_gromov_witten_on_a_warm_ring_expands_nothing(monkeypatch):
+    calls = []
+    for name in ("expand_in_quantum_basis", "class_to_poly"):
+        def counted(self, arg, _orig=getattr(_GradedQuotientRing, name),
+                    _name=name):
+            calls.append(_name)
+            return _orig(self, arg)
+
+        monkeypatch.setattr(_GradedQuotientRing, name, counted)
+    cases = [
+        (QuantumRing(3), [S1, (1, 3, 2), S1, (1, 3, 2), (2, 3, 1)],
+         S1, (1, 1), 2),
+        (PartialRing(FlagShape.from_string("2:4")), [(1, 3, 2, 4)] * 5,
+         (2, 4, 1, 3), (1,), 4),
+    ]
+    for ring, ws, w, d, want in cases:
+        for u, v in combinations_with_replacement(ring.basis, 2):
+            ring.quantum_product(u, v)
+        calls.clear()
+        assert ring.gromov_witten(ws, w, d) == want
+        assert calls == []
+
+
 def test_gromov_witten_examples():
     w0 = longest_element(3)
     assert gromov_witten([S1, S1], w0, (1, 0)) == 1
