@@ -15,7 +15,7 @@ their counterparts for the full flag manifold.
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .perm import FlagShape, Perm, length, sn_elements, validate
 from .poly import (
@@ -227,18 +227,21 @@ class PartialRing(_GradedQuotientRing):
     The working alphabet is σ_i^l for blocks l = 1..m+1 and 1 ≤ i ≤ block
     size, with grade(σ_i^l) = i and grade(q_l) = n_{l+1} − n_{l−1}; complete
     shapes use x_1,…,x_n in place of the grade-1 block classes.  The ring
-    supplies the relations ẽ^q_k and the lifts 𝔖_w^(N)(σ,q); the rewriting
-    rules are their reduced Gröbner basis over Z, derived at construction by
-    the shared code (`_GradedQuotientRing`).
+    supplies the relations ẽ^q_k and the lifts 𝔖_w^(N)(σ,q); its products
+    are read off Fl_n products by the comparison formula in the shared code
+    (`_GradedQuotientRing`).
     """
 
     def __init__(self, shape: FlagShape):
         shape = _check_shape(shape)
         self.shape = shape
-        self.basis = tuple(sn_elements(shape))
         self.q_grades = dict(_q_grade_dict(shape))
         super().__init__(shape)
         self.sigma_vars = tuple(sorted(self._vars, key=_var_key))
+
+    @cached_property
+    def basis(self) -> tuple:
+        return tuple(sn_elements(self.shape))
 
     def relations(self) -> tuple:
         return _partial_relations(self.shape)

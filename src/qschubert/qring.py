@@ -1,45 +1,26 @@
-"""Quantum cohomology ring of the complete flag manifold, and the
-presentation and expansion engine that it shares with the partial flag rings
-(partial.py).
+"""Quantum cohomology ring of the complete flag manifold, and the product
+engine that it shares with the partial flag rings (partial.py).
 
 Elements are integer combinations of Schubert classes σ_w scaled by monomials
-in the deformation parameters q_1,…,q_{n−1} (each of grade 2).  A pairwise
-product σ_u ∗ σ_v is computed once, by multiplying quantum Schubert
-polynomial representatives and rewriting the result in the basis {q^d·σ_w}
-modulo the quantum relations e^q_k(n) = 0, over the integers alone, and then
-memoized.  Every other product and every Gromov–Witten invariant is folded
-from those memoized structure constants by bilinearity; the rewriting below
-serves only the pairwise products and arbitrary polynomial inputs.
+in the deformation parameters q_1,…,q_m.  Every structure constant comes from
+permutations alone, in integers, and is memoized:
 
-Every ring is presented the same way (`_GradedQuotientRing`): a ring
-supplies only its relations, its basis lifts and its element rules.  From the
-flag shape and the relations the shared code derives the variables with their
-grades, a term order, and rewriting rules x^lead → tail with q-free leading
-terms: the reduced Gröbner basis of the relations over Z.  It then rewrites
-by two steps.
+1. Fl_n (`_Transition`): the quantum Monk rule of Fomin–Gelfand–Postnikov
+   (JAMS 1997) and Lascoux–Schützenberger transition.
+2. Fl(N) (`_GradedQuotientRing._compare`): Peterson's comparison formula
+   reads each structure constant off one term of the Fl_n product of the two
+   minimal coset representatives.
+3. Polynomials (`_GradedQuotientRing._horner`): Horner's rule over the
+   classes of the ring's generators, with the bilinear class product that
+   also folds N-point products and Gromov–Witten invariants.
 
-1. Normal form.  Each monomial is reduced by the rules to a Z[q]-combination
-   of standard monomials, those that no leading term divides, and the result
-   is memoized per exponent vector.
-2. Peel.  The normal form of each basis lift leads with a q-free monomial at
-   coefficient 1, a different one for each class of a grade.  So the
-   expansion is read off the residual from the top: take its largest term
-   c·x^a·q^d, record c·q^d·σ_w for the w whose lift leads with x^a,
-   subtract c·q^d·NF(lift of σ_w), and repeat until the residual vanishes.
-
-For Fl_n the order is grade first, then lower q-degree first, then reverse
-lex with x_n > … > x_1; the rules lead with x_n, x_{n−1}², …, x_1^n, so the
-standard monomials are the n! staircase monomials x^a, a_i ≤ n − i, and
-NF(𝔖^q_w) leads with x^code(w).  The classical expansion runs the same steps
-on the q = 0 rules and the classical lifts (for Fl_n, the Schubert
-polynomials 𝔖_w).
+The polynomial presentation (relations and Schubert polynomial lifts) stays
+public; `qschubert verify` checks it against the products.
 """
 from __future__ import annotations
 
 import operator
-import threading
-from bisect import insort
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .perm import (
     FlagShape,
@@ -193,195 +174,156 @@ def _add(u: tuple, v: tuple) -> tuple:
     return tuple(map(operator.add, u, v))
 
 
-def _divides(u: tuple, v: tuple) -> bool:
-    return all(map(operator.le, u, v))
+def _gather(out: dict, terms, scale: int = 1) -> dict:
+    """Add scale·terms, given as (key, c) pairs, into out and return out."""
+    for key, c in terms:
+        out[key] = out.get(key, 0) + scale * c
+    return out
 
 
-def _reduce(p: dict, basis: list, key) -> dict:
-    """The remainder of p (exponent → int) modulo `basis`, a list of
-    (lead, poly) with leading coefficient 1; every term is reduced."""
-    p = dict(p)
-    rem = {}
-    while p:
-        t = max(p, key=key)
-        c = p.pop(t)
-        for lead, g in basis:
-            if _divides(lead, t):
-                shift = tuple(map(operator.sub, t, lead))
-                for e, cg in g.items():
-                    if e != lead:
-                        e2 = _add(e, shift)
-                        s = p.get(e2, 0) - c * cg
-                        if s:
-                            p[e2] = s
-                        else:
-                            p.pop(e2, None)
-                break
-        else:
-            rem[t] = c
-    return rem
+def _shifted(d: tuple, terms):
+    """The (key, c) pairs of q^d·terms."""
+    return (((_add(d, d2), z), c) for (d2, z), c in terms)
 
 
-def _monic(p: dict, key):
-    """(lead, p divided by its leading coefficient c).  Raises RingError
-    unless c is ±1 after removing the content, that is, unless c divides
-    every coefficient."""
-    lead = max(p, key=key)
-    c = p[lead]
-    if any(v % c for v in p.values()):
-        raise RingError("a Gröbner basis element does not have leading "
-                        "coefficient ±1 after removing its content")
-    return lead, {e: v // c for e, v in p.items()}
+def _nonzero(terms: dict) -> dict:
+    return {key: c for key, c in terms.items() if c}
 
 
-def _groebner(gens, key) -> list:
-    """Reduced Gröbner basis over Z of the ideal of `gens` (dicts exponent →
-    int) under the term order `key`, as (lead, poly) pairs in increasing
-    order of leads, each with leading coefficient 1.
+class _Transition:
+    """The structure constants of QH*(Fl_n): σ_w ∗ σ_y as a dict (d, z) → c.
 
-    Buchberger's algorithm with his two criteria, taking pairs by smallest
-    lcm first; every remainder must be monic up to its content.
+    Quantum Monk gives x_r ∗ σ_w (`_x_terms`).  Transition: with r the last
+    descent of w, s the last position after r with w(s) < w(r) and
+    v = w·t_rs, x_r ∗ σ_v = σ_w + R, so σ_w ∗ σ_y is
+    x_r ∗ (σ_v ∗ σ_y) − Σ_R c·q^d·(σ_u ∗ σ_y), down to σ_id ∗ σ_y = σ_y.  The
+    classical u of R are as long as w and lexicographically later, the
+    quantum ones shorter, so the recursion ends.  Memo entries are stored
+    complete, so a race between threads costs at most a duplicate entry.
     """
-    basis = []
-    pairs = set()   # (i, j) with i < j, not yet treated
-    queue = []      # (key of lcm, i, j, lcm), the smallest lcm first
 
-    def include(p):
-        p = _reduce(p, basis, key)
-        if p:
-            lead, g = _monic(p, key)
-            for i, (other, _) in enumerate(basis):
-                lcm = tuple(map(max, other, lead))
-                pairs.add((i, len(basis)))
-                insort(queue, (key(lcm), i, len(basis), lcm))
-            basis.append((lead, g))
+    def __init__(self, n: int):
+        self.n = n
+        self.zero = (0,) * (n - 1)
+        self.identity = tuple(range(1, n + 1))
+        self._x = {}      # (r, w) → x_r ∗ σ_w as ((d, z), c) pairs
+        self._steps = {}  # w → (r, v, R as ((d, u), c) pairs)
+        self._memo = {}   # (w, y) → σ_w ∗ σ_y
 
-    for g in gens:
-        include(g)
-    while queue:
-        _, i, j, lcm = queue.pop(0)
-        pairs.remove((i, j))
-        (li, gi), (lj, gj) = basis[i], basis[j]
-        if not any(map(min, li, lj)):
-            continue    # coprime leads
-        if any(k not in (i, j) and _divides(basis[k][0], lcm)
-               and (min(i, k), max(i, k)) not in pairs
-               and (min(j, k), max(j, k)) not in pairs
-               for k in range(len(basis))):
-            continue    # chain criterion
-        s = {}
-        for sign, lead, g in ((1, li, gi), (-1, lj, gj)):
-            shift = tuple(map(operator.sub, lcm, lead))
-            for e, c in g.items():
-                e2 = _add(e, shift)
-                s[e2] = s.get(e2, 0) + sign * c
-        include({e: c for e, c in s.items() if c})
-    # a remainder's lead is divisible by no earlier lead, so the leads are
-    # distinct; keep the minimal ones and reduce their tails
-    leads = [lead for lead, _ in basis]
-    minimal = [(lead, g) for lead, g in basis
-               if not any(_divides(other, lead) for other in leads
-                          if other != lead)]
-    out = []
-    for lead, g in minimal:
-        others = [lg for lg in minimal if lg[0] != lead]
-        tail = _reduce({e: c for e, c in g.items() if e != lead}, others, key)
-        out.append((lead, {lead: 1, **tail}))
-    return sorted(out, key=lambda lg: key(lg[0]))
+    def _x_terms(self, r: int, w: Perm) -> tuple:
+        """x_r ∗ σ_w = Σ_{b>r} ε_rb − Σ_{a<r} ε_ar: quantum Monk for σ_{s_r}
+        minus that for σ_{s_{r−1}}.  ε_ab is σ_{w·t_ab} if w·t_ab is one
+        longer than w, q_a⋯q_{b−1}·σ_{w·t_ab} if 2(b − a) − 1 shorter, else 0."""
+        got = self._x.get((r, w))
+        if got is not None:
+            return got
+        n = self.n
+        out = []
+        for a, b, sign in ([(r, b, 1) for b in range(r + 1, n + 1)]
+                           + [(a, r, -1) for a in range(1, r)]):
+            lo, hi = w[a - 1], w[b - 1]
+            between = w[a:b - 1]
+            if lo < hi:
+                if any(lo < x < hi for x in between):
+                    continue
+                d = self.zero
+            elif all(hi < x < lo for x in between):
+                d = tuple(int(a <= i < b) for i in range(1, n))
+            else:
+                continue
+            z = list(w)
+            z[a - 1], z[b - 1] = hi, lo
+            out.append(((d, tuple(z)), sign))
+        got = self._x[(r, w)] = tuple(out)
+        return got
+
+    def _step(self, w: Perm) -> tuple:
+        """(r, v, R) with σ_w = x_r ∗ σ_v − R."""
+        got = self._steps.get(w)
+        if got is not None:
+            return got
+        r = max(i for i in range(1, self.n) if w[i - 1] > w[i])
+        s = max(j for j in range(r + 1, self.n + 1) if w[j - 1] < w[r - 1])
+        v = list(w)
+        v[r - 1], v[s - 1] = w[s - 1], w[r - 1]
+        v = tuple(v)
+        rest = dict(self._x_terms(r, v))
+        if rest.pop((self.zero, w), 0) != 1:
+            raise RingError(f"x_{r}∗σ_{list(v)} does not contain σ_{list(w)} once")
+        got = self._steps[w] = (r, v, tuple(rest.items()))
+        return got
+
+    def product(self, w: Perm, y: Perm) -> dict:
+        """σ_w ∗ σ_y, with the transition tree of w resolved by an explicit
+        stack; every entry it stores has the same y."""
+        memo = self._memo
+        got = memo.get((w, y))
+        if got is not None:
+            return got
+        memo.setdefault((self.identity, y), {(self.zero, y): 1})
+        stack = [w]
+        while stack:
+            top = stack[-1]
+            if (top, y) in memo:
+                stack.pop()
+                continue
+            r, v, rest = self._step(top)
+            missing = [u for u in (v, *(u for (_, u), _ in rest))
+                       if (u, y) not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
+            acc = {}
+            for (d, z), c in memo[(v, y)].items():
+                _gather(acc, _shifted(d, self._x_terms(r, z)), c)
+            for (d, u), c in rest:
+                _gather(acc, _shifted(d, memo[(u, y)].items()), -c)
+            memo[(top, y)] = _nonzero(acc)
+            stack.pop()
+        return memo[(w, y)]
+
+
+@lru_cache(maxsize=None)
+def _transition(n: int) -> _Transition:
+    """The Fl_n engine shared by every ring with this n."""
+    return _Transition(n)
 
 
 class _GradedQuotientRing:
-    """Public product and invariant API, and the presentation and expansion
-    engine, of the complete and partial rings.
+    """Public product and invariant API of the complete and partial rings,
+    and their one product path.
 
-    `quantum_product` expands the product of two lifts once per unordered
-    pair and memoizes it; `quantum_product_multi` and `gromov_witten` fold
-    those structure constants in the class basis and expand nothing.  The
-    expansion below serves the pairwise products and the arbitrary inputs of
-    `expand_in_quantum_basis` and `expand_classical`.
+    `quantum_product` computes σ_u ∗ σ_v once per unordered pair: the Fl_n
+    product (`_Transition`) through the comparison filter (`_compare`), the
+    identity on complete shapes.  One bilinear class product (`_times`)
+    folds those structure constants for `quantum_product_multi` and
+    `gromov_witten`, and evaluates a polynomial in the generators `_vars`
+    and the q_l by Horner's rule for `expand_in_quantum_basis`.
+    `classical_product` and `expand_classical` are the q⁰ slices.
 
-    A subclass supplies only:
-    - `basis`, the basis permutations, set before `__init__` runs;
-    - `relations()`, generators of the quantum ideal;
-    - the lifts `_basis_lift` and `_classical_lift`, and the element rules
-      `_check_element`, `_dual` and `_moduli_dimension`.
-
-    `__init__(shape)` derives the rest from the flag shape and the relations:
-    - `_vars`, the block classes σ_i^l (x_l for complete shapes) with their
-      grades `_var_grades`, and `_q_weights`, the grades of q_1, q_2, …; a
-      term x^a·q^d is keyed (a, d) by its exponent vectors over `_vars` and
-      the q_l (`_keyed`);
-    - the term order `_term_key(a, d)`: weighted grade, then lower q-weight
-      first, then reverse lex over `_vars`, biggest first;
-    - `_rules[quantum]`, the reduced Gröbner basis over Z of the relations,
-      with the q_l as variables, for the quantum ideal (True) and its q = 0
-      part (False): a rule (lead, tail) has a q-free x^lead, given by its
-      support ((i, e), …), and rewrites it to −Σ c·x^a·q^d over the tail's
-      terms (a, d, c).
-
-    Expansion has two steps, over the integers alone.
-    1. Normal form.  A monomial x^a reduces by the first rule whose leading
-       exponent divides it, until only monomials that no leading exponent
-       divides remain; the result is memoized per exponent vector.
-    2. Peel.  The normal form of each lift leads with a q-free monomial at
-       coefficient 1, a different one for each class of a grade.  So the
-       expansion is read off the residual from the top: take its largest
-       term c·x^a·q^d, record c·q^d·σ_w for the w whose lift leads with x^a,
-       subtract c·q^d·NF(lift of σ_w), and repeat until nothing is left.
-    The classical expansion runs the same steps on the q = 0 rules and the
-    classical lifts, with its own memo.
+    A subclass supplies only `basis`, `relations()`, the lifts `_basis_lift`
+    and `_classical_lift` (which `class_to_poly` and `basis_polynomial`
+    return, and the `relations` and `giambelli` suites of `qschubert verify`
+    check), and the element rules `_check_element`, `_dual` and
+    `_moduli_dimension`.
     """
 
     def __init__(self, shape: FlagShape):
         self.n = shape.n
         self.q_count = shape.m
-        # biggest first: blocks from last to first, larger i first in the
-        # last block and smaller i first in the others
-        ns = shape.ns
-        complete = shape.is_complete()
-        order = []
-        for l in range(shape.m + 1, 0, -1):
-            size = ns[l] - ns[l - 1]
-            for i in (range(size, 0, -1) if l == shape.m + 1
-                      else range(1, size + 1)):
-                order.append((("x", l) if complete else ("sigma", i, l), i))
-        self._vars = tuple(v for v, _ in order)
-        self._var_grades = tuple(g for _, g in order)
-        self._q_weights = shape.q_grades
-        self._q_zero = {("q", l): 0 for l in range(1, shape.m + 1)}
+        ns = self._ns = shape.ns
+        self._complete = shape.is_complete()
+        # the block classes σ_i^l as (i, l), named x_l on complete shapes
+        self._blocks = tuple((i, l) for l in range(1, shape.m + 2)
+                             for i in range(1, ns[l] - ns[l - 1] + 1))
+        self._vars = tuple(("x", l) if self._complete else ("sigma", i, l)
+                           for i, l in self._blocks)
         self._index = {v: i for i, v in enumerate(self._vars)}
-        self._q_grade_map = dict(enumerate(self._q_weights, start=1))
+        self._q_zero = {("q", l): 0 for l in range(1, shape.m + 1)}
         self._zero_d = (0,) * self.q_count
-        self._nf = {True: {}, False: {}}
-        self._tables = {}
-        self._by_length = {}
-        for w in self.basis:
-            self._by_length.setdefault(length(w), []).append(w)
+        self._fl = _transition(self.n)
         self._products = {}
-        self._lock = threading.RLock()
-
-        r = len(self._vars)
-        keys = {}
-
-        def key(e):
-            got = keys.get(e)
-            if got is None:
-                got = keys[e] = self._term_key(e[:r], e[r:])
-            return got
-
-        gens = [{a + d: c for a, d, c in self._keyed(rel)}
-                for rel in self.relations()]
-        self._rules = {True: [], False: []}
-        for lead, g in _groebner(gens, key):
-            if any(lead[r:]):
-                raise RingError(f"a Gröbner basis element of "
-                                f"{shape.to_string()} has a leading term "
-                                f"with q")
-            support = tuple((i, e) for i, e in enumerate(lead) if e)
-            tail = tuple((e[:r], e[r:], c) for e, c in g.items() if e != lead)
-            self._rules[True].append((support, tail))
-            self._rules[False].append(
-                (support, tuple(t for t in tail if not any(t[1]))))
+        self._gens = None
 
     # -- hooks ----------------------------------------------------------
     def relations(self) -> tuple:
@@ -402,10 +344,7 @@ class _GradedQuotientRing:
     def _dual(self, w: Perm) -> Perm:
         raise NotImplementedError
 
-    # -- shared machinery -------------------------------------------------
-    def _q_monomial(self, d):
-        return tuple((("q", i + 1), e) for i, e in enumerate(d) if e)
-
+    # -- public API -------------------------------------------------------
     def _checked(self, p: Polynomial) -> Polynomial:
         for v in p.variables():
             if v not in self._index and not (
@@ -414,19 +353,21 @@ class _GradedQuotientRing:
                 raise ValueError(f"variable {v} is not in the ring alphabet")
         return p
 
+    def _q0(self, terms: dict) -> QuantumClass:
+        return QuantumClass(self.n, {key: c for key, c in terms.items()
+                                     if key[0] == self._zero_d},
+                            shape=self.shape)
+
     def expand_in_quantum_basis(self, p: Polynomial) -> QuantumClass:
         """Rewrite p as an integer combination of classes q^d·σ_w."""
-        p = self._checked(p)
-        self._lift_grades(p)
-        return self._peel(self._normal_form(p, True), True)
+        return QuantumClass(self.n, self._horner(self._checked(p)),
+                            shape=self.shape)
 
     def expand_classical(self, p: Polynomial) -> QuantumClass:
         """Rewrite a q-free polynomial in the Schubert basis (all d = 0)."""
         if any(v[0] == "q" for v in p.variables()):
             raise ValueError("classical expansion needs a q-free input")
-        p = self._checked(p)
-        self._lift_grades(p)
-        return self._peel(self._normal_form(p, False), False)
+        return self._q0(self._horner(self._checked(p)))
 
     def basis_polynomial(self, w) -> Polynomial:
         """The polynomial representative of the basis class σ_w."""
@@ -436,45 +377,34 @@ class _GradedQuotientRing:
         """Polynomial representative: Σ c·q^d·(lift of σ_w)."""
         out = Polynomial.zero()
         for (d, w), c in cls.items():
-            qm = Polynomial({self._q_monomial(d): c})
-            out = out + qm * self._basis_lift(w)
+            qm = tuple((("q", i + 1), e) for i, e in enumerate(d) if e)
+            out = out + Polynomial({qm: c}) * self._basis_lift(w)
         return out
 
     def quantum_product(self, u, v) -> QuantumClass:
+        # a stored pair was checked when it was stored
+        if type(u) is tuple and type(v) is tuple:
+            got = self._products.get((u, v) if u <= v else (v, u))
+            if got is not None:
+                return got
         u = self._check_element(u)
         v = self._check_element(v)
         key = (u, v) if u <= v else (v, u)
         got = self._products.get(key)
         if got is None:
-            prod = self._basis_lift(key[0]) * self._basis_lift(key[1])
-            got = self.expand_in_quantum_basis(prod)
-            with self._lock:
-                self._products[key] = got
+            got = self._products[key] = QuantumClass(
+                self.n, self._pair_product(*key), shape=self.shape)
         return got
 
     def quantum_product_multi(self, ws) -> QuantumClass:
-        """σ_{w_1} ∗ ⋯ ∗ σ_{w_N} over a nonempty factor list: a left fold of
-        the memoized pairwise products by bilinearity,
-        (Σ c·q^d·σ_v) ∗ σ_w = Σ c·q^d·(σ_v ∗ σ_w)."""
+        """σ_{w_1} ∗ ⋯ ∗ σ_{w_N} over a nonempty factor list."""
         ws = [self._check_element(w) for w in ws]
         if not ws:
             raise ValueError("need at least one factor")
-        acc = {(self._zero_d, ws[0]): 1}
-        for w in ws[1:]:
-            nxt = {}
-            for (d, v), c in acc.items():
-                for (d2, y), c2 in self.quantum_product(v, w)._terms.items():
-                    key = (_add(d, d2), y)
-                    nxt[key] = nxt.get(key, 0) + c * c2
-            acc = {key: c for key, c in nxt.items() if c}
-        return QuantumClass(self.n, acc, shape=self.shape)
+        return QuantumClass(self.n, self._fold(ws), shape=self.shape)
 
     def classical_product(self, u, v) -> QuantumClass:
-        u = self._check_element(u)
-        v = self._check_element(v)
-        return self.expand_classical(
-            self._classical_lift(u) * self._classical_lift(v)
-        )
+        return self._q0(self.quantum_product(u, v)._terms)
 
     def gromov_witten(self, ws, w, d) -> int:
         """N-point genus-zero invariant ⟨σ_{w_1},…,σ_{w_N}, σ_w⟩_d, read off
@@ -494,171 +424,146 @@ class _GradedQuotientRing:
         total = sum(length(x) for x in ws) + length(w)
         if total != self._moduli_dimension(d):
             return 0
-        cls = self.quantum_product_multi(ws)
-        return cls.coefficient(d, self._dual(w))
+        return self._fold(ws).get((d, self._dual(w)), 0)
 
-    # -- normal form and peel ---------------------------------------------
-    def _grade(self, a: tuple) -> int:
-        return sum(map(operator.mul, a, self._var_grades))
+    # -- the product path -------------------------------------------------
+    def _pair_product(self, u: Perm, v: Perm) -> dict:
+        """σ_u ∗ σ_v on a memo miss, by transition on the shorter factor."""
+        if length(u) > length(v):
+            u, v = v, u
+        terms = self._fl.product(u, v)
+        return terms if self._complete else self._compare(terms)
 
-    def _term_key(self, a: tuple, d: tuple) -> tuple:
-        qw = sum(map(operator.mul, d, self._q_weights))
-        return (self._grade(a) + qw, -qw, tuple(map(operator.neg, a[::-1])), d)
+    def _compare(self, terms: dict) -> dict:
+        """The Fl(N) product of two minimal coset representatives, read off
+        their Fl_n product by Peterson's comparison formula (Woodward,
+        Proc. AMS 2005).  A term c·q^{d_B}·σ_y counts only if d_B is the lift
+        of d = (d_B[n_1], …, d_B[n_m]): in block l of size b, with
+        (a, t) = divmod(d_l − d_{l−1}, b) and d_0 = d_{m+1} = 0, the lift
+        climbs by a at each of the first b − t positions and by a + 1 at each
+        of the last t; and only if w = (w_0∘y)·ω′, which reverses each of
+        those two runs of every block, increases inside every block.  It adds
+        c to q^d·σ_{dual(w)}.
+        """
+        ns = self._ns
+        n = self.n
+        out = {}
+        for (lifted, y), c in terms.items():
+            d = tuple(lifted[k - 1] for k in ns[1:-1])
+            steps = (0,) + d + (0,)
+            w = [n + 1 - e for e in y]
+            level, lift = 0, []
+            for l in range(1, len(ns)):
+                lo, hi = ns[l - 1], ns[l]
+                a, t = divmod(steps[l] - steps[l - 1], hi - lo)
+                cut = hi - t
+                for i in range(lo, hi):
+                    level += a + (i >= cut)
+                    lift.append(level)
+                w[lo:cut] = w[lo:cut][::-1]
+                w[cut:hi] = w[cut:hi][::-1]
+            if tuple(lift[:-1]) != lifted or any(
+                    w[i - 1] > w[i] for i in range(1, n) if i not in ns):
+                continue
+            key = (d, self._dual(tuple(w)))
+            out[key] = out.get(key, 0) + c
+        return out
+
+    def _times(self, acc: dict, other: dict) -> dict:
+        """(Σ c·q^d·σ_v) ∗ (Σ c′·q^d′·σ_w) by bilinearity over the memoized
+        pairwise products."""
+        out = {}
+        for (d1, w), c1 in other.items():
+            for (d, v), c in acc.items():
+                base = _add(d, d1) if any(d1) else d
+                c *= c1
+                for (d2, y), c2 in self.quantum_product(v, w)._terms.items():
+                    key = (_add(base, d2), y)
+                    out[key] = out.get(key, 0) + c * c2
+        return _nonzero(out)
+
+    def _fold(self, ws) -> dict:
+        """σ_{w_1} ∗ ⋯ ∗ σ_{w_N} over checked factors: a left fold of
+        `_times`."""
+        acc = {(self._zero_d, ws[0]): 1}
+        for w in ws[1:]:
+            acc = self._times(acc, {(self._zero_d, w): 1})
+        return acc
+
+    def _generator_classes(self) -> list:
+        """The class of each generator in `_vars`, computed once.  ẽ_k(t),
+        for 1 ≤ t ≤ m and k ≤ n_t, is σ_g for the Grassmannian g
+        with 𝔖_g = e_k(x_1..x_{n_t}), in one-line notation
+        1..n_t−k, n_t−k+2..n_t+1, n_t−k+1, n_t+2..n; other ẽ_k(t) are 0 and
+        ẽ_0 = 1.  With h̃_0(l) = 1 and h̃_t(l) = −Σ_{s=1..t} ẽ_s(l) ∗ h̃_{t−s}(l),
+        the kernel Chern identity (`kernel_chern_partial_check`) reads
+        σ^l_i = Σ_{t=0..i} ẽ_{i−t}(l) ∗ h̃_t(l−1); on complete shapes
+        x_l = σ_{s_l} − σ_{s_{l−1}}.
+        """
+        if self._gens is not None:
+            return self._gens
+        n, ns, zero = self.n, self._ns, self._zero_d
+        one = {(zero, tuple(range(1, n + 1))): 1}
+
+        def e(k, t):
+            if k == 0:
+                return one
+            if not (1 <= t < len(ns) - 1 and k <= ns[t]):
+                return {}
+            top = ns[t]
+            return {(zero, (*range(1, top - k + 1), *range(top - k + 2, top + 2),
+                            top - k + 1, *range(top + 2, n + 1))): 1}
+
+        h, gens = {}, []
+        for i, l in self._blocks:
+            hs = h.setdefault(l - 1, [one])
+            while len(hs) <= i:
+                t = len(hs)
+                acc = {}
+                for s in range(1, t + 1):
+                    _gather(acc, self._times(e(s, l - 1), hs[t - s]).items(), -1)
+                hs.append(_nonzero(acc))
+            acc = {}
+            for t in range(i + 1):
+                _gather(acc, self._times(e(i - t, l), hs[t]).items())
+            gens.append(_nonzero(acc))
+        self._gens = gens
+        return gens
 
     def _keyed(self, p: Polynomial):
         """p as (a, d, c) triples over `_vars` and the q_l."""
-        index = self._index
-        r = len(self._vars)
         out = []
         for mon, c in p._terms.items():
-            a = [0] * r
-            d = [0] * self.q_count
+            a, d = [0] * len(self._vars), [0] * self.q_count
             for v, e in mon:
                 if v[0] == "q":
                     d[v[1] - 1] = e
                 else:
-                    a[index[v]] = e
+                    a[self._index[v]] = e
             out.append((tuple(a), tuple(d), c))
         return out
 
-    def _lead_and_tail(self, terms: dict, what, lead=None):
-        """The largest key (a, d) of `terms` and the other terms as (a, d, c)
-        triples, after checking that the largest is q-free, has coefficient
-        1 and, when `lead` is given, equals it."""
-        top = max(terms, key=lambda ad: self._term_key(*ad), default=None)
-        if (top is None or any(top[1]) or terms[top] != 1
-                or lead is not None and top != lead):
-            raise RingError(f"{what} does not have a q-free leading term "
-                            f"with coefficient 1"
-                            + (f" at x^{lead[0]}" if lead is not None else ""))
-        return top, tuple((a, d, c) for (a, d), c in terms.items() if (a, d) != top)
+    def _horner(self, p: Polynomial) -> dict:
+        """p evaluated over the generator classes by Horner's rule, one
+        generator at a time: Σ_e g^e·p_e = (…(p_top·g + p_{top−1})·g …)·g + p_0."""
+        gens = self._generator_classes()
+        one = tuple(range(1, self.n + 1))
 
-    def _nf_monomial(self, a: tuple, quantum: bool) -> tuple:
-        """Normal form of x^a as ((a', d'), c) pairs over standard a'.
-
-        Dependencies are resolved with an explicit stack; each memo entry is
-        stored only once it is complete, so concurrent readers never see a
-        partial one and a race costs at most a duplicate computation.
-        """
-        memo = self._nf[quantum]
-        got = memo.get(a)
-        if got is not None:
-            return got
-        rules = self._rules[quantum]
-        stack = [a]
-        while stack:
-            top = stack[-1]
-            if top in memo:
-                stack.pop()
-                continue
-            rule = next((r for r in rules
-                         if all(top[i] >= e for i, e in r[0])), None)
-            if rule is None:
-                memo[top] = (((top, self._zero_d), 1),)
-                stack.pop()
-                continue
-            lead, tail = rule
-            base = list(top)
-            for i, e in lead:
-                base[i] -= e
-            base = tuple(base)
-            deps = [_add(base, ta) for ta, _, _ in tail]
-            missing = [dep for dep in deps if dep not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
+        def run(terms, i):
+            if i == len(gens):
+                return _gather({}, (((d, one), c) for _, d, c in terms))
+            by_power = {}
+            for term in terms:
+                by_power.setdefault(term[0][i], []).append(term)
             acc = {}
-            for dep, (_, td, c) in zip(deps, tail):
-                shift = any(td)
-                for (a2, d2), c2 in memo[dep]:
-                    key = (a2, _add(td, d2) if shift else d2)
-                    acc[key] = acc.get(key, 0) - c * c2
-            memo[top] = tuple((key, c) for key, c in acc.items() if c)
-            stack.pop()
-        return memo[a]
+            for e in range(max(by_power), -1, -1):
+                if acc:
+                    acc = self._times(acc, gens[i])
+                if e in by_power:
+                    _gather(acc, run(by_power[e], i + 1).items())
+            return acc
 
-    def _normal_form(self, p: Polynomial, quantum: bool) -> dict:
-        """p reduced to standard terms keyed (a, d)."""
-        out = {}
-        for a, d, c in self._keyed(p):
-            shift = any(d)
-            for (a2, d2), c2 in self._nf_monomial(a, quantum):
-                key = (a2, _add(d, d2) if shift else d2)
-                s = out.get(key, 0) + c * c2
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return out
-
-    def _grade_table(self, m: int) -> dict:
-        """lead → (w, quantum tail, classical tail) for every ℓ(w) = m.
-
-        The lift of σ_w, quantum and classical, has a normal form led by the
-        q-free x^lead at coefficient 1; a tail lists its other terms.  The
-        whole grade is lifted at once, under the lock, and published
-        complete.
-        """
-        got = self._tables.get(m)
-        if got is not None:
-            return got
-        with self._lock:
-            got = self._tables.get(m)
-            if got is not None:
-                return got
-            table = {}
-            for w in self._by_length.get(m, ()):
-                what = f"NF of the lift of σ_{list(w)}"
-                nf = self._normal_form(self._basis_lift(w), True)
-                lead, tail = self._lead_and_tail(nf, what)
-                if lead[0] in table:
-                    raise RingError(f"{what} has the same leading term "
-                                    f"x^{lead[0]} as σ_{list(table[lead[0]][0])}")
-                nf = self._normal_form(self._classical_lift(w), False)
-                table[lead[0]] = (
-                    w, tail, self._lead_and_tail(nf, f"classical {what}", lead)[1]
-                )
-            self._tables[m] = table
-            return table
-
-    def _lift_grades(self, p: Polynomial):
-        """The first expansion that meets an input of grade m lifts every
-        σ_w with ℓ(w) = m, even where the normal form leaves nothing to peel
-        at that grade."""
-        if len(self._tables) < len(self._by_length):
-            for m in p.grades(self._q_grade_map):
-                if m in self._by_length:
-                    self._grade_table(m)
-
-    def _peel(self, residual: dict, quantum: bool) -> QuantumClass:
-        """Read the basis expansion off a normal form, largest term first."""
-        slot = 1 if quantum else 2
-        key_of = self._term_key
-        out = {}
-        # the largest term last; every term a peel step adds is smaller
-        # than the one it removes, so it is inserted below the top
-        todo = sorted((key_of(a, d), (a, d)) for a, d in residual)
-        while todo:
-            _, key = todo.pop()
-            c = residual.pop(key, 0)
-            if not c:
-                continue
-            a, d = key
-            entry = self._grade_table(self._grade(a)).get(a)
-            if entry is None:
-                raise RingError(f"no basis class leads with x^{a}")
-            out[(d, entry[0])] = c
-            shift = any(d)
-            for a2, d2, c2 in entry[slot]:
-                k2 = (a2, _add(d, d2) if shift else d2)
-                s = residual.get(k2, 0) - c * c2
-                if s:
-                    if k2 not in residual:
-                        insort(todo, (key_of(*k2), k2))
-                    residual[k2] = s
-                else:
-                    residual.pop(k2, None)
-        return QuantumClass(self.n, out, shape=self.shape)
+        return _nonzero(run(self._keyed(p), 0)) if p._terms else {}
 
 
 class QuantumRing(_GradedQuotientRing):
@@ -666,18 +571,21 @@ class QuantumRing(_GradedQuotientRing):
 
     The ring of the complete shape (1, 2, …, n−1), presented on x_1,…,x_n
     and q_1,…,q_{n−1} modulo the quantum relations e^q_k(n) = 0, k = 1..n.
-    Its Gröbner rules lead with x_n, x_{n−1}², …, x_1^n, so the normal forms
-    live on the n! staircase monomials.  The lifts are the quantum Schubert
-    polynomials 𝔖^q_w and, classically, the Schubert polynomials 𝔖_w.
-    `shape` is None: classes, JSON and cache keys name the ring by n alone.
+    The lifts are the quantum Schubert polynomials 𝔖^q_w and, classically,
+    the Schubert polynomials 𝔖_w.  `shape` is None: classes, JSON and cache
+    keys name the ring by n alone.  Building the ring lists nothing; `basis`
+    lists S_n on first read.
     """
 
     def __init__(self, n: int):
         if n < 2:
             raise ValueError(f"need n ≥ 2: {n}")
         self.shape = None
-        self.basis = all_permutations(n)
         super().__init__(FlagShape.complete(n))
+
+    @cached_property
+    def basis(self) -> list:
+        return all_permutations(self.n)
 
     def relations(self) -> tuple:
         """The quantum relations e^q_1(n),…,e^q_n(n)."""
@@ -704,7 +612,7 @@ class QuantumRing(_GradedQuotientRing):
 
 @lru_cache(maxsize=None)
 def quantum_ring(n: int) -> QuantumRing:
-    """Shared per-n ring instance (normal forms are memoized inside)."""
+    """Shared per-n ring instance (products are memoized inside)."""
     return QuantumRing(n)
 
 

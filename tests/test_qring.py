@@ -16,7 +16,6 @@ from qschubert import (
     Polynomial,
     QuantumClass,
     QuantumRing,
-    RingError,
     all_permutations,
     classical_product,
     compose,
@@ -26,20 +25,18 @@ from qschubert import (
     gromov_witten,
     length,
     longest_element,
-    partial_quantum_schubert,
     quantum_e,
     quantum_product,
     quantum_product_multi,
     quantum_ring,
     quantum_schubert,
     relations,
-    schubert_poly,
-    sn_elements,
     transposition,
     q_var,
     x_var,
 )
-from qschubert.qring import _GradedQuotientRing
+from qschubert import cli, partial, perm, qring
+from qschubert.qring import _GradedQuotientRing, _Transition
 
 ID3 = (1, 2, 3)
 S1 = (2, 1, 3)
@@ -331,18 +328,19 @@ def _full_table(ring, order=None):
     }
 
 
-def _slow_lifts(ring_class):
-    """A subclass whose lifts give up the interpreter lock, so that other
-    threads run while a grade table is half built."""
+def _slow_products(ring_class):
+    """A subclass that multiplies on its own, empty Fl_n engine and gives up
+    the interpreter lock at each first-touch product, so that other threads
+    run while the product memos fill."""
 
     class Slow(ring_class):
-        def _basis_lift(self, w):
-            time.sleep(0.0002)
-            return super()._basis_lift(w)
+        def __init__(self, arg):
+            super().__init__(arg)
+            self._fl = _Transition(self.n)
 
-        def _classical_lift(self, w):
+        def _pair_product(self, u, v):
             time.sleep(0.0002)
-            return super()._classical_lift(w)
+            return super()._pair_product(u, v)
 
     return Slow
 
@@ -350,7 +348,7 @@ def _slow_lifts(ring_class):
 def test_concurrent_table_matches_serial():
     for ring_class, arg in ((QuantumRing, 4), (PartialRing, STEP134)):
         serial = _full_table(ring_class(arg))
-        ring = _slow_lifts(ring_class)(arg)
+        ring = _slow_products(ring_class)(arg)
         workers = 4
         start = threading.Barrier(workers)
         results = [None] * workers
@@ -360,7 +358,7 @@ def test_concurrent_table_matches_serial():
             try:
                 start.wait(timeout=60)
                 # each thread walks the pairs in its own order, so the threads
-                # meet unbuilt grades and memo entries at different times
+                # meet missing memo entries at different times
                 results[slot] = _full_table(ring, order=slot)
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
@@ -382,15 +380,8 @@ def test_concurrent_table_matches_serial():
 
 
 def test_rings_expand_without_echelon_or_fractions(monkeypatch):
-    # the basis lifts themselves go through e_decomposition's solver; warm
-    # them so that only ring construction and expansion run under the patch
+    # products read no basis lift, so e_decomposition's solver never runs
     shapes = [STEP134, FlagShape.from_string("2:6")]
-    for w in all_permutations(4):
-        quantum_schubert(w)
-        schubert_poly(w)
-    for shape in shapes:
-        for w in sn_elements(shape):
-            partial_quantum_schubert(w, shape)
     created = []
 
     def refuse(*args, **kwargs):
@@ -409,27 +400,18 @@ def test_rings_expand_without_echelon_or_fractions(monkeypatch):
 
 
 def test_no_ring_class_has_slice_hooks():
+    refused = ("_slice", "_reduce_exact", "_grade_monomials", "_expected_rank",
+               "_split_mon", "_expand", "_expand_classical", "_normalize",
+               "_xelim", "_term_key", "_rules", "_nf", "_nf_monomial",
+               "_groebner", "_peel", "_grade_table")
     for cls in (_GradedQuotientRing, QuantumRing, PartialRing):
-        for name in ("_slice", "_reduce_exact", "_grade_monomials",
-                     "_expected_rank", "_split_mon", "_expand",
-                     "_expand_classical", "_normalize", "_xelim"):
+        for name in refused:
             assert not hasattr(cls, name), (cls, name)
-    # the term order is derived from the shape, not chosen per ring class
-    for cls in (QuantumRing, PartialRing):
-        assert "_term_key" not in vars(cls), cls
     for ring in (QuantumRing(3), PartialRing(STEP134)):
-        for name in ("_slices", "_caps", "_xelim"):
+        for name in refused + ("_slices", "_caps", "_tables", "_by_length"):
             assert not hasattr(ring, name), (ring, name)
-
-
-def test_complete_flag_rules_lead_with_the_staircase_caps():
-    for n in range(2, 7):
-        ring = QuantumRing(n)
-        leads = [tuple((ring._vars[i], e) for i, e in lead)
-                 for lead, _ in ring._rules[True]]
-        assert leads == [((("x", n - k + 1), k),) for k in range(1, n + 1)]
-        assert [lead for lead, _ in ring._rules[False]] == [
-            lead for lead, _ in ring._rules[True]]
+    for name in ("_groebner", "_reduce", "_monic"):
+        assert not hasattr(qring, name), name
 
 
 def _complete_poly(r, m):
@@ -443,15 +425,12 @@ def _complete_poly(r, m):
     return out
 
 
-def test_fgp_relations_lie_in_the_ideal_and_lead_with_the_caps():
+def test_fgp_relations_lie_in_the_ideal():
     """The Fomin–Gelfand–Postnikov polynomials
 
         H^q_k = Σ_{i=1..k} (−1)^{i+1}·e^q_i(n)·h_{k−i}(x_1,…,x_{n−k+1}),
 
-    k = 1..n, lie in the quantum ideal and lead with x_{n−k+1}^k, as
-    h_k(x_1,…,x_{n−k+1}) does in the classical Gröbner basis of the
-    symmetric ideal.  So they are an independent closed form of the rules
-    that the ring derives by Buchberger's algorithm."""
+    k = 1..n, lie in the quantum ideal, so they expand to zero."""
     for n in range(2, 6):
         ring = QuantumRing(n)
         for k in range(1, n + 1):
@@ -460,46 +439,116 @@ def test_fgp_relations_lie_in_the_ideal_and_lead_with_the_caps():
                 h = h + (-1) ** (i + 1) * quantum_e(i, n) * _complete_poly(
                     k - i, n - k + 1)
             assert ring.expand_in_quantum_basis(h).is_zero(), (n, k)
-            terms = ring._keyed(h)
-            a, d, c = max(terms, key=lambda t: ring._term_key(t[0], t[1]))
-            lead = tuple((ring._vars[i], e) for i, e in enumerate(a) if e)
-            assert (lead, any(d), c) == (((("x", n - k + 1), k),), False, 1)
 
 
-def test_basis_lift_without_unit_leading_term_is_refused():
+def _verify(monkeypatch, capsys, ring, suite):
+    """`qschubert verify --suite suite` run against `ring`."""
+    monkeypatch.setattr(cli, "quantum_ring", lambda n: ring)
+    monkeypatch.setattr(cli, "partial_ring", lambda shape: ring)
+    selector = (["--n", str(ring.n)] if ring.shape is None
+                else ["--shape", ring.shape.to_string()])
+    code = cli.main(["verify", "--suite", suite] + selector)
+    return code, capsys.readouterr().out
+
+
+def test_basis_lift_without_unit_leading_term_is_refused(monkeypatch, capsys):
+    # products never read the lifts, so a doubled lift shows only where the
+    # giambelli suite expands the lifts
     class Doubled(QuantumRing):
         def _basis_lift(self, w):
             return 2 * quantum_schubert(w)
-
-    with pytest.raises(RingError, match="leading term"):
-        Doubled(3).quantum_product(S1, S1)
 
     class DoubledPartial(PartialRing):
         def _basis_lift(self, w):
             return 2 * super()._basis_lift(w)
 
-    line = (1, 3, 2, 4)
-    with pytest.raises(RingError, match="leading term"):
-        DoubledPartial(FlagShape.from_string("2:4")).quantum_product(line, line)
+    gr24 = FlagShape.from_string("2:4")
+    for ring, plain in ((Doubled(3), QuantumRing(3)),
+                        (DoubledPartial(gr24), PartialRing(gr24))):
+        top = ring.basis[-1]
+        assert ring.quantum_product(top, top) == plain.quantum_product(top, top)
+        unit = ring.basis[0]
+        assert _verify(monkeypatch, capsys, ring, "giambelli") == (
+            1, f"fail: σ_{unit} does not expand to the unit class\n")
+        assert _verify(monkeypatch, capsys, plain, "giambelli") == (
+            0, f"pass, {len(plain.basis)} classes\n")
 
 
-def test_relations_without_unit_leading_coefficient_are_refused():
-    class Twice(PartialRing):
-        # x1 + x2 and 2·x1·x2 + q1 reduce, by the rule x2 → −x1, to a
-        # remainder −2·x1^2 + q1 with content 1 and leading coefficient −2
-        def relations(self):
-            x1x2 = x_var(1) * x_var(2)
-            return (x_var(1) + x_var(2), 2 * x1x2 + q_var(1))
+def test_relations_without_unit_leading_coefficient_are_refused(
+        monkeypatch, capsys):
+    # 2·x1·x2 + q1 is not in the ideal of QH*(Fl_2): x1 ∗ x2 = −q1, so it
+    # expands to −q1, and the relations suite fails
+    def twice(self):
+        x1x2 = x_var(1) * x_var(2)
+        return (x_var(1) + x_var(2), 2 * x1x2 + q_var(1))
 
-    with pytest.raises(RingError, match="leading coefficient"):
-        Twice(FlagShape.from_string("1:2"))
-    PartialRing(FlagShape.from_string("1:2"))
+    for base, arg in ((PartialRing, FlagShape.from_string("1:2")),
+                      (QuantumRing, 2)):
+        ring = type("Twice", (base,), {"relations": twice})(arg)
+        assert ring.expand_in_quantum_basis(ring.relations()[1]) == \
+            -1 * ring.expand_in_quantum_basis(q_var(1))
+        assert _verify(monkeypatch, capsys, ring, "relations") == (
+            1, "fail: relation 2 does not expand to zero\n")
+        assert _verify(monkeypatch, capsys, base(arg), "relations") == (
+            0, "pass, 2 relations\n")
 
-    class TwiceComplete(QuantumRing):
-        def relations(self):
-            x1x2 = x_var(1) * x_var(2)
-            return (x_var(1) + x_var(2), 2 * x1x2 + q_var(1))
 
-    with pytest.raises(RingError, match="leading coefficient"):
-        TwiceComplete(2)
-    QuantumRing(2)
+def test_warm_fold_checks_each_factor_once(monkeypatch):
+    fl4 = ((2, 1, 3, 4), (1, 3, 2, 4), (2, 3, 1, 4), (3, 1, 2, 4), (1, 2, 4, 3))
+    cases = [
+        (QuantumRing(4), fl4, ((2, 1, 3, 4), (1, 0, 0))),
+        (PartialRing(STEP134), ((2, 1, 3, 4), (1, 2, 4, 3), (2, 1, 4, 3),
+                                (3, 1, 4, 2), (2, 1, 3, 4)), None),
+    ]
+    for ring, ws, gw in cases:
+        calls = []
+        orig = type(ring)._check_element
+
+        def counted(self, w, _orig=orig):
+            calls.append(w)
+            return _orig(self, w)
+
+        ring.quantum_product_multi(ws)
+        if gw is not None:
+            ring.gromov_witten(ws, *gw)
+        monkeypatch.setattr(type(ring), "_check_element", counted)
+        ring.quantum_product_multi(ws)
+        assert calls == list(ws)
+        if gw is not None:
+            calls.clear()
+            assert ring.gromov_witten(ws, *gw) > 0
+            assert calls == list(ws) + [gw[0]]
+
+
+def test_quantum_ring_9_multiplies_without_listing_s9(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"S_{n} listed")
+
+    monkeypatch.setattr(perm, "all_permutations", refuse)
+    monkeypatch.setattr(qring, "all_permutations", refuse)
+    ring = QuantumRing(9)
+    tail = (6, 7, 8, 9)
+    got = ring.quantum_product((2, 1, 3, 4, 5) + tail, (3, 1, 2, 5, 4) + tail)
+    assert got.to_text() == ("σ[4,1,2,5,3,6,7,8,9] + σ[5,1,2,3,4,6,7,8,9] "
+                             "+ q1·σ[1,3,2,5,4,6,7,8,9]")
+    w = (3, 1, 4, 2, 6, 5, 7, 9, 8)
+    for r in (1, 4, 8):
+        assert as_map(ring.quantum_product(transposition(9, r), w)) == \
+            quantum_monk(r, w, 9)
+    with pytest.raises(AssertionError, match="S_9 listed"):
+        ring.basis
+    # the complete shape through PartialRing lists nothing either
+    monkeypatch.setattr(partial, "sn_elements", refuse)
+    ring = PartialRing(FlagShape.complete(9))
+    assert ring.quantum_product(w, w) == QuantumRing(9).quantum_product(w, w)
+
+
+def test_fl6_triples_associate():
+    ring = QuantumRing(6)
+    perms = all_permutations(6)
+    rng = random.Random(606)
+    for _ in range(20):
+        u, v, w = (rng.choice(perms) for _ in range(3))
+        left = ring.quantum_product_multi([u, v, w])
+        assert left == ring.quantum_product_multi([v, w, u]), (u, v, w)
+        assert left == ring.quantum_product_multi([w, u, v]), (u, v, w)
