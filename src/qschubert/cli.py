@@ -7,12 +7,20 @@ All output is deterministic; identical invocations print identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
+
+try:
+    import fcntl
+except ImportError:  # not POSIX: stores merge but do not lock
+    fcntl = None
 
 from .perm import (
     FlagShape,
@@ -122,14 +130,132 @@ def _dumps(obj) -> str:
 # ---- cache -----------------------------------------------------------------
 
 
+class _Table(NamedTuple):
+    """One table file as this process last read or wrote it."""
+
+    sig: tuple          # (st_ino, st_mtime_ns, st_size) of that file
+    entries: dict | None  # None when the file is unreadable or mismatched
+    chunks: dict        # entry key -> its serialized lines, filled on store
+
+
+# (file, kind, key) -> _Table.  Module-level because every CLI request
+# makes its own TableCache; each copy is checked against a fresh stat.
+_TABLES: dict = {}
+
+
+def _sig(st) -> tuple:
+    return (st.st_ino, st.st_mtime_ns, st.st_size)
+
+
+def _read_table(name: str, kind: str, key: str) -> _Table | None:
+    """The table in file `name`, from the in-process copy while one stat
+    still matches it; None, and the copy dropped, when the file is gone."""
+    memo_key = (name, kind, key)
+    try:
+        sig = _sig(os.stat(name))
+    except OSError:
+        _TABLES.pop(memo_key, None)
+        return None
+    old = _TABLES.get(memo_key)
+    if old is not None and old.sig == sig:
+        return old
+    entries = None
+    try:
+        with open(name, encoding="utf-8") as fh:
+            sig = _sig(os.fstat(fh.fileno()))
+            obj = json.load(fh)
+    except FileNotFoundError:
+        _TABLES.pop(memo_key, None)
+        return None
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+        obj = None
+    if (
+        isinstance(obj, dict)
+        and obj.get("version") == CACHE_VERSION
+        and obj.get("kind") == kind
+        and obj.get("key") == key
+        and isinstance(obj.get("entries"), dict)
+    ):
+        entries = obj["entries"]
+    chunks = {}
+    if entries and old is not None and old.entries:
+        # another writer merged into the file: keep the chunks of the entries
+        # it left unchanged
+        chunks = {k: c for k, c in old.chunks.items()
+                  if entries.get(k) == old.entries[k]}
+    table = _TABLES[memo_key] = _Table(sig, entries, chunks)
+    return table
+
+
+def _chunks(entries: dict) -> dict:
+    """Each entry's lines exactly as json.dump(..., indent=1) writes them two
+    levels deep, cut from one dump of all of them.  A raw newline occurs
+    only between tokens, and only the top-level items are indented by one
+    space, so a comma, a newline, one space and a quote separate them."""
+    if not entries:
+        return {}
+    # '{\n "k1": v1,\n "k2": v2\n}', with the keys in sorted order
+    items = json.dumps(entries, sort_keys=True, indent=1)[4:-2].split(',\n "')
+    return {k: '  "' + item.replace("\n", "\n ")
+            for k, item in zip(sorted(entries), items)}
+
+
+def _table_text(kind: str, key: str, chunks: dict) -> str:
+    """json.dump(header and entries, sort_keys=True, indent=1) plus a
+    newline, joined from the entries' chunks.  "entries" sorts first among
+    the header keys, so its empty placeholder is the first match."""
+    text = json.dumps(
+        {"entries": {}, "key": key, "kind": kind, "version": CACHE_VERSION},
+        sort_keys=True,
+        indent=1,
+    )
+    if chunks:
+        body = ",\n".join(chunks[k] for k in sorted(chunks))
+        text = text.replace('"entries": {}', '"entries": {\n' + body + "\n }", 1)
+    return text + "\n"
+
+
+@contextlib.contextmanager
+def _locked(path: Path):
+    """Hold an exclusive flock on the directory itself, so no lock file
+    appears beside the tables.  Without fcntl (not POSIX) nothing is
+    locked."""
+    if fcntl is None:
+        yield
+        return
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)
+
+
 class TableCache:
     """Versioned JSON cache under one directory.
 
     Files are named {kind}_{key}_v{version}.json with kind one of schubert,
     qschubert, product-table and key the rank n or the sanitized shape string.
     Entries from other versions, unreadable files, or files whose header does
-    not match are treated as absent.  Writes go through a temp file and an
-    atomic rename.
+    not match are treated as absent.
+
+    Reads are served from an in-process parsed copy of each file, valid while
+    one os.stat still gives the (st_ino, st_mtime_ns, st_size) it was read
+    or written at; a hit parses nothing, and a file that has vanished drops
+    its copy.  The entries dict that `load` returns is that shared copy:
+    callers must not mutate it.
+
+    `store` merges the given entries into the current table under an
+    exclusive fcntl.flock on the cache directory.  If the file changed since
+    it was last seen, it is read again first, so concurrent writers in other
+    processes or threads lose nothing.  The file is written through a temp
+    file and an atomic rename, byte for byte as json.dump(..., sort_keys=True,
+    indent=1) plus a newline, from a per-table memo of each entry's
+    serialized lines.
+
+    Limits: fcntl is POSIX-only, and elsewhere stores do not lock.  A
+    foreign in-place rewrite that keeps the file's size within one
+    timestamp tick is not detected.
     """
 
     def __init__(self, path=None):
@@ -143,37 +269,48 @@ class TableCache:
         return self.path / f"{kind}_{safe}_v{CACHE_VERSION}.json"
 
     def load(self, kind: str, key: str):
-        """The entries dict of a cached table, or None."""
-        fp = self.file_for(kind, key)
-        try:
-            with open(fp, encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        if (
-            not isinstance(obj, dict)
-            or obj.get("version") != CACHE_VERSION
-            or obj.get("kind") != kind
-            or obj.get("key") != str(key)
-            or not isinstance(obj.get("entries"), dict)
-        ):
-            return None
-        return obj["entries"]
+        """The entries dict of a cached table, or None.  Do not mutate it."""
+        table = _read_table(os.fspath(self.file_for(kind, key)), kind, str(key))
+        return None if table is None else table.entries
 
     def store(self, kind: str, key: str, entries: dict) -> Path:
-        obj = {
-            "version": CACHE_VERSION,
-            "kind": kind,
-            "key": str(key),
-            "entries": entries,
-        }
-        self.path.mkdir(parents=True, exist_ok=True)
+        """Merge `entries` into the cached table and return its file.
+
+        Raises CLIInputError when the cache directory cannot be used."""
+        key = str(key)
         fp = self.file_for(kind, key)
+        name = os.fspath(fp)
         tmp = fp.with_name(f"{fp.name}.{os.getpid()}.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-        os.replace(tmp, fp)
+        try:
+            self.path.mkdir(parents=True, exist_ok=True)
+            with _locked(self.path):
+                table = _read_table(name, kind, key)
+                if table is None or table.entries is None:
+                    merged, chunks = dict(entries), {}
+                else:
+                    merged = {**table.entries, **entries}
+                    chunks = dict(table.chunks)
+                chunks.update(_chunks(entries))
+                # entries read back from the file may have no chunk yet
+                missing = merged.keys() - chunks.keys()
+                if missing:
+                    chunks.update(_chunks({k: merged[k] for k in missing}))
+                try:
+                    with open(tmp, "w", encoding="utf-8") as fh:
+                        fh.write(_table_text(kind, key, chunks))
+                    os.replace(tmp, fp)
+                finally:
+                    tmp.unlink(missing_ok=True)
+                _TABLES[(name, kind, key)] = _Table(
+                    _sig(os.stat(name)), merged, chunks
+                )
+        except OSError as exc:
+            # mkdir(exist_ok=True) raises FileExistsError only for a non-directory
+            reason = ("not a directory" if isinstance(exc, FileExistsError)
+                      else exc.strerror or exc)
+            raise CLIInputError(
+                f"cache directory {self.path} is not usable: {reason}"
+            ) from None
         return fp
 
 
@@ -196,8 +333,7 @@ def cmd_schubert(args) -> int:
             poly = Polynomial.from_json_obj(cached)
         else:
             poly = quantum_schubert(w) if args.quantum else schubert_poly(w)
-            entries[key] = poly.to_json_obj()
-            cache.store(kind, str(args.n), entries)
+            cache.store(kind, str(args.n), {key: poly.to_json_obj()})
     if args.format == "json":
         print(_dumps(poly.to_json_obj()))
     else:
@@ -224,8 +360,7 @@ def _cached_product(ring, cache: TableCache, u, v) -> QuantumClass:
     if cached is not None:
         return QuantumClass.from_json_obj(cached)
     cls = ring.quantum_product(u, v)
-    entries[_pair_key(a, b)] = cls.to_json_obj()
-    cache.store("product-table", key, entries)
+    cache.store("product-table", key, {_pair_key(a, b): cls.to_json_obj()})
     return cls
 
 
@@ -585,7 +720,7 @@ def cmd_table(args) -> int:
         for v in basis[i:]:
             if _pair_key(u, v) not in entries:
                 todo.append((u, v))
-    computed = 0
+    new = {}
     if todo:
         ring_key = ring.shape.to_string() if ring.shape is not None else ring.n
         jobs = [(ring_key, u, v) for u, v in todo]
@@ -596,18 +731,19 @@ def cmd_table(args) -> int:
                 results = list(pool.map(_table_worker, jobs))
         else:
             results = [_table_worker(job) for job in jobs]
-        for pair_key, obj in results:
-            entries[pair_key] = obj
-            computed += 1
+        new.update(results)
+    computed = len(new)
     # mirror each canonical pair onto the opposite order so the table lists
     # every ordered pair explicitly
     for u in basis:
         for v in basis:
             k = _pair_key(u, v)
-            if k not in entries:
+            if k not in entries and k not in new:
                 a, b = (u, v) if u <= v else (v, u)
-                entries[k] = entries[_pair_key(a, b)]
-    path = cache.store("product-table", key, entries)
+                canonical = _pair_key(a, b)
+                new[k] = (entries if canonical in entries else new)[canonical]
+    path = cache.store("product-table", key, new)
+    total = len(entries) + len(new)
     if args.out:
         out = Path(args.out)
         if out.resolve() != path.resolve():
@@ -615,16 +751,18 @@ def cmd_table(args) -> int:
             out.write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
             path = out
     if args.format == "json":
-        print(_dumps({"path": str(path), "entries": len(entries), "computed": computed}))
+        print(_dumps({"path": str(path), "entries": total, "computed": computed}))
     else:
-        print(f"wrote {path} ({len(entries)} entries, {computed} computed)")
+        print(f"wrote {path} ({total} entries, {computed} computed)")
     return 0
 
 
 # ---- entry point -----------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qschubert",
         description="Exact Schubert calculus: classical, quantum, universal.",

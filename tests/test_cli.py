@@ -1,7 +1,12 @@
 """Command-line interface: output formats, exit codes, and caching."""
 
+import errno
 import json
+import multiprocessing
 import os
+import random
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -9,6 +14,8 @@ import pytest
 from qschubert import Polynomial, QuantumClass, quantum_product, quantum_schubert
 from qschubert import cli, poly, schubert, universal
 from qschubert.cli import main
+from qschubert.perm import all_permutations
+from qschubert.qring import quantum_ring
 
 
 @pytest.fixture()
@@ -273,6 +280,177 @@ def test_cache_stale_version_ignored(capsys, cache_dir):
     code, out, _ = run(capsys, *argv, cache=cache_dir)
     assert code == 0
     assert out == first_out
+
+
+@pytest.mark.parametrize("under_a_file", [False, True])
+def test_unusable_cache_dir_is_a_one_line_input_error(capsys, tmp_path, under_a_file):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    cache = blocker / "cache" if under_a_file else blocker
+    for argv in (("product", "--n", "3", "--u", "2,1,3", "--v", "2,1,3"),
+                 ("schubert", "--n", "3", "--w", "2,1,3", "--quantum"),
+                 ("table", "--n", "2")):
+        code, out, err = run(capsys, *argv, cache=cache)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: cache directory {cache} is not usable: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_store_removes_its_temp_file_when_the_rename_fails(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError(errno.EIO, "injected rename failure")
+
+    monkeypatch.setattr(cli.os, "replace", fail)
+    cache = cli.TableCache(tmp_path)
+    entry = {"2,1,3": schubert.schubert_poly((2, 1, 3)).to_json_obj()}
+    with pytest.raises(cli.CLIInputError, match="injected rename failure"):
+        cache.store("schubert", "3", entry)
+    assert list(tmp_path.glob("*.tmp")) == []
+    assert cache.load("schubert", "3") is None
+
+
+def _reference_bytes(kind, key, entries):
+    obj = {"version": cli.CACHE_VERSION, "kind": kind, "key": key,
+           "entries": entries}
+    return (json.dumps(obj, sort_keys=True, indent=1) + "\n").encode("utf-8")
+
+
+def test_store_writes_the_bytes_of_one_json_dump(tmp_path, monkeypatch):
+    ring = quantum_ring(4)
+    fl4 = {cli._pair_key(u, v): ring.quantum_product(u, v).to_json_obj()
+           for u in ring.basis for v in ring.basis}
+    q5 = {cli._perm_key(w): quantum_schubert(w).to_json_obj()
+          for w in all_permutations(5)}
+    one = {"2,1;2,1": quantum_ring(2).quantum_product((2, 1), (2, 1)).to_json_obj()}
+    rng = random.Random(5)
+    for kind, key, entries in (("product-table", "3", {}),
+                               ("product-table", "2", one),
+                               ("product-table", "4", fl4),
+                               ("qschubert", "5", q5)):
+        cache = cli.TableCache(tmp_path / f"{kind}-{key}")
+        keys = list(entries)
+        rng.shuffle(keys)
+        # three merges; before the last, forget the in-process copy, so it is
+        # read back from the file without its memoized chunks
+        cuts = [0, len(keys) // 3, 2 * len(keys) // 3, len(keys)]
+        for i in range(3):
+            if i == 2:
+                monkeypatch.setattr(cli, "_TABLES", {})
+            batch = {k: entries[k] for k in keys[cuts[i]:cuts[i + 1]]}
+            path = cache.store(kind, key, batch)
+            so_far = {k: entries[k] for k in keys[:cuts[i + 1]]}
+            assert path.read_bytes() == _reference_bytes(kind, key, so_far)
+        assert cache.load(kind, key) == entries
+
+
+def test_warm_hit_parses_nothing(capsys, cache_dir, monkeypatch):
+    argv = ("product", "--n", "3", "--u", "3,1,2", "--v", "2,3,1")
+    _, first_out, _ = run(capsys, *argv, cache=cache_dir)
+    # a cold process parses the file once, on its first load
+    monkeypatch.setattr(cli, "_TABLES", {})
+    assert run(capsys, *argv, cache=cache_dir)[:2] == (0, first_out)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm hit must not parse the table file")
+
+    monkeypatch.setattr(cli.json, "load", refuse)
+    for _ in range(2):
+        code, out, err = run(capsys, *argv, cache=cache_dir)
+        assert (code, out, err) == (0, first_out, "")
+
+
+def test_foreign_replace_and_unlink_are_seen_on_next_load(tmp_path):
+    cache = cli.TableCache(tmp_path)
+    value = schubert.schubert_poly((2, 1, 3)).to_json_obj()
+    fp = cache.store("schubert", "3", {"2,1,3": value})
+    assert cache.load("schubert", "3") == {"2,1,3": value}
+    # same size and mtime, another inode: only st_ino tells the files apart
+    st = os.stat(fp)
+    foreign = tmp_path / "written-elsewhere"
+    text = fp.read_text(encoding="utf-8")
+    foreign.write_text(text.replace('"2,1,3"', '"1,3,2"'), encoding="utf-8")
+    os.utime(foreign, ns=(st.st_atime_ns, st.st_mtime_ns))
+    os.replace(foreign, fp)
+    assert cache.load("schubert", "3") == {"1,3,2": value}
+    fp.unlink()
+    assert cache.load("schubert", "3") is None
+
+
+class _LockstepCache(cli.TableCache):
+    """Stores only once every writer has loaded the table and computed its
+    entry, so a whole-file load, modify and store loses an update a round."""
+
+    def __init__(self, path, barrier):
+        super().__init__(path)
+        self.barrier = barrier
+
+    def store(self, kind, key, entries):
+        self.barrier.wait(timeout=60)
+        return super().store(kind, key, entries)
+
+
+def _fl4_pairs():
+    basis = sorted(quantum_ring(4).basis)
+    return [(u, v) for i, u in enumerate(basis) for v in basis[i:]]
+
+
+def _write_products(path, barrier, pairs):
+    ring = quantum_ring(4)
+    cache = _LockstepCache(path, barrier)
+    for u, v in pairs:
+        cli._cached_product(ring, cache, u, v)
+
+
+def _assert_full_fl4_table(path):
+    ring = quantum_ring(4)
+    want = {cli._pair_key(u, v): ring.quantum_product(u, v).to_json_obj()
+            for u, v in _fl4_pairs()}
+    assert len(want) == 300
+    data = (path / "product-table_4_v1.json").read_bytes()
+    assert len(json.loads(data)["entries"]) == 300
+    assert data == _reference_bytes("product-table", "4", want)
+    assert list(path.glob("*.tmp")) == []
+
+
+def test_concurrent_writer_processes_keep_every_entry(tmp_path):
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(2)
+    pairs = _fl4_pairs()
+    procs = [ctx.Process(target=_write_products, args=(tmp_path, barrier, pairs[i::2]))
+             for i in range(2)]
+    for p in procs:
+        p.start()
+    for p in procs:
+        p.join(timeout=120)
+    assert not any(p.is_alive() for p in procs)
+    assert [p.exitcode for p in procs] == [0, 0]
+    _assert_full_fl4_table(tmp_path)
+
+
+def test_concurrent_writer_threads_keep_every_entry(tmp_path):
+    barrier = threading.Barrier(2)
+    pairs = _fl4_pairs()
+    errors = []
+
+    def work(i):
+        try:
+            _write_products(tmp_path, barrier, pairs[i::2])
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    _assert_full_fl4_table(tmp_path)
 
 
 def test_table_n2_contents_and_idempotence(capsys, cache_dir):
