@@ -14,8 +14,11 @@ g/c/sigma variables compare by (kind, indices).  The order is total and
 multiplicative, which makes text/JSON output and echelon pivoting
 deterministic.
 
-A monomial is a tuple of (variable, exponent) pairs sorted by variable;
-a polynomial holds a dict monomial → nonzero coefficient.  Coefficients are
+A monomial is a tuple of (variable, exponent) pairs, sorted by the variable
+order above, each variable at most once and every exponent positive; the
+constant monomial is ().  Every constructor keeps this invariant, and
+`mon_mul` relies on it: it merges two such tuples in one pass.
+A polynomial holds a dict monomial → nonzero coefficient.  Coefficients are
 Python ints (exact rationals may appear transiently inside solvers; anything
 with denominator 1 is normalized back to int).
 """
@@ -79,19 +82,66 @@ def _var_key(v: Variable):
     return (_KIND_ORDER[v[0]],) + v[1:]
 
 
+# variable → _var_key(variable), filled on first use; every key is a
+# nonempty tuple, so a miss is the only falsy lookup
+_VAR_KEYS = {}
+
+
+def _cached_key(v: Variable):
+    key = _VAR_KEYS[v] = _var_key(v)
+    return key
+
+
 def mon_grade(mon: Monomial, q_grades=None) -> int:
     return sum(e * var_grade(v, q_grades) for v, e in mon)
 
 
 def mon_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    """The product monomial: one merge of the two sorted factor lists."""
     if not m1:
         return m2
     if not m2:
         return m1
-    factors = dict(m1)
-    for v, e in m2:
-        factors[v] = factors.get(v, 0) + e
-    return tuple(sorted(factors.items(), key=lambda ve: _var_key(ve[0])))
+    keys = _VAR_KEYS
+    n1 = len(m1)
+    n2 = len(m2)
+    i = j = 0
+    a = m1[0]
+    b = m2[0]
+    ka = keys.get(a[0]) or _cached_key(a[0])
+    kb = keys.get(b[0]) or _cached_key(b[0])
+    out = []
+    while True:
+        if ka < kb:
+            out.append(a)
+            i += 1
+            if i == n1:
+                out.extend(m2[j:])
+                return tuple(out)
+            a = m1[i]
+            ka = keys.get(a[0]) or _cached_key(a[0])
+        elif kb < ka:
+            out.append(b)
+            j += 1
+            if j == n2:
+                out.extend(m1[i:])
+                return tuple(out)
+            b = m2[j]
+            kb = keys.get(b[0]) or _cached_key(b[0])
+        else:
+            out.append((a[0], a[1] + b[1]))
+            i += 1
+            j += 1
+            if i == n1:
+                out.extend(m2[j:])
+                return tuple(out)
+            if j == n2:
+                out.extend(m1[i:])
+                return tuple(out)
+            a = m1[i]
+            b = m2[j]
+            ka = keys.get(a[0]) or _cached_key(a[0])
+            kb = keys.get(b[0]) or _cached_key(b[0])
 
 
 def mon_sort_key(mon: Monomial):
@@ -255,8 +305,11 @@ class Polynomial:
                     out[mon] = s
                 else:
                     del out[mon]
+        for mon, c in out.items():
+            if c.__class__ is not int:
+                out[mon] = _coerce_coeff(c)
         res = Polynomial.__new__(Polynomial)
-        res._terms = {m: _coerce_coeff(c) for m, c in out.items()}
+        res._terms = out
         return res
 
     __rmul__ = __mul__
@@ -387,13 +440,25 @@ class Polynomial:
 
     @classmethod
     def from_json_obj(cls, obj) -> "Polynomial":
+        """Inverse of `to_json_obj`.  Factors may come in any order; a
+        repeated variable has its exponents added and an exponent 0 is
+        dropped, so the monomials are canonical.  A negative exponent raises
+        ValueError."""
         terms = {}
         for entry in obj:
+            factors = {}
+            for f in entry["monomial"]:
+                v = (f["kind"],) + tuple(int(i) for i in f["indices"])
+                e = int(f["exp"])
+                if e < 0:
+                    raise ValueError(f"negative exponent {e} of {render_var(v)}")
+                factors[v] = factors.get(v, 0) + e
             mon = tuple(
-                ((f["kind"],) + tuple(int(i) for i in f["indices"]), int(f["exp"]))
-                for f in entry["monomial"]
+                sorted(
+                    ((v, e) for v, e in factors.items() if e),
+                    key=lambda ve: _var_key(ve[0]),
+                )
             )
-            mon = tuple(sorted(mon, key=lambda ve: _var_key(ve[0])))
             terms[mon] = terms.get(mon, 0) + int(entry["coeff"])
         return cls(terms)
 
@@ -499,30 +564,34 @@ class LinearSolution(tuple):
 class EchelonSystem:
     """Fraction-free integer row echelon with transformation tracking.
 
-    Rows live in the free module over the monomials appearing in the
-    generators, augmented with bookkeeping columns ("#", j) recording the
-    combination of input generators each row equals.  The augmented columns
-    participate in content stripping, which keeps every entry an integer.
-    Reduction of a target returns exact rational coefficients.  Neither
-    `reduce` nor `solve` mutates the system, so threads may share one.
+    The M distinct monomials of the generators are ranked once, at build, in
+    decreasing monomial order, and rows are dicts keyed by rank: a row's
+    leading monomial is its smallest key.  Keys M + j are bookkeeping columns
+    recording the combination of input generators each row equals, so a
+    smallest key ≥ M means the polynomial part has vanished.  The bookkeeping
+    columns participate in content stripping, which keeps every entry an
+    integer.  Reduction of a target returns exact rational coefficients.
+    Neither `reduce` nor `solve` mutates the system, so threads may share one.
     """
 
     def __init__(self, generators):
         self.num_generators = len(generators)
         self.pivots = {}
         self.dependent_indices = []
-        # every monomial a pivot row holds comes from a generator, so each
-        # sort key is computed once here rather than at every elimination step
-        self._keys = keys = {}
-        for j, gen in enumerate(generators):
-            row = {}
-            for mon, coeff in gen._terms.items():
+        mons = set()
+        for gen in generators:
+            for coeff in gen._terms.values():
                 if coeff.__class__ is not int:
                     raise ValueError("generators must have integer coefficients")
-                row[mon] = coeff
-                if mon not in keys:
-                    keys[mon] = mon_sort_key(mon)
-            row[("#", j)] = 1
+            mons.update(gen._terms)
+        # rank → monomial and monomial → rank; a pivot only ever holds
+        # generator monomials, so these are all the sort keys elimination needs
+        self._monomials = sorted(mons, key=mon_sort_key)
+        self._rank = rank = {mon: r for r, mon in enumerate(self._monomials)}
+        width = len(rank)
+        for j, gen in enumerate(generators):
+            row = {rank[mon]: coeff for mon, coeff in gen._terms.items()}
+            row[width + j] = 1
             lead = self._eliminate(row)
             if lead is None:
                 self.dependent_indices.append(j)
@@ -532,24 +601,6 @@ class EchelonSystem:
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    def _leading(self, row):
-        """Largest surviving monomial (augmented keys start with a string tag
-        and are skipped; the empty monomial is a valid constant column).
-        A target monomial outside the generators gets its key computed here
-        and not stored, so reduction leaves the system untouched."""
-        keys = self._keys
-        lead = None
-        lead_key = None
-        for k in row:
-            if k and k[0].__class__ is str:
-                continue
-            key = keys.get(k)
-            if key is None:
-                key = mon_sort_key(k)
-            if lead_key is None or key < lead_key:
-                lead, lead_key = k, key
-        return lead
 
     @staticmethod
     def _strip_content(row, sign_key=None):
@@ -565,26 +616,28 @@ class EchelonSystem:
                 row[k] //= content
 
     def _eliminate(self, row):
-        """Reduce `row` against the current pivots; return its pivot monomial
-        or None when the polynomial part vanishes."""
+        """Reduce `row` against the current pivots; return its pivot rank or
+        None when the polynomial part vanishes."""
+        width = len(self._monomials)
+        pivots = self.pivots
         while True:
-            lead = self._leading(row)
-            if lead is None:
+            lead = min(row)
+            if lead >= width:
                 return None
-            pivot = self.pivots.get(lead)
+            pivot = pivots.get(lead)
             if pivot is None:
                 return lead
             a = row[lead]
             b = pivot[lead]
             if b != 1:
-                for k in list(row):
+                for k in row:
                     row[k] *= b
             for k, v in pivot.items():
                 s = row.get(k, 0) - a * v
                 if s:
                     row[k] = s
                 else:
-                    row.pop(k, None)
+                    del row[k]
             self._strip_content(row)
 
     def _install(self, lead, row):
@@ -597,36 +650,47 @@ class EchelonSystem:
         Returns (coeffs, leftover): coeffs is a dict generator-index →
         Fraction with target = Σ coeffs[j]·gen_j + leftover, where leftover is
         the part of target whose leading monomials have no pivot (zero
-        polynomial when target is in the span).
+        polynomial when target is in the span).  A target monomial that no
+        generator holds can meet no pivot, so it goes to the leftover at once;
+        it is scaled with the row and shares its content.
         """
+        rank = self._rank
+        mons = self._monomials
+        width = len(mons)
         row = {}
+        leftover_terms = {}
         for mon, coeff in target._terms.items():
             if coeff.__class__ is not int:
                 raise ValueError("target must have integer coefficients")
-            row[mon] = coeff
-        row[("T",)] = 1
-        leftover_terms = {}
+            r = rank.get(mon)
+            if r is None:
+                leftover_terms[mon] = coeff
+            else:
+                row[r] = coeff
+        t_key = width + self.num_generators
+        row[t_key] = 1
+        pivots = self.pivots
         while True:
-            lead = self._leading(row)
-            if lead is None:
+            lead = min(row)
+            if lead >= width:
                 break
-            pivot = self.pivots.get(lead)
+            pivot = pivots.get(lead)
             if pivot is None:
-                leftover_terms[lead] = row.pop(lead)
+                leftover_terms[mons[lead]] = row.pop(lead)
                 continue
             a = row[lead]
             b = pivot[lead]
             if b != 1:
-                for k in list(row):
+                for k in row:
                     row[k] *= b
-                for k in list(leftover_terms):
+                for k in leftover_terms:
                     leftover_terms[k] *= b
             for k, v in pivot.items():
                 s = row.get(k, 0) - a * v
                 if s:
                     row[k] = s
                 else:
-                    row.pop(k, None)
+                    del row[k]
             content = 0
             for v in row.values():
                 content = gcd(content, v)
@@ -642,13 +706,12 @@ class EchelonSystem:
                     row[k] //= content
                 for k in leftover_terms:
                     leftover_terms[k] //= content
-        t = row.pop(("T",))
+        t = row.pop(t_key)
         coeffs = {}
         for k, v in row.items():
-            j = k[1]
             value = Fraction(-v, t)
             if value:
-                coeffs[j] = value
+                coeffs[k - width] = value
         leftover = Polynomial(
             {mon: Fraction(c, t) for mon, c in leftover_terms.items()}
         )

@@ -11,6 +11,12 @@ The e-monomials of one grade depend only on (n, grade), so one echelon system
 over them serves every 𝔖_w of that length: it is built once and kept for the
 most recent (n, grade) only.  Basis lifts run grade by grade, so they reuse
 it; interleaved grades rebuild it at each change of grade.
+
+Every lift replaces each e_k(p) by an image factor(k, p) and sums
+Σ a_K·factor(k_1, 1)⋯factor(k_{n−1}, n−1).  `e_fold` evaluates that sum by
+Horner's rule over the sequences grouped by their last entries, so each
+factor(k, p) multiplies, once, the sum of all the terms that share it; the
+recombination check of `e_decomposition` is the same fold with factor e_k(p).
 """
 from __future__ import annotations
 
@@ -27,6 +33,7 @@ __all__ = [
     "elementary_poly",
     "e_decomposition",
     "EDecomposition",
+    "e_fold",
 ]
 
 
@@ -107,13 +114,44 @@ def elementary_poly(k: int, l: int) -> Polynomial:
     return Polynomial(terms)
 
 
-def _e_monomial(seq: tuple) -> Polynomial:
-    """e_{k_1}(1)⋯e_{k_{n−1}}(n−1) for seq = (k_1,…,k_{n−1})."""
-    prod = Polynomial.constant(1)
-    for p, k in enumerate(seq, start=1):
+def e_fold(coeffs: dict, factor) -> Polynomial:
+    """Σ a_K·factor(k_1, 1)⋯factor(k_L, L) over coeffs = {K: a_K}, all
+    sequences K of one length L; a factor with k_p = 0 is 1.
+
+    Horner's rule over the trie of the sequences read from the end: the
+    sequences are grouped by their last entry k, each group's sum over
+    shorter prefixes is folded first, and then multiplied once by
+    factor(k, L).  Each factor(k, p) thus multiplies the sum of everything
+    that shares it, not each sequence on its own.
+
+    >>> e_fold({(1, 0): 1, (0, 1): -1}, elementary_poly).to_text()
+    '−x2'
+    """
+    items = list(coeffs.items())
+    if not items:
+        return Polynomial.zero()
+    return _fold(items, len(items[0][0]), factor)
+
+
+def _fold(items: list, p: int, factor) -> Polynomial:
+    """e_fold over (K, a_K) pairs that agree past position p."""
+    if p == 0:
+        return Polynomial.constant(sum(a for _, a in items))
+    groups = {}
+    for item in items:
+        groups.setdefault(item[0][p - 1], []).append(item)
+    acc = {}
+    for k, group in groups.items():
+        part = _fold(group, p - 1, factor)
         if k:
-            prod = prod * elementary_poly(k, p)
-    return prod
+            part = part * factor(k, p)
+        for mon, c in part._terms.items():
+            s = acc.get(mon, 0) + c
+            if s:
+                acc[mon] = s
+            else:
+                del acc[mon]
+    return Polynomial(acc)
 
 
 def _e_sequences(n: int, m: int) -> list:
@@ -135,9 +173,23 @@ def _e_sequences(n: int, m: int) -> list:
 @lru_cache(maxsize=1)
 def _e_system(n: int, m: int) -> tuple:
     """The sequences K of grade m for S_n and one EchelonSystem over their
-    e-monomials, in the same order.  Only the most recent (n, m) is kept."""
+    e-monomials, in the same order.  Only the most recent (n, m) is kept.
+
+    The e-monomials are built along the prefixes of the sequences, so each
+    product e_{k_1}(1)⋯e_{k_p}(p) is formed once for all sequences that
+    share it."""
     seqs = _e_sequences(n, m)
-    return seqs, EchelonSystem([_e_monomial(seq) for seq in seqs])
+    prods = {(): Polynomial.constant(1)}
+    for p in range(1, n):
+        longer = {}
+        for seq in seqs:
+            head = seq[:p]
+            if head not in longer:
+                prod = prods[seq[:p - 1]]
+                k = seq[p - 1]
+                longer[head] = prod * elementary_poly(k, p) if k else prod
+        prods = longer
+    return seqs, EchelonSystem([prods[seq] for seq in seqs])
 
 
 @dataclass(frozen=True)
@@ -149,10 +201,7 @@ class EDecomposition:
     coeffs: dict
 
     def recombine(self) -> Polynomial:
-        out = Polynomial.zero()
-        for seq, a in sorted(self.coeffs.items()):
-            out = out + a * _e_monomial(seq)
-        return out
+        return e_fold(self.coeffs, elementary_poly)
 
     def to_text_lines(self) -> list[str]:
         lines = []

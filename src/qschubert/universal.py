@@ -10,6 +10,13 @@ polynomial 𝔖_w(g), which specializes to the quantum polynomial 𝔖_w(x,q) vi
 g_i[0] ↦ x_i, g_i[1] ↦ q_i, g_i[j≥2] ↦ 0 and further to the classical 𝔖_w(x)
 at q = 0.
 
+Every lift — 𝔖_w(c), 𝔖_w(g), 𝔖_w(x,q) and the partial lifts — is one
+`schubert.e_fold` of the decomposition Σ a_K·e_{k_1}(1)⋯e_{k_{n−1}}(n−1) with
+e_k(p) replaced by its image: c_k(p), E_k(p), e^q_k(p) or, for a partial
+shape, the image of the column p rounds down to.  𝔖_w(g) is folded
+directly with E_k(l) rather than substituted into 𝔖_w(c); the two agree
+because distinct sequences K give distinct c-monomials.
+
 Primary implementation is the direct cover enumeration; the one-step recursion
 and the characteristic-polynomial (determinant) characterization are provided
 as independent oracles and cross-checked in the test suite.
@@ -28,7 +35,7 @@ from .poly import (
     q_var,
     x_var,
 )
-from .schubert import e_decomposition
+from .schubert import e_decomposition, e_fold
 
 __all__ = [
     "PathAlphabet",
@@ -197,14 +204,7 @@ def _e_specialization(w: Perm, factor) -> Polynomial:
 
     Every lift of σ_w is one choice of factor(k, p), the image of e_k(p).
     """
-    out = Polynomial.zero()
-    for seq, a in sorted(e_decomposition(w).coeffs.items()):
-        prod = Polynomial.constant(a)
-        for p, k in enumerate(seq, start=1):
-            if k:
-                prod = prod * factor(k, p)
-        out = out + prod
-    return out
+    return e_fold(e_decomposition(w).coeffs, factor)
 
 
 @lru_cache(maxsize=None)
@@ -215,10 +215,9 @@ def universal_schubert_c(w: Perm) -> Polynomial:
 
 @lru_cache(maxsize=None)
 def universal_schubert_g(w: Perm) -> Polynomial:
-    """𝔖_w(g): substitute c_k(l) := E_k(l) into 𝔖_w(c)."""
-    p = universal_schubert_c(w)
-    asg = {v: path_poly(v[1], v[2]) for v in p.variables() if v[0] == "c"}
-    return p.substitute(asg)
+    """𝔖_w(g) = Σ a_K·E_{k_1}(1)⋯E_{k_{n−1}}(n−1), which is 𝔖_w(c) with
+    c_k(l) := E_k(l)."""
+    return _e_specialization(w, path_poly)
 
 
 def specialize_quantum(p: Polynomial) -> Polynomial:

@@ -128,7 +128,7 @@ def _two_stage_lifts(w, shape):
 
 
 @pytest.mark.parametrize("shape", [
-    "2:4", "2:6", "3:6", "1:3:4", "1:3:5", "2:4:6", "1:2:3:4", "1:2:3:4:5",
+    "2:4", "2:6", "3:6", "1:3:4", "1:3:5", "2:4:6", "1:2:3:4", "1:2:3:4:5", "2:7",
 ])
 def test_partial_lifts_match_the_two_stage_substitution(shape):
     shape = FlagShape.from_string(shape)

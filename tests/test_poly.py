@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qschubert import poly
+
 from qschubert import (
     EchelonSystem,
     NonIntegralError,
@@ -172,6 +174,74 @@ def test_json_of_constant():
     assert Polynomial.from_json_obj(obj) == Polynomial.constant(5)
 
 
+def _term(coeff, *factors):
+    return {
+        "coeff": str(coeff),
+        "monomial": [
+            {"kind": kind, "indices": list(indices), "exp": e}
+            for kind, indices, e in factors
+        ],
+    }
+
+
+def test_json_repeated_variable_is_merged():
+    obj = [_term(2, ("x", [1], 1), ("q", [1], 1), ("x", [1], 1))]
+    p = Polynomial.from_json_obj(obj)
+    assert p == 2 * X1 * X1 * Q1
+    assert p.to_text() == "2·x1^2·q1"
+    assert Polynomial.from_json_obj(p.to_json_obj()) == p
+
+
+def test_json_zero_exponent_is_dropped():
+    p = Polynomial.from_json_obj([_term(3, ("x", [1], 0))])
+    assert p == 3
+    assert p.to_text() == "3"
+    p = Polynomial.from_json_obj(
+        [_term(1, ("x", [2], 1), ("x", [1], 0)), _term(-1, ("x", [2], 1))]
+    )
+    assert p.is_zero()
+
+
+def test_json_negative_exponent_is_refused():
+    with pytest.raises(ValueError, match="negative exponent"):
+        Polynomial.from_json_obj([_term(1, ("x", [1], -1))])
+    with pytest.raises(ValueError, match="negative exponent"):
+        Polynomial.from_json_obj([_term(1, ("x", [1], 2), ("x", [1], -1))])
+
+
+def _canonical_monomials():
+    """Sorted monomials over all five kinds, each variable once with a
+    positive exponent; the kind order x < q < g < c < sigma is not the
+    alphabetical one."""
+    var = st.one_of(
+        st.tuples(st.just("x"), st.integers(1, 4)),
+        st.tuples(st.just("q"), st.integers(1, 4)),
+        st.tuples(st.just("g"), st.integers(1, 3), st.integers(0, 2)),
+        st.tuples(st.just("c"), st.integers(1, 3), st.integers(1, 3)),
+        st.tuples(st.just("sigma"), st.integers(1, 3), st.integers(1, 3)),
+    )
+    return st.dictionaries(var, st.integers(1, 3), max_size=6).map(
+        lambda factors: tuple(
+            sorted(factors.items(), key=lambda ve: poly._var_key(ve[0]))
+        )
+    )
+
+
+def _reference_mon_mul(m1, m2):
+    factors = dict(m1)
+    for v, e in m2:
+        factors[v] = factors.get(v, 0) + e
+    return tuple(sorted(factors.items(), key=lambda ve: poly._var_key(ve[0])))
+
+
+@settings(max_examples=300)
+@given(_canonical_monomials(), _canonical_monomials())
+def test_mon_mul_matches_dict_and_sort(m1, m2):
+    got = poly.mon_mul(m1, m2)
+    assert got == _reference_mon_mul(m1, m2)
+    assert got == poly.mon_mul(m2, m1)
+
+
 def test_fraction_coefficients_supported_in_arithmetic():
     p = Fraction(1, 2) * X1
     assert p + p == X1
@@ -239,12 +309,12 @@ def test_echelon_solve_checks_span_and_integrality():
 def test_echelon_solve_leaves_the_system_unchanged():
     system = EchelonSystem([X1 * X1, X1 * X2])
     pivots = {lead: dict(row) for lead, row in system.pivots.items()}
-    keys = dict(system._keys)
+    ranks = dict(system._rank)
     system.solve(3 * X1 * X2)
     with pytest.raises(NoSolutionError):
         system.solve(X1 * X1 + X3 * X3)
     assert system.pivots == pivots
-    assert system._keys == keys
+    assert system._rank == ranks
 
 
 def test_echelon_reduce_splits_target():
@@ -256,6 +326,27 @@ def test_echelon_reduce_splits_target():
     for j, c in coeffs.items():
         rebuilt = rebuilt + c * gens[j]
     assert rebuilt == X1 * X1 + X2 * X2
+
+
+def test_echelon_reduce_sends_monomials_outside_the_generators_to_leftover():
+    # the generators hold x1² > x1·x2 > x2²; x1·x3 ranks between the last
+    # two, x2·x3 below them all.  The lead coefficient 2 makes reduce scale
+    # the row, and the leftover with it.
+    gens = [2 * X1 * X1 + X2 * X2, X1 * X2 - X2 * X2]
+    system = EchelonSystem(gens)
+    target = 3 * X1 * X1 + 5 * X1 * X3 - 2 * X1 * X2 + 7 * X2 * X3 + X2 * X2
+    coeffs, leftover = system.reduce(target)
+    rebuilt = leftover
+    for j, c in coeffs.items():
+        rebuilt = rebuilt + c * gens[j]
+    assert rebuilt == target
+    assert coeffs == {0: Fraction(3, 2), 1: -2}
+    pivot_monomials = {system._monomials[lead] for lead in system.pivots}
+    assert pivot_monomials == {(X1 * X1).terms()[0][0], (X1 * X2).terms()[0][0]}
+    assert not pivot_monomials & {mon for mon, _ in leftover.terms()}
+    assert leftover == 5 * X1 * X3 - Fraction(5, 2) * X2 * X2 + 7 * X2 * X3
+    with pytest.raises(NoSolutionError):
+        system.solve(target)
 
 
 def test_echelon_rejects_fractional_generators():

@@ -136,6 +136,39 @@ def test_e_decomposition_recombines_exactly():
         assert e_decomposition(w).recombine() == schubert_poly(w)
 
 
+def test_e_fold_is_the_plain_sum_of_products():
+    for w in all_permutations(5):
+        coeffs = e_decomposition(w).coeffs
+        plain = Polynomial.zero()
+        for seq, a in coeffs.items():
+            term = Polynomial.constant(a)
+            for p, k in enumerate(seq, start=1):
+                term = term * elementary_poly(k, p)
+            plain = plain + term
+        assert schubert.e_fold(coeffs, elementary_poly) == plain, w
+        assert plain == schubert_poly(w)
+
+
+def test_e_fold_edge_cases():
+    assert schubert.e_fold({}, elementary_poly).is_zero()
+    assert schubert.e_fold({(): 3}, elementary_poly) == Polynomial.constant(3)
+    # a factor is looked up only for k_p ≠ 0, once per distinct (k_p, p) and
+    # shared suffix
+    calls = []
+
+    def factor(k, p):
+        calls.append((k, p))
+        return elementary_poly(k, p)
+
+    coeffs = {(1, 0, 2): 2, (0, 1, 2): -1, (1, 1, 1): 5}
+    assert schubert.e_fold(coeffs, factor) == (
+        2 * X1 * elementary_poly(2, 3)
+        - elementary_poly(1, 2) * elementary_poly(2, 3)
+        + 5 * X1 * elementary_poly(1, 2) * elementary_poly(1, 3)
+    )
+    assert sorted(calls) == [(1, 1), (1, 1), (1, 2), (1, 2), (1, 3), (2, 3)]
+
+
 def test_e_sequences_match_the_filter_of_all_tuples():
     for n in range(1, 8):
         tuples = list(product(*(range(p + 1) for p in range(1, n))))

@@ -105,6 +105,16 @@ def test_universal_schubert_g_examples():
     assert universal_schubert_g((3, 1, 2)) == g_var(1, 0) * g_var(1, 0) - g_var(1, 1)
 
 
+def test_universal_schubert_g_is_the_substitution_into_the_c_polynomial():
+    # the fold with factor E_k(l) against c_k(l) := E_k(l) substituted into
+    # 𝔖_w(c), the construction it replaced
+    for n in (4, 5):
+        for w in all_permutations(n):
+            p = universal_schubert_c(w)
+            asg = {v: path_poly(v[1], v[2]) for v in p.variables() if v[0] == "c"}
+            assert universal_schubert_g(w) == p.substitute(asg), w
+
+
 def test_universal_schubert_homogeneous():
     for w in all_permutations(4):
         if length(w) == 0:
