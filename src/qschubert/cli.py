@@ -13,7 +13,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -125,6 +124,12 @@ def _perm_key(w) -> str:
 
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True)
+
+
+def _os_reason(exc: OSError) -> str:
+    # mkdir(exist_ok=True) raises FileExistsError only for a non-directory
+    return ("not a directory" if isinstance(exc, FileExistsError)
+            else exc.strerror or str(exc))
 
 
 # ---- cache -----------------------------------------------------------------
@@ -305,11 +310,8 @@ class TableCache:
                     _sig(os.stat(name)), merged, chunks
                 )
         except OSError as exc:
-            # mkdir(exist_ok=True) raises FileExistsError only for a non-directory
-            reason = ("not a directory" if isinstance(exc, FileExistsError)
-                      else exc.strerror or exc)
             raise CLIInputError(
-                f"cache directory {self.path} is not usable: {reason}"
+                f"cache directory {self.path} is not usable: {_os_reason(exc)}"
             ) from None
         return fp
 
@@ -696,42 +698,19 @@ def cmd_verify(args) -> int:
 # ---- table -----------------------------------------------------------------
 
 
-def _table_worker(job):
-    """Compute one product in a worker process; `quantum_ring` and
-    `partial_ring` keep one ring per process."""
-    ring_key, u, v = job
-    if isinstance(ring_key, int):
-        ring = quantum_ring(ring_key)
-    else:
-        ring = partial_ring(FlagShape.from_string(ring_key))
-    return _pair_key(u, v), ring.quantum_product(u, v).to_json_obj()
-
-
 def cmd_table(args) -> int:
-    if args.jobs < 1:
-        raise CLIInputError(f"--jobs must be at least 1: {args.jobs}")
     ring = _ring_from_args(args, max_n=args.max_n)
     cache = TableCache(args.cache_dir)
     key = _product_cache_key(ring)
     entries = cache.load("product-table", key) or {}
     basis = list(ring.basis)
-    todo = []
+    # one process: every product of this n shares the ring's transition memo
+    new = {}
     for i, u in enumerate(basis):
         for v in basis[i:]:
-            if _pair_key(u, v) not in entries:
-                todo.append((u, v))
-    new = {}
-    if todo:
-        ring_key = ring.shape.to_string() if ring.shape is not None else ring.n
-        jobs = [(ring_key, u, v) for u, v in todo]
-        # the pool starts all of its workers at once, so size it to the work
-        workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_table_worker, jobs))
-        else:
-            results = [_table_worker(job) for job in jobs]
-        new.update(results)
+            k = _pair_key(u, v)
+            if k not in entries:
+                new[k] = ring.quantum_product(u, v).to_json_obj()
     computed = len(new)
     # mirror each canonical pair onto the opposite order so the table lists
     # every ordered pair explicitly
@@ -747,8 +726,12 @@ def cmd_table(args) -> int:
     if args.out:
         out = Path(args.out)
         if out.resolve() != path.resolve():
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+            text = path.read_text(encoding="utf-8")
+            try:
+                out.parent.mkdir(parents=True, exist_ok=True)
+                out.write_text(text, encoding="utf-8")
+            except OSError as exc:
+                raise CLIInputError(f"cannot write {out}: {_os_reason(exc)}") from None
             path = out
     if args.format == "json":
         print(_dumps({"path": str(path), "entries": total, "computed": computed}))
@@ -819,7 +802,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--shape")
     p.add_argument("--out", help="copy the table to this path")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--max-n", type=int, default=5)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_table)

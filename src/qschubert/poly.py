@@ -603,21 +603,36 @@ class EchelonSystem:
         return len(self.pivots)
 
     @staticmethod
-    def _strip_content(row, sign_key=None):
+    def _strip_content(row, sign_key=None, leftover=None):
+        """Divide `row`, and the `leftover` that shares its scale, by their
+        common content; with `sign_key`, also make row[sign_key] positive."""
         content = 0
         for v in row.values():
             content = gcd(content, v)
             if content == 1:
                 break
+        if content > 1 and leftover:
+            for v in leftover.values():
+                content = gcd(content, v)
+                if content == 1:
+                    break
         if sign_key is not None and row.get(sign_key, 1) < 0:
             content = -content
         if content not in (0, 1):
             for k in row:
                 row[k] //= content
+            if leftover:
+                for k in leftover:
+                    leftover[k] //= content
 
-    def _eliminate(self, row):
+    def _eliminate(self, row, leftover=None):
         """Reduce `row` against the current pivots; return its pivot rank or
-        None when the polynomial part vanishes."""
+        None when the polynomial part vanishes.
+
+        Without `leftover`, the first lead with no pivot stops the loop.
+        With a `leftover` dict (monomial → coefficient), such a lead moves
+        there and elimination goes on until the polynomial part vanishes;
+        the leftover is scaled with the row and shares its content."""
         width = len(self._monomials)
         pivots = self.pivots
         while True:
@@ -626,19 +641,25 @@ class EchelonSystem:
                 return None
             pivot = pivots.get(lead)
             if pivot is None:
-                return lead
+                if leftover is None:
+                    return lead
+                leftover[self._monomials[lead]] = row.pop(lead)
+                continue
             a = row[lead]
             b = pivot[lead]
             if b != 1:
                 for k in row:
                     row[k] *= b
+                if leftover:
+                    for k in leftover:
+                        leftover[k] *= b
             for k, v in pivot.items():
                 s = row.get(k, 0) - a * v
                 if s:
                     row[k] = s
                 else:
                     del row[k]
-            self._strip_content(row)
+            self._strip_content(row, leftover=leftover)
 
     def _install(self, lead, row):
         self._strip_content(row, sign_key=lead)
@@ -655,8 +676,7 @@ class EchelonSystem:
         it is scaled with the row and shares its content.
         """
         rank = self._rank
-        mons = self._monomials
-        width = len(mons)
+        width = len(self._monomials)
         row = {}
         leftover_terms = {}
         for mon, coeff in target._terms.items():
@@ -669,43 +689,7 @@ class EchelonSystem:
                 row[r] = coeff
         t_key = width + self.num_generators
         row[t_key] = 1
-        pivots = self.pivots
-        while True:
-            lead = min(row)
-            if lead >= width:
-                break
-            pivot = pivots.get(lead)
-            if pivot is None:
-                leftover_terms[mons[lead]] = row.pop(lead)
-                continue
-            a = row[lead]
-            b = pivot[lead]
-            if b != 1:
-                for k in row:
-                    row[k] *= b
-                for k in leftover_terms:
-                    leftover_terms[k] *= b
-            for k, v in pivot.items():
-                s = row.get(k, 0) - a * v
-                if s:
-                    row[k] = s
-                else:
-                    del row[k]
-            content = 0
-            for v in row.values():
-                content = gcd(content, v)
-                if content == 1:
-                    break
-            if content > 1:
-                for v in leftover_terms.values():
-                    content = gcd(content, v)
-                    if content == 1:
-                        break
-            if content > 1:
-                for k in row:
-                    row[k] //= content
-                for k in leftover_terms:
-                    leftover_terms[k] //= content
+        self._eliminate(row, leftover_terms)
         t = row.pop(t_key)
         coeffs = {}
         for k, v in row.items():

@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import random
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -507,62 +508,77 @@ def test_table_size_bound_is_checked_before_the_ring_is_built(
         assert err == f"error: table generation is limited to n ≤ 5 (got n = {n})\n"
 
 
-def test_table_parallel_matches_serial(capsys, cache_dir, tmp_path):
-    serial_dir = tmp_path / "serial"
-    code, _, _ = run(capsys, "table", "--n", "3", "--jobs", "2", cache=cache_dir)
-    assert code == 0
-    code, _, _ = run(capsys, "table", "--n", "3", cache=serial_dir)
-    assert code == 0
-    a = (Path(cache_dir) / "product-table_3_v1.json").read_bytes()
-    b = (Path(serial_dir) / "product-table_3_v1.json").read_bytes()
-    assert a == b
+def _python(*argv):
+    """Run python3 with the package importable, in a fresh process."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
 
 
-def test_table_pool_is_sized_to_the_work_and_the_cpus(capsys, cache_dir, monkeypatch):
-    sizes = []
-
-    class SerialPool:
-        """Records max_workers and maps serially, so no process starts."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-    code, _, _ = run(capsys, "table", "--n", "3", "--jobs", "100000", cache=cache_dir)
-    assert code == 0
-    assert all(size <= (os.cpu_count() or 1) for size in sizes)
-    # more cpus than products: one worker per product
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    code, out, _ = run(capsys, "table", "--n", "2", "--jobs", "100000",
-                       cache=cache_dir)
-    assert code == 0
-    assert sizes[-1] == 3
-    assert "3 computed" in out
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    code, _, _ = run(capsys, "table", "--n", "3", "--jobs", "100000",
-                     cache=cache_dir / "again")
-    assert code == 0
-    assert sizes[-1] == 2
-    a = (cache_dir / "product-table_3_v1.json").read_bytes()
-    assert (cache_dir / "again" / "product-table_3_v1.json").read_bytes() == a
+def test_cli_import_loads_no_process_pool():
+    probe = ("import sys, qschubert.cli; "
+             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing')"
+             " if m in sys.modules))")
+    result = _python("-c", probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
-def test_table_rejects_jobs_below_one(capsys, cache_dir):
-    for jobs in ("0", "-3"):
-        code, out, err = run(capsys, "table", "--n", "2", "--jobs", jobs,
-                             cache=cache_dir)
+def test_table_jobs_option_is_gone(cache_dir):
+    result = _python("-m", "qschubert", "--cache-dir", str(cache_dir),
+                     "table", "--n", "2", "--jobs", "2")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert result.stderr.splitlines()[-1].endswith(
+        "error: unrecognized arguments: --jobs 2")
+    assert not cache_dir.exists()
+
+
+def test_table_out_that_cannot_be_written_exits_2(capsys, cache_dir, tmp_path):
+    a_dir = tmp_path / "a_dir"
+    a_dir.mkdir()
+    a_file = tmp_path / "a_file"
+    a_file.write_text("x", encoding="utf-8")
+    for out, reason in ((a_dir, "Is a directory"),
+                        (a_file / "table.json", "not a directory")):
+        code, stdout, err = run(capsys, "table", "--n", "2", "--out", str(out),
+                                cache=cache_dir)
         assert code == 2
-        assert out == ""
-        assert err == f"error: --jobs must be at least 1: {jobs}\n"
+        assert stdout == ""
+        assert err == f"error: cannot write {out}: {reason}\n"
+    assert a_file.read_text(encoding="utf-8") == "x"
+    assert list(a_dir.iterdir()) == []
+
+
+REFERENCE = json.loads(
+    (Path(__file__).parent / "data" / "fl_reference.json").read_text("utf-8")
+)
+
+
+@pytest.mark.parametrize(
+    "ring", ["3", "4", "2:4", "2:5", "1:3:4", "2:6", "1:2:3:4"])
+def test_table_matches_the_reference(capsys, cache_dir, ring):
+    if ":" in ring:
+        (ref,) = [t for t in REFERENCE["tables"] if t.get("shape") == ring]
+        argv, name = ("--shape", ring), ring.replace(":", "-")
+    else:
+        (ref,) = [t for t in REFERENCE["tables"] if t.get("n") == int(ring)]
+        argv, name = ("--n", ring), ring
+    code, _, _ = run(capsys, "table", *argv, "--max-n", "6", cache=cache_dir)
+    assert code == 0
+    fp = Path(cache_dir) / f"product-table_{name}_v1.json"
+    entries = json.loads(fp.read_text(encoding="utf-8"))["entries"]
+    got = {pair: [[t["d"], t["w"], t["coeff"]] for t in obj["terms"]]
+           for pair, obj in entries.items()}
+    want = {}
+    for e in ref["entries"]:
+        want[f"{e['u']};{e['v']}"] = want[f"{e['v']};{e['u']}"] = e["quantum"]
+    assert got == want
 
 
 def test_table_json_format(capsys, cache_dir):
