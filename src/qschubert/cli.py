@@ -26,7 +26,6 @@ from .perm import (
     all_permutations,
     lemma_es_check,
     length,
-    longest_element,
     validate,
 )
 from .poly import Polynomial, SolveError, VerificationError
@@ -402,17 +401,24 @@ def cmd_gw(args) -> int:
 # ---- verify ----------------------------------------------------------------
 
 
-def _sampled(items, limit, seed):
-    items = list(items)
-    if len(items) <= limit:
-        return items
-    return random.Random(seed).sample(items, limit)
+def _sampled(basis, k, limit, seed):
+    """The k-tuples of basis elements in lexicographic order, or a seeded
+    sample of `limit` of them when there are more.  The sample draws
+    indices from range(len(basis) ** k), which random.sample treats as it
+    would the list of all tuples, so no such list is built."""
+    size = len(basis)
+    total = size ** k
+    picks = (range(total) if total <= limit
+             else random.Random(seed).sample(range(total), limit))
+    # index i names the tuple of the elements at its base-|B| digits, most
+    # significant first
+    return [tuple(basis[i // size ** j % size] for j in range(k - 1, -1, -1))
+            for i in picks]
 
 
 def _suite_associativity(ring, seed, failures):
     basis = list(ring.basis)
-    triples = [(u, v, w) for u in basis for v in basis for w in basis]
-    triples = _sampled(triples, 250 if len(basis) <= 6 else 100, seed)
+    triples = _sampled(basis, 3, 250 if len(basis) <= 6 else 100, seed)
     for u, v, w in triples:
         left = ring.quantum_product_multi([u, v, w])
         if left != ring.quantum_product_multi([v, w, u]):
@@ -424,9 +430,7 @@ def _suite_associativity(ring, seed, failures):
 def _suite_q0_classical(ring, seed, failures):
     # the q = 0 slice of the structure constants against the product of the
     # classical lifts, expanded by Horner's rule
-    basis = list(ring.basis)
-    pairs = [(u, v) for u in basis for v in basis]
-    pairs = _sampled(pairs, 600, seed)
+    pairs = _sampled(list(ring.basis), 2, 600, seed)
     for u, v in pairs:
         lifts = ring._classical_lift(u) * ring._classical_lift(v)
         if ring.classical_product(u, v) != ring.expand_classical(lifts):
@@ -438,13 +442,9 @@ def _suite_q0_classical(ring, seed, failures):
 
 def _suite_duality(ring, seed, failures):
     basis = list(ring.basis)
-    dim = (
-        ring.shape.dimension
-        if ring.shape is not None
-        else length(longest_element(ring.n))
-    )
-    top = max(basis, key=length)
     d0 = (0,) * ring.q_count
+    dim = ring._moduli_dimension(d0)
+    top = max(basis, key=length)
     checked = 0
     for u in basis:
         for v in basis:
@@ -577,13 +577,8 @@ def _suite_lemma_es(n, seed, failures):
 
 
 def _suite_grading(ring, seed, failures):
-    basis = list(ring.basis)
-    pairs = _sampled([(u, v) for u in basis for v in basis], 600, seed)
-    grades = (
-        [ring.q_grades[l] for l in sorted(ring.q_grades)]
-        if ring.shape is not None
-        else [2] * ring.q_count
-    )
+    pairs = _sampled(list(ring.basis), 2, 600, seed)
+    dim = ring._moduli_dimension((0,) * ring.q_count)
     for u, v in pairs:
         for (d, w), c in ring.quantum_product(u, v).items():
             if c < 0:
@@ -592,7 +587,7 @@ def _suite_grading(ring, seed, failures):
                     f"in σ_{u}∗σ_{v}"
                 )
                 return None
-            weight = sum(e * g for e, g in zip(d, grades))
+            weight = ring._moduli_dimension(d) - dim
             if length(w) + weight != length(u) + length(v):
                 failures.append(
                     f"graded mismatch at q^{d}·σ_{w} in σ_{u}∗σ_{v}"
@@ -743,10 +738,18 @@ def cmd_table(args) -> int:
 # ---- entry point -----------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise CLIInputError, so they print one `error: …` line
+    like any other bad input.  Subparsers inherit the class."""
+
+    def error(self, message):
+        raise CLIInputError(message)
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qschubert",
         description="Exact Schubert calculus: classical, quantum, universal.",
     )
@@ -812,9 +815,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if hasattr(sys.stdout, "reconfigure"):
         sys.stdout.reconfigure(encoding="utf-8")
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except CLIInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

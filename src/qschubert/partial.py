@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import cached_property, lru_cache
 
-from .perm import FlagShape, Perm, length, sn_elements, validate
+from .perm import FlagShape, Perm, length, sn_elements
 from .poly import (
     Polynomial,
     VerificationError,
@@ -50,20 +50,6 @@ def _check_shape(shape) -> FlagShape:
     if not isinstance(shape, FlagShape):
         raise TypeError(f"expected a FlagShape, got {shape!r}")
     return shape
-
-
-def _check_min_rep(w, shape: FlagShape) -> Perm:
-    w = validate(w)
-    if len(w) != shape.n:
-        raise ValueError(
-            f"permutation {w} has the wrong size for shape {shape.to_string()}"
-        )
-    if shape.min_rep(w) != w:
-        raise ValueError(
-            f"{w} is not a minimal coset representative for shape "
-            f"{shape.to_string()}"
-        )
-    return w
 
 
 def _sigma(shape: FlagShape, i: int, l: int) -> Polynomial:
@@ -168,7 +154,7 @@ def partial_universal_schubert_c(w: Perm, shape: FlagShape) -> Polynomial:
     'c1(1)'
     """
     shape = _check_shape(shape)
-    w = _check_min_rep(w, shape)
+    w = shape.check(w)
     ns = shape.ns
     return _e_specialization(w, lambda k, p: c_var(k, ns[bisect_right(ns, p) - 1]))
 
@@ -184,7 +170,7 @@ def partial_quantum_schubert(w: Perm, shape: FlagShape) -> Polynomial:
     's1^1'
     """
     shape = _check_shape(shape)
-    w = _check_min_rep(w, shape)
+    w = shape.check(w)
 
     def factor(k, p):
         # column p rounds down to the jump value n_l; c_k(n_0) = 0
@@ -246,19 +232,8 @@ class PartialRing(_GradedQuotientRing):
     def relations(self) -> tuple:
         return _partial_relations(self.shape)
 
-    def _check_element(self, w):
-        return _check_min_rep(w, self.shape)
-
     def _basis_lift(self, w):
         return partial_quantum_schubert(w, self.shape)
-
-    def _moduli_dimension(self, d):
-        return self.shape.dimension + sum(
-            e * g for e, g in zip(d, self.shape.q_grades)
-        )
-
-    def _dual(self, w):
-        return self.shape.dual(w)
 
 
 @lru_cache(maxsize=None)

@@ -7,6 +7,7 @@ word identity in this package is stated under that convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations as _all_tuples
 from math import comb
 
@@ -147,6 +148,12 @@ class FlagShape:
 
     Internally n_0 = 0 and n_{m+1} = n.  The complete shape has steps
     (1, 2, …, n−1).
+
+    The shape alone decides which permutations index its Schubert classes
+    (`check`, `is_min_rep`), their Poincaré duals (`dual`) and the dimension
+    count of its Gromov–Witten invariants (`moduli_dimension`); both quantum
+    rings read all three from it.  Only blocks of size > 1 do block work, so
+    the complete shape does none.  Derived data is computed once per shape.
     """
 
     steps: tuple[int, ...]
@@ -184,15 +191,26 @@ class FlagShape:
     def m(self) -> int:
         return len(self.steps)
 
-    @property
+    @cached_property
     def ns(self) -> tuple[int, ...]:
         """(n_0, n_1, …, n_m, n_{m+1}) with n_0 = 0 and n_{m+1} = n."""
         return (0,) + self.steps + (self.n,)
 
-    def is_complete(self) -> bool:
-        return self.steps == tuple(range(1, self.n))
+    @cached_property
+    def _wide(self) -> tuple:
+        """The blocks of size > 1 as 0-based slices (lo, hi) of one-line
+        notation."""
+        ns = self.ns
+        return tuple((lo, hi) for lo, hi in zip(ns, ns[1:]) if hi - lo > 1)
 
-    @property
+    @cached_property
+    def _values(self) -> list:
+        return list(range(1, self.n + 1))
+
+    def is_complete(self) -> bool:
+        return not self._wide
+
+    @cached_property
     def q_grades(self) -> tuple[int, ...]:
         """Grade of q_l is n_{l+1} − n_{l−1}, for l = 1..m."""
         ns = self.ns
@@ -206,32 +224,54 @@ class FlagShape:
                 return l
         raise ValueError(f"position out of range 1..{self.n}: {j}")
 
-    @property
+    @cached_property
     def dimension(self) -> int:
-        """dim F^N = Σ_{l<l'} b_l·b_{l'} over block sizes b_l = n_l − n_{l−1}."""
-        ns = self.ns
-        blocks = [ns[l] - ns[l - 1] for l in range(1, self.m + 2)]
-        return sum(
-            blocks[a] * blocks[b]
-            for a in range(len(blocks))
-            for b in range(a + 1, len(blocks))
-        )
+        """dim F^N = Σ_{l<l'} b_l·b_{l'} = C(n,2) − Σ_l C(b_l,2) over block
+        sizes b_l = n_l − n_{l−1}."""
+        return comb(self.n, 2) - sum(comb(hi - lo, 2) for lo, hi in self._wide)
+
+    def moduli_dimension(self, d) -> int:
+        """dim F^N + Σ d_l·grade(q_l): the total length of the classes in a
+        Gromov–Witten invariant of degree d that can be nonzero.  The complete
+        shape gives hyperquot_dim(n, d)."""
+        if len(d) != self.m:
+            raise ValueError(f"degree vector must have length {self.m}: {d}")
+        return self.dimension + sum(e * g for e, g in zip(d, self.q_grades))
+
+    def is_min_rep(self, w) -> bool:
+        """Whether a permutation w of 1..n increases inside every block, that
+        is, lies in S^(N)."""
+        return all(w[i] < w[i + 1] for lo, hi in self._wide
+                   for i in range(lo, hi - 1))
+
+    def check(self, w) -> Perm:
+        """w as a tuple after checking that it lies in S^(N)."""
+        w = tuple(w)
+        if sorted(w) != self._values:
+            validate(w)  # a non-permutation gets validate's message
+            raise ValueError(f"permutation {w} is not in S_{self.n}")
+        if self._wide and not self.is_min_rep(w):
+            raise ValueError(
+                f"{w} is not a minimal coset representative for shape "
+                f"{self.to_string()}"
+            )
+        return w
 
     def min_rep(self, w: Perm) -> Perm:
         """Minimal-length coset representative: sort values within each block."""
-        ns = self.ns
-        out = []
-        for l in range(1, self.m + 2):
-            out.extend(sorted(w[ns[l - 1]:ns[l]]))
+        out = list(w)
+        for lo, hi in self._wide:
+            out[lo:hi] = sorted(out[lo:hi])
         return tuple(out)
 
     def dual(self, w: Perm) -> Perm:
-        """Poincaré dual inside the ascent-class basis: min_rep(w_0∘w).
+        """Poincaré dual inside the ascent-class basis: min_rep(w_0∘w), for a
+        permutation w of 1..n.
 
         Degenerates to w_0∘w for the complete shape.  Satisfies
         length(w) + length(dual(w)) = self.dimension.
         """
-        return self.min_rep(compose(longest_element(self.n), w))
+        return self.min_rep([self.n + 1 - a for a in w])
 
 
 def sn_elements(shape: FlagShape) -> list[Perm]:

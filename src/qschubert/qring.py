@@ -22,15 +22,7 @@ from __future__ import annotations
 import operator
 from functools import cached_property, lru_cache
 
-from .perm import (
-    FlagShape,
-    Perm,
-    all_permutations,
-    dual,
-    hyperquot_dim,
-    length,
-    validate,
-)
+from .perm import FlagShape, Perm, all_permutations, length, validate
 from .poly import Polynomial, VerificationError
 from .schubert import schubert_poly
 from .universal import quantum_e, quantum_schubert
@@ -301,14 +293,16 @@ class _GradedQuotientRing:
     and the q_l by Horner's rule for `expand_in_quantum_basis`.
     `classical_product` and `expand_classical` are the q⁰ slices.
 
-    A subclass supplies only `basis`, `relations()`, the lifts `_basis_lift`
-    and `_classical_lift` (which `class_to_poly` and `basis_polynomial`
-    return, and the `relations` and `giambelli` suites of `qschubert verify`
-    check), and the element rules `_check_element`, `_dual` and
-    `_moduli_dimension`.
+    The element rules `_check_element`, `_dual` and `_moduli_dimension` are
+    the shape's (`FlagShape.check`, `dual` and `moduli_dimension`).  A
+    subclass supplies only `basis`, `relations()` and the lifts
+    `_basis_lift` and `_classical_lift` (which `class_to_poly` and
+    `basis_polynomial` return, and the `relations` and `giambelli` suites of
+    `qschubert verify` check).
     """
 
     def __init__(self, shape: FlagShape):
+        self._shape = shape
         self.n = shape.n
         self.q_count = shape.m
         ns = self._ns = shape.ns
@@ -329,20 +323,21 @@ class _GradedQuotientRing:
     def relations(self) -> tuple:
         raise NotImplementedError
 
-    def _check_element(self, w) -> Perm:
-        raise NotImplementedError
-
     def _basis_lift(self, w: Perm) -> Polynomial:
         raise NotImplementedError
 
     def _classical_lift(self, w: Perm) -> Polynomial:
         return self._basis_lift(w).substitute(self._q_zero)
 
-    def _moduli_dimension(self, d) -> int:
-        raise NotImplementedError
+    # -- element rules ----------------------------------------------------
+    def _check_element(self, w) -> Perm:
+        return self._shape.check(w)
 
     def _dual(self, w: Perm) -> Perm:
-        raise NotImplementedError
+        return self._shape.dual(w)
+
+    def _moduli_dimension(self, d) -> int:
+        return self._shape.moduli_dimension(d)
 
     # -- public API -------------------------------------------------------
     def _checked(self, p: Polynomial) -> Polynomial:
@@ -445,8 +440,7 @@ class _GradedQuotientRing:
         those two runs of every block, increases inside every block.  It adds
         c to q^d·σ_{dual(w)}.
         """
-        ns = self._ns
-        n = self.n
+        shape, ns, n = self._shape, self._ns, self.n
         out = {}
         for (lifted, y), c in terms.items():
             d = tuple(lifted[k - 1] for k in ns[1:-1])
@@ -462,10 +456,9 @@ class _GradedQuotientRing:
                     lift.append(level)
                 w[lo:cut] = w[lo:cut][::-1]
                 w[cut:hi] = w[cut:hi][::-1]
-            if tuple(lift[:-1]) != lifted or any(
-                    w[i - 1] > w[i] for i in range(1, n) if i not in ns):
+            if tuple(lift[:-1]) != lifted or not shape.is_min_rep(w):
                 continue
-            key = (d, self._dual(tuple(w)))
+            key = (d, shape.dual(w))
             out[key] = out.get(key, 0) + c
         return out
 
@@ -591,23 +584,11 @@ class QuantumRing(_GradedQuotientRing):
         """The quantum relations e^q_1(n),…,e^q_n(n)."""
         return tuple(quantum_e(k, self.n) for k in range(1, self.n + 1))
 
-    def _check_element(self, w):
-        w = validate(w)
-        if len(w) != self.n:
-            raise ValueError(f"permutation {w} is not in S_{self.n}")
-        return w
-
     def _basis_lift(self, w):
         return quantum_schubert(w)
 
     def _classical_lift(self, w):
         return schubert_poly(w)
-
-    def _moduli_dimension(self, d):
-        return hyperquot_dim(self.n, d)
-
-    def _dual(self, w):
-        return dual(w)
 
 
 @lru_cache(maxsize=None)

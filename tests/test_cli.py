@@ -15,7 +15,8 @@ import pytest
 from qschubert import Polynomial, QuantumClass, quantum_product, quantum_schubert
 from qschubert import cli, poly, schubert, universal
 from qschubert.cli import main
-from qschubert.perm import all_permutations
+from qschubert.partial import partial_ring
+from qschubert.perm import FlagShape, all_permutations
 from qschubert.qring import quantum_ring
 
 
@@ -593,3 +594,53 @@ def test_shape_product_table(capsys, cache_dir):
     code, out, _ = run(capsys, "table", "--shape", "2:4", cache=cache_dir)
     assert code == 0
     assert "(36 entries, 21 computed)" in out
+
+
+def _list_sample(items, limit, seed):
+    """The sample that `verify` drew before it stopped listing tuples."""
+    items = list(items)
+    if len(items) <= limit:
+        return items
+    return random.Random(seed).sample(items, limit)
+
+
+def test_sampled_tuples_equal_the_sample_of_the_listed_tuples():
+    bases = [all_permutations(3), all_permutations(4),
+             list(partial_ring(FlagShape((1, 3), 4)).basis)]
+    for basis in bases:
+        listed = {2: [(u, v) for u in basis for v in basis],
+                  3: [(u, v, w) for u in basis for v in basis for w in basis]}
+        for k, tuples in listed.items():
+            for limit in (100, 250, 600):
+                for seed in (0, 1, 7):
+                    assert cli._sampled(basis, k, limit, seed) == \
+                        _list_sample(tuples, limit, seed), (basis, k, limit, seed)
+
+
+def test_associativity_at_n6_runs_in_bounded_memory():
+    pytest.importorskip("resource")
+    probe = ("import resource, sys; "
+             "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+             "from qschubert.cli import main; "
+             "sys.exit(main(sys.argv[1:]))")
+    result = _python("-c", probe, "verify", "--suite", "associativity",
+                     "--n", "6")
+    assert (result.returncode, result.stdout, result.stderr) == (
+        0, "pass, 100 triples\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("product", "--n", "3", "--u", "1,2,3"),
+    (),
+    ("table", "--n", "2", "--bogus"),
+    ("product", "--n", "x", "--u", "1,2,3", "--v", "1,2,3"),
+    ("product", "--n", "3", "--u", "1,2,3", "--v", "1,2,3", "--format", "xml"),
+    ("product", "--n", "3", "--u", "1,2", "--v", "1,2,3"),
+    ("verify", "--suite", "no-such-suite"),
+])
+def test_bad_invocations_print_one_error_line(capsys, cache_dir, argv):
+    code, out, err = run(capsys, *argv, cache=cache_dir)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

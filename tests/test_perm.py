@@ -284,3 +284,50 @@ def test_lemma_es_bounds_exhaustive():
         assert total <= weighted
         assert weighted >= 2
         assert (weighted == 2) == (total == 1)
+
+
+def _all_shapes(top):
+    return [FlagShape(steps, n) for n in range(2, top + 1)
+            for r in range(1, n) for steps in combinations(range(1, n), r)]
+
+
+def test_shape_membership_accepts_exactly_sn_elements_up_to_n6():
+    for shape in _all_shapes(6):
+        members = sn_elements(shape)
+        assert [w for w in all_permutations(shape.n)
+                if shape.is_min_rep(w)] == members, shape
+        members = set(members)
+        for w in all_permutations(shape.n):
+            if w in members:
+                assert shape.check(list(w)) == w
+            else:
+                with pytest.raises(ValueError):
+                    shape.check(w)
+
+
+def test_min_rep_and_dual_match_their_definitions_up_to_n6():
+    for shape in _all_shapes(6):
+        ns, n = shape.ns, shape.n
+
+        def sort_blocks(w):
+            return tuple(a for l in range(1, len(ns))
+                         for a in sorted(w[ns[l - 1]:ns[l]]))
+
+        for w in all_permutations(n):
+            assert shape.min_rep(w) == sort_blocks(w), (shape, w)
+        for w in sn_elements(shape):
+            assert shape.dual(w) == sort_blocks(
+                compose(longest_element(n), w)), (shape, w)
+
+
+def test_shape_check_messages_are_one_line():
+    shape = FlagShape((2,), 4)
+    with pytest.raises(ValueError) as wrong_size:
+        shape.check((2, 1, 3))
+    with pytest.raises(ValueError) as not_minimal:
+        shape.check((2, 1, 3, 4))
+    assert str(wrong_size.value) == "permutation (2, 1, 3) is not in S_4"
+    assert str(not_minimal.value) == (
+        "(2, 1, 3, 4) is not a minimal coset representative for shape 2:4")
+    with pytest.raises(ValueError, match="not a permutation of 1..3"):
+        shape.check((1, 1, 2))

@@ -5,7 +5,7 @@ import sys
 import threading
 import time
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -23,6 +23,7 @@ from qschubert import (
     elementary_poly,
     expand_in_quantum_basis,
     gromov_witten,
+    hyperquot_dim,
     length,
     longest_element,
     quantum_e,
@@ -412,6 +413,11 @@ def test_no_ring_class_has_slice_hooks():
             assert not hasattr(ring, name), (ring, name)
     for name in ("_groebner", "_reduce", "_monic"):
         assert not hasattr(qring, name), name
+    # the element rules are the shape's, defined once in the shared base
+    for cls in (QuantumRing, PartialRing):
+        for name in ("_check_element", "_dual", "_moduli_dimension"):
+            assert name not in vars(cls), (cls, name)
+    assert not hasattr(partial, "_check_min_rep")
 
 
 def _complete_poly(r, m):
@@ -552,3 +558,16 @@ def test_fl6_triples_associate():
         left = ring.quantum_product_multi([u, v, w])
         assert left == ring.quantum_product_multi([v, w, u]), (u, v, w)
         assert left == ring.quantum_product_multi([w, u, v]), (u, v, w)
+
+
+def test_moduli_dimension_is_the_shape_count():
+    for n in range(2, 6):
+        ring = QuantumRing(n)
+        for d in product(range(3), repeat=n - 1):
+            assert ring._moduli_dimension(d) == hyperquot_dim(n, d), (n, d)
+    for text in ("2:4", "1:3:4", "2:5", "1:3:5", "2:4:6", "1:2:3:4"):
+        ring = PartialRing(FlagShape.from_string(text))
+        for d in product(range(3), repeat=ring.q_count):
+            want = ring.shape.dimension + sum(
+                e * ring.q_grades[l] for l, e in enumerate(d, start=1))
+            assert ring._moduli_dimension(d) == want, (text, d)
