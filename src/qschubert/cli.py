@@ -322,6 +322,7 @@ def cmd_schubert(args) -> int:
     w = _parse_perm(args.w, args.n)
     if args.quantum and args.universal:
         raise CLIInputError("--quantum and --universal are mutually exclusive")
+    obj = None
     if args.universal:
         poly = universal_schubert_g(w)
     else:
@@ -334,9 +335,11 @@ def cmd_schubert(args) -> int:
             poly = Polynomial.from_json_obj(cached)
         else:
             poly = quantum_schubert(w) if args.quantum else schubert_poly(w)
-            cache.store(kind, str(args.n), {key: poly.to_json_obj()})
+            # one serialization serves the cache entry and the JSON output
+            obj = poly.to_json_obj()
+            cache.store(kind, str(args.n), {key: obj})
     if args.format == "json":
-        print(_dumps(poly.to_json_obj()))
+        print(_dumps(poly.to_json_obj() if obj is None else obj))
     else:
         print(poly.to_text())
     return 0
@@ -597,19 +600,24 @@ def _suite_grading(ring, seed, failures):
 
 
 def _suite_two_point(ring, seed, failures):
-    basis = list(ring.basis)
+    # the fundamental-class axiom: ⟨σ_u, σ_v, σ_id⟩_d = 0 for d ≠ 0, read off
+    # the product σ_u ∗ σ_v at every d with entries ≤ 2 that passes its
+    # dimension gate
+    identity = tuple(range(1, ring.n + 1))
+    by_dim = {}
+    for d in _degree_vectors(ring.q_count, 2):
+        if any(d):
+            by_dim.setdefault(ring._moduli_dimension(d), []).append(d)
+    lengths = [(w, length(w)) for w in ring.basis]
     count = 0
-    degrees = [d for d in _degree_vectors(ring.q_count, 2) if any(d)]
-    for u in basis:
-        for v in basis:
-            for d in degrees:
-                if length(u) + length(v) != ring._moduli_dimension(d):
-                    continue
-                got = ring.gromov_witten([u], v, d)
+    for u, lu in lengths:
+        for v, lv in lengths:
+            for d in by_dim.get(lu + lv, ()):
+                got = ring.gromov_witten([u, v], identity, d)
                 count += 1
                 if got != 0:
                     failures.append(
-                        f"⟨σ_{u},σ_{v}⟩_{d} = {got}, expected 0"
+                        f"⟨σ_{u},σ_{v},σ_{identity}⟩_{d} = {got}, expected 0"
                     )
                     return None
     return f"{count} invariants"

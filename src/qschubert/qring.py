@@ -5,8 +5,9 @@ Elements are integer combinations of Schubert classes σ_w scaled by monomials
 in the deformation parameters q_1,…,q_m.  Every structure constant comes from
 permutations alone, in integers, and is memoized:
 
-1. Fl_n (`_Transition`): the quantum Monk rule of Fomin–Gelfand–Postnikov
-   (JAMS 1997) and Lascoux–Schützenberger transition.
+1. Fl_n (`schubert._Transition`): the quantum Monk rule of
+   Fomin–Gelfand–Postnikov (JAMS 1997) and Lascoux–Schützenberger
+   transition; the same engine lifts the quantum Schubert polynomials.
 2. Fl(N) (`_GradedQuotientRing._compare`): Peterson's comparison formula
    reads each structure constant off one term of the Fl_n product of the two
    minimal coset representatives.
@@ -19,12 +20,19 @@ public; `qschubert verify` checks it against the products.
 """
 from __future__ import annotations
 
-import operator
 from functools import cached_property, lru_cache
 
 from .perm import FlagShape, Perm, all_permutations, length, validate
-from .poly import Polynomial, VerificationError
-from .schubert import schubert_poly
+from .poly import Polynomial
+from .schubert import (
+    RingError,
+    _add,
+    _gather,
+    _nonzero,
+    _q_monomial,
+    _transition,
+    schubert_poly,
+)
 from .universal import quantum_e, quantum_schubert
 
 __all__ = [
@@ -39,10 +47,6 @@ __all__ = [
     "classical_product",
     "gromov_witten",
 ]
-
-
-class RingError(VerificationError):
-    """An internal consistency check of the ring presentation failed."""
 
 
 class QuantumClass:
@@ -162,125 +166,6 @@ class QuantumClass:
         return f"QuantumClass({self.to_text()!r})"
 
 
-def _add(u: tuple, v: tuple) -> tuple:
-    return tuple(map(operator.add, u, v))
-
-
-def _gather(out: dict, terms, scale: int = 1) -> dict:
-    """Add scale·terms, given as (key, c) pairs, into out and return out."""
-    for key, c in terms:
-        out[key] = out.get(key, 0) + scale * c
-    return out
-
-
-def _shifted(d: tuple, terms):
-    """The (key, c) pairs of q^d·terms."""
-    return (((_add(d, d2), z), c) for (d2, z), c in terms)
-
-
-def _nonzero(terms: dict) -> dict:
-    return {key: c for key, c in terms.items() if c}
-
-
-class _Transition:
-    """The structure constants of QH*(Fl_n): σ_w ∗ σ_y as a dict (d, z) → c.
-
-    Quantum Monk gives x_r ∗ σ_w (`_x_terms`).  Transition: with r the last
-    descent of w, s the last position after r with w(s) < w(r) and
-    v = w·t_rs, x_r ∗ σ_v = σ_w + R, so σ_w ∗ σ_y is
-    x_r ∗ (σ_v ∗ σ_y) − Σ_R c·q^d·(σ_u ∗ σ_y), down to σ_id ∗ σ_y = σ_y.  The
-    classical u of R are as long as w and lexicographically later, the
-    quantum ones shorter, so the recursion ends.  Memo entries are stored
-    complete, so a race between threads costs at most a duplicate entry.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.zero = (0,) * (n - 1)
-        self.identity = tuple(range(1, n + 1))
-        self._x = {}      # (r, w) → x_r ∗ σ_w as ((d, z), c) pairs
-        self._steps = {}  # w → (r, v, R as ((d, u), c) pairs)
-        self._memo = {}   # (w, y) → σ_w ∗ σ_y
-
-    def _x_terms(self, r: int, w: Perm) -> tuple:
-        """x_r ∗ σ_w = Σ_{b>r} ε_rb − Σ_{a<r} ε_ar: quantum Monk for σ_{s_r}
-        minus that for σ_{s_{r−1}}.  ε_ab is σ_{w·t_ab} if w·t_ab is one
-        longer than w, q_a⋯q_{b−1}·σ_{w·t_ab} if 2(b − a) − 1 shorter, else 0."""
-        got = self._x.get((r, w))
-        if got is not None:
-            return got
-        n = self.n
-        out = []
-        for a, b, sign in ([(r, b, 1) for b in range(r + 1, n + 1)]
-                           + [(a, r, -1) for a in range(1, r)]):
-            lo, hi = w[a - 1], w[b - 1]
-            between = w[a:b - 1]
-            if lo < hi:
-                if any(lo < x < hi for x in between):
-                    continue
-                d = self.zero
-            elif all(hi < x < lo for x in between):
-                d = tuple(int(a <= i < b) for i in range(1, n))
-            else:
-                continue
-            z = list(w)
-            z[a - 1], z[b - 1] = hi, lo
-            out.append(((d, tuple(z)), sign))
-        got = self._x[(r, w)] = tuple(out)
-        return got
-
-    def _step(self, w: Perm) -> tuple:
-        """(r, v, R) with σ_w = x_r ∗ σ_v − R."""
-        got = self._steps.get(w)
-        if got is not None:
-            return got
-        r = max(i for i in range(1, self.n) if w[i - 1] > w[i])
-        s = max(j for j in range(r + 1, self.n + 1) if w[j - 1] < w[r - 1])
-        v = list(w)
-        v[r - 1], v[s - 1] = w[s - 1], w[r - 1]
-        v = tuple(v)
-        rest = dict(self._x_terms(r, v))
-        if rest.pop((self.zero, w), 0) != 1:
-            raise RingError(f"x_{r}∗σ_{list(v)} does not contain σ_{list(w)} once")
-        got = self._steps[w] = (r, v, tuple(rest.items()))
-        return got
-
-    def product(self, w: Perm, y: Perm) -> dict:
-        """σ_w ∗ σ_y, with the transition tree of w resolved by an explicit
-        stack; every entry it stores has the same y."""
-        memo = self._memo
-        got = memo.get((w, y))
-        if got is not None:
-            return got
-        memo.setdefault((self.identity, y), {(self.zero, y): 1})
-        stack = [w]
-        while stack:
-            top = stack[-1]
-            if (top, y) in memo:
-                stack.pop()
-                continue
-            r, v, rest = self._step(top)
-            missing = [u for u in (v, *(u for (_, u), _ in rest))
-                       if (u, y) not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
-            acc = {}
-            for (d, z), c in memo[(v, y)].items():
-                _gather(acc, _shifted(d, self._x_terms(r, z)), c)
-            for (d, u), c in rest:
-                _gather(acc, _shifted(d, memo[(u, y)].items()), -c)
-            memo[(top, y)] = _nonzero(acc)
-            stack.pop()
-        return memo[(w, y)]
-
-
-@lru_cache(maxsize=None)
-def _transition(n: int) -> _Transition:
-    """The Fl_n engine shared by every ring with this n."""
-    return _Transition(n)
-
-
 class _GradedQuotientRing:
     """Public product and invariant API of the complete and partial rings,
     and their one product path.
@@ -372,8 +257,7 @@ class _GradedQuotientRing:
         """Polynomial representative: Σ c·q^d·(lift of σ_w)."""
         out = Polynomial.zero()
         for (d, w), c in cls.items():
-            qm = tuple((("q", i + 1), e) for i, e in enumerate(d) if e)
-            out = out + Polynomial({qm: c}) * self._basis_lift(w)
+            out = out + Polynomial({_q_monomial(d): c}) * self._basis_lift(w)
         return out
 
     def quantum_product(self, u, v) -> QuantumClass:

@@ -17,15 +17,28 @@ Every lift replaces each e_k(p) by an image factor(k, p) and sums
 Horner's rule over the sequences grouped by their last entries, so each
 factor(k, p) multiplies, once, the sum of all the terms that share it; the
 recombination check of `e_decomposition` is the same fold with factor e_k(p).
+
+`_Transition` is the Fl_n engine of quantum Monk and Lascoux–Schützenberger
+transition.  It gives the structure constants of QH*(Fl_n), which `qring`
+and `partial` read, and lifts the quantum Schubert polynomials 𝔖^q_w, which
+`universal.quantum_schubert` returns; it lives here so that both import it.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 from .perm import Perm, length, reduced_word, validate
-from .poly import EchelonSystem, Polynomial, _var_key, x_var
+from .poly import (
+    EchelonSystem,
+    Polynomial,
+    VerificationError,
+    _var_key,
+    mon_mul,
+    x_var,
+)
 
 __all__ = [
     "divided_difference",
@@ -242,3 +255,173 @@ def e_decomposition(w: Perm) -> EDecomposition:
     if dec.recombine() != target:
         raise AssertionError(f"e-decomposition recombination failed for {w}")
     return dec
+
+
+class RingError(VerificationError):
+    """An internal consistency check of the ring presentation failed."""
+
+
+def _add(u: tuple, v: tuple) -> tuple:
+    return tuple(map(operator.add, u, v))
+
+
+def _gather(out: dict, terms, scale: int = 1) -> dict:
+    """Add scale·terms, given as (key, c) pairs, into out and return out."""
+    for key, c in terms:
+        out[key] = out.get(key, 0) + scale * c
+    return out
+
+
+def _shifted(d: tuple, terms):
+    """The (key, c) pairs of q^d·terms."""
+    return (((_add(d, d2), z), c) for (d2, z), c in terms)
+
+
+def _nonzero(terms: dict) -> dict:
+    return {key: c for key, c in terms.items() if c}
+
+
+def _q_monomial(d: tuple) -> tuple:
+    """The monomial q^d = q_1^{d_1}⋯q_m^{d_m}."""
+    return tuple((("q", i), e) for i, e in enumerate(d, start=1) if e)
+
+
+class _Transition:
+    """The structure constants of QH*(Fl_n): σ_w ∗ σ_y as a dict (d, z) → c,
+    and the quantum Schubert polynomials 𝔖^q_w that represent them.
+
+    Quantum Monk gives x_r ∗ σ_w (`_x_terms`).  Transition: with r the last
+    descent of w, s the last position after r with w(s) < w(r) and
+    v = w·t_rs, x_r ∗ σ_v = σ_w + R, so σ_w ∗ σ_y is
+    x_r ∗ (σ_v ∗ σ_y) − Σ_R c·q^d·(σ_u ∗ σ_y), down to σ_id ∗ σ_y = σ_y.  The
+    classical u of R are as long as w and lexicographically later, the
+    quantum ones shorter, so the recursion ends.  Quantum Monk holds for the
+    𝔖^q_w as polynomials in Z[x, q], so the same step lifts them (`lift`):
+    𝔖^q_w = x_r·𝔖^q_v − Σ_R c·q^d·𝔖^q_u, down to 𝔖^q_id = 1.  Memo entries
+    are stored complete, so a race between threads costs at most a duplicate
+    entry.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.zero = (0,) * (n - 1)
+        self.identity = tuple(range(1, n + 1))
+        self._x = {}      # (r, w) → x_r ∗ σ_w as ((d, z), c) pairs
+        self._steps = {}  # w → (r, v, R as ((d, u), c) pairs)
+        self._memo = {}   # (w, y) → σ_w ∗ σ_y
+        self._lifts = {}  # w → 𝔖^q_w
+
+    def _x_terms(self, r: int, w: Perm) -> tuple:
+        """x_r ∗ σ_w = Σ_{b>r} ε_rb − Σ_{a<r} ε_ar: quantum Monk for σ_{s_r}
+        minus that for σ_{s_{r−1}}.  ε_ab is σ_{w·t_ab} if w·t_ab is one
+        longer than w, q_a⋯q_{b−1}·σ_{w·t_ab} if 2(b − a) − 1 shorter, else 0."""
+        got = self._x.get((r, w))
+        if got is not None:
+            return got
+        n = self.n
+        out = []
+        for a, b, sign in ([(r, b, 1) for b in range(r + 1, n + 1)]
+                           + [(a, r, -1) for a in range(1, r)]):
+            lo, hi = w[a - 1], w[b - 1]
+            between = w[a:b - 1]
+            if lo < hi:
+                if any(lo < x < hi for x in between):
+                    continue
+                d = self.zero
+            elif all(hi < x < lo for x in between):
+                d = tuple(int(a <= i < b) for i in range(1, n))
+            else:
+                continue
+            z = list(w)
+            z[a - 1], z[b - 1] = hi, lo
+            out.append(((d, tuple(z)), sign))
+        got = self._x[(r, w)] = tuple(out)
+        return got
+
+    def _step(self, w: Perm) -> tuple:
+        """(r, v, R) with σ_w = x_r ∗ σ_v − R."""
+        got = self._steps.get(w)
+        if got is not None:
+            return got
+        r = max(i for i in range(1, self.n) if w[i - 1] > w[i])
+        s = max(j for j in range(r + 1, self.n + 1) if w[j - 1] < w[r - 1])
+        v = list(w)
+        v[r - 1], v[s - 1] = w[s - 1], w[r - 1]
+        v = tuple(v)
+        rest = dict(self._x_terms(r, v))
+        if rest.pop((self.zero, w), 0) != 1:
+            raise RingError(f"x_{r}∗σ_{list(v)} does not contain σ_{list(w)} once")
+        got = self._steps[w] = (r, v, tuple(rest.items()))
+        return got
+
+    def product(self, w: Perm, y: Perm) -> dict:
+        """σ_w ∗ σ_y, with the transition tree of w resolved by an explicit
+        stack; every entry it stores has the same y."""
+        memo = self._memo
+        got = memo.get((w, y))
+        if got is not None:
+            return got
+        memo.setdefault((self.identity, y), {(self.zero, y): 1})
+        stack = [w]
+        while stack:
+            top = stack[-1]
+            if (top, y) in memo:
+                stack.pop()
+                continue
+            r, v, rest = self._step(top)
+            missing = [u for u in (v, *(u for (_, u), _ in rest))
+                       if (u, y) not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
+            acc = {}
+            for (d, z), c in memo[(v, y)].items():
+                _gather(acc, _shifted(d, self._x_terms(r, z)), c)
+            for (d, u), c in rest:
+                _gather(acc, _shifted(d, memo[(u, y)].items()), -c)
+            memo[(top, y)] = _nonzero(acc)
+            stack.pop()
+        return memo[(w, y)]
+
+    def lift(self, w: Perm) -> Polynomial:
+        """𝔖^q_w, with the transition tree of w resolved by an explicit
+        stack, each node summed in one dict: x_r times the terms of 𝔖^q_v,
+        less c·q^d times those of each 𝔖^q_u of R."""
+        memo = self._lifts
+        got = memo.get(w)
+        if got is not None:
+            return got
+        memo.setdefault(self.identity, Polynomial.constant(1))
+        stack = [w]
+        while stack:
+            top = stack[-1]
+            if top in memo:
+                stack.pop()
+                continue
+            r, v, rest = self._step(top)
+            missing = [u for u in (v, *(u for (_, u), _ in rest))
+                       if u not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
+            x_r = ((("x", r), 1),)
+            # x_r·(distinct monomials) are distinct: nothing to gather yet
+            acc = {mon_mul(x_r, mon): c for mon, c in memo[v]._terms.items()}
+            for (d, u), c in rest:
+                q_d = _q_monomial(d)
+                for mon, c2 in memo[u]._terms.items():
+                    mon = mon_mul(q_d, mon)
+                    s = acc.get(mon, 0) - c * c2
+                    if s:
+                        acc[mon] = s
+                    else:
+                        del acc[mon]
+            memo[top] = Polynomial(acc)
+            stack.pop()
+        return memo[w]
+
+
+@lru_cache(maxsize=None)
+def _transition(n: int) -> _Transition:
+    """The Fl_n engine shared by every ring with this n and by the lifts."""
+    return _Transition(n)

@@ -10,12 +10,18 @@ polynomial 𝔖_w(g), which specializes to the quantum polynomial 𝔖_w(x,q) vi
 g_i[0] ↦ x_i, g_i[1] ↦ q_i, g_i[j≥2] ↦ 0 and further to the classical 𝔖_w(x)
 at q = 0.
 
-Every lift — 𝔖_w(c), 𝔖_w(g), 𝔖_w(x,q) and the partial lifts — is one
+The lifts 𝔖_w(c), 𝔖_w(g) and the partial lifts are each one
 `schubert.e_fold` of the decomposition Σ a_K·e_{k_1}(1)⋯e_{k_{n−1}}(n−1) with
-e_k(p) replaced by its image: c_k(p), E_k(p), e^q_k(p) or, for a partial
-shape, the image of the column p rounds down to.  𝔖_w(g) is folded
-directly with E_k(l) rather than substituted into 𝔖_w(c); the two agree
-because distinct sequences K give distinct c-monomials.
+e_k(p) replaced by its image: c_k(p), E_k(p) or, for a partial shape, the
+image of the column p rounds down to.  𝔖_w(g) is folded directly with E_k(l)
+rather than substituted into 𝔖_w(c); the two agree because distinct
+sequences K give distinct c-monomials.
+
+The quantum polynomial 𝔖_w(x,q) is not a fold: it comes from
+Lascoux–Schützenberger transition on the Fl_n product engine
+(`schubert._Transition.lift`), since the quantum Monk rule holds for the
+𝔖^q_w as polynomials.  It equals the fold with e_k(p) ↦ e^q_k(p), so the
+specialization of 𝔖_w(g) to 𝔖_w(x,q) compares two independent routes.
 
 Primary implementation is the direct cover enumeration; the one-step recursion
 and the characteristic-polynomial (determinant) characterization are provided
@@ -25,7 +31,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .perm import Perm
+from .perm import Perm, validate
 from .poly import (
     Polynomial,
     VerificationError,
@@ -35,7 +41,7 @@ from .poly import (
     q_var,
     x_var,
 )
-from .schubert import e_decomposition, e_fold
+from .schubert import _transition, e_decomposition, e_fold
 
 __all__ = [
     "PathAlphabet",
@@ -258,16 +264,18 @@ def quantum_e(k: int, l: int) -> Polynomial:
     return specialize_quantum(path_poly(k, l))
 
 
-@lru_cache(maxsize=None)
 def quantum_schubert(w: Perm) -> Polynomial:
-    """𝔖_w(x,q) = Σ a_K·e^q_{k_1}(1)⋯e^q_{k_{n−1}}(n−1).
+    """𝔖_w(x,q), lifted by transition on the Fl_n engine
+    (`schubert._Transition.lift`) and memoized there per n.
 
-    Setting q = 0 recovers schubert_poly(w) exactly.
+    It equals Σ a_K·e^q_{k_1}(1)⋯e^q_{k_{n−1}}(n−1), the e-fold of 𝔖_w with
+    e_k(p) ↦ e^q_k(p).  Setting q = 0 recovers schubert_poly(w) exactly.
 
     >>> quantum_schubert((3, 1, 2)).to_text()
     'x1^2 − q1'
     """
-    return _e_specialization(w, quantum_e)
+    w = validate(w)
+    return _transition(len(w)).lift(w)
 
 
 def kernel_chern_check(k: int, l: int) -> bool:

@@ -17,7 +17,7 @@ from qschubert import cli, poly, schubert, universal
 from qschubert.cli import main
 from qschubert.partial import partial_ring
 from qschubert.perm import FlagShape, all_permutations
-from qschubert.qring import quantum_ring
+from qschubert.qring import QuantumRing, quantum_ring
 
 
 @pytest.fixture()
@@ -191,6 +191,22 @@ def test_verify_more_suites_pass(capsys, cache_dir):
         assert out.startswith("pass"), argv
 
 
+def test_two_point_suite_fails_on_a_nonzero_invariant():
+    # q1·σ_w0 in σ_312 ∗ σ_321 would make ⟨σ_312, σ_321, σ_id⟩_(1,0) = 1
+    class Broken(QuantumRing):
+        def _pair_product(self, u, v):
+            terms = dict(super()._pair_product(u, v))
+            if {u, v} == {(3, 1, 2), (3, 2, 1)}:
+                terms[((1, 0), (3, 2, 1))] = 1
+            return terms
+
+    failures = []
+    assert cli._suite_two_point(QuantumRing(3), 1, failures) == "8 invariants"
+    assert cli._suite_two_point(Broken(3), 1, failures) is None
+    assert failures == ["⟨σ_(3, 1, 2),σ_(3, 2, 1),σ_(1, 2, 3)⟩_(1, 0) = 1, "
+                        "expected 0"]
+
+
 def test_verify_specialization_builds_one_system_per_grade(
         capsys, cache_dir, monkeypatch):
     builds = []
@@ -203,14 +219,59 @@ def test_verify_specialization_builds_one_system_per_grade(
     monkeypatch.setattr(poly.EchelonSystem, "__init__", counted)
     for cached in (schubert._e_system, schubert.e_decomposition,
                    universal.universal_schubert_c,
-                   universal.universal_schubert_g, universal.quantum_schubert):
+                   universal.universal_schubert_g):
         cached.cache_clear()
+    # the quantum lifts are memoized on the Fl_4 engine
+    schubert._transition(4)._lifts.clear()
     code, out, _ = run(
         capsys, "verify", "--suite", "specialization", "--n", "4",
         cache=cache_dir,
     )
     assert (code, out) == (0, "pass, 24 chains\n")
     assert len(builds) == 7
+
+
+def test_quantum_schubert_miss_builds_no_echelon_system(
+        capsys, cache_dir, monkeypatch):
+    builds = []
+    init = poly.EchelonSystem.__init__
+
+    def counted(self, generators):
+        builds.append(len(generators))
+        init(self, generators)
+
+    monkeypatch.setattr(poly.EchelonSystem, "__init__", counted)
+    for cached in (schubert._e_system, schubert.e_decomposition):
+        cached.cache_clear()
+    schubert._transition(5)._lifts.clear()
+    w = (3, 5, 1, 4, 2)
+    code, out, _ = run(
+        capsys, "schubert", "--n", "5", "--quantum", "--w", "3,5,1,4,2",
+        "--format", "json", cache=cache_dir,
+    )
+    assert code == 0
+    assert json.loads(out) == quantum_schubert(w).to_json_obj()
+    assert builds == []
+
+
+def test_schubert_miss_prints_and_stores_the_same_json(
+        capsys, cache_dir, monkeypatch):
+    calls = []
+    to_json_obj = Polynomial.to_json_obj
+
+    def counted(self):
+        calls.append(1)
+        return to_json_obj(self)
+
+    monkeypatch.setattr(Polynomial, "to_json_obj", counted)
+    argv = ("schubert", "--n", "4", "--quantum", "--w", "4,2,3,1",
+            "--format", "json")
+    code, out, _ = run(capsys, *argv, cache=cache_dir)
+    assert (code, len(calls)) == (0, 1)
+    stored = cli.TableCache(cache_dir).load("qschubert", "4")
+    assert json.loads(out) == stored["4,2,3,1"]
+    monkeypatch.setattr(cli, "_TABLES", {})
+    assert run(capsys, *argv, cache=cache_dir)[:2] == (0, out)
 
 
 def test_verify_json_format(capsys, cache_dir):

@@ -37,7 +37,8 @@ from qschubert import (
     x_var,
 )
 from qschubert import cli, partial, perm, qring
-from qschubert.qring import _GradedQuotientRing, _Transition
+from qschubert.qring import _GradedQuotientRing
+from qschubert.schubert import _Transition
 
 ID3 = (1, 2, 3)
 S1 = (2, 1, 3)

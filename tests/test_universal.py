@@ -1,5 +1,8 @@
 """Path polynomials, universal Schubert polynomials, and their specializations."""
 
+import sys
+import threading
+
 import pytest
 
 from qschubert import (
@@ -24,6 +27,7 @@ from qschubert import (
     universal_schubert_g,
     x_var,
 )
+from qschubert.schubert import _Transition, e_decomposition, e_fold
 from qschubert.universal import path_poly_via_determinant, path_poly_via_recursion
 
 
@@ -158,6 +162,71 @@ def test_quantum_schubert_examples():
     assert quantum_schubert((2, 1, 3)) == x_var(1)
     assert quantum_schubert((3, 1, 2)) == x_var(1) * x_var(1) - q_var(1)
     assert quantum_schubert((1, 2, 3)) == Polynomial.constant(1)
+
+
+def _q_power(d):
+    out = Polynomial.constant(1)
+    for i, e in enumerate(d, start=1):
+        out = out * q_var(i) ** e
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_quantum_monk_holds_for_the_quantum_schubert_polynomials(n):
+    # x_r·𝔖^q_w = Σ c·q^d·𝔖^q_z over the terms of x_r ∗ σ_w, with w ∈ S_n
+    # embedded in S_{n+1} so that every r ≤ n has its whole Monk sum
+    engine = _Transition(n + 1)
+    for w in all_permutations(n):
+        for r in range(1, n + 1):
+            rhs = Polynomial.zero()
+            for (d, z), c in engine._x_terms(r, w + (n + 1,)):
+                rhs = rhs + c * _q_power(d) * quantum_schubert(z)
+            assert x_var(r) * quantum_schubert(w) == rhs, (w, r)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_quantum_schubert_is_the_quantum_e_fold(n):
+    # the oracle: the e-decomposition of 𝔖_w with e_k(p) ↦ e^q_k(p); grade by
+    # grade, so that each (n, grade) echelon system is built once
+    for w in sorted(all_permutations(n), key=length):
+        want = e_fold(e_decomposition(w).coeffs, quantum_e).to_json_obj()
+        assert quantum_schubert(w).to_json_obj() == want, w
+
+
+def test_concurrent_lifts_match_serial():
+    ws = all_permutations(5)
+    serial_engine = _Transition(5)
+    serial = {w: serial_engine.lift(w) for w in ws}
+    engine = _Transition(5)
+    workers = 4
+    start = threading.Barrier(workers)
+    results = [None] * workers
+    errors = []
+
+    def work(slot):
+        try:
+            start.wait(timeout=60)
+            # each thread starts at its own quarter of S_5
+            cut = slot * len(ws) // workers
+            results[slot] = {w: engine.lift(w) for w in ws[cut:] + ws[:cut]}
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    # switch threads often, so that they meet inside one transition tree
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert not any(t.is_alive() for t in threads)
+    assert all(got == serial for got in results)
 
 
 def test_specialization_chain_s4():
