@@ -754,6 +754,14 @@ class _Parser(argparse.ArgumentParser):
         raise CLIInputError(message)
 
 
+def _add_selector(p):
+    """--n for the complete flag manifold or --shape for a partial one; a
+    command line that gives both is refused."""
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--n", type=int)
+    group.add_argument("--shape", help="flag shape n1:n2:…:n")
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parsing leaves it unchanged."""
@@ -777,16 +785,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_schubert)
 
     p = sub.add_parser("product", help="quantum product of two classes")
-    p.add_argument("--n", type=int)
-    p.add_argument("--shape", help="flag shape n1:n2:…:n")
+    _add_selector(p)
     p.add_argument("--u", required=True)
     p.add_argument("--v", required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_product)
 
     p = sub.add_parser("gw", help="Gromov–Witten invariant")
-    p.add_argument("--n", type=int)
-    p.add_argument("--shape", help="flag shape n1:n2:…:n")
+    _add_selector(p)
     p.add_argument(
         "--insertions", required=True, help="semicolon-separated permutations"
     )
@@ -803,15 +809,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--shape")
+    _add_selector(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("table", help="materialize a multiplication table")
-    p.add_argument("--n", type=int)
-    p.add_argument("--shape")
+    _add_selector(p)
     p.add_argument("--out", help="copy the table to this path")
     p.add_argument("--max-n", type=int, default=5)
     p.add_argument("--format", choices=("text", "json"), default="text")

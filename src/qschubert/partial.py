@@ -319,19 +319,15 @@ def kernel_chern_partial_report(l: int, shape: FlagShape) -> list:
     return entries
 
 
-def kernel_chern_partial_check(l: int, shape: FlagShape, reading: str = "resolved") -> bool:
-    """Verify the kernel Chern-class closed form for the map E_{l+1} → E_l.
+def kernel_chern_partial_check(l: int, shape: FlagShape) -> bool:
+    """Verify the resolved kernel Chern-class closed form for the map
+    E_{l+1} → E_l (see kernel_chern_partial_report).
 
-    With the default resolved reading (see kernel_chern_partial_report) a
-    mismatch raises instead of returning False, naming the first bad grade.
-    reading='printed' returns whether the raw two-case expression matches
-    grade by grade; that holds exactly for complete shapes.
+    A mismatch raises instead of returning False, naming the first bad
+    grade.  The raw two-case expression, which holds exactly for complete
+    shapes, is reported per grade as `printed_matches`.
     """
     entries = kernel_chern_partial_report(l, shape)
-    if reading == "printed":
-        return all(e["printed_matches"] for e in entries)
-    if reading != "resolved":
-        raise ValueError(f"unknown reading: {reading!r}")
     for e in entries:
         if not e["resolved_matches"]:
             raise VerificationError(

@@ -216,14 +216,6 @@ class FlagShape:
         ns = self.ns
         return tuple(ns[l + 1] - ns[l - 1] for l in range(1, self.m + 1))
 
-    def block_of(self, j: int) -> int:
-        """The block index l with n_{l−1} < j ≤ n_l."""
-        ns = self.ns
-        for l in range(1, self.m + 2):
-            if ns[l - 1] < j <= ns[l]:
-                return l
-        raise ValueError(f"position out of range 1..{self.n}: {j}")
-
     @cached_property
     def dimension(self) -> int:
         """dim F^N = Σ_{l<l'} b_l·b_{l'} = C(n,2) − Σ_l C(b_l,2) over block

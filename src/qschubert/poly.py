@@ -42,13 +42,7 @@ __all__ = [
     "mon_mul",
     "mon_sort_key",
     "render_var",
-    "add",
-    "mul",
-    "scalar_mul",
-    "substitute",
-    "homogeneous_component",
     "solve_linear_expansion",
-    "LinearSolution",
     "EchelonSystem",
     "SolveError",
     "NoSolutionError",
@@ -382,18 +376,6 @@ class Polynomial:
         }
         return res
 
-    def graded_components(self, q_grades=None):
-        """Dict grade → homogeneous part, over the grades present."""
-        parts = {}
-        for mon, coeff in self._terms.items():
-            parts.setdefault(mon_grade(mon, q_grades), {})[mon] = coeff
-        out = {}
-        for grade, terms in sorted(parts.items()):
-            p = Polynomial.__new__(Polynomial)
-            p._terms = terms
-            out[grade] = p
-        return out
-
     # ---- rendering ----------------------------------------------------
 
     def to_text(self) -> str:
@@ -500,29 +482,6 @@ def sigma_var(i: int, j: int) -> Polynomial:
     return Polynomial.variable(("sigma", i, j))
 
 
-# ---- functional aliases for the operator methods ---------------------------
-
-
-def add(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p + q
-
-
-def mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
-def scalar_mul(a, p: Polynomial) -> Polynomial:
-    return p * a
-
-
-def substitute(p: Polynomial, assignment) -> Polynomial:
-    return p.substitute(assignment)
-
-
-def homogeneous_component(p: Polynomial, grade: int, q_grades=None) -> Polynomial:
-    return p.homogeneous_component(grade, q_grades)
-
-
 # ---- exact linear expansion ------------------------------------------------
 
 
@@ -536,29 +495,6 @@ class NoSolutionError(SolveError):
 
 class NonIntegralError(SolveError):
     """A rational solution exists but the canonical one is not integral."""
-
-
-class LinearSolution(tuple):
-    """Integer expansion coefficients, one per generator.
-
-    `dependent_indices` lists generators that were linear combinations of
-    earlier ones; the returned coefficients are the canonical echelon solution
-    (dependent generators receive coefficient 0).
-    """
-
-    def __new__(cls, coeffs, dependent_indices=()):
-        return super().__new__(cls, coeffs)
-
-    def __init__(self, coeffs, dependent_indices=()):
-        self._dependent = tuple(dependent_indices)
-
-    @property
-    def dependent_indices(self):
-        return self._dependent
-
-    @property
-    def has_dependencies(self) -> bool:
-        return bool(self._dependent)
 
 
 class EchelonSystem:
@@ -701,13 +637,14 @@ class EchelonSystem:
         )
         return coeffs, leftover
 
-    def solve(self, target: Polynomial) -> LinearSolution:
-        """Integer coefficients c with target = Σ c_j·generator_j.
+    def solve(self, target: Polynomial) -> tuple:
+        """Integer coefficients c with target = Σ c_j·generator_j, one int
+        per generator: the canonical echelon solution.
 
         Raises NoSolutionError when the target is outside the span and
         NonIntegralError when the canonical rational solution is not
-        integral.  Dependent generators receive coefficient 0 and are
-        reported on the result.
+        integral.  Dependent generators, listed in `dependent_indices`,
+        receive coefficient 0.
         """
         coeffs, leftover = self.reduce(target)
         if not leftover.is_zero():
@@ -722,10 +659,11 @@ class EchelonSystem:
                     raise NonIntegralError(f"coefficient of generator {j} is {c}")
                 c = int(c)
             out.append(c)
-        return LinearSolution(out, self.dependent_indices)
+        return tuple(out)
 
 
-def solve_linear_expansion(target: Polynomial, generators) -> LinearSolution:
-    """Integer coefficients c with target = Σ c_i·generators[i]; see
-    `EchelonSystem.solve` for the errors and the dependent generators."""
+def solve_linear_expansion(target: Polynomial, generators) -> tuple:
+    """Integer coefficients c with target = Σ c_i·generators[i], as a tuple
+    of ints; see `EchelonSystem.solve` for the errors.  The dependent
+    generators are on `EchelonSystem(generators).dependent_indices`."""
     return EchelonSystem(list(generators)).solve(target)

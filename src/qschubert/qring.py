@@ -48,6 +48,10 @@ __all__ = [
     "gromov_witten",
 ]
 
+# the inversion count of each permutation, counted once: the dimension gate of
+# every gromov_witten call and the factor order of every product read it
+_length = lru_cache(maxsize=None)(length)
+
 
 class QuantumClass:
     """An integer combination of basis classes q^d·σ_w.
@@ -86,9 +90,6 @@ class QuantumClass:
     def items(self):
         """Terms as ((d, w), coeff), sorted by d then w."""
         return sorted(self._terms.items())
-
-    def support(self):
-        return sorted(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -300,7 +301,7 @@ class _GradedQuotientRing:
             )
         if not ws:
             raise ValueError("need at least one insertion")
-        total = sum(length(x) for x in ws) + length(w)
+        total = sum(map(_length, ws)) + _length(w)
         if total != self._moduli_dimension(d):
             return 0
         return self._fold(ws).get((d, self._dual(w)), 0)
@@ -308,7 +309,7 @@ class _GradedQuotientRing:
     # -- the product path -------------------------------------------------
     def _pair_product(self, u: Perm, v: Perm) -> dict:
         """σ_u ∗ σ_v on a memo miss, by transition on the shorter factor."""
-        if length(u) > length(v):
+        if _length(u) > _length(v):
             u, v = v, u
         terms = self._fl.product(u, v)
         return terms if self._complete else self._compare(terms)

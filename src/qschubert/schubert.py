@@ -216,23 +216,6 @@ class EDecomposition:
     def recombine(self) -> Polynomial:
         return e_fold(self.coeffs, elementary_poly)
 
-    def to_text_lines(self) -> list[str]:
-        lines = []
-        for seq, a in sorted(self.coeffs.items()):
-            factors = [f"e_{k}({p})" for p, k in enumerate(seq, start=1) if k]
-            body = "·".join(factors) if factors else "1"
-            lines.append(f"{a} · {body}")
-        return lines
-
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "w": ",".join(str(v) for v in self.w),
-            "coeffs": [
-                {"k": list(seq), "coeff": a} for seq, a in sorted(self.coeffs.items())
-            ],
-        }
-
 
 @lru_cache(maxsize=None)
 def e_decomposition(w: Perm) -> EDecomposition:

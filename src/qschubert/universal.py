@@ -326,13 +326,6 @@ class PathAlphabet:
     def admissible(self, i: int, j: int) -> bool:
         return i >= 1 and j >= 0 and i + j <= self.n
 
-    def g_variables(self) -> list:
-        return [
-            (i, j)
-            for i in range(1, self.n + 1)
-            for j in range(0, self.n - i + 1)
-        ]
-
     def _check_range(self, l: int):
         if not 1 <= l <= self.n:
             raise ValueError(f"need 1 ≤ l ≤ {self.n}: {l}")

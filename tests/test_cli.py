@@ -126,6 +126,21 @@ def test_mutually_exclusive_flags(capsys, cache_dir):
     assert "exclusive" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["product", "--u", "1,2,3", "--v", "2,1,3"],
+    ["gw", "--insertions", "2,1,3", "--class", "2,1,3", "--degree", "0"],
+    ["table"],
+    ["verify", "--suite", "relations"],
+])
+def test_n_and_shape_together_refused(capsys, cache_dir, argv):
+    code, out, err = run(
+        capsys, *argv, "--n", "5", "--shape", "1:3", cache=cache_dir
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not cache_dir.exists()
+
+
 def test_product_needs_ring_argument(capsys, cache_dir):
     code, _, err = run(capsys, "product", "--u", "2,1", "--v", "2,1", cache=cache_dir)
     assert code == 2

@@ -1,4 +1,5 @@
-"""The `>>>` examples in the package modules and in README.md."""
+"""The public names and the `>>>` examples of the package modules and of
+README.md."""
 import doctest
 import importlib
 import pkgutil
@@ -11,6 +12,12 @@ import qschubert
 # __main__ runs the command line when imported
 MODULES = sorted(m.name for m in pkgutil.iter_modules(qschubert.__path__)
                  if m.name != "__main__")
+
+
+@pytest.mark.parametrize("name", ["qschubert"] + [f"qschubert.{m}" for m in MODULES])
+def test_public_names_resolve(name):
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
 @pytest.mark.parametrize("name", MODULES)

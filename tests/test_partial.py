@@ -332,18 +332,14 @@ def test_kernel_chern_partial_printed_reading_documented():
     # The two-case closed form holds verbatim only when every block has
     # size one; on genuinely partial shapes the resolved reading is the one
     # that matches, and the verbatim one fails at some grade.
-    assert kernel_chern_partial_check(1, COMPLETE3, reading="printed")
-    assert kernel_chern_partial_check(2, COMPLETE3, reading="printed")
-    assert not kernel_chern_partial_check(1, P2, reading="printed")
-    assert not kernel_chern_partial_check(1, GR24, reading="printed")
-    assert not all(
-        kernel_chern_partial_check(l, TWO_STEP4, reading="printed") for l in (1, 2)
-    )
+    def printed(l, shape):
+        return all(e["printed_matches"] for e in kernel_chern_partial_report(l, shape))
 
-
-def test_kernel_chern_partial_unknown_reading():
-    with pytest.raises(ValueError):
-        kernel_chern_partial_check(1, P2, reading="sideways")
+    assert printed(1, COMPLETE3)
+    assert printed(2, COMPLETE3)
+    assert not printed(1, P2)
+    assert not printed(1, GR24)
+    assert not all(printed(l, TWO_STEP4) for l in (1, 2))
 
 
 def test_kernel_chern_partial_report_structure():

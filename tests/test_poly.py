@@ -122,7 +122,8 @@ def test_homogeneous_component_examples():
 @given(small_polys())
 def test_graded_components_recover_polynomial(p):
     total = Polynomial.zero()
-    for grade, part in p.graded_components().items():
+    for grade in p.grades():
+        part = p.homogeneous_component(grade)
         assert part.is_homogeneous()
         assert part.grade() == grade
         total = total + part
@@ -249,15 +250,13 @@ def test_fraction_coefficients_supported_in_arithmetic():
 
 
 def test_solver_example_and_recombination():
-    sol = solve_linear_expansion(X1 * X1, [X1 * (X1 + X2), X1 * X2])
-    assert list(sol) == [1, -1]
-    assert sol.dependent_indices == ()
-    assert not sol.has_dependencies
+    gens = [X1 * (X1 + X2), X1 * X2]
+    assert solve_linear_expansion(X1 * X1, gens) == (1, -1)
+    assert EchelonSystem(gens).dependent_indices == []
 
 
 def test_solver_zero_target():
-    sol = solve_linear_expansion(Polynomial.zero(), [X1, X2])
-    assert list(sol) == [0, 0]
+    assert solve_linear_expansion(Polynomial.zero(), [X1, X2]) == (0, 0)
 
 
 def test_solver_no_solution():
@@ -272,8 +271,8 @@ def test_solver_non_integral_reported_distinctly():
 
 def test_solver_reports_dependencies():
     sol = solve_linear_expansion(X1 + X2, [X1, X2, X1 + X2])
-    assert sol.has_dependencies
-    assert sol.dependent_indices == (2,)
+    assert EchelonSystem([X1, X2, X1 + X2]).dependent_indices == [2]
+    assert all(type(c) is int for c in sol)
     recombined = Polynomial.zero()
     for c, gen in zip(sol, [X1, X2, X1 + X2]):
         recombined = recombined + c * gen
@@ -301,9 +300,10 @@ def test_echelon_solve_checks_span_and_integrality():
         system.solve(X2 * X2)
     with pytest.raises(NonIntegralError):
         EchelonSystem([2 * X1]).solve(X1)
-    sol = EchelonSystem([X1, X2, X1 + X2]).solve(X1 + X2)
-    assert list(sol) == list(solve_linear_expansion(X1 + X2, [X1, X2, X1 + X2]))
-    assert sol.dependent_indices == (2,)
+    system = EchelonSystem([X1, X2, X1 + X2])
+    sol = system.solve(X1 + X2)
+    assert sol == solve_linear_expansion(X1 + X2, [X1, X2, X1 + X2])
+    assert system.dependent_indices == [2]
 
 
 def test_echelon_solve_leaves_the_system_unchanged():

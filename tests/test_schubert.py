@@ -249,15 +249,6 @@ def test_e_decomposition_recombines_on_all_of_s6():
         assert e_decomposition(w).recombine() == schubert_poly(w)
 
 
-def test_e_decomposition_text_and_json():
-    dec = e_decomposition((3, 1, 2))
-    lines = dec.to_text_lines()
-    assert any("e_1(1)·e_1(2)" in line for line in lines)
-    obj = dec.to_json_obj()
-    assert obj["w"] == "3,1,2"
-    assert {tuple(entry["k"]): entry["coeff"] for entry in obj["coeffs"]} == dec.coeffs
-
-
 def monk_expansion(r, w, n):
     """Transposition enumeration for multiplying by the r-th simple class.
 

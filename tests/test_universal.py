@@ -257,10 +257,6 @@ def test_path_alphabet_admissibility():
     assert alpha.admissible(3, 0)
     assert not alpha.admissible(1, 3)
     assert not alpha.admissible(0, 1)
-    gs = alpha.g_variables()
-    assert (1, 2) in gs
-    assert (2, 2) not in gs
-    assert len(gs) == 6
 
 
 def test_path_alphabet_validates_arguments():
