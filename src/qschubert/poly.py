@@ -18,6 +18,14 @@ A monomial is a tuple of (variable, exponent) pairs, sorted by the variable
 order above, each variable at most once and every exponent positive; the
 constant monomial is ().  Every constructor keeps this invariant, and
 `mon_mul` relies on it: it merges two such tuples in one pass.
+Monomials rest in this tuple form everywhere.  Only inside the fold kernels
+of `schubert` (`e_fold` and the e-monomial products) are they packed, one
+private `_Packing` per call, into one int with a bit field per variable.
+The width rule: every field is as wide as the bit length of the sum, over
+the factor positions, of the largest exponent of any factor used there.  No
+product of that call can exceed it, so no field carries into the next and a
+monomial product is one int addition.  Each result is decoded once, at the
+end, back into tuple monomials.
 A polynomial holds a dict monomial → nonzero coefficient.  Coefficients are
 Python ints (exact rationals may appear transiently inside solvers; anything
 with denominator 1 is normalized back to int).
@@ -443,6 +451,113 @@ class Polynomial:
             )
             terms[mon] = terms.get(mon, 0) + int(entry["coeff"])
         return cls(terms)
+
+
+# ---- packed monomials, inside the fold kernels only ------------------------
+
+
+# fields decoded at once by `_Packing.unpack`: a wider chunk takes fewer
+# steps per monomial but misses its table more often
+_CHUNK_FIELDS = 4
+
+
+class _Packing:
+    """Monomials as ints, for products that take at most one polynomial from
+    each of a fixed list of columns.
+
+    Each variable met in the columns owns one bit field, all of one width,
+    laid out in the variable order with the first variable lowest.  No
+    exponent of such a product exceeds the bound Σ over columns of the
+    largest exponent in the column, and the width holds the bound, so no
+    field carries into the next: the product of two packed monomials is
+    their sum.  `unpack` turns a packed sum back into a Polynomial with
+    canonical tuple monomials.  It decodes _CHUNK_FIELDS fields at a time
+    through a table, filled on first use, of the pair tuples each chunk
+    value stands for; the tables are built from one shared
+    (variable, exponent) pair per field value.
+    """
+
+    __slots__ = ("_width", "_shifts", "_pairs", "_chunks")
+
+    def __init__(self, columns):
+        bound = 0
+        variables = set()
+        for column in columns:
+            top = 0
+            for p in column:
+                for mon in p._terms:
+                    for v, e in mon:
+                        variables.add(v)
+                        if e > top:
+                            top = e
+            bound += top
+        self._width = width = bound.bit_length()
+        order = sorted(variables, key=_var_key)
+        self._shifts = {v: i * width for i, v in enumerate(order)}
+        self._pairs = [[None] + [(v, e) for e in range(1, bound + 1)]
+                       for v in order]
+        self._chunks = [{} for _ in range(0, len(order), _CHUNK_FIELDS)]
+
+    def pack(self, p: Polynomial) -> dict:
+        """{packed monomial: coefficient} of p, whose variables must all be
+        in the columns."""
+        shifts = self._shifts
+        return {sum(e << shifts[v] for v, e in mon): c
+                for mon, c in p._terms.items()}
+
+    def _chunk(self, j: int, part: int) -> tuple:
+        """The pairs that chunk j of a packed monomial stands for."""
+        width = self._width
+        mask = (1 << width) - 1
+        pairs = []
+        i = j * _CHUNK_FIELDS
+        rest = part
+        while rest:
+            e = rest & mask
+            if e:
+                pairs.append(self._pairs[i][e])
+            rest >>= width
+            i += 1
+        got = self._chunks[j][part] = tuple(pairs)
+        return got
+
+    def unpack(self, terms: dict) -> Polynomial:
+        """The Polynomial of a packed {monomial: coefficient} dict; zero
+        coefficients are dropped."""
+        bits = self._width * _CHUNK_FIELDS
+        mask = (1 << bits) - 1
+        chunks = self._chunks
+        out = {}
+        for m, c in terms.items():
+            if not c:
+                continue
+            mon = ()
+            j = 0
+            while m:
+                part = m & mask
+                if part:
+                    # a nonzero chunk stands for at least one pair, so only
+                    # a miss reads as falsy
+                    mon += chunks[j].get(part) or self._chunk(j, part)
+                m >>= bits
+                j += 1
+            out[mon] = c
+        res = Polynomial.__new__(Polynomial)
+        res._terms = out
+        return res
+
+
+def _packed_mul_into(out: dict, a: dict, b: dict) -> dict:
+    """out += a·b on packed {monomial: coefficient} dicts of one packing;
+    returns out.  Cancelled terms stay in out with coefficient 0."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = out.get
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = m1 + m2
+            out[m] = get(m, 0) + c1 * c2
+    return out
 
 
 # ---- variable builders (out-of-convention indices collapse to 0 or 1) ----

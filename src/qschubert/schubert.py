@@ -17,6 +17,9 @@ Every lift replaces each e_k(p) by an image factor(k, p) and sums
 Horner's rule over the sequences grouped by their last entries, so each
 factor(k, p) multiplies, once, the sum of all the terms that share it; the
 recombination check of `e_decomposition` is the same fold with factor e_k(p).
+The fold and the e-monomial products of `_e_system` multiply packed
+monomials (`poly._Packing`, one per call): each monomial product is one int
+addition, and each result is decoded into tuple monomials once, at the end.
 
 `_Transition` is the Fl_n engine of quantum Monk and Lascoux–Schützenberger
 transition.  It gives the structure constants of QH*(Fl_n), which `qring`
@@ -35,6 +38,8 @@ from .poly import (
     EchelonSystem,
     Polynomial,
     VerificationError,
+    _packed_mul_into,
+    _Packing,
     _var_key,
     mon_mul,
     x_var,
@@ -135,36 +140,40 @@ def e_fold(coeffs: dict, factor) -> Polynomial:
     sequences are grouped by their last entry k, each group's sum over
     shorter prefixes is folded first, and then multiplied once by
     factor(k, L).  Each factor(k, p) thus multiplies the sum of everything
-    that shares it, not each sequence on its own.
+    that shares it, not each sequence on its own.  Each factor(k, p) is
+    looked up once per distinct (k, p), for k ≠ 0 only; the fold multiplies
+    and adds packed monomials (`_packed_columns`), and the sum is decoded
+    once, at the end.
 
     >>> e_fold({(1, 0): 1, (0, 1): -1}, elementary_poly).to_text()
     '−x2'
     """
-    items = list(coeffs.items())
-    if not items:
+    if not coeffs:
         return Polynomial.zero()
-    return _fold(items, len(items[0][0]), factor)
+    packing, columns = _packed_columns(coeffs, len(next(iter(coeffs))), factor)
+    # level p: suffix (k_{p+1},…,k_L) → Σ over its sequences of
+    # a_K·factor(k_1, 1)⋯factor(k_p, p), packed
+    level = {seq: {0: a} for seq, a in coeffs.items()}
+    for column in columns:
+        up = {}
+        for seq, part in level.items():
+            part = {m: c for m, c in part.items() if c}
+            _packed_mul_into(up.setdefault(seq[1:], {}), part, column[seq[0]])
+        level = up
+    return packing.unpack(level[()])
 
 
-def _fold(items: list, p: int, factor) -> Polynomial:
-    """e_fold over (K, a_K) pairs that agree past position p."""
-    if p == 0:
-        return Polynomial.constant(sum(a for _, a in items))
-    groups = {}
-    for item in items:
-        groups.setdefault(item[0][p - 1], []).append(item)
-    acc = {}
-    for k, group in groups.items():
-        part = _fold(group, p - 1, factor)
-        if k:
-            part = part * factor(k, p)
-        for mon, c in part._terms.items():
-            s = acc.get(mon, 0) + c
-            if s:
-                acc[mon] = s
-            else:
-                del acc[mon]
-    return Polynomial(acc)
+def _packed_columns(seqs, length: int, factor) -> tuple:
+    """(packing, columns) for the products factor(k_1, 1)⋯factor(k_L, L)
+    along sequences of length L: columns[p − 1] maps each k that the
+    sequences hold at position p to factor(k, p), packed, and k = 0 to the
+    packed 1.  factor(k, p) is looked up once per distinct (k, p), k ≠ 0,
+    and the packing is over these factors alone."""
+    columns = [{k: factor(k, p) for k in {seq[p - 1] for seq in seqs} if k}
+               for p in range(1, length + 1)]
+    packing = _Packing([column.values() for column in columns])
+    return packing, [{0: {0: 1}, **{k: packing.pack(f) for k, f in column.items()}}
+                     for column in columns]
 
 
 def _e_sequences(n: int, m: int) -> list:
@@ -190,27 +199,26 @@ def _e_system(n: int, m: int) -> tuple:
 
     The e-monomials are built along the prefixes of the sequences, so each
     product e_{k_1}(1)⋯e_{k_p}(p) is formed once for all sequences that
-    share it."""
+    share it; the products run on packed monomials (`_packed_columns`), and
+    each e-monomial is decoded once, at the end."""
     seqs = _e_sequences(n, m)
-    prods = {(): Polynomial.constant(1)}
-    for p in range(1, n):
+    packing, columns = _packed_columns(seqs, n - 1, elementary_poly)
+    prods = {(): {0: 1}}
+    for p, column in enumerate(columns, start=1):
         longer = {}
         for seq in seqs:
             head = seq[:p]
             if head not in longer:
-                prod = prods[seq[:p - 1]]
-                k = seq[p - 1]
-                longer[head] = prod * elementary_poly(k, p) if k else prod
+                longer[head] = _packed_mul_into({}, prods[seq[:p - 1]],
+                                                column[seq[p - 1]])
         prods = longer
-    return seqs, EchelonSystem([prods[seq] for seq in seqs])
+    return seqs, EchelonSystem([packing.unpack(prods[seq]) for seq in seqs])
 
 
 @dataclass(frozen=True)
 class EDecomposition:
     """𝔖_w = Σ coeffs[(k_1,…,k_{n−1})] · e_{k_1}(1)⋯e_{k_{n−1}}(n−1)."""
 
-    n: int
-    w: Perm
     coeffs: dict
 
     def recombine(self) -> Polynomial:
@@ -234,7 +242,7 @@ def e_decomposition(w: Perm) -> EDecomposition:
     seqs, system = _e_system(n, length(w))
     sol = system.solve(target)
     coeffs = {seq: a for seq, a in zip(seqs, sol) if a}
-    dec = EDecomposition(n=n, w=w, coeffs=coeffs)
+    dec = EDecomposition(coeffs)
     if dec.recombine() != target:
         raise AssertionError(f"e-decomposition recombination failed for {w}")
     return dec

@@ -3,25 +3,30 @@
 import random
 import sys
 import threading
+from bisect import bisect_right
 from itertools import permutations, product, zip_longest
 
 import pytest
 
 from qschubert import (
+    FlagShape,
     Polynomial,
     all_permutations,
+    c_var,
     compose,
     divided_difference,
     e_decomposition,
     elementary_poly,
     length,
     longest_element,
+    path_poly,
+    quantum_e,
     quantum_ring,
     schubert_poly,
     transposition,
     x_var,
 )
-from qschubert import poly, schubert
+from qschubert import partial, poly, schubert
 
 X1, X2, X3 = x_var(1), x_var(2), x_var(3)
 
@@ -152,8 +157,7 @@ def test_e_fold_is_the_plain_sum_of_products():
 def test_e_fold_edge_cases():
     assert schubert.e_fold({}, elementary_poly).is_zero()
     assert schubert.e_fold({(): 3}, elementary_poly) == Polynomial.constant(3)
-    # a factor is looked up only for k_p ≠ 0, once per distinct (k_p, p) and
-    # shared suffix
+    # a factor is looked up only for k_p ≠ 0, once per distinct (k_p, p)
     calls = []
 
     def factor(k, p):
@@ -166,7 +170,106 @@ def test_e_fold_edge_cases():
         - elementary_poly(1, 2) * elementary_poly(2, 3)
         + 5 * X1 * elementary_poly(1, 2) * elementary_poly(1, 3)
     )
-    assert sorted(calls) == [(1, 1), (1, 1), (1, 2), (1, 2), (1, 3), (2, 3)]
+    assert sorted(calls) == [(1, 1), (1, 2), (1, 3), (2, 3)]
+
+
+def _naive_fold(coeffs, factor):
+    """Σ a_K·factor(k_1, 1)⋯factor(k_L, L), multiplied out term by term with
+    Polynomial.__mul__."""
+    out = Polynomial.zero()
+    for seq, a in coeffs.items():
+        term = Polynomial.constant(a)
+        for p, k in enumerate(seq, start=1):
+            if k:
+                term = term * factor(k, p)
+        out = out + term
+    return out
+
+
+def _seeded_coeffs(seed, length, size, keep=()):
+    """`size` seeded sequences K with 0 ≤ k_p ≤ p, and those in `keep`, each
+    with a nonzero coefficient in [−5, 5]."""
+    rng = random.Random(seed)
+    seqs = list(product(*(range(p + 1) for p in range(1, length + 1))))
+    chosen = rng.sample(seqs, min(size, len(seqs))) + list(keep)
+    return {seq: rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]) for seq in chosen}
+
+
+_PARTIAL_SHAPE = FlagShape((2, 4), 5)
+
+
+def _partial_factor(k, p):
+    """The factor of `partial_quantum_schubert` on the shape 2:4:5: column 1
+    lies below n_1 = 2 and gives 0; columns 2–4 give σ classes, and
+    ẽ^q_4(2) holds −q_1."""
+    l = bisect_right(_PARTIAL_SHAPE.ns, p) - 1
+    return partial._partial_e(k, l, _PARTIAL_SHAPE) if l else Polynomial.zero()
+
+
+def _powers(k, p):
+    """A factor with exponents above 1: x_1 reaches k·p at position p."""
+    return X1 ** (k * p) + 3 * X2 ** k - x_var(p + 2)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("factor, length, size", [
+    (elementary_poly, 5, 60),
+    (path_poly, 5, 60),
+    (quantum_e, 5, 60),
+    (c_var, 5, 60),
+    (_partial_factor, 4, 40),
+])
+def test_e_fold_matches_the_naive_sum(factor, length, size, seed):
+    # the longest sequence uses every factor of the largest k at each p
+    coeffs = _seeded_coeffs(seed, length, size, keep=[tuple(range(1, length + 1))])
+    assert schubert.e_fold(coeffs, factor) == _naive_fold(coeffs, factor)
+
+
+def test_partial_factor_has_sigmas_a_signed_q_and_a_zero_column():
+    assert _partial_factor(1, 1).is_zero()
+    assert any(v[0] == "sigma" for v in _partial_factor(2, 3).variables())
+    assert _partial_factor(4, 4).coefficient(((("q", 1), 1),)) == -1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_e_fold_reaches_the_exponent_bound(seed):
+    """An exponent of the sum equals the packing bound, Σ over positions of
+    the largest exponent of a factor used there: x_1^{1·1 + 2·2 + 3·3}."""
+    top = (1, 2, 3)
+    coeffs = _seeded_coeffs(seed, 3, 8, keep=[top])
+    bound = sum(
+        max(e for k in {seq[p - 1] for seq in coeffs} if k
+            for mon in _powers(k, p)._terms for _, e in mon)
+        for p in (1, 2, 3)
+    )
+    got = schubert.e_fold(coeffs, _powers)
+    assert got == _naive_fold(coeffs, _powers)
+    assert max(e for mon in got._terms for v, e in mon if v == ("x", 1)) == bound == 14
+
+
+def test_e_system_generators_are_the_elementary_products(monkeypatch):
+    generators = []
+    init = poly.EchelonSystem.__init__
+
+    def captured(self, gens):
+        generators.append(gens)
+        init(self, gens)
+
+    monkeypatch.setattr(poly.EchelonSystem, "__init__", captured)
+    schubert._e_system.cache_clear()
+    try:
+        for n in range(1, 7):
+            for m in range(n * (n - 1) // 2 + 1):
+                seqs, _ = schubert._e_system(n, m)
+                gens = generators.pop()
+                assert len(gens) == len(seqs)
+                for seq, gen in zip(seqs, gens):
+                    want = Polynomial.constant(1)
+                    for p, k in enumerate(seq, start=1):
+                        want = want * elementary_poly(k, p)
+                    assert gen == want, (n, m, seq)
+    finally:
+        schubert._e_system.cache_clear()
 
 
 def test_e_sequences_match_the_filter_of_all_tuples():
