@@ -833,7 +833,7 @@ def main(argv=None) -> int:
     except CLIInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (VerificationError, SolveError, AssertionError) as exc:
+    except (VerificationError, SolveError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,12 +27,11 @@ product of that call can exceed it, so no field carries into the next and a
 monomial product is one int addition.  Each result is decoded once, at the
 end, back into tuple monomials.
 A polynomial holds a dict monomial → nonzero coefficient.  Coefficients are
-Python ints (exact rationals may appear transiently inside solvers; anything
-with denominator 1 is normalized back to int).
+Python ints, and the only scalars that arithmetic accepts are ints: any other
+scalar, a Fraction or a float among them, raises TypeError.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 Variable = tuple
@@ -170,25 +169,14 @@ _MINUS = "−"
 _DOT = "·"
 
 
-def _coerce_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
 class Polynomial:
-    """Immutable-by-convention sparse polynomial; do not mutate `_terms`."""
+    """Immutable-by-convention sparse polynomial with int coefficients; do
+    not mutate `_terms`."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for mon, coeff in terms.items():
-                coeff = _coerce_coeff(coeff)
-                if coeff:
-                    clean[mon] = coeff
-        self._terms = clean
+        self._terms = {mon: c for mon, c in terms.items() if c} if terms else {}
 
     # ---- constructors -------------------------------------------------
 
@@ -241,7 +229,7 @@ class Polynomial:
     def __eq__(self, other):
         if isinstance(other, Polynomial):
             return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self._terms == Polynomial.constant(other)._terms
         return NotImplemented
 
@@ -251,15 +239,15 @@ class Polynomial:
     # ---- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = Polynomial.constant(other)
-        if not isinstance(other, Polynomial):
+        elif not isinstance(other, Polynomial):
             return NotImplemented
         out = dict(self._terms)
         for mon, coeff in other._terms.items():
             s = out.get(mon, 0) + coeff
             if s:
-                out[mon] = _coerce_coeff(s)
+                out[mon] = s
             else:
                 out.pop(mon, None)
         res = Polynomial.__new__(Polynomial)
@@ -274,23 +262,21 @@ class Polynomial:
         return res
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = Polynomial.constant(other)
-        if not isinstance(other, Polynomial):
+        elif not isinstance(other, Polynomial):
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             if not other:
                 return Polynomial.zero()
             res = Polynomial.__new__(Polynomial)
-            res._terms = {
-                mon: _coerce_coeff(coeff * other) for mon, coeff in self._terms.items()
-            }
+            res._terms = {mon: coeff * other for mon, coeff in self._terms.items()}
             return res
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -307,9 +293,6 @@ class Polynomial:
                     out[mon] = s
                 else:
                     del out[mon]
-        for mon, c in out.items():
-            if c.__class__ is not int:
-                out[mon] = _coerce_coeff(c)
         res = Polynomial.__new__(Polynomial)
         res._terms = out
         return res
@@ -609,7 +592,8 @@ class NoSolutionError(SolveError):
 
 
 class NonIntegralError(SolveError):
-    """A rational solution exists but the canonical one is not integral."""
+    """The target is in the span, but only with a scale t > 1 that does not
+    divide every coefficient."""
 
 
 class EchelonSystem:
@@ -621,8 +605,9 @@ class EchelonSystem:
     recording the combination of input generators each row equals, so a
     smallest key ≥ M means the polynomial part has vanished.  The bookkeeping
     columns participate in content stripping, which keeps every entry an
-    integer.  Reduction of a target returns exact rational coefficients.
-    Neither `reduce` nor `solve` mutates the system, so threads may share one.
+    integer.  Reduction of a target returns integers only: a scale t and the
+    coefficients of t·target.  Neither `reduce` nor `solve` mutates the
+    system, so threads may share one.
     """
 
     def __init__(self, generators):
@@ -717,14 +702,14 @@ class EchelonSystem:
         self.pivots[lead] = row
 
     def reduce(self, target: Polynomial):
-        """Express target over the generators.
+        """Express a multiple of target over the generators.
 
-        Returns (coeffs, leftover): coeffs is a dict generator-index →
-        Fraction with target = Σ coeffs[j]·gen_j + leftover, where leftover is
-        the part of target whose leading monomials have no pivot (zero
-        polynomial when target is in the span).  A target monomial that no
-        generator holds can meet no pivot, so it goes to the leftover at once;
-        it is scaled with the row and shares its content.
+        Returns (t, coeffs, leftover) in integers: t ≥ 1, coeffs is a dict
+        generator-index → nonzero int, and t·target = Σ coeffs[j]·gen_j +
+        leftover.  The leftover holds no pivot monomial; it is the zero
+        polynomial exactly when target is in the span.  A target monomial
+        that no generator holds can meet no pivot, so it goes to the leftover
+        at once; it is scaled with the row and shares its content.
         """
         rank = self._rank
         width = len(self._monomials)
@@ -741,38 +726,32 @@ class EchelonSystem:
         t_key = width + self.num_generators
         row[t_key] = 1
         self._eliminate(row, leftover_terms)
+        # elimination keeps poly(row) + leftover = t·target + Σ row[M + j]·gen_j,
+        # and the polynomial part of the row is now empty
         t = row.pop(t_key)
-        coeffs = {}
-        for k, v in row.items():
-            value = Fraction(-v, t)
-            if value:
-                coeffs[k - width] = value
-        leftover = Polynomial(
-            {mon: Fraction(c, t) for mon, c in leftover_terms.items()}
-        )
-        return coeffs, leftover
+        coeffs = {k - width: -v for k, v in row.items()}
+        return t, coeffs, Polynomial(leftover_terms)
 
     def solve(self, target: Polynomial) -> tuple:
         """Integer coefficients c with target = Σ c_j·generator_j, one int
         per generator: the canonical echelon solution.
 
         Raises NoSolutionError when the target is outside the span and
-        NonIntegralError when the canonical rational solution is not
-        integral.  Dependent generators, listed in `dependent_indices`,
+        NonIntegralError when the scale t of `reduce` does not divide every
+        coefficient.  Dependent generators, listed in `dependent_indices`,
         receive coefficient 0.
         """
-        coeffs, leftover = self.reduce(target)
+        t, coeffs, leftover = self.reduce(target)
         if not leftover.is_zero():
             raise NoSolutionError(
                 f"target not in generator span; leftover leading term {leftover.terms()[0]}"
             )
         out = []
         for j in range(self.num_generators):
-            c = coeffs.get(j, 0)
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise NonIntegralError(f"coefficient of generator {j} is {c}")
-                c = int(c)
+            c, r = divmod(coeffs.get(j, 0), t)
+            if r:
+                raise NonIntegralError(
+                    f"coefficient of generator {j} is {coeffs[j]}/{t}")
             out.append(c)
         return tuple(out)
 

@@ -104,8 +104,16 @@ class QuantumClass:
     def __hash__(self):
         return hash((self.n, frozenset(self._terms.items())))
 
+    def _shape_key(self):
+        """The shape, with the complete shape read as None."""
+        shape = self.shape
+        return None if shape is None or shape.is_complete() else shape
+
     def __add__(self, other: "QuantumClass") -> "QuantumClass":
-        if not isinstance(other, QuantumClass) or other.n != self.n:
+        """The sum of two classes over one n and one shape; shape None and
+        the complete shape count as the same."""
+        if (not isinstance(other, QuantumClass) or other.n != self.n
+                or other._shape_key() != self._shape_key()):
             return NotImplemented
         terms = dict(self._terms)
         for key, c in other._terms.items():
@@ -113,7 +121,7 @@ class QuantumClass:
         return QuantumClass(self.n, terms, shape=self.shape)
 
     def __sub__(self, other: "QuantumClass") -> "QuantumClass":
-        return self + (-1) * other
+        return self.__add__((-1) * other)
 
     def __rmul__(self, c: int) -> "QuantumClass":
         return QuantumClass(

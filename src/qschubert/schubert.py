@@ -244,7 +244,7 @@ def e_decomposition(w: Perm) -> EDecomposition:
     coeffs = {seq: a for seq, a in zip(seqs, sol) if a}
     dec = EDecomposition(coeffs)
     if dec.recombine() != target:
-        raise AssertionError(f"e-decomposition recombination failed for {w}")
+        raise VerificationError(f"e-decomposition recombination failed for {w}")
     return dec
 
 
@@ -288,9 +288,10 @@ class _Transition:
     classical u of R are as long as w and lexicographically later, the
     quantum ones shorter, so the recursion ends.  Quantum Monk holds for the
     𝔖^q_w as polynomials in Z[x, q], so the same step lifts them (`lift`):
-    𝔖^q_w = x_r·𝔖^q_v − Σ_R c·q^d·𝔖^q_u, down to 𝔖^q_id = 1.  Memo entries
-    are stored complete, so a race between threads costs at most a duplicate
-    entry.
+    𝔖^q_w = x_r·𝔖^q_v − Σ_R c·q^d·𝔖^q_u, down to 𝔖^q_id = 1.  Both walk
+    the transition tree of w by one walker (`_walk`) over a memo keyed by
+    permutation, with their own rule per node.  Memo entries are stored
+    complete, so a race between threads costs at most a duplicate entry.
     """
 
     def __init__(self, n: int):
@@ -299,7 +300,7 @@ class _Transition:
         self.identity = tuple(range(1, n + 1))
         self._x = {}      # (r, w) → x_r ∗ σ_w as ((d, z), c) pairs
         self._steps = {}  # w → (r, v, R as ((d, u), c) pairs)
-        self._memo = {}   # (w, y) → σ_w ∗ σ_y
+        self._memo = {}   # y → {w → σ_w ∗ σ_y}
         self._lifts = {}  # w → 𝔖^q_w
 
     def _x_terms(self, r: int, w: Perm) -> tuple:
@@ -345,44 +346,15 @@ class _Transition:
         got = self._steps[w] = (r, v, tuple(rest.items()))
         return got
 
-    def product(self, w: Perm, y: Perm) -> dict:
-        """σ_w ∗ σ_y, with the transition tree of w resolved by an explicit
-        stack; every entry it stores has the same y."""
-        memo = self._memo
-        got = memo.get((w, y))
-        if got is not None:
-            return got
-        memo.setdefault((self.identity, y), {(self.zero, y): 1})
-        stack = [w]
-        while stack:
-            top = stack[-1]
-            if (top, y) in memo:
-                stack.pop()
-                continue
-            r, v, rest = self._step(top)
-            missing = [u for u in (v, *(u for (_, u), _ in rest))
-                       if (u, y) not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
-            acc = {}
-            for (d, z), c in memo[(v, y)].items():
-                _gather(acc, _shifted(d, self._x_terms(r, z)), c)
-            for (d, u), c in rest:
-                _gather(acc, _shifted(d, memo[(u, y)].items()), -c)
-            memo[(top, y)] = _nonzero(acc)
-            stack.pop()
-        return memo[(w, y)]
-
-    def lift(self, w: Perm) -> Polynomial:
-        """𝔖^q_w, with the transition tree of w resolved by an explicit
-        stack, each node summed in one dict: x_r times the terms of 𝔖^q_v,
-        less c·q^d times those of each 𝔖^q_u of R."""
-        memo = self._lifts
+    def _walk(self, memo: dict, w: Perm, base, node):
+        """memo[w], with the transition tree of w resolved by an explicit
+        stack: memo maps a permutation to its entry, base is the entry of
+        the identity, and node(memo, r, v, R) builds the entry of a node
+        from those of v and of the u of R."""
         got = memo.get(w)
         if got is not None:
             return got
-        memo.setdefault(self.identity, Polynomial.constant(1))
+        memo.setdefault(self.identity, base)
         stack = [w]
         while stack:
             top = stack[-1]
@@ -395,21 +367,45 @@ class _Transition:
             if missing:
                 stack.extend(missing)
                 continue
-            x_r = ((("x", r), 1),)
-            # x_r·(distinct monomials) are distinct: nothing to gather yet
-            acc = {mon_mul(x_r, mon): c for mon, c in memo[v]._terms.items()}
-            for (d, u), c in rest:
-                q_d = _q_monomial(d)
-                for mon, c2 in memo[u]._terms.items():
-                    mon = mon_mul(q_d, mon)
-                    s = acc.get(mon, 0) - c * c2
-                    if s:
-                        acc[mon] = s
-                    else:
-                        del acc[mon]
-            memo[top] = Polynomial(acc)
+            memo[top] = node(memo, r, v, rest)
             stack.pop()
         return memo[w]
+
+    def product(self, w: Perm, y: Perm) -> dict:
+        """σ_w ∗ σ_y, from the memo of the products with this σ_y."""
+        return self._walk(self._memo.setdefault(y, {}), w,
+                          {(self.zero, y): 1}, self._product_node)
+
+    def _product_node(self, memo: dict, r: int, v: Perm, rest: tuple) -> dict:
+        """x_r ∗ (σ_v ∗ σ_y) less c·q^d·(σ_u ∗ σ_y) for each term of R."""
+        acc = {}
+        for (d, z), c in memo[v].items():
+            _gather(acc, _shifted(d, self._x_terms(r, z)), c)
+        for (d, u), c in rest:
+            _gather(acc, _shifted(d, memo[u].items()), -c)
+        return _nonzero(acc)
+
+    def lift(self, w: Perm) -> Polynomial:
+        """𝔖^q_w."""
+        return self._walk(self._lifts, w, Polynomial.constant(1), self._lift_node)
+
+    @staticmethod
+    def _lift_node(memo: dict, r: int, v: Perm, rest: tuple) -> Polynomial:
+        """x_r times the terms of 𝔖^q_v, less c·q^d times those of each
+        𝔖^q_u of R, summed in one dict."""
+        x_r = ((("x", r), 1),)
+        # x_r·(distinct monomials) are distinct: nothing to gather yet
+        acc = {mon_mul(x_r, mon): c for mon, c in memo[v]._terms.items()}
+        for (d, u), c in rest:
+            q_d = _q_monomial(d)
+            for mon, c2 in memo[u]._terms.items():
+                mon = mon_mul(q_d, mon)
+                s = acc.get(mon, 0) - c * c2
+                if s:
+                    acc[mon] = s
+                else:
+                    del acc[mon]
+        return Polynomial(acc)
 
 
 @lru_cache(maxsize=None)

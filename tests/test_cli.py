@@ -206,6 +206,27 @@ def test_verify_more_suites_pass(capsys, cache_dir):
         assert out.startswith("pass"), argv
 
 
+def test_failed_recombination_is_one_internal_error_line(
+        capsys, cache_dir, monkeypatch):
+    fold = schubert.e_fold
+    monkeypatch.setattr(schubert, "e_fold",
+                        lambda coeffs, factor: fold(coeffs, factor) + 1)
+    caches = (schubert.e_decomposition, universal.universal_schubert_g)
+    for cached in caches:
+        cached.cache_clear()
+    try:
+        code, out, err = run(capsys, "schubert", "--n", "4", "--w", "3,1,4,2",
+                             "--universal", cache=cache_dir)
+    finally:
+        for cached in caches:
+            cached.cache_clear()
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("internal error: ")
+    assert "recombination failed" in err
+    assert "Traceback" not in err
+
+
 def test_two_point_suite_fails_on_a_nonzero_invariant():
     # q1·σ_w0 in σ_312 ∗ σ_321 would make ⟨σ_312, σ_321, σ_id⟩_(1,0) = 1
     class Broken(QuantumRing):

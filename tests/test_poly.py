@@ -243,10 +243,17 @@ def test_mon_mul_matches_dict_and_sort(m1, m2):
     assert got == poly.mon_mul(m2, m1)
 
 
-def test_fraction_coefficients_supported_in_arithmetic():
-    p = Fraction(1, 2) * X1
-    assert p + p == X1
-    assert (2 * p).to_text() == "x1"
+@pytest.mark.parametrize("scalar", [Fraction(1, 2), Fraction(2, 1), 0.5, 2.0])
+def test_non_integer_scalars_raise_type_error(scalar):
+    p = X1 + 2 * X2
+    for op in (
+        lambda: p + scalar, lambda: scalar + p,
+        lambda: p - scalar, lambda: scalar - p,
+        lambda: p * scalar, lambda: scalar * p,
+    ):
+        with pytest.raises(TypeError):
+            op()
+    assert p != scalar
 
 
 def test_solver_example_and_recombination():
@@ -321,37 +328,81 @@ def test_echelon_reduce_splits_target():
     gens = [X1 * (X1 + X2), X1 * X2]
     sys = EchelonSystem(gens)
     assert sys.rank == 2
-    coeffs, leftover = sys.reduce(X1 * X1 + X2 * X2)
+    t, coeffs, leftover = sys.reduce(X1 * X1 + X2 * X2)
+    assert t == 1
+    assert coeffs == {0: 1, 1: -1}
+    assert leftover == X2 * X2
     rebuilt = leftover
     for j, c in coeffs.items():
         rebuilt = rebuilt + c * gens[j]
-    assert rebuilt == X1 * X1 + X2 * X2
+    assert rebuilt == t * (X1 * X1 + X2 * X2)
 
 
 def test_echelon_reduce_sends_monomials_outside_the_generators_to_leftover():
     # the generators hold x1² > x1·x2 > x2²; x1·x3 ranks between the last
     # two, x2·x3 below them all.  The lead coefficient 2 makes reduce scale
-    # the row, and the leftover with it.
+    # the row to t = 2, and the leftover with it.
     gens = [2 * X1 * X1 + X2 * X2, X1 * X2 - X2 * X2]
     system = EchelonSystem(gens)
     target = 3 * X1 * X1 + 5 * X1 * X3 - 2 * X1 * X2 + 7 * X2 * X3 + X2 * X2
-    coeffs, leftover = system.reduce(target)
+    t, coeffs, leftover = system.reduce(target)
     rebuilt = leftover
     for j, c in coeffs.items():
         rebuilt = rebuilt + c * gens[j]
-    assert rebuilt == target
-    assert coeffs == {0: Fraction(3, 2), 1: -2}
+    assert rebuilt == t * target
+    assert t == 2
+    assert coeffs == {0: 3, 1: -4}
     pivot_monomials = {system._monomials[lead] for lead in system.pivots}
     assert pivot_monomials == {(X1 * X1).terms()[0][0], (X1 * X2).terms()[0][0]}
     assert not pivot_monomials & {mon for mon, _ in leftover.terms()}
-    assert leftover == 5 * X1 * X3 - Fraction(5, 2) * X2 * X2 + 7 * X2 * X3
+    assert leftover == 10 * X1 * X3 - 5 * X2 * X2 + 14 * X2 * X3
     with pytest.raises(NoSolutionError):
         system.solve(target)
 
 
 def test_echelon_rejects_fractional_generators():
+    (mon, _), = X1.terms()
     with pytest.raises(ValueError):
-        EchelonSystem([Fraction(1, 2) * X1])
+        EchelonSystem([Polynomial({mon: Fraction(1, 2)})])
+
+
+def _integer_generator_lists():
+    """Generator lists over a few monomials of grade 2 with small integer
+    coefficients: zero generators, repeated and dependent ones included."""
+    base = st.lists(small_polys(), min_size=1, max_size=4)
+
+    def with_dependents(draw_args):
+        gens, picks = draw_args
+        extra = []
+        for i, j, a, b in picks:
+            extra.append(a * gens[i % len(gens)] + b * gens[j % len(gens)])
+        return gens + [Polynomial.zero()] + extra
+
+    pick = st.tuples(st.integers(0, 3), st.integers(0, 3),
+                     st.integers(-3, 3), st.integers(-3, 3))
+    return st.tuples(base, st.lists(pick, max_size=2)).map(with_dependents)
+
+
+@settings(max_examples=120)
+@given(_integer_generator_lists(), small_polys(), st.lists(st.integers(-3, 3), max_size=6))
+def test_echelon_reduce_is_an_integer_identity(gens, outside, coeffs):
+    # target: an integer combination of the generators plus a random
+    # polynomial, which may lie outside their span
+    target = outside
+    for c, g in zip(coeffs, gens):
+        target = target + c * g
+    system = EchelonSystem(gens)
+    t, got, leftover = system.reduce(target)
+    assert type(t) is int and t >= 1
+    assert all(type(c) is int and c for c in got.values())
+    assert all(type(c) is int for _, c in leftover.terms())
+    assert set(got) <= set(range(len(gens)))
+    rebuilt = leftover
+    for j, c in got.items():
+        rebuilt = rebuilt + c * gens[j]
+    assert rebuilt == t * target
+    pivot_monomials = {system._monomials[lead] for lead in system.pivots}
+    assert not pivot_monomials & {mon for mon, _ in leftover.terms()}
 
 
 def test_echelon_dependent_indices():

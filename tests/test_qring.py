@@ -323,6 +323,35 @@ def test_quantum_class_text_rendering():
     assert doubled.to_text() == "−σ[2,1] + 3·q1^2·σ[1,2]"
 
 
+def test_quantum_class_sums_refuse_mixed_shapes():
+    w = (1, 3, 2, 4)
+    grass = FlagShape.from_string("2:4")
+    with pytest.raises(TypeError):
+        QuantumClass.unit(w, shape=grass) + QuantumClass.unit(w)
+    with pytest.raises(TypeError):
+        QuantumClass.unit(w) - QuantumClass.unit(w, shape=grass)
+    # σ[2,1,3,4] of 1:4 is not a class of 2:4
+    with pytest.raises(TypeError):
+        (QuantumClass.unit(w, shape=grass)
+         + QuantumClass.unit((2, 1, 3, 4), shape=FlagShape.from_string("1:4")))
+
+
+def test_quantum_class_sums_over_one_shape_are_unchanged():
+    w, y = (1, 3, 2, 4), (2, 1, 3, 4)
+    grass = FlagShape.from_string("2:4")
+    total = QuantumClass.unit(w, shape=grass) + QuantumClass.unit(w, shape=grass)
+    assert total.shape == grass
+    assert total.to_text() == "2·σ[1,3,2,4]"
+    assert (total - QuantumClass.unit(w, shape=grass)).to_text() == "σ[1,3,2,4]"
+    # shape None and the complete shape are one shape
+    full = QuantumClass.unit(w) + QuantumClass.unit(y, shape=FlagShape.complete(4))
+    assert full.shape is None
+    assert full.to_text() == "σ[1,3,2,4] + σ[2,1,3,4]"
+    back = QuantumClass.unit(y, shape=FlagShape.complete(4)) - QuantumClass.unit(w)
+    assert back.to_text() == "−σ[1,3,2,4] + σ[2,1,3,4]"
+    assert (quantum_product(S1, S1) - quantum_product(S1, S1)).is_zero()
+
+
 def test_quantum_class_json_round_trip():
     cls = quantum_product(S1, (3, 1, 2))
     obj = cls.to_json_obj()

@@ -26,7 +26,7 @@ from qschubert import (
     transposition,
     x_var,
 )
-from qschubert import partial, poly, schubert
+from qschubert import partial, poly, schubert, universal
 
 X1, X2, X3 = x_var(1), x_var(2), x_var(3)
 
@@ -139,6 +139,26 @@ def test_e_decomposition_key_bounds_and_grading():
 def test_e_decomposition_recombines_exactly():
     for w in all_permutations(4):
         assert e_decomposition(w).recombine() == schubert_poly(w)
+
+
+@pytest.fixture()
+def broken_e_fold(monkeypatch):
+    """schubert.e_fold off by 1, so the recombination check of
+    e_decomposition fails; the caches are cleared on both sides."""
+    fold = schubert.e_fold
+    monkeypatch.setattr(schubert, "e_fold",
+                        lambda coeffs, factor: fold(coeffs, factor) + 1)
+    caches = (schubert.e_decomposition, universal.universal_schubert_g)
+    for cached in caches:
+        cached.cache_clear()
+    yield
+    for cached in caches:
+        cached.cache_clear()
+
+
+def test_failed_recombination_raises_verification_error(broken_e_fold):
+    with pytest.raises(poly.VerificationError, match="recombination failed"):
+        e_decomposition((3, 1, 4, 2))
 
 
 def test_e_fold_is_the_plain_sum_of_products():
