@@ -315,6 +315,17 @@ class TableCache:
         return fp
 
 
+def _read_entry(cls, obj):
+    """cls.from_json_obj(obj), or None when the entry is absent or cannot
+    be read, so that a malformed entry is recomputed and stored over."""
+    if obj is None:
+        return None
+    try:
+        return cls.from_json_obj(obj)
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return None
+
+
 # ---- schubert --------------------------------------------------------------
 
 
@@ -330,10 +341,8 @@ def cmd_schubert(args) -> int:
         cache = TableCache(args.cache_dir)
         entries = cache.load(kind, str(args.n)) or {}
         key = _perm_key(w)
-        cached = entries.get(key)
-        if cached is not None:
-            poly = Polynomial.from_json_obj(cached)
-        else:
+        poly = _read_entry(Polynomial, entries.get(key))
+        if poly is None:
             poly = quantum_schubert(w) if args.quantum else schubert_poly(w)
             # one serialization serves the cache entry and the JSON output
             obj = poly.to_json_obj()
@@ -360,9 +369,9 @@ def _cached_product(ring, cache: TableCache, u, v) -> QuantumClass:
     key = _product_cache_key(ring)
     entries = cache.load("product-table", key) or {}
     a, b = (u, v) if u <= v else (v, u)
-    cached = entries.get(_pair_key(a, b))
+    cached = _read_entry(QuantumClass, entries.get(_pair_key(a, b)))
     if cached is not None:
-        return QuantumClass.from_json_obj(cached)
+        return cached
     cls = ring.quantum_product(u, v)
     cache.store("product-table", key, {_pair_key(a, b): cls.to_json_obj()})
     return cls
@@ -653,14 +662,9 @@ def cmd_verify(args) -> int:
     failures: list[str] = []
     if name in _COMPLETE_SUITES:
         fn, default_n = _COMPLETE_SUITES[name]
-        if args.shape:
-            ring = partial_ring(_parse_shape(args.shape))
-        else:
-            n = args.n if args.n is not None else default_n
-            if n < 2:
-                raise CLIInputError(f"need n ≥ 2: {n}")
-            ring = quantum_ring(n)
-        summary = fn(ring, args.seed, failures)
+        if not args.shape and args.n is None:
+            args.n = default_n
+        summary = fn(_ring_from_args(args), args.seed, failures)
     elif name in _N_SUITES:
         fn, default_n = _N_SUITES[name]
         if args.shape:

@@ -73,10 +73,6 @@ class QuantumClass:
                 clean[(tuple(d), tuple(w))] = c
         self._terms = clean
 
-    @property
-    def q_count(self) -> int:
-        return self.shape.m if self.shape is not None else self.n - 1
-
     @classmethod
     def unit(cls, w: Perm, shape=None) -> "QuantumClass":
         """The single class 1·σ_w at q-degree zero."""
@@ -124,6 +120,8 @@ class QuantumClass:
         return self.__add__((-1) * other)
 
     def __rmul__(self, c: int) -> "QuantumClass":
+        if not isinstance(c, int):
+            return NotImplemented
         return QuantumClass(
             self.n, {key: c * v for key, v in self._terms.items()}, shape=self.shape
         )
@@ -181,10 +179,13 @@ class _GradedQuotientRing:
 
     `quantum_product` computes σ_u ∗ σ_v once per unordered pair: the Fl_n
     product (`_Transition`) through the comparison filter (`_compare`), the
-    identity on complete shapes.  One bilinear class product (`_times`)
+    identity on complete shapes.  The pair memo `_products` wraps each
+    answer without a copy, so on complete shapes its classes hold the
+    engine memo's own entries.  One bilinear class product (`_times`)
     folds those structure constants for `quantum_product_multi` and
-    `gromov_witten`, and evaluates a polynomial in the generators `_vars`
-    and the q_l by Horner's rule for `expand_in_quantum_basis`.
+    `gromov_witten`, builds the generator classes by one Chern recursion
+    (`_generator_classes`), and evaluates a polynomial in the generators
+    `_vars` and the q_l by Horner's rule for `expand_in_quantum_basis`.
     `classical_product` and `expand_classical` are the q⁰ slices.
 
     The element rules `_check_element`, `_dual` and `_moduli_dimension` are
@@ -212,13 +213,6 @@ class _GradedQuotientRing:
         self._fl = _transition(self.n)
         self._products = {}
         self._gens = None
-
-    # -- hooks ----------------------------------------------------------
-    def relations(self) -> tuple:
-        raise NotImplementedError
-
-    def _basis_lift(self, w: Perm) -> Polynomial:
-        raise NotImplementedError
 
     def _classical_lift(self, w: Perm) -> Polynomial:
         return self._basis_lift(w).substitute(self._q_zero)
@@ -280,8 +274,12 @@ class _GradedQuotientRing:
         key = (u, v) if u <= v else (v, u)
         got = self._products.get(key)
         if got is None:
-            got = self._products[key] = QuantumClass(
-                self.n, self._pair_product(*key), shape=self.shape)
+            # wrap the product's own dict: on complete shapes it is the
+            # engine memo's entry, which nothing mutates
+            got = QuantumClass.__new__(QuantumClass)
+            got.n, got.shape = self.n, self.shape
+            got._terms = self._pair_product(*key)
+            self._products[key] = got
         return got
 
     def quantum_product_multi(self, ws) -> QuantumClass:
@@ -381,10 +379,10 @@ class _GradedQuotientRing:
         for 1 ≤ t ≤ m and k ≤ n_t, is σ_g for the Grassmannian g
         with 𝔖_g = e_k(x_1..x_{n_t}), in one-line notation
         1..n_t−k, n_t−k+2..n_t+1, n_t−k+1, n_t+2..n; other ẽ_k(t) are 0 and
-        ẽ_0 = 1.  With h̃_0(l) = 1 and h̃_t(l) = −Σ_{s=1..t} ẽ_s(l) ∗ h̃_{t−s}(l),
-        the kernel Chern identity (`kernel_chern_partial_check`) reads
-        σ^l_i = Σ_{t=0..i} ẽ_{i−t}(l) ∗ h̃_t(l−1); on complete shapes
-        x_l = σ_{s_l} − σ_{s_{l−1}}.
+        ẽ_0 = 1.  The kernel Chern identity ẽ(l) = ẽ(l−1) ∗ σ^l
+        (`kernel_chern_partial_check`) gives σ^l_0 = 1 and
+        σ^l_i = ẽ_i(l) − Σ_{s=1..i} ẽ_s(l−1) ∗ σ^l_{i−s}; on complete
+        shapes x_l = σ_{s_l} − σ_{s_{l−1}}.
         """
         if self._gens is not None:
             return self._gens
@@ -392,27 +390,21 @@ class _GradedQuotientRing:
         one = {(zero, tuple(range(1, n + 1))): 1}
 
         def e(k, t):
-            if k == 0:
-                return one
             if not (1 <= t < len(ns) - 1 and k <= ns[t]):
                 return {}
             top = ns[t]
             return {(zero, (*range(1, top - k + 1), *range(top - k + 2, top + 2),
                             top - k + 1, *range(top + 2, n + 1))): 1}
 
-        h, gens = {}, []
+        gens = []
         for i, l in self._blocks:
-            hs = h.setdefault(l - 1, [one])
-            while len(hs) <= i:
-                t = len(hs)
-                acc = {}
-                for s in range(1, t + 1):
-                    _gather(acc, self._times(e(s, l - 1), hs[t - s]).items(), -1)
-                hs.append(_nonzero(acc))
-            acc = {}
-            for t in range(i + 1):
-                _gather(acc, self._times(e(i - t, l), hs[t]).items())
-            gens.append(_nonzero(acc))
+            if i == 1:
+                sigma = [one]  # σ^l_0, σ^l_1, …
+            acc = dict(e(i, l))
+            for s in range(1, i + 1):
+                _gather(acc, self._times(e(s, l - 1), sigma[i - s]).items(), -1)
+            sigma.append(_nonzero(acc))
+            gens.append(sigma[i])
         self._gens = gens
         return gens
 

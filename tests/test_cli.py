@@ -368,6 +368,35 @@ def test_cache_corruption_treated_as_absent(capsys, cache_dir):
     assert json.loads(fp.read_text(encoding="utf-8"))["version"] == 1
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv, name, key, bad", [
+    (("product", "--n", "3", "--u", "2,1,3", "--v", "2,1,3"),
+     "product-table_3_v1.json", "2,1,3;2,1,3",
+     {"n": 3, "terms": [{"d": [0, 0], "w": "3,1,2", "coeff": "x"}]}),
+    (("product", "--n", "3", "--u", "2,1,3", "--v", "2,1,3"),
+     "product-table_3_v1.json", "2,1,3;2,1,3", "σ[3,1,2]"),
+    (("schubert", "--n", "3", "--w", "3,1,2", "--quantum"),
+     "qschubert_3_v1.json", "3,1,2", {"bad": 1}),
+    (("schubert", "--n", "3", "--w", "3,1,2"),
+     "schubert_3_v1.json", "3,1,2", [{"monomial": [{"kind": "x"}]}]),
+], ids=["product-coeff", "product-string", "qschubert-keys", "schubert-factor"])
+def test_malformed_cache_entry_is_recomputed(
+        capsys, cache_dir, monkeypatch, argv, name, key, bad, fmt):
+    argv = argv + ("--format", fmt)
+    clean = run(capsys, *argv, cache=cache_dir)
+    assert clean[0] == 0
+    fp = Path(cache_dir) / name
+    obj = json.loads(fp.read_text(encoding="utf-8"))
+    good = obj["entries"][key]
+    obj["entries"][key] = bad
+    fp.write_text(json.dumps(obj), encoding="utf-8")
+    # a new process: nothing of the file is held in memory
+    monkeypatch.setattr(cli, "_TABLES", {})
+    assert run(capsys, *argv, cache=cache_dir) == clean
+    obj = json.loads(fp.read_text(encoding="utf-8"))
+    assert obj["entries"][key] == good
+
+
 def test_cache_stale_version_ignored(capsys, cache_dir):
     argv = ("product", "--n", "2", "--u", "2,1", "--v", "2,1")
     _, first_out, _ = run(capsys, *argv, cache=cache_dir)

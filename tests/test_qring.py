@@ -6,7 +6,7 @@ import threading
 import time
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -352,6 +352,21 @@ def test_quantum_class_sums_over_one_shape_are_unchanged():
     assert (quantum_product(S1, S1) - quantum_product(S1, S1)).is_zero()
 
 
+@pytest.mark.parametrize("scalar", [Fraction(1, 2), Fraction(2), 0.5, 2.0])
+def test_quantum_class_refuses_non_integer_scalars(scalar):
+    with pytest.raises(TypeError):
+        scalar * QuantumClass.unit(S1)
+
+
+def test_integer_scalars_are_unchanged():
+    c = quantum_product(S1, S1)
+    assert (2 * c).to_text() == "2·σ[3,1,2] + 2·q1·σ[1,2,3]"
+    assert (2 * c).shape is None
+    zero = 0 * c
+    assert zero.is_zero() and zero.n == 3
+    assert zero == c - c
+
+
 def test_quantum_class_json_round_trip():
     cls = quantum_product(S1, (3, 1, 2))
     obj = cls.to_json_obj()
@@ -621,3 +636,72 @@ def test_moduli_dimension_is_the_shape_count():
             want = ring.shape.dimension + sum(
                 e * ring.q_grades[l] for l, e in enumerate(d, start=1))
             assert ring._moduli_dimension(d) == want, (text, d)
+
+
+def _two_series_generators(ring):
+    """The generator classes by two series: with ẽ_k(t) the Grassmannian
+    class σ_g of `_generator_classes`, h̃_0(l) = 1,
+    h̃_t(l) = −Σ_{s=1..t} ẽ_s(l) ∗ h̃_{t−s}(l) and
+    σ^l_i = Σ_{t=0..i} ẽ_{i−t}(l) ∗ h̃_t(l−1)."""
+    n, ns, zero = ring.n, ring._shape.ns, (0,) * ring.q_count
+    one = {(zero, tuple(range(1, n + 1))): 1}
+
+    def e(k, t):
+        if k == 0:
+            return one
+        if not (1 <= t <= ring.q_count and k <= ns[t]):
+            return {}
+        top = ns[t]
+        return {(zero, (*range(1, top - k + 1), *range(top - k + 2, top + 2),
+                        top - k + 1, *range(top + 2, n + 1))): 1}
+
+    def combo(parts):
+        out = {}
+        for c, terms in parts:
+            for key, v in terms.items():
+                out[key] = out.get(key, 0) + c * v
+        return {key: v for key, v in out.items() if v}
+
+    gens = []
+    for i, l in ring._blocks:
+        h = [one]
+        for t in range(1, i + 1):
+            h.append(combo((-1, ring._times(e(s, l - 1), h[t - s]))
+                           for s in range(1, t + 1)))
+        gens.append(combo((1, ring._times(e(i - t, l), h[t]))
+                          for t in range(i + 1)))
+    return gens
+
+
+def _shapes_through(n):
+    return [FlagShape(steps, n) for k in range(1, n)
+            for steps in combinations(range(1, n), k)]
+
+
+@pytest.mark.parametrize("shape", [
+    *(shape for n in range(2, 7) for shape in _shapes_through(n)),
+    *map(FlagShape.from_string, ("1:3:6:7", "1:4:8", "2:4:6:8", "3:7", "4:8")),
+], ids=FlagShape.to_string)
+def test_generator_classes_match_the_two_series_formula(shape):
+    ring = PartialRing(shape)
+    gens = ring._generator_classes()
+    assert gens == _two_series_generators(ring)
+    if shape.is_complete():
+        n, zero = shape.n, (0,) * shape.m
+        for l, x in enumerate(gens, start=1):
+            want = {}
+            if l < n:
+                want[(zero, transposition(n, l))] = 1
+            if l > 1:
+                want[(zero, transposition(n, l - 1))] = -1
+            assert x == want, (n, l)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: quantum_ring(4),
+    lambda: partial.partial_ring(FlagShape.complete(4)),
+], ids=["quantum_ring", "partial_ring"])
+def test_complete_products_hold_the_engine_entries(make):
+    ring = make()
+    for a, b in combinations_with_replacement(all_permutations(4), 2):
+        assert ring.quantum_product(a, b)._terms is ring._pair_product(a, b)
