@@ -28,7 +28,7 @@ from .perm import (
     length,
     validate,
 )
-from .poly import Polynomial, SolveError, VerificationError
+from .poly import Polynomial, VerificationError
 from .qring import QuantumClass, quantum_ring
 from .partial import kernel_chern_partial_check, partial_ring
 from .schubert import elementary_poly, schubert_poly
@@ -711,12 +711,15 @@ def cmd_table(args) -> int:
     key = _product_cache_key(ring)
     entries = cache.load("product-table", key) or {}
     basis = list(ring.basis)
+    # an entry that cannot be read counts as missing, so it is stored over
+    held = {k for k, obj in entries.items()
+            if _read_entry(QuantumClass, obj) is not None}
     # one process: every product of this n shares the ring's transition memo
     new = {}
     for i, u in enumerate(basis):
         for v in basis[i:]:
             k = _pair_key(u, v)
-            if k not in entries:
+            if k not in held:
                 new[k] = ring.quantum_product(u, v).to_json_obj()
     computed = len(new)
     # mirror each canonical pair onto the opposite order so the table lists
@@ -724,12 +727,12 @@ def cmd_table(args) -> int:
     for u in basis:
         for v in basis:
             k = _pair_key(u, v)
-            if k not in entries and k not in new:
+            if k not in held and k not in new:
                 a, b = (u, v) if u <= v else (v, u)
                 canonical = _pair_key(a, b)
-                new[k] = (entries if canonical in entries else new)[canonical]
+                new[k] = (new if canonical in new else entries)[canonical]
     path = cache.store("product-table", key, new)
-    total = len(entries) + len(new)
+    total = len(entries.keys() | new.keys())
     if args.out:
         out = Path(args.out)
         if out.resolve() != path.resolve():
@@ -837,7 +840,7 @@ def main(argv=None) -> int:
     except CLIInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (VerificationError, SolveError) as exc:
+    except VerificationError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

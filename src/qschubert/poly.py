@@ -18,9 +18,9 @@ A monomial is a tuple of (variable, exponent) pairs, sorted by the variable
 order above, each variable at most once and every exponent positive; the
 constant monomial is ().  Every constructor keeps this invariant, and
 `mon_mul` relies on it: it merges two such tuples in one pass.
-Monomials rest in this tuple form everywhere.  Only inside the fold kernels
-of `schubert` (`e_fold` and the e-monomial products) are they packed, one
-private `_Packing` per call, into one int with a bit field per variable.
+Monomials rest in this tuple form everywhere.  Only inside the fold kernel
+of `schubert` (`e_fold`) are they packed, one private `_Packing` per call,
+into one int with a bit field per variable.
 The width rule: every field is as wide as the bit length of the sum, over
 the factor positions, of the largest exponent of any factor used there.  No
 product of that call can exceed it, so no field carries into the next and a
@@ -32,6 +32,7 @@ scalar, a Fraction or a float among them, raises TypeError.
 """
 from __future__ import annotations
 
+import re
 from math import gcd
 
 Variable = tuple
@@ -415,14 +416,15 @@ class Polynomial:
     def from_json_obj(cls, obj) -> "Polynomial":
         """Inverse of `to_json_obj`.  Factors may come in any order; a
         repeated variable has its exponents added and an exponent 0 is
-        dropped, so the monomials are canonical.  A negative exponent raises
-        ValueError."""
+        dropped, so the monomials are canonical.  A coefficient is an int or
+        the decimal string that `to_json_obj` writes, indices and exponents
+        are ints, and exponents are ≥ 0; else TypeError or ValueError."""
         terms = {}
         for entry in obj:
             factors = {}
             for f in entry["monomial"]:
-                v = (f["kind"],) + tuple(int(i) for i in f["indices"])
-                e = int(f["exp"])
+                v = (f["kind"],) + tuple(_json_int(i) for i in f["indices"])
+                e = _json_int(f["exp"])
                 if e < 0:
                     raise ValueError(f"negative exponent {e} of {render_var(v)}")
                 factors[v] = factors.get(v, 0) + e
@@ -432,8 +434,20 @@ class Polynomial:
                     key=lambda ve: _var_key(ve[0]),
                 )
             )
-            terms[mon] = terms.get(mon, 0) + int(entry["coeff"])
+            c = entry["coeff"]
+            c = int(c) if c.__class__ is str and _DECIMAL.fullmatch(c) else c
+            terms[mon] = terms.get(mon, 0) + _json_int(c)
         return cls(terms)
+
+
+_DECIMAL = re.compile(r"-?(?:0|[1-9][0-9]*)")  # an int as `str` writes it
+
+
+def _json_int(value) -> int:
+    """value if it is an int; a float or a bool raises TypeError."""
+    if value.__class__ is not int:
+        raise TypeError(f"not an integer: {value!r}")
+    return value
 
 
 # ---- packed monomials, inside the fold kernels only ------------------------
@@ -580,7 +594,7 @@ def sigma_var(i: int, j: int) -> Polynomial:
     return Polynomial.variable(("sigma", i, j))
 
 
-# ---- exact linear expansion ------------------------------------------------
+# ---- exact linear expansion: a public reference no library path runs ------
 
 
 class SolveError(Exception):

@@ -23,11 +23,12 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from .perm import FlagShape, Perm, all_permutations, length, validate
-from .poly import Polynomial
+from .poly import Polynomial, _json_int
 from .schubert import (
     RingError,
     _add,
     _gather,
+    _grassmannian,
     _nonzero,
     _q_monomial,
     _transition,
@@ -162,12 +163,14 @@ class QuantumClass:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "QuantumClass":
+        """Inverse of `to_json_obj`; n, degrees and coefficients must be
+        ints, and a float or a bool raises TypeError."""
         shape = FlagShape.from_string(obj["shape"]) if "shape" in obj else None
         terms = {}
         for t in obj["terms"]:
             w = tuple(int(a) for a in t["w"].split(","))
-            terms[(tuple(t["d"]), w)] = int(t["coeff"])
-        return cls(int(obj["n"]), terms, shape=shape)
+            terms[(tuple(map(_json_int, t["d"])), w)] = _json_int(t["coeff"])
+        return cls(_json_int(obj["n"]), terms, shape=shape)
 
     def __repr__(self):
         return f"QuantumClass({self.to_text()!r})"
@@ -377,9 +380,8 @@ class _GradedQuotientRing:
     def _generator_classes(self) -> list:
         """The class of each generator in `_vars`, computed once.  ẽ_k(t),
         for 1 ≤ t ≤ m and k ≤ n_t, is σ_g for the Grassmannian g
-        with 𝔖_g = e_k(x_1..x_{n_t}), in one-line notation
-        1..n_t−k, n_t−k+2..n_t+1, n_t−k+1, n_t+2..n; other ẽ_k(t) are 0 and
-        ẽ_0 = 1.  The kernel Chern identity ẽ(l) = ẽ(l−1) ∗ σ^l
+        with 𝔖_g = e_k(x_1..x_{n_t}) (`schubert._grassmannian`); other
+        ẽ_k(t) are 0 and ẽ_0 = 1.  The kernel Chern identity ẽ(l) = ẽ(l−1) ∗ σ^l
         (`kernel_chern_partial_check`) gives σ^l_0 = 1 and
         σ^l_i = ẽ_i(l) − Σ_{s=1..i} ẽ_s(l−1) ∗ σ^l_{i−s}; on complete
         shapes x_l = σ_{s_l} − σ_{s_{l−1}}.
@@ -392,9 +394,7 @@ class _GradedQuotientRing:
         def e(k, t):
             if not (1 <= t < len(ns) - 1 and k <= ns[t]):
                 return {}
-            top = ns[t]
-            return {(zero, (*range(1, top - k + 1), *range(top - k + 2, top + 2),
-                            top - k + 1, *range(top + 2, n + 1))): 1}
+            return {(zero, _grassmannian(k, ns[t], n)): 1}
 
         gens = []
         for i, l in self._blocks:

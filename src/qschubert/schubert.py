@@ -3,28 +3,20 @@
 𝔖_w is built by divided differences from the staircase monomial
 x_1^{n−1}x_2^{n−2}⋯x_{n−1}: with the canonical word (i_1,…,i_k) satisfying
 w = w_0∘s_{i_1}∘…∘s_{i_k}, apply ∂_{i_1} first, ∂_{i_k} last.  Every
-𝔖_w for w ∈ S_n then decomposes uniquely as an integer combination of products
-e_{k_1}(1)⋯e_{k_{n−1}}(n−1) with k_p ≤ p and Σk_p = length(w); those integer
-coefficients drive the quantum and universal substitutions downstream.
-
-The e-monomials of one grade depend only on (n, grade), so one echelon system
-over them serves every 𝔖_w of that length: it is built once and kept for the
-most recent (n, grade) only.  Basis lifts run grade by grade, so they reuse
-it; interleaved grades rebuild it at each change of grade.
-
-Every lift replaces each e_k(p) by an image factor(k, p) and sums
-Σ a_K·factor(k_1, 1)⋯factor(k_{n−1}, n−1).  `e_fold` evaluates that sum by
-Horner's rule over the sequences grouped by their last entries, so each
-factor(k, p) multiplies, once, the sum of all the terms that share it; the
-recombination check of `e_decomposition` is the same fold with factor e_k(p).
-The fold and the e-monomial products of `_e_system` multiply packed
-monomials (`poly._Packing`, one per call): each monomial product is one int
-addition, and each result is decoded into tuple monomials once, at the end.
+𝔖_w for w ∈ S_n then decomposes uniquely as 𝔖_w = Σ a_K·e_K over the
+e_K = e_{k_1}(1)⋯e_{k_{n−1}}(n−1) with k_p ≤ p and Σk_p = length(w).  The
+a_K of one grade come from one basis change in H*(Fl_n) (`_e_basis`): the
+classes of the e_K are unitriangular in the Schubert basis up to reordering,
+so back substitution inverts them.  Every lift replaces each e_k(p) by an
+image factor(k, p) and sums Σ a_K·factor(k_1, 1)⋯factor(k_{n−1}, n−1) by
+Horner's rule on packed monomials (`e_fold`); so does the recombination
+check of `e_decomposition`, with factor e_k(p), against 𝔖_w.
 
 `_Transition` is the Fl_n engine of quantum Monk and Lascoux–Schützenberger
 transition.  It gives the structure constants of QH*(Fl_n), which `qring`
-and `partial` read, and lifts the quantum Schubert polynomials 𝔖^q_w, which
-`universal.quantum_schubert` returns; it lives here so that both import it.
+and `partial` read, their q⁰ slices, which the basis change reads, and the
+quantum Schubert polynomials 𝔖^q_w, which `universal.quantum_schubert`
+returns; it lives here so that all of them import it.
 """
 from __future__ import annotations
 
@@ -35,7 +27,6 @@ from itertools import combinations
 
 from .perm import Perm, length, reduced_word, validate
 from .poly import (
-    EchelonSystem,
     Polynomial,
     VerificationError,
     _packed_mul_into,
@@ -139,22 +130,23 @@ def e_fold(coeffs: dict, factor) -> Polynomial:
     Horner's rule over the trie of the sequences read from the end: the
     sequences are grouped by their last entry k, each group's sum over
     shorter prefixes is folded first, and then multiplied once by
-    factor(k, L).  Each factor(k, p) thus multiplies the sum of everything
-    that shares it, not each sequence on its own.  Each factor(k, p) is
-    looked up once per distinct (k, p), for k ≠ 0 only; the fold multiplies
-    and adds packed monomials (`_packed_columns`), and the sum is decoded
-    once, at the end.
+    factor(k, L).  Each factor(k, p), k ≠ 0, is looked up once; the fold
+    multiplies monomials packed over these factors alone, and the sum is
+    decoded once, at the end.
 
     >>> e_fold({(1, 0): 1, (0, 1): -1}, elementary_poly).to_text()
     '−x2'
     """
     if not coeffs:
         return Polynomial.zero()
-    packing, columns = _packed_columns(coeffs, len(next(iter(coeffs))), factor)
+    factors = [{k: factor(k, p) for k in {seq[p - 1] for seq in coeffs} if k}
+               for p in range(1, len(next(iter(coeffs))) + 1)]
+    packing = _Packing([column.values() for column in factors])
     # level p: suffix (k_{p+1},…,k_L) → Σ over its sequences of
     # a_K·factor(k_1, 1)⋯factor(k_p, p), packed
     level = {seq: {0: a} for seq, a in coeffs.items()}
-    for column in columns:
+    for column in factors:
+        column = {0: {0: 1}, **{k: packing.pack(f) for k, f in column.items()}}
         up = {}
         for seq, part in level.items():
             part = {m: c for m, c in part.items() if c}
@@ -163,56 +155,60 @@ def e_fold(coeffs: dict, factor) -> Polynomial:
     return packing.unpack(level[()])
 
 
-def _packed_columns(seqs, length: int, factor) -> tuple:
-    """(packing, columns) for the products factor(k_1, 1)⋯factor(k_L, L)
-    along sequences of length L: columns[p − 1] maps each k that the
-    sequences hold at position p to factor(k, p), packed, and k = 0 to the
-    packed 1.  factor(k, p) is looked up once per distinct (k, p), k ≠ 0,
-    and the packing is over these factors alone."""
-    columns = [{k: factor(k, p) for k in {seq[p - 1] for seq in seqs} if k}
-               for p in range(1, length + 1)]
-    packing = _Packing([column.values() for column in columns])
-    return packing, [{0: {0: 1}, **{k: packing.pack(f) for k, f in column.items()}}
-                     for column in columns]
+def _grassmannian(k: int, p: int, n: int) -> Perm:
+    """The Grassmannian g ∈ S_n with 𝔖_g = e_k(x_1,…,x_p), 0 ≤ k ≤ p < n."""
+    return (*range(1, p - k + 1), *range(p - k + 2, p + 2), p - k + 1,
+            *range(p + 2, n + 1))
 
 
-def _e_sequences(n: int, m: int) -> list:
-    """Every (k_1,…,k_{n−1}) with 0 ≤ k_p ≤ p and Σk_p = m, in lexicographic
-    order; built position by position, never by filtering all n! tuples."""
-    # prefixes (k_1,…,k_p) with the grade still to place; every prefix kept
-    # can be completed, so no list grows beyond the final one
-    out = [((), m)]
+def _e_rows(n: int, m: int) -> dict:
+    """K → e_K in H*(Fl_n) as w → B[K, w], for every K of grade m in
+    lexicographic order.  The K are walked position by position, and the
+    class of each prefix is multiplied by σ_g, 𝔖_g = e_k(p), once for all
+    the K that share it."""
+    engine = _transition(n)
+    # (k_1,…,k_p), the grade still to place, e_{k_1}(1)⋯e_{k_p}(p)
+    prefixes = [((), m, {engine.identity: 1})]
     for p in range(1, n):
         room = (n - 1) * n // 2 - p * (p + 1) // 2  # (p+1) + … + (n−1)
-        out = [
-            (seq + (k,), rest - k)
-            for seq, rest in out
-            for k in range(max(0, rest - room), min(p, rest) + 1)
-        ]
-    return [seq for seq, rest in out if not rest]
+        longer = []
+        for seq, rest, cls in prefixes:
+            if rest <= room:
+                longer.append((seq + (0,), rest, cls))
+            for k in range(max(1, rest - room), min(p, rest) + 1):
+                g, acc = _grassmannian(k, p, n), {}
+                for z, c in cls.items():
+                    _gather(acc, engine.classical(z, g).items(), c)
+                longer.append((seq + (k,), rest - k, _nonzero(acc)))
+        prefixes = longer
+    return {seq: cls for seq, rest, cls in prefixes if not rest}
 
 
 @lru_cache(maxsize=1)
-def _e_system(n: int, m: int) -> tuple:
-    """The sequences K of grade m for S_n and one EchelonSystem over their
-    e-monomials, in the same order.  Only the most recent (n, m) is kept.
-
-    The e-monomials are built along the prefixes of the sequences, so each
-    product e_{k_1}(1)⋯e_{k_p}(p) is formed once for all sequences that
-    share it; the products run on packed monomials (`_packed_columns`), and
-    each e-monomial is decoded once, at the end."""
-    seqs = _e_sequences(n, m)
-    packing, columns = _packed_columns(seqs, n - 1, elementary_poly)
-    prods = {(): {0: 1}}
-    for p, column in enumerate(columns, start=1):
-        longer = {}
-        for seq in seqs:
-            head = seq[:p]
-            if head not in longer:
-                longer[head] = _packed_mul_into({}, prods[seq[:p - 1]],
-                                                column[seq[p - 1]])
-        prods = longer
-    return seqs, EchelonSystem([packing.unpack(prods[seq]) for seq in seqs])
+def _e_basis(n: int, m: int) -> dict:
+    """w → {K: a_K}, K in lexicographic order, for each w ∈ S_n of length m.
+    The peel inverts the rows of `_e_rows`: a row with exactly one σ_w not
+    yet expressed, at coefficient 1, gives a[w] = e_K − Σ_{v≠w} B[K, v]·a[v].
+    In lexicographic order every row is such a row for n ≤ 8, so one pass
+    suffices; a pass that expresses nothing new raises RingError."""
+    basis, todo = {}, _e_rows(n, m)
+    while todo:
+        done, left = len(basis), {}
+        for seq, row in todo.items():
+            fresh = [v for v in row if v not in basis]
+            if len(fresh) != 1 or row[fresh[0]] != 1:
+                left[seq] = row
+                continue
+            acc = {seq: 1}
+            for v, b in row.items():
+                if v != fresh[0]:
+                    _gather(acc, basis[v].items(), -b)
+            basis[fresh[0]] = _nonzero(acc)
+        if len(basis) == done:
+            raise RingError(f"the e-monomials of grade {m} in H*(Fl_{n}) are "
+                            f"not unitriangular in the Schubert basis")
+        todo = left
+    return {w: dict(sorted(coeffs.items())) for w, coeffs in basis.items()}
 
 
 @dataclass(frozen=True)
@@ -227,23 +223,11 @@ class EDecomposition:
 
 @lru_cache(maxsize=None)
 def e_decomposition(w: Perm) -> EDecomposition:
-    """Expand 𝔖_w over products of elementary symmetric polynomials.
-
-    Candidate exponent sequences (k_1,…,k_{n−1}) with 0 ≤ k_p ≤ p and
-    Σk_p = length(w) are enumerated lexicographically.  𝔖_w is reduced
-    against the echelon system of its (n, length(w)), which permutations of
-    the same length share; `EchelonSystem.solve` checks that the unique
-    coefficients exist and are integers, and the recombination is re-checked
-    here before the result is published.
-    """
+    """𝔖_w over the e_K, read off the basis change of its grade and checked
+    by recombination against 𝔖_w before it is published."""
     w = validate(w)
-    n = len(w)
-    target = schubert_poly(w)
-    seqs, system = _e_system(n, length(w))
-    sol = system.solve(target)
-    coeffs = {seq: a for seq, a in zip(seqs, sol) if a}
-    dec = EDecomposition(coeffs)
-    if dec.recombine() != target:
+    dec = EDecomposition(_e_basis(len(w), length(w)).get(w, {}))
+    if dec.recombine() != schubert_poly(w):
         raise VerificationError(f"e-decomposition recombination failed for {w}")
     return dec
 
@@ -288,8 +272,10 @@ class _Transition:
     classical u of R are as long as w and lexicographically later, the
     quantum ones shorter, so the recursion ends.  Quantum Monk holds for the
     𝔖^q_w as polynomials in Z[x, q], so the same step lifts them (`lift`):
-    𝔖^q_w = x_r·𝔖^q_v − Σ_R c·q^d·𝔖^q_u, down to 𝔖^q_id = 1.  Both walk
-    the transition tree of w by one walker (`_walk`) over a memo keyed by
+    𝔖^q_w = x_r·𝔖^q_v − Σ_R c·q^d·𝔖^q_u, down to 𝔖^q_id = 1.  Degrees
+    only grow along the transition, so the classical product σ_w·σ_y drops
+    each quantum term as it appears (`classical`).  All three walk the
+    transition tree of w by one walker (`_walk`) over a memo keyed by
     permutation, with their own rule per node.  Memo entries are stored
     complete, so a race between threads costs at most a duplicate entry.
     """
@@ -301,6 +287,7 @@ class _Transition:
         self._x = {}      # (r, w) → x_r ∗ σ_w as ((d, z), c) pairs
         self._steps = {}  # w → (r, v, R as ((d, u), c) pairs)
         self._memo = {}   # y → {w → σ_w ∗ σ_y}
+        self._classical = {}  # y → {w → σ_w·σ_y}
         self._lifts = {}  # w → 𝔖^q_w
 
     def _x_terms(self, r: int, w: Perm) -> tuple:
@@ -383,6 +370,22 @@ class _Transition:
             _gather(acc, _shifted(d, self._x_terms(r, z)), c)
         for (d, u), c in rest:
             _gather(acc, _shifted(d, memo[u].items()), -c)
+        return _nonzero(acc)
+
+    def classical(self, w: Perm, y: Perm) -> dict:
+        """σ_w·σ_y in H*(Fl_n) as z → c: the q⁰ slice of σ_w ∗ σ_y."""
+        return self._walk(self._classical.setdefault(y, {}), w, {y: 1},
+                          self._classical_node)
+
+    def _classical_node(self, memo: dict, r: int, v: Perm, rest: tuple) -> dict:
+        """`_product_node` with each quantum term dropped as it appears."""
+        zero, acc = self.zero, {}
+        for z, c in memo[v].items():
+            _gather(acc, ((z2, c2) for (d, z2), c2 in self._x_terms(r, z)
+                          if d == zero), c)
+        for (d, u), c in rest:
+            if d == zero:
+                _gather(acc, memo[u].items(), -c)
         return _nonzero(acc)
 
     def lift(self, w: Perm) -> Polynomial:

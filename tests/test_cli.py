@@ -227,6 +227,29 @@ def test_failed_recombination_is_one_internal_error_line(
     assert "Traceback" not in err
 
 
+def test_stuck_peel_is_one_internal_error_line(capsys, cache_dir, monkeypatch):
+    # doubled classical products leave no row of coefficient 1 to peel
+    classical = schubert._Transition.classical
+    monkeypatch.setattr(
+        schubert._Transition, "classical",
+        lambda self, w, y: {z: 2 * c for z, c in classical(self, w, y).items()})
+    caches = (schubert._e_basis, schubert.e_decomposition,
+              universal.universal_schubert_g)
+    for cached in caches:
+        cached.cache_clear()
+    try:
+        code, out, err = run(capsys, "schubert", "--n", "4", "--w", "3,1,4,2",
+                             "--universal", cache=cache_dir)
+    finally:
+        for cached in caches:
+            cached.cache_clear()
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("internal error: ")
+    assert "not unitriangular" in err
+    assert "Traceback" not in err
+
+
 def test_two_point_suite_fails_on_a_nonzero_invariant():
     # q1·σ_w0 in σ_312 ∗ σ_321 would make ⟨σ_312, σ_321, σ_id⟩_(1,0) = 1
     class Broken(QuantumRing):
@@ -253,7 +276,7 @@ def test_verify_specialization_builds_one_system_per_grade(
         init(self, generators)
 
     monkeypatch.setattr(poly.EchelonSystem, "__init__", counted)
-    for cached in (schubert._e_system, schubert.e_decomposition,
+    for cached in (schubert._e_basis, schubert.e_decomposition,
                    universal.universal_schubert_c,
                    universal.universal_schubert_g):
         cached.cache_clear()
@@ -264,7 +287,9 @@ def test_verify_specialization_builds_one_system_per_grade(
         cache=cache_dir,
     )
     assert (code, out) == (0, "pass, 24 chains\n")
-    assert len(builds) == 7
+    # one basis change per grade of S_4, and no echelon solve
+    assert schubert._e_basis.cache_info().misses == 7
+    assert builds == []
 
 
 def test_quantum_schubert_miss_builds_no_echelon_system(
@@ -277,7 +302,7 @@ def test_quantum_schubert_miss_builds_no_echelon_system(
         init(self, generators)
 
     monkeypatch.setattr(poly.EchelonSystem, "__init__", counted)
-    for cached in (schubert._e_system, schubert.e_decomposition):
+    for cached in (schubert._e_basis, schubert.e_decomposition):
         cached.cache_clear()
     schubert._transition(5)._lifts.clear()
     w = (3, 5, 1, 4, 2)
@@ -379,7 +404,27 @@ def test_cache_corruption_treated_as_absent(capsys, cache_dir):
      "qschubert_3_v1.json", "3,1,2", {"bad": 1}),
     (("schubert", "--n", "3", "--w", "3,1,2"),
      "schubert_3_v1.json", "3,1,2", [{"monomial": [{"kind": "x"}]}]),
-], ids=["product-coeff", "product-string", "qschubert-keys", "schubert-factor"])
+    (("product", "--n", "3", "--u", "2,1,3", "--v", "2,1,3"),
+     "product-table_3_v1.json", "2,1,3;2,1,3",
+     {"n": 3, "terms": [{"d": [0, 0], "w": "3,1,2", "coeff": 1.5}]}),
+    (("product", "--n", "3", "--u", "2,1,3", "--v", "2,1,3"),
+     "product-table_3_v1.json", "2,1,3;2,1,3",
+     {"n": 3, "terms": [{"d": [0, 0], "w": "3,1,2", "coeff": True}]}),
+    (("product", "--n", "3", "--u", "2,1,3", "--v", "2,1,3"),
+     "product-table_3_v1.json", "2,1,3;2,1,3",
+     {"n": 3, "terms": [{"d": [0.0, 0], "w": "3,1,2", "coeff": 1}]}),
+    (("schubert", "--n", "3", "--w", "3,1,2", "--quantum"),
+     "qschubert_3_v1.json", "3,1,2",
+     [{"coeff": 1.5, "monomial": [{"kind": "x", "indices": [1], "exp": 2}]}]),
+    (("schubert", "--n", "3", "--w", "3,1,2", "--quantum"),
+     "qschubert_3_v1.json", "3,1,2",
+     [{"coeff": True, "monomial": [{"kind": "x", "indices": [1], "exp": 2}]}]),
+    (("schubert", "--n", "3", "--w", "3,1,2", "--quantum"),
+     "qschubert_3_v1.json", "3,1,2",
+     [{"coeff": "1", "monomial": [{"kind": "x", "indices": [1], "exp": 2.0}]}]),
+], ids=["product-coeff", "product-string", "qschubert-keys", "schubert-factor",
+        "product-float", "product-bool", "product-float-degree",
+        "qschubert-float", "qschubert-bool", "qschubert-float-exponent"])
 def test_malformed_cache_entry_is_recomputed(
         capsys, cache_dir, monkeypatch, argv, name, key, bad, fmt):
     argv = argv + ("--format", fmt)
@@ -603,6 +648,28 @@ def test_table_resumes_from_partial_cache(capsys, cache_dir):
     code, out, _ = run(capsys, "table", "--n", "2", cache=cache_dir)
     assert code == 0
     assert out.endswith("(4 entries, 2 computed)\n")
+
+
+@pytest.mark.parametrize("keys, computed", [
+    (["1,3,2;2,1,3"], 1),
+    (["2,1,3;1,3,2"], 0),
+    (["1,3,2;2,1,3", "2,1,3;1,3,2"], 1),
+], ids=["canonical", "mirror", "both"])
+def test_table_replaces_malformed_entries(
+        capsys, cache_dir, monkeypatch, keys, computed):
+    # a bad canonical entry is recomputed, a bad mirror copied again
+    run(capsys, "table", "--n", "3", cache=cache_dir)
+    fp = Path(cache_dir) / "product-table_3_v1.json"
+    clean = fp.read_bytes()
+    obj = json.loads(clean)
+    for key in keys:
+        obj["entries"][key] = {"bad": 1}
+    fp.write_text(json.dumps(obj), encoding="utf-8")
+    monkeypatch.setattr(cli, "_TABLES", {})
+    code, out, _ = run(capsys, "table", "--n", "3", cache=cache_dir)
+    assert code == 0
+    assert out.endswith(f"(36 entries, {computed} computed)\n")
+    assert fp.read_bytes() == clean
 
 
 def test_table_out_flag_copies(capsys, cache_dir, tmp_path):

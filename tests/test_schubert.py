@@ -11,6 +11,7 @@ import pytest
 from qschubert import (
     FlagShape,
     Polynomial,
+    RingError,
     all_permutations,
     c_var,
     compose,
@@ -267,38 +268,111 @@ def test_e_fold_reaches_the_exponent_bound(seed):
     assert max(e for mon in got._terms for v, e in mon if v == ("x", 1)) == bound == 14
 
 
-def test_e_system_generators_are_the_elementary_products(monkeypatch):
-    generators = []
-    init = poly.EchelonSystem.__init__
+def _e_monomial(seq) -> Polynomial:
+    """e_{k_1}(1)⋯e_{k_L}(L) as a polynomial product."""
+    out = Polynomial.constant(1)
+    for p, k in enumerate(seq, start=1):
+        out = out * elementary_poly(k, p)
+    return out
 
-    def captured(self, gens):
-        generators.append(gens)
-        init(self, gens)
 
-    monkeypatch.setattr(poly.EchelonSystem, "__init__", captured)
-    schubert._e_system.cache_clear()
-    try:
-        for n in range(1, 7):
-            for m in range(n * (n - 1) // 2 + 1):
-                seqs, _ = schubert._e_system(n, m)
-                gens = generators.pop()
-                assert len(gens) == len(seqs)
-                for seq, gen in zip(seqs, gens):
-                    want = Polynomial.constant(1)
-                    for p, k in enumerate(seq, start=1):
-                        want = want * elementary_poly(k, p)
-                    assert gen == want, (n, m, seq)
-    finally:
-        schubert._e_system.cache_clear()
+def test_e_system_generators_are_the_elementary_products():
+    # each row of the basis change is the class of its e-monomial
+    for n in range(2, 6):
+        ring = quantum_ring(n)
+        zero = (0,) * (n - 1)
+        for m in range(n * (n - 1) // 2 + 1):
+            for seq, row in schubert._e_rows(n, m).items():
+                want = ring.expand_classical(_e_monomial(seq))
+                assert want._terms == {(zero, w): c for w, c in row.items()}, seq
 
 
 def test_e_sequences_match_the_filter_of_all_tuples():
+    # the prefix walk reaches every K of the grade, in lexicographic order
     for n in range(1, 8):
         tuples = list(product(*(range(p + 1) for p in range(1, n))))
         for m in range(-1, n * (n - 1) // 2 + 2):
-            assert schubert._e_sequences(n, m) == [
+            assert list(schubert._e_rows(n, m)) == [
                 seq for seq in tuples if sum(seq) == m
             ], (n, m)
+
+
+def test_e_decomposition_matches_the_echelon_solve():
+    """The peel gives the coefficients, in the same order, that the generic
+    echelon solve over the e-monomial polynomials gives."""
+    for n in range(3, 7):
+        tuples = list(product(*(range(p + 1) for p in range(1, n))))
+        by_grade = {}
+        for w in all_permutations(n):
+            by_grade.setdefault(length(w), []).append(w)
+        for m, ws in sorted(by_grade.items()):
+            seqs = [seq for seq in tuples if sum(seq) == m]
+            system = poly.EchelonSystem([_e_monomial(seq) for seq in seqs])
+            for w in ws:
+                solution = system.solve(schubert_poly(w))
+                want = [(seq, a) for seq, a in zip(seqs, solution) if a]
+                assert list(e_decomposition(w).coeffs.items()) == want, w
+
+
+@pytest.mark.parametrize("n, sample", [(4, None), (5, 300)])
+def test_classical_is_the_q0_slice_of_the_product(n, sample):
+    ws = all_permutations(n)
+    pairs = [(w, y) for w in ws for y in ws]
+    if sample:
+        pairs = random.Random(n).sample(pairs, sample)
+    quantum, classical = schubert._Transition(n), schubert._Transition(n)
+    zero = (0,) * (n - 1)
+    for w, y in pairs:
+        want = {z: c for (d, z), c in quantum.product(w, y).items() if d == zero}
+        assert classical.classical(w, y) == want, (w, y)
+
+
+def test_no_library_lift_builds_an_echelon_system(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a library lift built an echelon system")
+
+    monkeypatch.setattr(poly.EchelonSystem, "__init__", refuse)
+    for cached in (schubert._e_basis, e_decomposition,
+                   universal.universal_schubert_c, universal.universal_schubert_g,
+                   partial.partial_quantum_schubert,
+                   partial.partial_universal_schubert_c):
+        cached.cache_clear()
+    for n in range(3, 6):
+        for w in sorted(all_permutations(n), key=length):
+            assert e_decomposition(w).recombine() == schubert_poly(w)
+            universal.universal_schubert_c(w)
+            universal.universal_schubert_g(w)
+    for text in ("2:4", "1:3:4", "2:4:6"):
+        shape = FlagShape.from_string(text)
+        for w in partial.partial_ring(shape).basis:
+            partial.partial_quantum_schubert(w, shape)
+            partial.partial_universal_schubert_c(w, shape)
+
+
+@pytest.fixture()
+def doubled_classical(monkeypatch):
+    """Every classical product of the engine comes back doubled, so no row
+    of a basis change of grade ≥ 1 has a coefficient 1."""
+    classical = schubert._Transition.classical
+
+    def doubled(self, w, y):
+        return {z: 2 * c for z, c in classical(self, w, y).items()}
+
+    caches = (schubert._e_basis, e_decomposition,
+              universal.universal_schubert_c, universal.universal_schubert_g)
+    for cached in caches:
+        cached.cache_clear()
+    monkeypatch.setattr(schubert._Transition, "classical", doubled)
+    yield
+    for cached in caches:
+        cached.cache_clear()
+
+
+def test_a_stuck_peel_raises_ring_error(doubled_classical):
+    with pytest.raises(RingError, match="not unitriangular"):
+        e_decomposition((1, 3, 2))
+    # grade 0 has no product, so nothing is stuck there
+    assert e_decomposition((1, 2, 3)).coeffs == {(0, 0): 1}
 
 
 def _decompose_uncached(ws):
@@ -308,22 +382,19 @@ def _decompose_uncached(ws):
 
 
 def test_grade_by_grade_lifts_build_one_system_per_grade(monkeypatch):
-    builds = []
-    init = poly.EchelonSystem.__init__
+    def refuse(*args, **kwargs):
+        raise AssertionError("e_decomposition built an echelon system")
 
-    def counted(self, generators):
-        builds.append(len(generators))
-        init(self, generators)
-
-    monkeypatch.setattr(poly.EchelonSystem, "__init__", counted)
-    schubert._e_system.cache_clear()
+    monkeypatch.setattr(poly.EchelonSystem, "__init__", refuse)
+    schubert._e_basis.cache_clear()
     ws = sorted(all_permutations(5), key=length)
     _decompose_uncached(ws)
-    assert len(builds) == 11
-    # the one system kept is the last grade's; a repeat of it builds nothing
+    assert schubert._e_basis.cache_info().misses == 11
+    # the one basis change kept is the last grade's; a repeat of it builds
+    # nothing
     _decompose_uncached([longest_element(5)])
-    assert len(builds) == 11
-    assert schubert._e_system.cache_info().currsize == 1
+    info = schubert._e_basis.cache_info()
+    assert (info.misses, info.currsize) == (11, 1)
 
 
 def test_interleaved_grades_match_serial_order():
