@@ -18,14 +18,20 @@ A monomial is a tuple of (variable, exponent) pairs, sorted by the variable
 order above, each variable at most once and every exponent positive; the
 constant monomial is ().  Every constructor keeps this invariant, and
 `mon_mul` relies on it: it merges two such tuples in one pass.
-Monomials rest in this tuple form everywhere.  Only inside the fold kernel
-of `schubert` (`e_fold`) are they packed, one private `_Packing` per call,
-into one int with a bit field per variable.
-The width rule: every field is as wide as the bit length of the sum, over
-the factor positions, of the largest exponent of any factor used there.  No
-product of that call can exceed it, so no field carries into the next and a
-monomial product is one int addition.  Each result is decoded once, at the
-end, back into tuple monomials.
+Monomials rest in this tuple form everywhere but in two kernels of
+`schubert`, which pack them into one int with a bit field per variable
+(`_Packing`), all fields of one width, so that a monomial product is one int
+addition.  The width must hold every exponent the kernel meets, so that no
+field carries into the next:
+  * the fold (`e_fold`) has one packing per call.  Its fields are as wide as
+    the bit length of the sum, over the factor positions, of the largest
+    exponent of any factor used there; no product of that call exceeds it.
+    The sum is decoded once, at the end.
+  * the transition lift (`_Transition.lift`) has one packing per n, over
+    x_1,…,x_{n−1}, q_1,…,q_{n−1}.  Its fields hold C(n, 2): every term that
+    a lift of w ∈ S_n meets, cancelled ones included, has grade ℓ(w) ≤ C(n, 2)
+    with x of grade 1 and q of grade 2.  The lifts stay packed in the
+    engine's memo, and each call decodes the one that was asked for.
 A polynomial holds a dict monomial → nonzero coefficient.  Coefficients are
 Python ints, and the only scalars that arithmetic accepts are ints: any other
 scalar, a Fraction or a float among them, raises TypeError.
@@ -450,7 +456,7 @@ def _json_int(value) -> int:
     return value
 
 
-# ---- packed monomials, inside the fold kernels only ------------------------
+# ---- packed monomials, inside the fold and the lift only -----------------
 
 
 # fields decoded at once by `_Packing.unpack`: a wider chunk takes fewer
@@ -459,48 +465,38 @@ _CHUNK_FIELDS = 4
 
 
 class _Packing:
-    """Monomials as ints, for products that take at most one polynomial from
-    each of a fixed list of columns.
+    """Monomials as ints, one bit field per variable of a fixed list.
 
-    Each variable met in the columns owns one bit field, all of one width,
-    laid out in the variable order with the first variable lowest.  No
-    exponent of such a product exceeds the bound Σ over columns of the
-    largest exponent in the column, and the width holds the bound, so no
-    field carries into the next: the product of two packed monomials is
-    their sum.  `unpack` turns a packed sum back into a Polynomial with
-    canonical tuple monomials.  It decodes _CHUNK_FIELDS fields at a time
-    through a table, filled on first use, of the pair tuples each chunk
-    value stands for; the tables are built from one shared
-    (variable, exponent) pair per field value.
+    The fields are laid out in the given variable order, the first variable
+    lowest, which must be the monomial order, and all have the width of the
+    bit length of `bound`.  The caller picks a bound that no exponent of any
+    monomial it packs or forms can exceed, so no field carries into the
+    next: the product of two packed monomials is their sum.  `unpack` turns
+    a packed sum back into a Polynomial with canonical tuple monomials.  It
+    decodes _CHUNK_FIELDS fields at a time through a table, filled on first
+    use, of the pair tuples each chunk value stands for; the tables are
+    built from one shared (variable, exponent) pair per field value.
     """
 
     __slots__ = ("_width", "_shifts", "_pairs", "_chunks")
 
-    def __init__(self, columns):
-        bound = 0
-        variables = set()
-        for column in columns:
-            top = 0
-            for p in column:
-                for mon in p._terms:
-                    for v, e in mon:
-                        variables.add(v)
-                        if e > top:
-                            top = e
-            bound += top
+    def __init__(self, order, bound: int):
         self._width = width = bound.bit_length()
-        order = sorted(variables, key=_var_key)
         self._shifts = {v: i * width for i, v in enumerate(order)}
         self._pairs = [[None] + [(v, e) for e in range(1, bound + 1)]
                        for v in order]
         self._chunks = [{} for _ in range(0, len(order), _CHUNK_FIELDS)]
 
-    def pack(self, p: Polynomial) -> dict:
-        """{packed monomial: coefficient} of p, whose variables must all be
-        in the columns."""
+    def key(self, mon: Monomial) -> int:
+        """The packed form of a monomial whose variables are all in the
+        order and whose exponents do not exceed the bound."""
         shifts = self._shifts
-        return {sum(e << shifts[v] for v, e in mon): c
-                for mon, c in p._terms.items()}
+        return sum(e << shifts[v] for v, e in mon)
+
+    def pack(self, p: Polynomial) -> dict:
+        """{packed monomial: coefficient} of p, with every monomial as `key`
+        requires."""
+        return {self.key(mon): c for mon, c in p._terms.items()}
 
     def _chunk(self, j: int, part: int) -> tuple:
         """The pairs that chunk j of a packed monomial stands for."""

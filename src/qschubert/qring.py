@@ -164,13 +164,26 @@ class QuantumClass:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "QuantumClass":
         """Inverse of `to_json_obj`; n, degrees and coefficients must be
-        ints, and a float or a bool raises TypeError."""
+        ints, and a float or a bool raises TypeError.  A shape must be one
+        of n, every w must be a permutation of n that indexes a class of the
+        ring, and every d must have one entry ≥ 0 per q of the ring; else
+        ValueError."""
         shape = FlagShape.from_string(obj["shape"]) if "shape" in obj else None
+        n = _json_int(obj["n"])
+        if shape is not None and shape.n != n:
+            raise ValueError(f"shape {shape.to_string()} is not a shape of n = {n}")
+        q_count = n - 1 if shape is None else shape.m
         terms = {}
         for t in obj["terms"]:
-            w = tuple(int(a) for a in t["w"].split(","))
-            terms[(tuple(map(_json_int, t["d"])), w)] = _json_int(t["coeff"])
-        return cls(_json_int(obj["n"]), terms, shape=shape)
+            w = validate(int(a) for a in t["w"].split(","))
+            d = tuple(map(_json_int, t["d"]))
+            if len(w) != n or shape is not None and not shape.is_min_rep(w):
+                raise ValueError(f"σ{list(w)} is not a class of the ring")
+            if len(d) != q_count or any(e < 0 for e in d):
+                raise ValueError(f"{list(d)} is not a q-degree of {q_count} "
+                                 f"entries ≥ 0")
+            terms[(d, w)] = _json_int(t["coeff"])
+        return cls(n, terms, shape=shape)
 
     def __repr__(self):
         return f"QuantumClass({self.to_text()!r})"

@@ -15,8 +15,9 @@ check of `e_decomposition`, with factor e_k(p), against 𝔖_w.
 `_Transition` is the Fl_n engine of quantum Monk and Lascoux–Schützenberger
 transition.  It gives the structure constants of QH*(Fl_n), which `qring`
 and `partial` read, their q⁰ slices, which the basis change reads, and the
-quantum Schubert polynomials 𝔖^q_w, which `universal.quantum_schubert`
-returns; it lives here so that all of them import it.
+quantum Schubert polynomials 𝔖^q_w, held on packed monomials, which
+`universal.quantum_schubert` returns; it lives here so that all of them
+import it.
 """
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ from .poly import (
     _packed_mul_into,
     _Packing,
     _var_key,
-    mon_mul,
     x_var,
 )
 
@@ -141,7 +141,12 @@ def e_fold(coeffs: dict, factor) -> Polynomial:
         return Polynomial.zero()
     factors = [{k: factor(k, p) for k in {seq[p - 1] for seq in coeffs} if k}
                for p in range(1, len(next(iter(coeffs))) + 1)]
-    packing = _Packing([column.values() for column in factors])
+    # no product takes more than one factor from a column, so no exponent
+    # exceeds the sum over the columns of the largest exponent in each
+    pairs = [[ve for f in column.values() for mon in f._terms for ve in mon]
+             for column in factors]
+    packing = _Packing(sorted({v for col in pairs for v, _ in col}, key=_var_key),
+                       sum(max((e for _, e in col), default=0) for col in pairs))
     # level p: suffix (k_{p+1},…,k_L) → Σ over its sequences of
     # a_K·factor(k_1, 1)⋯factor(k_p, p), packed
     level = {seq: {0: a} for seq, a in coeffs.items()}
@@ -278,6 +283,10 @@ class _Transition:
     transition tree of w by one walker (`_walk`) over a memo keyed by
     permutation, with their own rule per node.  Memo entries are stored
     complete, so a race between threads costs at most a duplicate entry.
+    The lifts are held packed, on one `_Packing` per engine whose fields
+    hold C(n, 2), the top grade: a node of the lift adds the key of x_r to
+    every key of 𝔖^q_v and that of q^d to every key of 𝔖^q_u, and `lift`
+    decodes only the entry that was asked for.
     """
 
     def __init__(self, n: int):
@@ -288,7 +297,12 @@ class _Transition:
         self._steps = {}  # w → (r, v, R as ((d, u), c) pairs)
         self._memo = {}   # y → {w → σ_w ∗ σ_y}
         self._classical = {}  # y → {w → σ_w·σ_y}
-        self._lifts = {}  # w → 𝔖^q_w
+        self._lifts = {}  # w → 𝔖^q_w as {packed monomial: coefficient}
+        # every term a lift meets, cancelled ones included, has grade
+        # ℓ(w) ≤ C(n, 2), so no exponent exceeds C(n, 2)
+        self._packing = _Packing(
+            [("x", i) for i in range(1, n)] + [("q", i) for i in range(1, n)],
+            n * (n - 1) // 2)
 
     def _x_terms(self, r: int, w: Perm) -> tuple:
         """x_r ∗ σ_w = Σ_{b>r} ε_rb − Σ_{a<r} ε_ar: quantum Monk for σ_{s_r}
@@ -389,26 +403,27 @@ class _Transition:
         return _nonzero(acc)
 
     def lift(self, w: Perm) -> Polynomial:
-        """𝔖^q_w."""
-        return self._walk(self._lifts, w, Polynomial.constant(1), self._lift_node)
+        """𝔖^q_w, decoded from its packed memo entry."""
+        return self._packing.unpack(
+            self._walk(self._lifts, w, {0: 1}, self._lift_node))
 
-    @staticmethod
-    def _lift_node(memo: dict, r: int, v: Perm, rest: tuple) -> Polynomial:
+    def _lift_node(self, memo: dict, r: int, v: Perm, rest: tuple) -> dict:
         """x_r times the terms of 𝔖^q_v, less c·q^d times those of each
-        𝔖^q_u of R, summed in one dict."""
-        x_r = ((("x", r), 1),)
+        𝔖^q_u of R, summed in one packed dict: a monomial times x_r or q^d
+        is its key plus that of x_r or q^d."""
+        shift = self._packing.key(((("x", r), 1),))
         # x_r·(distinct monomials) are distinct: nothing to gather yet
-        acc = {mon_mul(x_r, mon): c for mon, c in memo[v]._terms.items()}
+        acc = {m + shift: c for m, c in memo[v].items()}
         for (d, u), c in rest:
-            q_d = _q_monomial(d)
-            for mon, c2 in memo[u]._terms.items():
-                mon = mon_mul(q_d, mon)
-                s = acc.get(mon, 0) - c * c2
+            shift = self._packing.key(_q_monomial(d))
+            for m, c2 in memo[u].items():
+                m += shift
+                s = acc.get(m, 0) - c * c2
                 if s:
-                    acc[mon] = s
+                    acc[m] = s
                 else:
-                    del acc[mon]
-        return Polynomial(acc)
+                    del acc[m]
+        return acc
 
 
 @lru_cache(maxsize=None)

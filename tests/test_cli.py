@@ -422,9 +422,27 @@ def test_cache_corruption_treated_as_absent(capsys, cache_dir):
     (("schubert", "--n", "3", "--w", "3,1,2", "--quantum"),
      "qschubert_3_v1.json", "3,1,2",
      [{"coeff": "1", "monomial": [{"kind": "x", "indices": [1], "exp": 2.0}]}]),
+    (("product", "--n", "3", "--u", "2,1,3", "--v", "2,1,3"),
+     "product-table_3_v1.json", "2,1,3;2,1,3",
+     {"n": 3, "terms": [{"d": [0, 0], "w": "1,1,1", "coeff": 1}]}),
+    (("product", "--n", "3", "--u", "2,1,3", "--v", "2,1,3"),
+     "product-table_3_v1.json", "2,1,3;2,1,3",
+     {"n": 3, "terms": [{"d": [0, 0], "w": "3,1,2,4", "coeff": 1}]}),
+    (("product", "--n", "3", "--u", "2,1,3", "--v", "2,1,3"),
+     "product-table_3_v1.json", "2,1,3;2,1,3",
+     {"n": 3, "terms": [{"d": [0, 0, 5], "w": "3,1,2", "coeff": 1}]}),
+    (("product", "--n", "3", "--u", "2,1,3", "--v", "2,1,3"),
+     "product-table_3_v1.json", "2,1,3;2,1,3",
+     {"n": 3, "terms": [{"d": [-1, 0], "w": "3,1,2", "coeff": 1}]}),
+    (("product", "--shape", "1:3", "--u", "2,1,3", "--v", "2,1,3"),
+     "product-table_1-3_v1.json", "2,1,3;2,1,3",
+     {"n": 3, "shape": "1:3", "terms": [{"d": [0], "w": "1,3,2", "coeff": 1}]}),
 ], ids=["product-coeff", "product-string", "qschubert-keys", "schubert-factor",
         "product-float", "product-bool", "product-float-degree",
-        "qschubert-float", "qschubert-bool", "qschubert-float-exponent"])
+        "qschubert-float", "qschubert-bool", "qschubert-float-exponent",
+        "product-not-a-permutation", "product-longer-permutation",
+        "product-long-degree", "product-negative-degree",
+        "partial-not-a-coset-representative"])
 def test_malformed_cache_entry_is_recomputed(
         capsys, cache_dir, monkeypatch, argv, name, key, bad, fmt):
     argv = argv + ("--format", fmt)

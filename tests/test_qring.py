@@ -378,6 +378,24 @@ def test_quantum_class_json_round_trip():
         assert isinstance(term["w"], str)
 
 
+@pytest.mark.parametrize("obj", [
+    {"n": 3, "terms": [{"d": [0, 0], "w": "1,1,1", "coeff": 1}]},
+    {"n": 3, "terms": [{"d": [0, 0], "w": "3,1,2,4", "coeff": 1}]},
+    {"n": 3, "terms": [{"d": [0, 0], "w": "2,1", "coeff": 1}]},
+    {"n": 3, "terms": [{"d": [0, 0, 5], "w": "3,1,2", "coeff": 1}]},
+    {"n": 3, "terms": [{"d": [0], "w": "3,1,2", "coeff": 1}]},
+    {"n": 3, "terms": [{"d": [0, -1], "w": "3,1,2", "coeff": 1}]},
+    {"n": 4, "shape": "2:4", "terms": [{"d": [0, 0], "w": "1,3,2,4", "coeff": 1}]},
+    {"n": 3, "shape": "1:3", "terms": [{"d": [0], "w": "1,3,2", "coeff": 1}]},
+    {"n": 4, "shape": "1:3", "terms": [{"d": [0], "w": "2,1,3,4", "coeff": 1}]},
+], ids=["not-a-permutation", "longer", "shorter", "long-degree",
+        "short-degree", "negative-degree", "partial-long-degree",
+        "partial-not-a-coset-representative", "partial-other-n"])
+def test_quantum_class_json_refuses_terms_outside_the_ring(obj):
+    with pytest.raises(ValueError):
+        QuantumClass.from_json_obj(obj)
+
+
 def test_ring_object_reuse_returns_same_instance():
     assert quantum_ring(3) is quantum_ring(3)
     assert quantum_ring(3).relations()[0] == relations(3)[0]

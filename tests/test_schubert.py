@@ -21,6 +21,7 @@ from qschubert import (
     length,
     longest_element,
     path_poly,
+    q_var,
     quantum_e,
     quantum_ring,
     schubert_poly,
@@ -325,6 +326,44 @@ def test_classical_is_the_q0_slice_of_the_product(n, sample):
     for w, y in pairs:
         want = {z: c for (d, z), c in quantum.product(w, y).items() if d == zero}
         assert classical.classical(w, y) == want, (w, y)
+
+
+@pytest.mark.parametrize("n, sample", [(3, None), (4, None), (5, None),
+                                       (6, None), (7, 60)])
+def test_packed_lift_matches_the_polynomial_transition(n, sample):
+    """Each packed lift is one transition step of the lifts below it, taken
+    in Polynomial arithmetic: 𝔖^q_w = x_r·𝔖^q_v − Σ c·q^d·𝔖^q_u."""
+    ws = all_permutations(n)
+    if sample:
+        ws = random.Random(n).sample(ws, sample)
+    engine = schubert._Transition(n)
+    assert engine.lift(engine.identity) == Polynomial.constant(1)
+    for w in ws:
+        if w == engine.identity:
+            continue
+        r, v, rest = engine._step(w)
+        want = x_var(r) * engine.lift(v)
+        for (d, u), c in rest:
+            q_d = Polynomial.constant(c)
+            for i, e in enumerate(d, start=1):
+                q_d = q_d * q_var(i) ** e
+            want = want - q_d * engine.lift(u)
+        assert engine.lift(w) == want, w
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_lift_packing_fields_hold_the_top_grade(n):
+    packing = schubert._Transition(n)._packing
+    top = n * (n - 1) // 2
+    assert (1 << packing._width) - 1 >= top
+    # every variable at the bound, each alone and all in one monomial
+    powers = [v ** top for v in
+              [x_var(i) for i in range(1, n)] + [q_var(i) for i in range(1, n)]]
+    all_at_top = Polynomial.constant(1)
+    for power in powers:
+        all_at_top = all_at_top * power
+    p = sum(powers, all_at_top + 2)
+    assert packing.unpack(packing.pack(p)) == p
 
 
 def test_no_library_lift_builds_an_echelon_system(monkeypatch):
