@@ -12,6 +12,7 @@ import functools
 import json
 import os
 import random
+import shutil
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -191,32 +192,86 @@ def _read_table(name: str, kind: str, key: str) -> _Table | None:
     return table
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _dump_at(value, indent: str) -> str:
+    """json.dumps(value, sort_keys=True, indent=1) with `indent` put before
+    every line but the first.  A raw newline occurs only between tokens."""
+    return json.dumps(value, sort_keys=True, indent=1).replace("\n", "\n" + indent)
+
+
+def _write(value, indent: str, out: list) -> None:
+    """Append to `out` the text of `_dump_at(value, indent)`, written
+    directly for strings, ints, and dicts with string keys and lists or
+    tuples of those; any other value, or a dict with another key type, is
+    handed to `_dump_at` whole."""
+    t = type(value)
+    if t is str:
+        out.append(_encode_str(value))
+    elif t is int:
+        out.append(int.__repr__(value))
+    elif t is dict and value:
+        inner = indent + " "
+        mark = len(out)
+        sep = "{\n" + inner
+        for k in sorted(value):
+            if type(k) is not str:
+                del out[mark:]
+                out.append(_dump_at(value, indent))
+                return
+            out.append(sep + _encode_str(k) + ": ")
+            _write(value[k], inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif (t is list or t is tuple) and value:
+        inner = indent + " "
+        sep = "[\n" + inner
+        for v in value:
+            out.append(sep)
+            _write(v, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif t is dict:
+        out.append("{}")
+    elif t is list or t is tuple:
+        out.append("[]")
+    else:
+        out.append(_dump_at(value, indent))
+
+
 def _chunks(entries: dict) -> dict:
-    """Each entry's lines exactly as json.dump(..., indent=1) writes them two
-    levels deep, cut from one dump of all of them.  A raw newline occurs
-    only between tokens, and only the top-level items are indented by one
-    space, so a comma, a newline, one space and a quote separate them."""
-    if not entries:
-        return {}
-    # '{\n "k1": v1,\n "k2": v2\n}', with the keys in sorted order
-    items = json.dumps(entries, sort_keys=True, indent=1)[4:-2].split(',\n "')
-    return {k: '  "' + item.replace("\n", "\n ")
-            for k, item in zip(sorted(entries), items)}
+    """Each entry's lines exactly as json.dump(..., sort_keys=True, indent=1)
+    writes them two levels deep, keyed by the entry's (string) key.  Each
+    distinct entry object is encoded once, so mirror pairs that share their
+    canonical pair's object cost one encoding."""
+    texts = {}  # id of an entry object -> its encoded text
+    chunks = {}
+    for k, v in entries.items():
+        text = texts.get(id(v))
+        if text is None:
+            out = []
+            _write(v, "  ", out)
+            text = texts[id(v)] = "".join(out)
+        chunks[k] = "  " + _encode_str(k) + ": " + text
+    return chunks
 
 
 def _table_text(kind: str, key: str, chunks: dict) -> str:
     """json.dump(header and entries, sort_keys=True, indent=1) plus a
-    newline, joined from the entries' chunks.  "entries" sorts first among
-    the header keys, so its empty placeholder is the first match."""
-    text = json.dumps(
+    newline: the header, cut once around its empty "entries" placeholder,
+    joined with the entries' chunks in key order, so nothing searches or
+    rewrites the body.  "entries" sorts first among the header keys, so the
+    placeholder is the first match."""
+    head, _, tail = json.dumps(
         {"entries": {}, "key": key, "kind": kind, "version": CACHE_VERSION},
         sort_keys=True,
         indent=1,
-    )
-    if chunks:
-        body = ",\n".join(chunks[k] for k in sorted(chunks))
-        text = text.replace('"entries": {}', '"entries": {\n' + body + "\n }", 1)
-    return text + "\n"
+    ).partition('"entries": {}')
+    if not chunks:
+        return head + '"entries": {}' + tail + "\n"
+    body = ",\n".join([chunks[k] for k in sorted(chunks)])
+    return "".join((head, '"entries": {\n', body, "\n }", tail, "\n"))
 
 
 @contextlib.contextmanager
@@ -254,8 +309,9 @@ class TableCache:
     it was last seen, it is read again first, so concurrent writers in other
     processes or threads lose nothing.  The file is written through a temp
     file and an atomic rename, byte for byte as json.dump(..., sort_keys=True,
-    indent=1) plus a newline, from a per-table memo of each entry's
-    serialized lines.
+    indent=1) plus a newline, joined from a per-table memo of each entry's
+    serialized lines.  A store encodes only the entries that have no lines
+    yet (`_chunks`), without the json module's pure-Python indent encoder.
 
     Limits: fcntl is POSIX-only, and elsewhere stores do not lock.  A
     foreign in-place rewrite that keeps the file's size within one
@@ -365,25 +421,29 @@ def _pair_key(u, v) -> str:
     return f"{_perm_key(u)};{_perm_key(v)}"
 
 
-def _cached_product(ring, cache: TableCache, u, v) -> QuantumClass:
+def _cached_product(ring, cache: TableCache, u, v) -> tuple:
+    """(u ∗ v, its JSON object) on a miss, which stores that object, and
+    (u ∗ v, None) on a hit."""
     key = _product_cache_key(ring)
     entries = cache.load("product-table", key) or {}
     a, b = (u, v) if u <= v else (v, u)
     cached = _read_entry(QuantumClass, entries.get(_pair_key(a, b)))
     if cached is not None:
-        return cached
+        return cached, None
     cls = ring.quantum_product(u, v)
-    cache.store("product-table", key, {_pair_key(a, b): cls.to_json_obj()})
-    return cls
+    obj = cls.to_json_obj()
+    cache.store("product-table", key, {_pair_key(a, b): obj})
+    return cls, obj
 
 
 def cmd_product(args) -> int:
     ring = _ring_from_args(args)
     u = _check_basis_element(ring, _parse_perm(args.u, ring.n))
     v = _check_basis_element(ring, _parse_perm(args.v, ring.n))
-    cls = _cached_product(ring, TableCache(args.cache_dir), u, v)
+    # one serialization serves the cache entry and the JSON output
+    cls, obj = _cached_product(ring, TableCache(args.cache_dir), u, v)
     if args.format == "json":
-        print(_dumps(cls.to_json_obj()))
+        print(_dumps(cls.to_json_obj() if obj is None else obj))
     else:
         print(cls.to_text())
     return 0
@@ -735,14 +795,14 @@ def cmd_table(args) -> int:
     total = len(entries.keys() | new.keys())
     if args.out:
         out = Path(args.out)
-        if out.resolve() != path.resolve():
-            text = path.read_text(encoding="utf-8")
-            try:
-                out.parent.mkdir(parents=True, exist_ok=True)
-                out.write_text(text, encoding="utf-8")
-            except OSError as exc:
-                raise CLIInputError(f"cannot write {out}: {_os_reason(exc)}") from None
+        try:
+            out.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(path, out)
             path = out
+        except shutil.SameFileError:  # --out names the cache file itself
+            pass
+        except OSError as exc:
+            raise CLIInputError(f"cannot write {out}: {_os_reason(exc)}") from None
     if args.format == "json":
         print(_dumps({"path": str(path), "entries": total, "computed": computed}))
     else:

@@ -11,6 +11,7 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qschubert import Polynomial, QuantumClass, quantum_product, quantum_schubert
 from qschubert import cli, poly, schubert, universal
@@ -335,6 +336,30 @@ def test_schubert_miss_prints_and_stores_the_same_json(
     assert run(capsys, *argv, cache=cache_dir)[:2] == (0, out)
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_product_miss_serializes_once(capsys, cache_dir, monkeypatch, fmt):
+    argv = ("product", "--n", "4", "--u", "3,1,4,2", "--v", "2,4,1,3",
+            "--format", fmt)
+    cls = quantum_ring(4).quantum_product((3, 1, 4, 2), (2, 4, 1, 3))
+    want = (json.dumps(cls.to_json_obj(), sort_keys=True) if fmt == "json"
+            else cls.to_text()) + "\n"
+    calls = []
+    to_json_obj = QuantumClass.to_json_obj
+
+    def counted(self):
+        calls.append(1)
+        return to_json_obj(self)
+
+    monkeypatch.setattr(QuantumClass, "to_json_obj", counted)
+    assert run(capsys, *argv, cache=cache_dir) == (0, want, "")
+    assert len(calls) == 1
+    stored = cli.TableCache(cache_dir).load("product-table", "4")
+    assert stored == {"2,4,1,3;3,1,4,2": to_json_obj(cls)}
+    # a hit from a cold process prints the same bytes
+    monkeypatch.setattr(cli, "_TABLES", {})
+    assert run(capsys, *argv, cache=cache_dir) == (0, want, "")
+
+
 def test_verify_json_format(capsys, cache_dir):
     code, out, _ = run(
         capsys, "verify", "--suite", "duality", "--n", "3",
@@ -534,6 +559,39 @@ def test_store_writes_the_bytes_of_one_json_dump(tmp_path, monkeypatch):
         assert cache.load(kind, key) == entries
 
 
+# quotes, backslashes, control and non-ASCII characters, besides any others
+_odd_text = st.text(
+    st.sampled_from('a"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600') | st.characters()
+)
+_json_leaves = (
+    st.none() | st.booleans() | st.text() | _odd_text
+    | st.integers() | st.integers(min_value=-2**200, max_value=2**200)
+    | st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+)
+_json_trees = st.recursive(
+    _json_leaves,
+    lambda kids: (st.lists(kids) | st.lists(kids).map(tuple)
+                  | st.dictionaries(_odd_text, kids)
+                  | st.dictionaries(st.integers(), kids)),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300)
+@given(_json_trees)
+def test_writer_matches_one_json_dump(value):
+    out = []
+    cli._write(value, "", out)
+    assert "".join(out) == json.dumps(value, sort_keys=True, indent=1)
+
+
+@settings(max_examples=100)
+@given(st.dictionaries(_odd_text, _json_trees, max_size=6), _odd_text)
+def test_chunks_assemble_the_bytes_of_one_json_dump(entries, key):
+    text = cli._table_text("product-table", key, cli._chunks(entries))
+    assert text.encode("utf-8") == _reference_bytes("product-table", key, entries)
+
+
 def test_warm_hit_parses_nothing(capsys, cache_dir, monkeypatch):
     argv = ("product", "--n", "3", "--u", "3,1,2", "--v", "2,3,1")
     _, first_out, _ = run(capsys, *argv, cache=cache_dir)
@@ -698,6 +756,57 @@ def test_table_out_flag_copies(capsys, cache_dir, tmp_path):
     assert json.loads(dest.read_text(encoding="utf-8"))["kind"] == "product-table"
     original = Path(cache_dir) / "product-table_2_v1.json"
     assert dest.read_bytes() == original.read_bytes()
+
+
+def test_table_out_naming_the_cache_file_leaves_it_alone(capsys, cache_dir):
+    assert run(capsys, "table", "--n", "2", cache=cache_dir)[0] == 0
+    fp = Path(cache_dir) / "product-table_2_v1.json"
+    first = fp.read_bytes()
+    link = Path(cache_dir).parent / "link.json"
+    link.symlink_to(fp)
+    for out in (fp, link):
+        code, stdout, err = run(capsys, "table", "--n", "2", "--out", str(out),
+                                cache=cache_dir)
+        assert (code, stdout, err) == (0, f"wrote {fp} (4 entries, 0 computed)\n", "")
+        assert fp.read_bytes() == first
+
+
+def test_table_file_is_one_json_dump_and_encodes_each_product_once(
+        capsys, cache_dir, monkeypatch):
+    ring = quantum_ring(4)
+    want = {cli._pair_key(u, v): ring.quantum_product(u, v).to_json_obj()
+            for u in ring.basis for v in ring.basis}
+    encoded = []
+    write = cli._write
+
+    def counted(value, indent, out):
+        if indent == "  ":
+            encoded.append(value)
+        write(value, indent, out)
+
+    monkeypatch.setattr(cli, "_write", counted)
+    code, _, _ = run(capsys, "table", "--n", "4", cache=cache_dir)
+    assert code == 0
+    fp = Path(cache_dir) / "product-table_4_v1.json"
+    first = fp.read_bytes()
+    assert first == _reference_bytes("product-table", "4", want)
+    # 300 unordered pairs; each mirror pair shares its canonical pair's object
+    assert len(encoded) == 300
+    table = cli._TABLES[(os.fspath(fp), "product-table", "4")]
+    for u in ring.basis:
+        for v in ring.basis:
+            if u > v:
+                mirror, canonical = cli._pair_key(u, v), cli._pair_key(v, u)
+                assert table.entries[mirror] is table.entries[canonical]
+                assert (table.chunks[mirror].split(": ", 1)[1]
+                        == table.chunks[canonical].split(": ", 1)[1])
+    # a rerun, warm and then from a cold process, leaves the bytes alone
+    for cold in (False, True):
+        if cold:
+            monkeypatch.setattr(cli, "_TABLES", {})
+        code, out, _ = run(capsys, "table", "--n", "4", cache=cache_dir)
+        assert (code, out) == (0, f"wrote {fp} (576 entries, 0 computed)\n")
+        assert fp.read_bytes() == first
 
 
 def test_table_respects_size_bound(capsys, cache_dir):
