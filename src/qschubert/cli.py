@@ -182,13 +182,7 @@ def _read_table(name: str, kind: str, key: str) -> _Table | None:
         and isinstance(obj.get("entries"), dict)
     ):
         entries = obj["entries"]
-    chunks = {}
-    if entries and old is not None and old.entries:
-        # another writer merged into the file: keep the chunks of the entries
-        # it left unchanged
-        chunks = {k: c for k, c in old.chunks.items()
-                  if entries.get(k) == old.entries[k]}
-    table = _TABLES[memo_key] = _Table(sig, entries, chunks)
+    table = _TABLES[memo_key] = _Table(sig, entries, {})
     return table
 
 
@@ -312,6 +306,9 @@ class TableCache:
     indent=1) plus a newline, joined from a per-table memo of each entry's
     serialized lines.  A store encodes only the entries that have no lines
     yet (`_chunks`), without the json module's pure-Python indent encoder.
+    Those lines are only ever ones this process encoded: a file changed by
+    another process is read again with no lines, and the next store encodes
+    it whole.
 
     Limits: fcntl is POSIX-only, and elsewhere stores do not lock.  A
     foreign in-place rewrite that keeps the file's size within one
@@ -791,7 +788,9 @@ def cmd_table(args) -> int:
                 a, b = (u, v) if u <= v else (v, u)
                 canonical = _pair_key(a, b)
                 new[k] = (new if canonical in new else entries)[canonical]
-    path = cache.store("product-table", key, new)
+    # a rerun that finds every pair leaves the file untouched
+    path = (cache.store("product-table", key, new) if new
+            else cache.file_for("product-table", key))
     total = len(entries.keys() | new.keys())
     if args.out:
         out = Path(args.out)

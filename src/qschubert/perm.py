@@ -34,17 +34,30 @@ __all__ = [
 ]
 
 
+# every permutation validated so far, keyed by itself
+_PERMS: dict = {}
+
+
 def validate(w) -> Perm:
-    """Return w as a tuple after checking it is a permutation of 1..n.
+    """Return w as a tuple of ints after checking it is a permutation of 1..n.
+
+    Entries are read by value: one equal to an int (3.0, True) is that int,
+    and the tuple returned holds ints only, whatever was validated before.
 
     >>> validate([2, 1])
     (2, 1)
+    >>> validate((3.0, True, 2))
+    (3, 1, 2)
     """
     w = tuple(w)
-    n = len(w)
-    if n == 0 or sorted(w) != list(range(1, n + 1)):
-        raise ValueError(f"not a permutation of 1..{n}: {w}")
-    return w
+    got = _PERMS.get(w)
+    if got is None:
+        n = len(w)
+        if n == 0 or sorted(w) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {w}")
+        got = tuple(map(int, w))
+        _PERMS[got] = got
+    return got
 
 
 def identity(n: int) -> Perm:
@@ -142,6 +155,18 @@ def all_permutations(n: int) -> list[Perm]:
     return list(_all_tuples(range(1, n + 1)))
 
 
+def _as_int(a) -> int:
+    """a as an int when it equals one (3.0 and True are read as 3 and 1);
+    TypeError otherwise."""
+    try:
+        i = int(a)
+    except (TypeError, ValueError, OverflowError):
+        i = None
+    if i is None or i != a:
+        raise TypeError(f"not an integer: {a!r}")
+    return i
+
+
 @dataclass(frozen=True)
 class FlagShape:
     """A partial flag shape: steps n_1 < … < n_m inside ambient dimension n.
@@ -154,14 +179,18 @@ class FlagShape:
     count of its Gromov–Witten invariants (`moduli_dimension`); both quantum
     rings read all three from it.  Only blocks of size > 1 do block work, so
     the complete shape does none.  Derived data is computed once per shape.
+
+    The steps and n are ints: one equal to an int (2.0, True) is read as
+    that int, and any other value raises TypeError.
     """
 
     steps: tuple[int, ...]
     n: int
 
     def __post_init__(self):
-        steps = tuple(self.steps)
+        steps = tuple(map(_as_int, self.steps))
         object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "n", _as_int(self.n))
         if len(steps) == 0:
             raise ValueError("shape needs at least one step")
         if any(b <= a for a, b in zip(steps, steps[1:])):
@@ -236,18 +265,28 @@ class FlagShape:
         return all(w[i] < w[i + 1] for lo, hi in self._wide
                    for i in range(lo, hi - 1))
 
+    @cached_property
+    def _members(self) -> dict:
+        """Every permutation `check` has passed, keyed by itself."""
+        return {}
+
     def check(self, w) -> Perm:
-        """w as a tuple after checking that it lies in S^(N)."""
+        """w as a tuple of ints after checking that it lies in S^(N); its
+        entries are read by value, as `validate` reads them."""
         w = tuple(w)
-        if sorted(w) != self._values:
-            validate(w)  # a non-permutation gets validate's message
-            raise ValueError(f"permutation {w} is not in S_{self.n}")
-        if self._wide and not self.is_min_rep(w):
-            raise ValueError(
-                f"{w} is not a minimal coset representative for shape "
-                f"{self.to_string()}"
-            )
-        return w
+        got = self._members.get(w)
+        if got is None:
+            if sorted(w) != self._values:
+                validate(w)  # a non-permutation gets validate's message
+                raise ValueError(f"permutation {w} is not in S_{self.n}")
+            if self._wide and not self.is_min_rep(w):
+                raise ValueError(
+                    f"{w} is not a minimal coset representative for shape "
+                    f"{self.to_string()}"
+                )
+            got = tuple(map(int, w))
+            self._members[got] = got
+        return got
 
     def min_rep(self, w: Perm) -> Perm:
         """Minimal-length coset representative: sort values within each block."""

@@ -16,8 +16,8 @@ deterministic.
 
 A monomial is a tuple of (variable, exponent) pairs, sorted by the variable
 order above, each variable at most once and every exponent positive; the
-constant monomial is ().  Every constructor keeps this invariant, and
-`mon_mul` relies on it: it merges two such tuples in one pass.
+constant monomial is ().  Every constructor keeps this invariant;
+`mon_mul` adds the exponents of two monomials in a dict and sorts the result.
 Monomials rest in this tuple form everywhere but in two kernels of
 `schubert`, which pack them into one int with a bit field per variable
 (`_Packing`), all fields of one width, so that a monomial product is one int
@@ -90,66 +90,16 @@ def _var_key(v: Variable):
     return (_KIND_ORDER[v[0]],) + v[1:]
 
 
-# variable → _var_key(variable), filled on first use; every key is a
-# nonempty tuple, so a miss is the only falsy lookup
-_VAR_KEYS = {}
-
-
-def _cached_key(v: Variable):
-    key = _VAR_KEYS[v] = _var_key(v)
-    return key
-
-
 def mon_grade(mon: Monomial, q_grades=None) -> int:
     return sum(e * var_grade(v, q_grades) for v, e in mon)
 
 
 def mon_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    """The product monomial: one merge of the two sorted factor lists."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    keys = _VAR_KEYS
-    n1 = len(m1)
-    n2 = len(m2)
-    i = j = 0
-    a = m1[0]
-    b = m2[0]
-    ka = keys.get(a[0]) or _cached_key(a[0])
-    kb = keys.get(b[0]) or _cached_key(b[0])
-    out = []
-    while True:
-        if ka < kb:
-            out.append(a)
-            i += 1
-            if i == n1:
-                out.extend(m2[j:])
-                return tuple(out)
-            a = m1[i]
-            ka = keys.get(a[0]) or _cached_key(a[0])
-        elif kb < ka:
-            out.append(b)
-            j += 1
-            if j == n2:
-                out.extend(m1[i:])
-                return tuple(out)
-            b = m2[j]
-            kb = keys.get(b[0]) or _cached_key(b[0])
-        else:
-            out.append((a[0], a[1] + b[1]))
-            i += 1
-            j += 1
-            if i == n1:
-                out.extend(m2[j:])
-                return tuple(out)
-            if j == n2:
-                out.extend(m1[i:])
-                return tuple(out)
-            a = m1[i]
-            b = m2[j]
-            ka = keys.get(a[0]) or _cached_key(a[0])
-            kb = keys.get(b[0]) or _cached_key(b[0])
+    """The product monomial: the exponents added, sorted by variable."""
+    factors = dict(m1)
+    for v, e in m2:
+        factors[v] = factors.get(v, 0) + e
+    return tuple(sorted(factors.items(), key=lambda ve: _var_key(ve[0])))
 
 
 def mon_sort_key(mon: Monomial):

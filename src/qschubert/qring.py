@@ -21,6 +21,7 @@ public; `qschubert verify` checks it against the products.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from operator import index
 
 from .perm import FlagShape, Perm, all_permutations, length, validate
 from .poly import Polynomial, _json_int
@@ -313,10 +314,12 @@ class _GradedQuotientRing:
         as the coefficient of q^d·σ_{w∨} in the product of the σ_{w_i}.
 
         Returns 0 immediately when the lengths fail the dimension count.
+        Each entry of d is read with operator.index: a bool counts as its
+        int, and a float or a string raises TypeError.
         """
         ws = [self._check_element(x) for x in ws]
         w = self._check_element(w)
-        d = tuple(int(e) for e in d)
+        d = tuple(map(index, d))
         if len(d) != self.q_count or any(e < 0 for e in d):
             raise ValueError(
                 f"degree must be {self.q_count} nonnegative integers: {d}"

@@ -719,6 +719,25 @@ def test_table_n2_contents_and_idempotence(capsys, cache_dir):
     assert fp.read_bytes() == first_bytes
 
 
+def test_table_rerun_leaves_the_file_untouched(capsys, cache_dir, tmp_path,
+                                              monkeypatch):
+    assert run(capsys, "table", "--n", "3", cache=cache_dir)[0] == 0
+    fp = Path(cache_dir) / "product-table_3_v1.json"
+    first, st = fp.read_bytes(), fp.stat()
+    dest = tmp_path / "copy.json"
+    # warm, then from a cold process, then with --out: no write to the file
+    for cold, extra in ((False, ()), (True, ()), (False, ("--out", str(dest)))):
+        if cold:
+            monkeypatch.setattr(cli, "_TABLES", {})
+        code, out, err = run(capsys, "table", "--n", "3", *extra, cache=cache_dir)
+        path = dest if extra else fp
+        assert (code, out, err) == (0, f"wrote {path} (36 entries, 0 computed)\n", "")
+        again = fp.stat()
+        assert fp.read_bytes() == first
+        assert (again.st_ino, again.st_mtime_ns) == (st.st_ino, st.st_mtime_ns)
+    assert dest.read_bytes() == first
+
+
 def test_table_resumes_from_partial_cache(capsys, cache_dir):
     run(capsys, "product", "--n", "2", "--u", "2,1", "--v", "2,1", cache=cache_dir)
     code, out, _ = run(capsys, "table", "--n", "2", cache=cache_dir)

@@ -172,6 +172,21 @@ def test_flag_shape_rejects_bad_steps():
         FlagShape((2,), 2)
 
 
+def test_equal_valued_entries_are_read_as_ints():
+    shape = FlagShape((1.0, True + 1), 3.0)
+    assert shape == FlagShape((1, 2), 3)
+    assert all(type(a) is int for a in shape.steps + (shape.n,))
+    for bad in ((1.5,), 3), ((1,), "3"), ((None,), 3):
+        with pytest.raises(TypeError):
+            FlagShape(*bad)
+    # the same tuple whether the int or the float form is checked first
+    step = FlagShape((2,), 4)
+    for w in ((3.0, 4, 1, 2), (3, 4, 1, 2), (3, 4.0, True, 2)):
+        for got in (validate(w), step.check(w)):
+            assert got == (3, 4, 1, 2)
+            assert all(type(a) is int for a in got)
+
+
 def test_flag_shape_dimension():
     assert FlagShape((1,), 2).dimension == 1
     assert FlagShape((2,), 4).dimension == 4

@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic, grading, rendering, and the linear solver."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -228,19 +229,19 @@ def _canonical_monomials():
     )
 
 
-def _reference_mon_mul(m1, m2):
-    factors = dict(m1)
-    for v, e in m2:
-        factors[v] = factors.get(v, 0) + e
-    return tuple(sorted(factors.items(), key=lambda ve: poly._var_key(ve[0])))
-
-
 @settings(max_examples=300)
-@given(_canonical_monomials(), _canonical_monomials())
-def test_mon_mul_matches_dict_and_sort(m1, m2):
+@given(_canonical_monomials(), _canonical_monomials(), _canonical_monomials())
+def test_mon_mul_matches_dict_and_sort(m1, m2, m3):
+    # the exponents add, and the product is canonical: variables strictly
+    # increasing in the variable order, every exponent positive; the three
+    # together fix the product
     got = poly.mon_mul(m1, m2)
-    assert got == _reference_mon_mul(m1, m2)
+    assert Counter(dict(got)) == Counter(dict(m1)) + Counter(dict(m2))
+    keys = [poly._var_key(v) for v, _ in got]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert all(e > 0 for _, e in got)
     assert got == poly.mon_mul(m2, m1)
+    assert poly.mon_mul(got, m3) == poly.mon_mul(m1, poly.mon_mul(m2, m3))
 
 
 @pytest.mark.parametrize("scalar", [Fraction(1, 2), Fraction(2, 1), 0.5, 2.0])

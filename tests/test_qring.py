@@ -1,12 +1,15 @@
 """Quantum cohomology ring of the complete flag manifold."""
 
+import os
 import random
+import subprocess
 import sys
 import threading
 import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
+from pathlib import Path
 
 import pytest
 
@@ -276,6 +279,79 @@ def test_gromov_witten_rejects_bad_degree():
         gromov_witten([S1], S1, (-1, 0))
     with pytest.raises(ValueError):
         gromov_witten([], S1, (0, 0))
+
+
+STEP24 = FlagShape((2,), 4)
+
+
+@pytest.mark.parametrize("entry", [1.7, 1.0, "1", True])
+@pytest.mark.parametrize("invariant", [
+    lambda d: gromov_witten([S1, S1], (3, 2, 1), d + (0,)),
+    lambda d: partial.partial_gw([(1, 3, 2, 4), (3, 4, 1, 2)], (2, 4, 1, 3),
+                                 d, STEP24),
+], ids=["Fl3", "2:4"])
+def test_gromov_witten_reads_degrees_as_indices(invariant, entry):
+    # a bool is its int, as everywhere else; nothing else is truncated
+    assert invariant((1,)) == 1
+    if entry is True:
+        assert invariant((entry,)) == 1
+    else:
+        with pytest.raises(TypeError):
+            invariant((entry,))
+
+
+# each route takes the poisoned factor first, in a fresh process; then the
+# int call, then the poisoned one again on warm memos
+_POISON_PROBE = """
+import ast
+import sys
+from qschubert import (FlagShape, QuantumClass, QuantumRing,
+                       partial_quantum_product, quantum_product,
+                       quantum_schubert)
+
+route, bad = sys.argv[1], ast.literal_eval(sys.argv[2])
+good = tuple(map(int, bad))
+shape = FlagShape((2,), 4)
+calls = {
+    "quantum_product": lambda w: quantum_product((1, 2, 3), w),
+    "QuantumRing": lambda w: QuantumRing(3).quantum_product((1, 2, 3), w),
+    "quantum_schubert": quantum_schubert,
+    "2:4": lambda w: partial_quantum_product(w, (1, 3, 2, 4), shape),
+}
+call = calls[route]
+
+
+def ints(got):
+    if isinstance(got, QuantumClass):
+        assert all(type(a) is int for (d, w), _ in got.items() for a in d + w)
+    return got
+
+
+first = ints(call(bad))
+want = ints(call(good))
+assert first == want, (first, want)
+assert ints(call(bad)) == want
+assert quantum_product((1, 2, 3), (3, 1, 2)).to_text() == "σ[3,1,2]"
+obj = quantum_product((2, 1, 3), (3, 1, 2)).to_json_obj()
+assert obj["terms"] == [{"coeff": 1, "d": [1, 0], "w": "1,3,2"}], obj
+"""
+
+
+@pytest.mark.parametrize("bad", ["(3.0, 1, 2)", "(3, True, 2)"])
+@pytest.mark.parametrize("route", [
+    "quantum_product", "QuantumRing", "quantum_schubert", "2:4"])
+def test_equal_valued_entries_are_read_as_ints(route, bad):
+    if route == "2:4":
+        bad = {"(3.0, 1, 2)": "(3.0, 4, 1, 2)",
+               "(3, True, 2)": "(True, 4, 2, 3)"}[bad]
+    src = str(Path(qring.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", _POISON_PROBE, route, bad],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def test_classical_product_examples():
