@@ -768,26 +768,25 @@ def cmd_table(args) -> int:
     key = _product_cache_key(ring)
     entries = cache.load("product-table", key) or {}
     basis = list(ring.basis)
-    # an entry that cannot be read counts as missing, so it is stored over
-    held = {k for k, obj in entries.items()
-            if _read_entry(QuantumClass, obj) is not None}
+    # canonical pairs u ≤ v (the basis is sorted), and the mirror key of each
+    # pair off the diagonal
+    pairs = {_pair_key(u, v): (u, v) for i, u in enumerate(basis) for v in basis[i:]}
+    mirrors = {k: _pair_key(v, u) for k, (u, v) in pairs.items() if u != v}
+    # a canonical entry that cannot be read counts as missing, so it is
+    # stored over; a mirror is held when its canonical entry is and the two
+    # JSON objects are equal, so no mirror is parsed
+    held = {k for k in pairs if _read_entry(QuantumClass, entries.get(k)) is not None}
+    held.update(m for k, m in mirrors.items()
+                if k in held and entries.get(m) == entries[k])
     # one process: every product of this n shares the ring's transition memo
-    new = {}
-    for i, u in enumerate(basis):
-        for v in basis[i:]:
-            k = _pair_key(u, v)
-            if k not in held:
-                new[k] = ring.quantum_product(u, v).to_json_obj()
+    new = {k: ring.quantum_product(u, v).to_json_obj()
+           for k, (u, v) in pairs.items() if k not in held}
     computed = len(new)
     # mirror each canonical pair onto the opposite order so the table lists
     # every ordered pair explicitly
-    for u in basis:
-        for v in basis:
-            k = _pair_key(u, v)
-            if k not in held and k not in new:
-                a, b = (u, v) if u <= v else (v, u)
-                canonical = _pair_key(a, b)
-                new[k] = (new if canonical in new else entries)[canonical]
+    for k, m in mirrors.items():
+        if m not in held:
+            new[m] = (new if k in new else entries)[k]
     # a rerun that finds every pair leaves the file untouched
     path = (cache.store("product-table", key, new) if new
             else cache.file_for("product-table", key))

@@ -24,7 +24,6 @@ __all__ = [
     "longest_element",
     "dual",
     "compose",
-    "inverse",
     "transposition",
     "reduced_word",
     "all_permutations",
@@ -103,13 +102,6 @@ def compose(u: Perm, v: Perm) -> Perm:
     if len(u) != len(v):
         raise ValueError(f"size mismatch in compose: {len(u)} vs {len(v)}")
     return tuple(u[v[i] - 1] for i in range(len(v)))
-
-
-def inverse(w: Perm) -> Perm:
-    inv = [0] * len(w)
-    for i, wi in enumerate(w, start=1):
-        inv[wi - 1] = i
-    return tuple(inv)
 
 
 def dual(w: Perm) -> Perm:

@@ -18,7 +18,7 @@ A monomial is a tuple of (variable, exponent) pairs, sorted by the variable
 order above, each variable at most once and every exponent positive; the
 constant monomial is ().  Every constructor keeps this invariant;
 `mon_mul` adds the exponents of two monomials in a dict and sorts the result.
-Monomials rest in this tuple form everywhere but in two kernels of
+Monomials rest in this tuple form everywhere but in three kernels of
 `schubert`, which pack them into one int with a bit field per variable
 (`_Packing`), all fields of one width, so that a monomial product is one int
 addition.  The width must hold every exponent the kernel meets, so that no
@@ -27,6 +27,14 @@ field carries into the next:
     the bit length of the sum, over the factor positions, of the largest
     exponent of any factor used there; no product of that call exceeds it.
     The sum is decoded once, at the end.
+  * the Schubert polynomials (`_SchubertMemo`) have one packing per n, over
+    x_1,…,x_n.  Its fields hold C(n, 2): 𝔖_w is a divided difference of a
+    memo entry one longer, and every term a divided difference meets,
+    cancelled ones included, has grade at most C(n, 2).  ∂_{n−1} writes x_n
+    terms that cancel only after the whole step, so x_n needs a field of
+    its own.  The recombination check of `e_decomposition` folds the
+    e_k(x_1,…,x_p) on the same packing, whose partial products stay within
+    the grade of 𝔖_w, and compares packed dicts; `schubert_poly` decodes.
   * the transition lift (`_Transition.lift`) has one packing per n, over
     x_1,…,x_{n−1}, q_1,…,q_{n−1}.  Its fields hold C(n, 2): every term that
     a lift of w ∈ S_n meets, cancelled ones included, has grade ℓ(w) ≤ C(n, 2)
@@ -406,7 +414,7 @@ def _json_int(value) -> int:
     return value
 
 
-# ---- packed monomials, inside the fold and the lift only -----------------
+# ---- packed monomials, inside the folds, the Schubert memo and the lift ----
 
 
 # fields decoded at once by `_Packing.unpack`: a wider chunk takes fewer

@@ -1,23 +1,26 @@
 """Classical Schubert polynomials and their elementary-symmetric decomposition.
 
 𝔖_w is built by divided differences from the staircase monomial
-x_1^{n−1}x_2^{n−2}⋯x_{n−1}: with the canonical word (i_1,…,i_k) satisfying
-w = w_0∘s_{i_1}∘…∘s_{i_k}, apply ∂_{i_1} first, ∂_{i_k} last.  Every
-𝔖_w for w ∈ S_n then decomposes uniquely as 𝔖_w = Σ a_K·e_K over the
-e_K = e_{k_1}(1)⋯e_{k_{n−1}}(n−1) with k_p ≤ p and Σk_p = length(w).  The
-a_K of one grade come from one basis change in H*(Fl_n) (`_e_basis`): the
-classes of the e_K are unitriangular in the Schubert basis up to reordering,
-so back substitution inverts them.  Every lift replaces each e_k(p) by an
-image factor(k, p) and sums Σ a_K·factor(k_1, 1)⋯factor(k_{n−1}, n−1) by
-Horner's rule on packed monomials (`e_fold`); so does the recombination
-check of `e_decomposition`, with factor e_k(p), against 𝔖_w.
+x_1^{n−1}x_2^{n−2}⋯x_{n−1} = 𝔖_{w_0}: 𝔖_w = ∂_i 𝔖_{w·s_i} for an ascent i
+of w.  The 𝔖_w of S_n are held packed, one int per monomial, in a memo per
+n (`_SchubertMemo`), and `schubert_poly` decodes the entry asked for.
+Every 𝔖_w for w ∈ S_n decomposes uniquely as 𝔖_w = Σ a_K·e_K over the
+e_K = e_{k_1}(1)⋯e_{k_{n−1}}(n−1) with k_p ≤ p and Σk_p = length(w)
+(Fomin–Gelfand–Postnikov).  The a_K of one grade come from one basis change
+in H*(Fl_n) (`_e_basis`): the classes of the e_K, multiplied out by
+Sottile's Pieri rule for e_k(x_1,…,x_p)·σ_z (`_pieri`), are unitriangular
+in the Schubert basis up to reordering, so back substitution inverts them.
+Every lift replaces each e_k(p) by an image factor(k, p) and sums
+Σ a_K·factor(k_1, 1)⋯factor(k_{n−1}, n−1) by Horner's rule on packed
+monomials (`e_fold`).  The recombination check of `e_decomposition` runs
+the same fold on the packing of the 𝔖_w, with factor e_k(p), and compares
+the packed sum with the packed 𝔖_w.
 
 `_Transition` is the Fl_n engine of quantum Monk and Lascoux–Schützenberger
 transition.  It gives the structure constants of QH*(Fl_n), which `qring`
-and `partial` read, their q⁰ slices, which the basis change reads, and the
-quantum Schubert polynomials 𝔖^q_w, held on packed monomials, which
-`universal.quantum_schubert` returns; it lives here so that all of them
-import it.
+and `partial` read, and the quantum Schubert polynomials 𝔖^q_w, held on
+packed monomials, which `universal.quantum_schubert` returns; it lives here
+so that all of them import it.
 """
 from __future__ import annotations
 
@@ -26,14 +29,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .perm import Perm, length, reduced_word, validate
+from .perm import Perm, length, validate
 from .poly import (
     Polynomial,
     VerificationError,
     _packed_mul_into,
     _Packing,
     _var_key,
-    x_var,
 )
 
 __all__ = [
@@ -88,9 +90,9 @@ def divided_difference(p: Polynomial, i: int) -> Polynomial:
     return Polynomial(acc)
 
 
-@lru_cache(maxsize=None)
 def schubert_poly(w: Perm) -> Polynomial:
-    """The Schubert polynomial 𝔖_w; homogeneous of grade length(w).
+    """The Schubert polynomial 𝔖_w; homogeneous of grade length(w), decoded
+    from the packed memo of its n (`_SchubertMemo`).
 
     >>> schubert_poly((3, 2, 1)).to_text()
     'x1^2·x2'
@@ -98,14 +100,75 @@ def schubert_poly(w: Perm) -> Polynomial:
     'x1'
     """
     w = validate(w)
-    n = len(w)
-    staircase = Polynomial.constant(1)
-    for p in range(1, n):
-        staircase = staircase * x_var(p) ** (n - p)
-    out = staircase
-    for i in reduced_word(w):
-        out = divided_difference(out, i)
-    return out
+    memo = _schubert_memo(len(w))
+    return memo.packing.unpack(memo.schubert(w))
+
+
+class _SchubertMemo:
+    """The 𝔖_w of S_n and the e_k(p), p < n, as packed {monomial:
+    coefficient} dicts on one `_Packing` over x_1,…,x_n.
+
+    𝔖_{w_0} is the staircase x_1^{n−1}⋯x_{n−1}, and 𝔖_w = ∂_i 𝔖_{w·s_i} for
+    the first ascent i of w, so each 𝔖_w costs one divided difference of a
+    memo entry one longer.  ∂_{n−1} writes x_n terms that cancel only once
+    every monomial is done, so x_n has a field too.  A term that a divided
+    difference meets, cancelled ones included, has grade at most C(n, 2),
+    and so has every partial product of the recombination check's fold over
+    `e_columns`: fields that hold C(n, 2) never carry.  Memo entries are
+    stored complete, so a race between threads costs at most a duplicate
+    entry.
+    """
+
+    def __init__(self, n: int):
+        top = n * (n - 1) // 2
+        self.packing = packing = _Packing([("x", i) for i in range(1, n + 1)], top)
+        staircase = tuple((("x", p), n - p) for p in range(1, n))
+        self._memo = {tuple(range(n, 0, -1)): {packing.key(staircase): 1}}
+        # column p − 1: k → e_k(x_1,…,x_p), for 1 ≤ k ≤ p
+        self.e_columns = [{k: packing.pack(elementary_poly(k, p))
+                           for k in range(1, p + 1)} for p in range(1, n)]
+
+    def schubert(self, w: Perm) -> dict:
+        """𝔖_w, packed; w must be a permutation of n."""
+        memo = self._memo
+        chain = []
+        while w not in memo:
+            i = next(i for i in range(1, len(w)) if w[i - 1] < w[i])
+            chain.append((w, i))
+            w = (*w[:i - 1], w[i], w[i - 1], *w[i + 1:])
+        terms = memo[w]
+        for w, i in reversed(chain):
+            terms = memo[w] = self._divided_difference(terms, i)
+        return terms
+
+    def _divided_difference(self, terms: dict, i: int) -> dict:
+        """∂_i of packed terms, by `divided_difference`'s telescoped sum:
+        x_i^a·x_{i+1}^b·R ↦ ±Σ_{lo ≤ j < hi} x_i^j·x_{i+1}^{a+b−1−j}·R."""
+        width = self.packing._width
+        low, high = (i - 1) * width, i * width
+        mask = (1 << width) - 1
+        step = (1 << low) - (1 << high)  # x_i one up, x_{i+1} one down
+        acc = {}
+        get = acc.get
+        for m, c in terms.items():
+            a, b = m >> low & mask, m >> high & mask
+            if a == b:
+                continue
+            lo, hi = (b, a) if a > b else (a, b)
+            if a < b:
+                c = -c
+            key = m + (lo - a << low) + (a - 1 - lo << high)
+            for _ in range(lo, hi):
+                acc[key] = get(key, 0) + c
+                key += step
+        return _nonzero(acc)
+
+
+@lru_cache(maxsize=None)
+def _schubert_memo(n: int) -> _SchubertMemo:
+    """The packed 𝔖_w of S_n, shared by `schubert_poly` and the
+    recombination check of `e_decomposition`."""
+    return _SchubertMemo(n)
 
 
 @lru_cache(maxsize=None)
@@ -127,12 +190,9 @@ def e_fold(coeffs: dict, factor) -> Polynomial:
     """Σ a_K·factor(k_1, 1)⋯factor(k_L, L) over coeffs = {K: a_K}, all
     sequences K of one length L; a factor with k_p = 0 is 1.
 
-    Horner's rule over the trie of the sequences read from the end: the
-    sequences are grouped by their last entry k, each group's sum over
-    shorter prefixes is folded first, and then multiplied once by
-    factor(k, L).  Each factor(k, p), k ≠ 0, is looked up once; the fold
-    multiplies monomials packed over these factors alone, and the sum is
-    decoded once, at the end.
+    Each factor(k, p), k ≠ 0, is looked up once and packed over the
+    variables of these factors alone; `_e_fold_packed` folds the packed
+    factors, and the sum is decoded once, at the end.
 
     >>> e_fold({(1, 0): 1, (0, 1): -1}, elementary_poly).to_text()
     '−x2'
@@ -147,17 +207,35 @@ def e_fold(coeffs: dict, factor) -> Polynomial:
              for column in factors]
     packing = _Packing(sorted({v for col in pairs for v, _ in col}, key=_var_key),
                        sum(max((e for _, e in col), default=0) for col in pairs))
+    columns = [{k: packing.pack(f) for k, f in column.items()}
+               for column in factors]
+    return packing.unpack(_e_fold_packed(coeffs, columns))
+
+
+def _e_fold_packed(coeffs: dict, columns: list) -> dict:
+    """Σ a_K·columns[0][k_1]⋯columns[L−1][k_L] on packed monomials, where
+    columns[p − 1] maps each k ≠ 0 that some K has at p to a packed factor;
+    cancelled terms stay with coefficient 0.
+
+    Horner's rule over the trie of the sequences read from the end: the
+    sequences are grouped by their last entry k, each group's sum over
+    shorter prefixes is folded first, and then multiplied once by the
+    factor of k at position L.
+    """
     # level p: suffix (k_{p+1},…,k_L) → Σ over its sequences of
     # a_K·factor(k_1, 1)⋯factor(k_p, p), packed
     level = {seq: {0: a} for seq, a in coeffs.items()}
-    for column in factors:
-        column = {0: {0: 1}, **{k: packing.pack(f) for k, f in column.items()}}
+    for column in columns:
         up = {}
         for seq, part in level.items():
+            out = up.setdefault(seq[1:], {})
             part = {m: c for m, c in part.items() if c}
-            _packed_mul_into(up.setdefault(seq[1:], {}), part, column[seq[0]])
+            if seq[0]:
+                _packed_mul_into(out, part, column[seq[0]])
+            else:
+                _gather(out, part.items())
         level = up
-    return packing.unpack(level[()])
+    return level.get((), {})
 
 
 def _grassmannian(k: int, p: int, n: int) -> Perm:
@@ -166,25 +244,65 @@ def _grassmannian(k: int, p: int, n: int) -> Perm:
             *range(p + 2, n + 1))
 
 
+@lru_cache(maxsize=None)
+def _pieri(z: Perm, p: int) -> tuple:
+    """(e_0(p)·σ_z, e_1(p)·σ_z, …, e_p(p)·σ_z) in H*(Fl_n), each as z′ → 1,
+    with e_k(p) = e_k(x_1,…,x_p), 1 ≤ p < n.
+
+    Sottile's Pieri formula: e_k(p)·σ_z is the sum of σ_{z′} over the chains
+    of covers z → z·t_{a_1b_1} → ⋯ → z′ = z·t_{a_1b_1}⋯t_{a_kb_k}, each
+    raising the length by one, with a_i ≤ p < b_i, the a_i pairwise
+    distinct and b_1 ≥ b_2 ≥ ⋯ ≥ b_k.  Each z′ ends exactly one such chain,
+    so every coefficient is 1.  One depth-first walk gives every k at once.
+    The memo holds each (z, p) once; its rows must not be changed.
+    """
+    n = len(z)
+    rows = ({z: 1},) + tuple({} for _ in range(p))
+    # (permutation, the a used as bits, the largest b allowed, its depth)
+    stack = [(z, 0, n, 0)]
+    while stack:
+        y, used, top, k = stack.pop()
+        row = rows[k + 1] if k < p else None
+        for a in range(1, p + 1):
+            if used >> a & 1:
+                continue
+            # y·t_ab covers y iff y(a) < y(b) and no y(c), a < c < b, lies
+            # between them: scan b upward, keeping the least y(c) above y(a)
+            lo, least = y[a - 1], n + 1
+            for b in range(a + 1, top + 1):
+                hi = y[b - 1]
+                if lo < hi < least:
+                    least = hi
+                    if b > p:
+                        x = (*y[:a - 1], hi, *y[a:b - 1], lo, *y[b:])
+                        row[x] = row.get(x, 0) + 1
+                        stack.append((x, used | 1 << a, b, k + 1))
+    return rows
+
+
 def _e_rows(n: int, m: int) -> dict:
     """K → e_K in H*(Fl_n) as w → B[K, w], for every K of grade m in
-    lexicographic order.  The K are walked position by position, and the
-    class of each prefix is multiplied by σ_g, 𝔖_g = e_k(p), once for all
-    the K that share it."""
-    engine = _transition(n)
+    lexicographic order.  The K are walked position by position: the class
+    of each prefix (k_1,…,k_{p−1}) is multiplied by e_k(p) for every k at
+    once, by the Pieri rule (`_pieri`), for all the K that share it."""
     # (k_1,…,k_p), the grade still to place, e_{k_1}(1)⋯e_{k_p}(p)
-    prefixes = [((), m, {engine.identity: 1})]
+    prefixes = [((), m, {tuple(range(1, n + 1)): 1})]
     for p in range(1, n):
         room = (n - 1) * n // 2 - p * (p + 1) // 2  # (p+1) + … + (n−1)
         longer = []
         for seq, rest, cls in prefixes:
             if rest <= room:
                 longer.append((seq + (0,), rest, cls))
-            for k in range(max(1, rest - room), min(p, rest) + 1):
-                g, acc = _grassmannian(k, p, n), {}
-                for z, c in cls.items():
-                    _gather(acc, engine.classical(z, g).items(), c)
-                longer.append((seq + (k,), rest - k, _nonzero(acc)))
+            ks = range(max(1, rest - room), min(p, rest) + 1)
+            if not ks:
+                continue
+            accs = [{} for _ in ks]
+            for z, c in cls.items():
+                rows = _pieri(z, p)
+                for k, acc in zip(ks, accs):
+                    _gather(acc, rows[k].items(), c)
+            longer += [(seq + (k,), rest - k, _nonzero(acc))
+                       for k, acc in zip(ks, accs)]
         prefixes = longer
     return {seq: cls for seq, rest, cls in prefixes if not rest}
 
@@ -192,7 +310,8 @@ def _e_rows(n: int, m: int) -> dict:
 @lru_cache(maxsize=1)
 def _e_basis(n: int, m: int) -> dict:
     """w → {K: a_K}, K in lexicographic order, for each w ∈ S_n of length m.
-    The peel inverts the rows of `_e_rows`: a row with exactly one σ_w not
+    The peel inverts the rows of `_e_rows`, the classes of the e_K by the
+    Pieri rule, without the product engine: a row with exactly one σ_w not
     yet expressed, at coefficient 1, gives a[w] = e_K − Σ_{v≠w} B[K, v]·a[v].
     In lexicographic order every row is such a row for n ≤ 8, so one pass
     suffices; a pass that expresses nothing new raises RingError."""
@@ -229,10 +348,14 @@ class EDecomposition:
 @lru_cache(maxsize=None)
 def e_decomposition(w: Perm) -> EDecomposition:
     """𝔖_w over the e_K, read off the basis change of its grade and checked
-    by recombination against 𝔖_w before it is published."""
+    by recombination against 𝔖_w before it is published.  The check folds
+    the a_K over the packed e_k(p) of `_SchubertMemo` and compares the sum
+    with the packed 𝔖_w, built by divided differences, so it is independent
+    of the Pieri rule; nothing is decoded."""
     w = validate(w)
+    memo = _schubert_memo(len(w))
     dec = EDecomposition(_e_basis(len(w), length(w)).get(w, {}))
-    if dec.recombine() != schubert_poly(w):
+    if _nonzero(_e_fold_packed(dec.coeffs, memo.e_columns)) != memo.schubert(w):
         raise VerificationError(f"e-decomposition recombination failed for {w}")
     return dec
 
@@ -277,12 +400,11 @@ class _Transition:
     classical u of R are as long as w and lexicographically later, the
     quantum ones shorter, so the recursion ends.  Quantum Monk holds for the
     𝔖^q_w as polynomials in Z[x, q], so the same step lifts them (`lift`):
-    𝔖^q_w = x_r·𝔖^q_v − Σ_R c·q^d·𝔖^q_u, down to 𝔖^q_id = 1.  Degrees
-    only grow along the transition, so the classical product σ_w·σ_y drops
-    each quantum term as it appears (`classical`).  All three walk the
-    transition tree of w by one walker (`_walk`) over a memo keyed by
-    permutation, with their own rule per node.  Memo entries are stored
-    complete, so a race between threads costs at most a duplicate entry.
+    𝔖^q_w = x_r·𝔖^q_v − Σ_R c·q^d·𝔖^q_u, down to 𝔖^q_id = 1.  Both walk
+    the transition tree of w by one walker (`_walk`) over a memo keyed by
+    permutation, with their own rule per node, and share the memos of
+    `_x_terms` and `_step`.  Memo entries are stored complete, so a race
+    between threads costs at most a duplicate entry.
     The lifts are held packed, on one `_Packing` per engine whose fields
     hold C(n, 2), the top grade: a node of the lift adds the key of x_r to
     every key of 𝔖^q_v and that of q^d to every key of 𝔖^q_u, and `lift`
@@ -296,7 +418,6 @@ class _Transition:
         self._x = {}      # (r, w) → x_r ∗ σ_w as ((d, z), c) pairs
         self._steps = {}  # w → (r, v, R as ((d, u), c) pairs)
         self._memo = {}   # y → {w → σ_w ∗ σ_y}
-        self._classical = {}  # y → {w → σ_w·σ_y}
         self._lifts = {}  # w → 𝔖^q_w as {packed monomial: coefficient}
         # every term a lift meets, cancelled ones included, has grade
         # ℓ(w) ≤ C(n, 2), so no exponent exceeds C(n, 2)
@@ -384,22 +505,6 @@ class _Transition:
             _gather(acc, _shifted(d, self._x_terms(r, z)), c)
         for (d, u), c in rest:
             _gather(acc, _shifted(d, memo[u].items()), -c)
-        return _nonzero(acc)
-
-    def classical(self, w: Perm, y: Perm) -> dict:
-        """σ_w·σ_y in H*(Fl_n) as z → c: the q⁰ slice of σ_w ∗ σ_y."""
-        return self._walk(self._classical.setdefault(y, {}), w, {y: 1},
-                          self._classical_node)
-
-    def _classical_node(self, memo: dict, r: int, v: Perm, rest: tuple) -> dict:
-        """`_product_node` with each quantum term dropped as it appears."""
-        zero, acc = self.zero, {}
-        for z, c in memo[v].items():
-            _gather(acc, ((z2, c2) for (d, z2), c2 in self._x_terms(r, z)
-                          if d == zero), c)
-        for (d, u), c in rest:
-            if d == zero:
-                _gather(acc, memo[u].items(), -c)
         return _nonzero(acc)
 
     def lift(self, w: Perm) -> Polynomial:

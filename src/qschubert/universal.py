@@ -44,7 +44,6 @@ from .poly import (
 from .schubert import _transition, e_decomposition, e_fold
 
 __all__ = [
-    "PathAlphabet",
     "path_poly",
     "path_poly_range",
     "path_poly_via_recursion",
@@ -77,15 +76,15 @@ def _cover_monomials(a: int, b: int, k: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def path_poly_range(i: int, a: int, b: int) -> Polynomial:
-    """E_i(a,b): covers of exactly i of the vertices x_a,…,x_b.
+    """E_i(a,b): covers of exactly i of the vertices x_a,…,x_b, 1 ≤ a ≤ b+1.
 
     Zero when i > b−a+1; E_i(1,b) = E_i(b).
 
     >>> path_poly_range(1, 2, 2).to_text()
     'g2[0]'
     """
-    if a > b + 1:
-        raise ValueError(f"empty range must have a = b+1 at most: ({a}, {b})")
+    if not 1 <= a <= b + 1:
+        raise ValueError(f"need 1 ≤ a ≤ b+1: ({a}, {b})")
     return Polynomial({mon: 1 for mon in _cover_monomials(a, b, i)})
 
 
@@ -313,41 +312,3 @@ def kernel_chern_check(k: int, l: int) -> bool:
         f"kernel Chern identity failed for (k,l)=({k},{l}) at grade {bad}: "
         f"{diff.homogeneous_component(bad).to_text()}"
     )
-
-
-class PathAlphabet:
-    """Path alphabet on n marked vertices; g_i[j] admissible iff i+j ≤ n."""
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError(f"vertex count must be ≥ 1: {n}")
-        self.n = n
-
-    def admissible(self, i: int, j: int) -> bool:
-        return i >= 1 and j >= 0 and i + j <= self.n
-
-    def _check_range(self, l: int):
-        if not 1 <= l <= self.n:
-            raise ValueError(f"need 1 ≤ l ≤ {self.n}: {l}")
-
-    def path_poly(self, k: int, l: int) -> Polynomial:
-        if k < 0:
-            raise ValueError(f"need k ≥ 0: {k}")
-        self._check_range(l)
-        return path_poly(k, l)
-
-    def path_poly_range(self, i: int, a: int, b: int) -> Polynomial:
-        if not (1 <= a and a <= b + 1 and b <= self.n):
-            raise ValueError(f"need 1 ≤ a ≤ b+1, b ≤ {self.n}: ({a}, {b})")
-        return path_poly_range(i, a, b)
-
-    def g_from_c(self, i: int, j: int) -> Polynomial:
-        if not self.admissible(i, j):
-            raise ValueError(f"inadmissible g-variable: g{i}[{j}] with n={self.n}")
-        return g_from_c(i, j)
-
-    def quantum_e(self, k: int, l: int) -> Polynomial:
-        if k < 0:
-            raise ValueError(f"need k ≥ 0: {k}")
-        self._check_range(l)
-        return quantum_e(k, l)

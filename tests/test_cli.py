@@ -209,9 +209,15 @@ def test_verify_more_suites_pass(capsys, cache_dir):
 
 def test_failed_recombination_is_one_internal_error_line(
         capsys, cache_dir, monkeypatch):
-    fold = schubert.e_fold
-    monkeypatch.setattr(schubert, "e_fold",
-                        lambda coeffs, factor: fold(coeffs, factor) + 1)
+    # the packed fold of the recombination check off by 1
+    fold = schubert._e_fold_packed
+
+    def broken(coeffs, columns):
+        out = dict(fold(coeffs, columns))
+        out[0] = out.get(0, 0) + 1
+        return out
+
+    monkeypatch.setattr(schubert, "_e_fold_packed", broken)
     caches = (schubert.e_decomposition, universal.universal_schubert_g)
     for cached in caches:
         cached.cache_clear()
@@ -229,11 +235,12 @@ def test_failed_recombination_is_one_internal_error_line(
 
 
 def test_stuck_peel_is_one_internal_error_line(capsys, cache_dir, monkeypatch):
-    # doubled classical products leave no row of coefficient 1 to peel
-    classical = schubert._Transition.classical
+    # doubled Pieri products leave no row of coefficient 1 to peel
+    pieri = schubert._pieri
     monkeypatch.setattr(
-        schubert._Transition, "classical",
-        lambda self, w, y: {z: 2 * c for z, c in classical(self, w, y).items()})
+        schubert, "_pieri",
+        lambda z, p: tuple({y: 2 * c for y, c in row.items()}
+                           for row in pieri(z, p)))
     caches = (schubert._e_basis, schubert.e_decomposition,
               universal.universal_schubert_g)
     for cached in caches:
@@ -745,20 +752,36 @@ def test_table_resumes_from_partial_cache(capsys, cache_dir):
     assert out.endswith("(4 entries, 2 computed)\n")
 
 
-@pytest.mark.parametrize("keys, computed", [
-    (["1,3,2;2,1,3"], 1),
-    (["2,1,3;1,3,2"], 0),
-    (["1,3,2;2,1,3", "2,1,3;1,3,2"], 1),
-], ids=["canonical", "mirror", "both"])
+def _junk(entries):
+    return {"bad": 1}
+
+
+def _unreadable(entries):
+    return "not a class"
+
+
+def _other_class(entries):
+    # σ_132 ∗ σ_132: a sound class, not σ_132 ∗ σ_213
+    return entries["1,3,2;1,3,2"]
+
+
+@pytest.mark.parametrize("keys, bad, computed", [
+    (["1,3,2;2,1,3"], _junk, 1),
+    (["2,1,3;1,3,2"], _junk, 0),
+    (["1,3,2;2,1,3", "2,1,3;1,3,2"], _junk, 1),
+    (["2,1,3;1,3,2"], _unreadable, 0),
+    (["2,1,3;1,3,2"], _other_class, 0),
+], ids=["canonical", "mirror", "both", "mirror-unreadable", "mirror-differs"])
 def test_table_replaces_malformed_entries(
-        capsys, cache_dir, monkeypatch, keys, computed):
-    # a bad canonical entry is recomputed, a bad mirror copied again
+        capsys, cache_dir, monkeypatch, keys, bad, computed):
+    # a bad canonical entry is recomputed; a mirror that is not equal to its
+    # sound canonical entry, readable or not, is copied again
     run(capsys, "table", "--n", "3", cache=cache_dir)
     fp = Path(cache_dir) / "product-table_3_v1.json"
     clean = fp.read_bytes()
     obj = json.loads(clean)
     for key in keys:
-        obj["entries"][key] = {"bad": 1}
+        obj["entries"][key] = bad(obj["entries"])
     fp.write_text(json.dumps(obj), encoding="utf-8")
     monkeypatch.setattr(cli, "_TABLES", {})
     code, out, _ = run(capsys, "table", "--n", "3", cache=cache_dir)

@@ -24,6 +24,7 @@ from qschubert import (
     q_var,
     quantum_e,
     quantum_ring,
+    reduced_word,
     schubert_poly,
     transposition,
     x_var,
@@ -144,12 +145,17 @@ def test_e_decomposition_recombines_exactly():
 
 
 @pytest.fixture()
-def broken_e_fold(monkeypatch):
-    """schubert.e_fold off by 1, so the recombination check of
-    e_decomposition fails; the caches are cleared on both sides."""
-    fold = schubert.e_fold
-    monkeypatch.setattr(schubert, "e_fold",
-                        lambda coeffs, factor: fold(coeffs, factor) + 1)
+def broken_packed_fold(monkeypatch):
+    """The packed fold of the recombination check off by 1, so the check
+    of e_decomposition fails; the caches are cleared on both sides."""
+    fold = schubert._e_fold_packed
+
+    def broken(coeffs, columns):
+        out = dict(fold(coeffs, columns))
+        out[0] = out.get(0, 0) + 1
+        return out
+
+    monkeypatch.setattr(schubert, "_e_fold_packed", broken)
     caches = (schubert.e_decomposition, universal.universal_schubert_g)
     for cached in caches:
         cached.cache_clear()
@@ -158,7 +164,7 @@ def broken_e_fold(monkeypatch):
         cached.cache_clear()
 
 
-def test_failed_recombination_raises_verification_error(broken_e_fold):
+def test_failed_recombination_raises_verification_error(broken_packed_fold):
     with pytest.raises(poly.VerificationError, match="recombination failed"):
         e_decomposition((3, 1, 4, 2))
 
@@ -315,17 +321,52 @@ def test_e_decomposition_matches_the_echelon_solve():
                 assert list(e_decomposition(w).coeffs.items()) == want, w
 
 
-@pytest.mark.parametrize("n, sample", [(4, None), (5, 300)])
-def test_classical_is_the_q0_slice_of_the_product(n, sample):
-    ws = all_permutations(n)
-    pairs = [(w, y) for w in ws for y in ws]
+@pytest.mark.parametrize("n, sample", [(5, None), (6, 120)])
+def test_pieri_is_the_q0_slice_of_the_product(n, sample):
+    """e_k(p)·σ_z by the Pieri rule is the q⁰ slice of σ_z ∗ σ_g on the
+    transition engine, 𝔖_g = e_k(p), for every 1 ≤ k ≤ p < n."""
+    zs = all_permutations(n)
     if sample:
-        pairs = random.Random(n).sample(pairs, sample)
-    quantum, classical = schubert._Transition(n), schubert._Transition(n)
+        zs = random.Random(n).sample(zs, sample)
+    engine = schubert._Transition(n)
     zero = (0,) * (n - 1)
-    for w, y in pairs:
-        want = {z: c for (d, z), c in quantum.product(w, y).items() if d == zero}
-        assert classical.classical(w, y) == want, (w, y)
+    for z in zs:
+        for p in range(1, n):
+            rows = schubert._pieri(z, p)
+            assert len(rows) == p + 1 and rows[0] == {z: 1}
+            for k in range(1, p + 1):
+                product = engine.product(z, schubert._grassmannian(k, p, n))
+                want = {y: c for (d, y), c in product.items() if d == zero}
+                assert rows[k] == want, (z, k, p)
+                assert set(rows[k].values()) <= {1}, (z, k, p)
+
+
+def test_schubert_poly_is_the_divided_difference_chain_on_s6():
+    """The packed first-ascent memo gives the Polynomial chain of ∂_i over
+    the reduced word, applied to the staircase."""
+    n = 6
+    staircase = Polynomial.constant(1)
+    for p in range(1, n):
+        staircase = staircase * x_var(p) ** (n - p)
+    for w in all_permutations(n):
+        want = staircase
+        for i in reduced_word(w):
+            want = divided_difference(want, i)
+        assert schubert_poly(w) == want, w
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_schubert_packing_fields_hold_the_top_grade(n):
+    packing = schubert._schubert_memo(n).packing
+    top = n * (n - 1) // 2
+    assert (1 << packing._width) - 1 >= top
+    # every x_1..x_n at the bound, each alone and all in one monomial
+    powers = [x_var(i) ** top for i in range(1, n + 1)]
+    all_at_top = Polynomial.constant(1)
+    for power in powers:
+        all_at_top = all_at_top * power
+    p = sum(powers, all_at_top + 2)
+    assert packing.unpack(packing.pack(p)) == p
 
 
 @pytest.mark.parametrize("n, sample", [(3, None), (4, None), (5, None),
@@ -389,25 +430,24 @@ def test_no_library_lift_builds_an_echelon_system(monkeypatch):
 
 
 @pytest.fixture()
-def doubled_classical(monkeypatch):
-    """Every classical product of the engine comes back doubled, so no row
-    of a basis change of grade ≥ 1 has a coefficient 1."""
-    classical = schubert._Transition.classical
-
-    def doubled(self, w, y):
-        return {z: 2 * c for z, c in classical(self, w, y).items()}
-
+def doubled_pieri(monkeypatch):
+    """Every Pieri product comes back doubled, so no row of a basis change
+    of grade ≥ 1 has a coefficient 1."""
+    pieri = schubert._pieri
     caches = (schubert._e_basis, e_decomposition,
               universal.universal_schubert_c, universal.universal_schubert_g)
     for cached in caches:
         cached.cache_clear()
-    monkeypatch.setattr(schubert._Transition, "classical", doubled)
+    monkeypatch.setattr(
+        schubert, "_pieri",
+        lambda z, p: tuple({y: 2 * c for y, c in row.items()}
+                           for row in pieri(z, p)))
     yield
     for cached in caches:
         cached.cache_clear()
 
 
-def test_a_stuck_peel_raises_ring_error(doubled_classical):
+def test_a_stuck_peel_raises_ring_error(doubled_pieri):
     with pytest.raises(RingError, match="not unitriangular"):
         e_decomposition((1, 3, 2))
     # grade 0 has no product, so nothing is stuck there

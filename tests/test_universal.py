@@ -6,7 +6,6 @@ import threading
 import pytest
 
 from qschubert import (
-    PathAlphabet,
     Polynomial,
     VerificationError,
     all_permutations,
@@ -252,19 +251,20 @@ def test_kernel_chern_check_full_range_n5():
 
 
 def test_path_alphabet_admissibility():
-    alpha = PathAlphabet(3)
-    assert alpha.admissible(1, 2)
-    assert alpha.admissible(3, 0)
-    assert not alpha.admissible(1, 3)
-    assert not alpha.admissible(0, 1)
+    # the paths of E_k(3) use exactly the g_i[j] with i ≥ 1, j ≥ 0, i+j ≤ 3
+    used = set().union(*(path_poly(k, 3).variables() for k in range(4)))
+    assert used == {("g", i, j) for i in range(1, 4) for j in range(4 - i)}
 
 
 def test_path_alphabet_validates_arguments():
-    alpha = PathAlphabet(3)
-    assert alpha.path_poly(2, 3) == path_poly(2, 3)
     with pytest.raises(ValueError):
-        alpha.path_poly(1, 4)
+        path_poly(1, 0)
     with pytest.raises(ValueError):
-        alpha.quantum_e(1, 0)
-    with pytest.raises(ValueError):
-        alpha.g_from_c(2, 2)
+        quantum_e(1, 0)
+    # a range starts at vertex 1 or later and is empty at worst
+    for a, b in ((0, 2), (4, 2)):
+        with pytest.raises(ValueError):
+            path_poly_range(1, a, b)
+    assert path_poly_range(0, 3, 2) == Polynomial.constant(1)
+    # g_i[j] outside i ≥ 1, j ≥ 0 is zero
+    assert g_from_c(0, 1).is_zero() and g_from_c(2, -1).is_zero()
