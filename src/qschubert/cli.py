@@ -395,7 +395,11 @@ def cmd_schubert(args) -> int:
         entries = cache.load(kind, str(args.n)) or {}
         key = _perm_key(w)
         poly = _read_entry(Polynomial, entries.get(key))
-        if poly is None:
+        # an entry over another alphabet is recomputed like a malformed one
+        alphabet = {("x", i) for i in range(1, args.n + 1)}
+        if args.quantum:
+            alphabet.update(("q", i) for i in range(1, args.n))
+        if poly is None or not poly.variables() <= alphabet:
             poly = quantum_schubert(w) if args.quantum else schubert_poly(w)
             # one serialization serves the cache entry and the JSON output
             obj = poly.to_json_obj()
@@ -418,13 +422,23 @@ def _pair_key(u, v) -> str:
     return f"{_perm_key(u)};{_perm_key(v)}"
 
 
+def _read_class(ring, obj):
+    """The class of a product entry, or None when the entry cannot be read
+    or is a class of another ring, so that it is recomputed and stored
+    over."""
+    cls = _read_entry(QuantumClass, obj)
+    if cls is not None and cls.n == ring.n and cls.shape == ring.shape:
+        return cls
+    return None
+
+
 def _cached_product(ring, cache: TableCache, u, v) -> tuple:
     """(u ∗ v, its JSON object) on a miss, which stores that object, and
     (u ∗ v, None) on a hit."""
     key = _product_cache_key(ring)
     entries = cache.load("product-table", key) or {}
     a, b = (u, v) if u <= v else (v, u)
-    cached = _read_entry(QuantumClass, entries.get(_pair_key(a, b)))
+    cached = _read_class(ring, entries.get(_pair_key(a, b)))
     if cached is not None:
         return cached, None
     cls = ring.quantum_product(u, v)
@@ -772,10 +786,11 @@ def cmd_table(args) -> int:
     # pair off the diagonal
     pairs = {_pair_key(u, v): (u, v) for i, u in enumerate(basis) for v in basis[i:]}
     mirrors = {k: _pair_key(v, u) for k, (u, v) in pairs.items() if u != v}
-    # a canonical entry that cannot be read counts as missing, so it is
-    # stored over; a mirror is held when its canonical entry is and the two
-    # JSON objects are equal, so no mirror is parsed
-    held = {k for k in pairs if _read_entry(QuantumClass, entries.get(k)) is not None}
+    # a canonical entry that cannot be read, or holds a class of another
+    # ring, counts as missing, so it is stored over; a mirror is held when
+    # its canonical entry is and the two JSON objects are equal, so no
+    # mirror is parsed
+    held = {k for k in pairs if _read_class(ring, entries.get(k)) is not None}
     held.update(m for k, m in mirrors.items()
                 if k in held and entries.get(m) == entries[k])
     # one process: every product of this n shares the ring's transition memo

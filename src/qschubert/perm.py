@@ -19,7 +19,6 @@ __all__ = [
     "validate",
     "identity",
     "length",
-    "lehmer_code",
     "rank_fn",
     "longest_element",
     "dual",
@@ -70,18 +69,6 @@ def length(w: Perm) -> int:
     3
     """
     return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
-
-
-def lehmer_code(w: Perm) -> tuple[int, ...]:
-    """(c_1,…,c_{n−1}) with c_i = #{j > i : w(j) < w(i)}; Σ c_i = length(w).
-
-    >>> lehmer_code((2, 4, 1, 3))
-    (1, 2, 0)
-    """
-    return tuple(
-        sum(1 for j in range(i + 1, len(w)) if w[j] < w[i])
-        for i in range(len(w) - 1)
-    )
 
 
 def rank_fn(w: Perm, q: int, p: int) -> int:

@@ -18,28 +18,25 @@ A monomial is a tuple of (variable, exponent) pairs, sorted by the variable
 order above, each variable at most once and every exponent positive; the
 constant monomial is ().  Every constructor keeps this invariant;
 `mon_mul` adds the exponents of two monomials in a dict and sorts the result.
-Monomials rest in this tuple form everywhere but in three kernels of
+Monomials rest in this tuple form everywhere but in the kernels of
 `schubert`, which pack them into one int with a bit field per variable
 (`_Packing`), all fields of one width, so that a monomial product is one int
 addition.  The width must hold every exponent the kernel meets, so that no
-field carries into the next:
+field carries into the next.  There are two packings:
   * the fold (`e_fold`) has one packing per call.  Its fields are as wide as
     the bit length of the sum, over the factor positions, of the largest
     exponent of any factor used there; no product of that call exceeds it.
     The sum is decoded once, at the end.
-  * the Schubert polynomials (`_SchubertMemo`) have one packing per n, over
-    x_1,…,x_n.  Its fields hold C(n, 2): 𝔖_w is a divided difference of a
-    memo entry one longer, and every term a divided difference meets,
-    cancelled ones included, has grade at most C(n, 2).  ∂_{n−1} writes x_n
-    terms that cancel only after the whole step, so x_n needs a field of
-    its own.  The recombination check of `e_decomposition` folds the
-    e_k(x_1,…,x_p) on the same packing, whose partial products stay within
-    the grade of 𝔖_w, and compares packed dicts; `schubert_poly` decodes.
-  * the transition lift (`_Transition.lift`) has one packing per n, over
-    x_1,…,x_{n−1}, q_1,…,q_{n−1}.  Its fields hold C(n, 2): every term that
-    a lift of w ∈ S_n meets, cancelled ones included, has grade ℓ(w) ≤ C(n, 2)
-    with x of grade 1 and q of grade 2.  The lifts stay packed in the
-    engine's memo, and each call decodes the one that was asked for.
+  * the Schubert engine (`schubert._Transition`) has one packing per n, over
+    x_1,…,x_n, q_1,…,q_{n−1}, whose fields hold C(n, 2).  On it are the
+    𝔖_w, each a divided difference of a memo entry one longer; the
+    e_k(x_1,…,x_p) that the recombination check of `e_decomposition` folds;
+    and the transition lifts 𝔖^q_w.  Every term that a divided difference,
+    the check's fold or a lift of w ∈ S_n meets, cancelled ones included,
+    has grade at most C(n, 2), with x of grade 1 and q of grade 2.  The lift
+    never sets x_n, but ∂_{n−1} writes x_n terms that cancel only after the
+    whole step, so x_n has a field.  The entries stay packed in the engine's
+    memos, and `schubert_poly` and the lift decode the one asked for.
 A polynomial holds a dict monomial → nonzero coefficient.  Coefficients are
 Python ints, and the only scalars that arithmetic accepts are ints: any other
 scalar, a Fraction or a float among them, raises TypeError.
@@ -414,7 +411,7 @@ def _json_int(value) -> int:
     return value
 
 
-# ---- packed monomials, inside the folds, the Schubert memo and the lift ----
+# ---- packed monomials, inside the folds and the Schubert engine ----
 
 
 # fields decoded at once by `_Packing.unpack`: a wider chunk takes fewer

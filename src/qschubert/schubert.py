@@ -1,10 +1,9 @@
-"""Classical Schubert polynomials and their elementary-symmetric decomposition.
+"""Schubert polynomials, their elementary-symmetric decomposition, and the
+one Schubert engine per n that holds them with the quantum products.
 
 𝔖_w is built by divided differences from the staircase monomial
 x_1^{n−1}x_2^{n−2}⋯x_{n−1} = 𝔖_{w_0}: 𝔖_w = ∂_i 𝔖_{w·s_i} for an ascent i
-of w.  The 𝔖_w of S_n are held packed, one int per monomial, in a memo per
-n (`_SchubertMemo`), and `schubert_poly` decodes the entry asked for.
-Every 𝔖_w for w ∈ S_n decomposes uniquely as 𝔖_w = Σ a_K·e_K over the
+of w.  Every 𝔖_w for w ∈ S_n decomposes uniquely as 𝔖_w = Σ a_K·e_K over the
 e_K = e_{k_1}(1)⋯e_{k_{n−1}}(n−1) with k_p ≤ p and Σk_p = length(w)
 (Fomin–Gelfand–Postnikov).  The a_K of one grade come from one basis change
 in H*(Fl_n) (`_e_basis`): the classes of the e_K, multiplied out by
@@ -13,20 +12,21 @@ in the Schubert basis up to reordering, so back substitution inverts them.
 Every lift replaces each e_k(p) by an image factor(k, p) and sums
 Σ a_K·factor(k_1, 1)⋯factor(k_{n−1}, n−1) by Horner's rule on packed
 monomials (`e_fold`).  The recombination check of `e_decomposition` runs
-the same fold on the packing of the 𝔖_w, with factor e_k(p), and compares
-the packed sum with the packed 𝔖_w.
+the same fold with factor e_k(p) and compares the packed sum with the
+packed 𝔖_w.
 
-`_Transition` is the Fl_n engine of quantum Monk and Lascoux–Schützenberger
-transition.  It gives the structure constants of QH*(Fl_n), which `qring`
-and `partial` read, and the quantum Schubert polynomials 𝔖^q_w, held on
-packed monomials, which `universal.quantum_schubert` returns; it lives here
-so that all of them import it.
+`_Transition`, one per n, is that engine: quantum Monk and
+Lascoux–Schützenberger transition give the structure constants of
+QH*(Fl_n), which `qring` and `partial` read, and the quantum Schubert
+polynomials 𝔖^q_w, which `universal.quantum_schubert` returns.  It also
+holds the packed 𝔖_w that `schubert_poly` decodes and the packed e_k(p) of
+the check, all on one packing, and lives here so that all of them import it.
 """
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .perm import Perm, length, validate
@@ -92,7 +92,7 @@ def divided_difference(p: Polynomial, i: int) -> Polynomial:
 
 def schubert_poly(w: Perm) -> Polynomial:
     """The Schubert polynomial 𝔖_w; homogeneous of grade length(w), decoded
-    from the packed memo of its n (`_SchubertMemo`).
+    from the engine of its n (`_Transition.schubert`).
 
     >>> schubert_poly((3, 2, 1)).to_text()
     'x1^2·x2'
@@ -100,75 +100,8 @@ def schubert_poly(w: Perm) -> Polynomial:
     'x1'
     """
     w = validate(w)
-    memo = _schubert_memo(len(w))
-    return memo.packing.unpack(memo.schubert(w))
-
-
-class _SchubertMemo:
-    """The 𝔖_w of S_n and the e_k(p), p < n, as packed {monomial:
-    coefficient} dicts on one `_Packing` over x_1,…,x_n.
-
-    𝔖_{w_0} is the staircase x_1^{n−1}⋯x_{n−1}, and 𝔖_w = ∂_i 𝔖_{w·s_i} for
-    the first ascent i of w, so each 𝔖_w costs one divided difference of a
-    memo entry one longer.  ∂_{n−1} writes x_n terms that cancel only once
-    every monomial is done, so x_n has a field too.  A term that a divided
-    difference meets, cancelled ones included, has grade at most C(n, 2),
-    and so has every partial product of the recombination check's fold over
-    `e_columns`: fields that hold C(n, 2) never carry.  Memo entries are
-    stored complete, so a race between threads costs at most a duplicate
-    entry.
-    """
-
-    def __init__(self, n: int):
-        top = n * (n - 1) // 2
-        self.packing = packing = _Packing([("x", i) for i in range(1, n + 1)], top)
-        staircase = tuple((("x", p), n - p) for p in range(1, n))
-        self._memo = {tuple(range(n, 0, -1)): {packing.key(staircase): 1}}
-        # column p − 1: k → e_k(x_1,…,x_p), for 1 ≤ k ≤ p
-        self.e_columns = [{k: packing.pack(elementary_poly(k, p))
-                           for k in range(1, p + 1)} for p in range(1, n)]
-
-    def schubert(self, w: Perm) -> dict:
-        """𝔖_w, packed; w must be a permutation of n."""
-        memo = self._memo
-        chain = []
-        while w not in memo:
-            i = next(i for i in range(1, len(w)) if w[i - 1] < w[i])
-            chain.append((w, i))
-            w = (*w[:i - 1], w[i], w[i - 1], *w[i + 1:])
-        terms = memo[w]
-        for w, i in reversed(chain):
-            terms = memo[w] = self._divided_difference(terms, i)
-        return terms
-
-    def _divided_difference(self, terms: dict, i: int) -> dict:
-        """∂_i of packed terms, by `divided_difference`'s telescoped sum:
-        x_i^a·x_{i+1}^b·R ↦ ±Σ_{lo ≤ j < hi} x_i^j·x_{i+1}^{a+b−1−j}·R."""
-        width = self.packing._width
-        low, high = (i - 1) * width, i * width
-        mask = (1 << width) - 1
-        step = (1 << low) - (1 << high)  # x_i one up, x_{i+1} one down
-        acc = {}
-        get = acc.get
-        for m, c in terms.items():
-            a, b = m >> low & mask, m >> high & mask
-            if a == b:
-                continue
-            lo, hi = (b, a) if a > b else (a, b)
-            if a < b:
-                c = -c
-            key = m + (lo - a << low) + (a - 1 - lo << high)
-            for _ in range(lo, hi):
-                acc[key] = get(key, 0) + c
-                key += step
-        return _nonzero(acc)
-
-
-@lru_cache(maxsize=None)
-def _schubert_memo(n: int) -> _SchubertMemo:
-    """The packed 𝔖_w of S_n, shared by `schubert_poly` and the
-    recombination check of `e_decomposition`."""
-    return _SchubertMemo(n)
+    engine = _transition(len(w))
+    return engine._packing.unpack(engine.schubert(w))
 
 
 @lru_cache(maxsize=None)
@@ -349,13 +282,13 @@ class EDecomposition:
 def e_decomposition(w: Perm) -> EDecomposition:
     """𝔖_w over the e_K, read off the basis change of its grade and checked
     by recombination against 𝔖_w before it is published.  The check folds
-    the a_K over the packed e_k(p) of `_SchubertMemo` and compares the sum
-    with the packed 𝔖_w, built by divided differences, so it is independent
-    of the Pieri rule; nothing is decoded."""
+    the a_K over the engine's packed e_k(p) and compares the sum with the
+    packed 𝔖_w, built by divided differences, so it is independent of the
+    Pieri rule; nothing is decoded."""
     w = validate(w)
-    memo = _schubert_memo(len(w))
+    engine = _transition(len(w))
     dec = EDecomposition(_e_basis(len(w), length(w)).get(w, {}))
-    if _nonzero(_e_fold_packed(dec.coeffs, memo.e_columns)) != memo.schubert(w):
+    if _nonzero(_e_fold_packed(dec.coeffs, engine.e_columns)) != engine.schubert(w):
         raise VerificationError(f"e-decomposition recombination failed for {w}")
     return dec
 
@@ -390,8 +323,8 @@ def _q_monomial(d: tuple) -> tuple:
 
 
 class _Transition:
-    """The structure constants of QH*(Fl_n): σ_w ∗ σ_y as a dict (d, z) → c,
-    and the quantum Schubert polynomials 𝔖^q_w that represent them.
+    """The Schubert engine of S_n: the structure constants of QH*(Fl_n),
+    σ_w ∗ σ_y as a dict (d, z) → c, and the packed 𝔖_w and 𝔖^q_w.
 
     Quantum Monk gives x_r ∗ σ_w (`_x_terms`).  Transition: with r the last
     descent of w, s the last position after r with w(s) < w(r) and
@@ -403,12 +336,17 @@ class _Transition:
     𝔖^q_w = x_r·𝔖^q_v − Σ_R c·q^d·𝔖^q_u, down to 𝔖^q_id = 1.  Both walk
     the transition tree of w by one walker (`_walk`) over a memo keyed by
     permutation, with their own rule per node, and share the memos of
-    `_x_terms` and `_step`.  Memo entries are stored complete, so a race
-    between threads costs at most a duplicate entry.
-    The lifts are held packed, on one `_Packing` per engine whose fields
-    hold C(n, 2), the top grade: a node of the lift adds the key of x_r to
-    every key of 𝔖^q_v and that of q^d to every key of 𝔖^q_u, and `lift`
-    decodes only the entry that was asked for.
+    `_x_terms` and `_step`.  The 𝔖_w come from divided differences
+    (`schubert`), so the recombination check, which folds them against the
+    packed e_k(p) (`e_columns`), owes nothing to the lift or the Pieri rule.
+    Memo entries are stored complete, so a race between threads costs at
+    most a duplicate entry.
+    One `_Packing` over x_1,…,x_n, q_1,…,q_{n−1} holds 𝔖_w, 𝔖^q_w and the
+    e_k(p); its fields hold C(n, 2), the top grade, which no term that a
+    lift, a divided difference or the check's fold meets exceeds, cancelled
+    ones included.  A lift node adds the key of x_r or q^d to every key of
+    a shorter lift.  The lift never sets x_n, but ∂_{n−1} writes x_n terms
+    that cancel only once every monomial is done, so x_n has a field.
     """
 
     def __init__(self, n: int):
@@ -419,11 +357,12 @@ class _Transition:
         self._steps = {}  # w → (r, v, R as ((d, u), c) pairs)
         self._memo = {}   # y → {w → σ_w ∗ σ_y}
         self._lifts = {}  # w → 𝔖^q_w as {packed monomial: coefficient}
-        # every term a lift meets, cancelled ones included, has grade
-        # ℓ(w) ≤ C(n, 2), so no exponent exceeds C(n, 2)
-        self._packing = _Packing(
-            [("x", i) for i in range(1, n)] + [("q", i) for i in range(1, n)],
+        self._packing = packing = _Packing(
+            [("x", i) for i in range(1, n + 1)] + [("q", i) for i in range(1, n)],
             n * (n - 1) // 2)
+        # w → 𝔖_w as {packed monomial: coefficient}, from the staircase 𝔖_{w_0}
+        staircase = tuple((("x", p), n - p) for p in range(1, n))
+        self._classical = {tuple(range(n, 0, -1)): {packing.key(staircase): 1}}
 
     def _x_terms(self, r: int, w: Perm) -> tuple:
         """x_r ∗ σ_w = Σ_{b>r} ε_rb − Σ_{a<r} ε_ar: quantum Monk for σ_{s_r}
@@ -530,8 +469,54 @@ class _Transition:
                     del acc[m]
         return acc
 
+    def schubert(self, w: Perm) -> dict:
+        """𝔖_w, packed; w must be a permutation of n.  𝔖_w = ∂_i 𝔖_{w·s_i}
+        for the first ascent i of w, so each entry costs one divided
+        difference of an entry one longer."""
+        memo = self._classical
+        chain = []
+        while w not in memo:
+            i = next(i for i in range(1, len(w)) if w[i - 1] < w[i])
+            chain.append((w, i))
+            w = (*w[:i - 1], w[i], w[i - 1], *w[i + 1:])
+        terms = memo[w]
+        for w, i in reversed(chain):
+            terms = memo[w] = self._divided_difference(terms, i)
+        return terms
+
+    def _divided_difference(self, terms: dict, i: int) -> dict:
+        """∂_i of packed terms, by `divided_difference`'s telescoped sum:
+        x_i^a·x_{i+1}^b·R ↦ ±Σ_{lo ≤ j < hi} x_i^j·x_{i+1}^{a+b−1−j}·R."""
+        width = self._packing._width
+        low, high = (i - 1) * width, i * width
+        mask = (1 << width) - 1
+        step = (1 << low) - (1 << high)  # x_i one up, x_{i+1} one down
+        acc = {}
+        get = acc.get
+        for m, c in terms.items():
+            a, b = m >> low & mask, m >> high & mask
+            if a == b:
+                continue
+            lo, hi = (b, a) if a > b else (a, b)
+            if a < b:
+                c = -c
+            key = m + (lo - a << low) + (a - 1 - lo << high)
+            for _ in range(lo, hi):
+                acc[key] = get(key, 0) + c
+                key += step
+        return _nonzero(acc)
+
+    @cached_property
+    def e_columns(self) -> list:
+        """Column p − 1 maps k to e_k(x_1,…,x_p), packed, for 1 ≤ k ≤ p < n;
+        built on first use, so building a ring packs none."""
+        pack = self._packing.pack
+        return [{k: pack(elementary_poly(k, p)) for k in range(1, p + 1)}
+                for p in range(1, self.n)]
+
 
 @lru_cache(maxsize=None)
 def _transition(n: int) -> _Transition:
-    """The Fl_n engine shared by every ring with this n and by the lifts."""
+    """The engine of S_n, shared by every ring with this n, by the lifts and
+    by the Schubert polynomials and their e-decompositions."""
     return _Transition(n)

@@ -469,12 +469,27 @@ def test_cache_corruption_treated_as_absent(capsys, cache_dir):
     (("product", "--shape", "1:3", "--u", "2,1,3", "--v", "2,1,3"),
      "product-table_1-3_v1.json", "2,1,3;2,1,3",
      {"n": 3, "shape": "1:3", "terms": [{"d": [0], "w": "1,3,2", "coeff": 1}]}),
+    # sound classes and polynomials, but of another ring or alphabet
+    (("product", "--n", "3", "--u", "2,1,3", "--v", "2,1,3"),
+     "product-table_3_v1.json", "2,1,3;2,1,3",
+     {"n": 5, "terms": [{"d": [0, 0, 0, 0], "w": "1,2,3,4,5", "coeff": 1}]}),
+    (("product", "--n", "3", "--u", "2,1,3", "--v", "2,1,3"),
+     "product-table_3_v1.json", "2,1,3;2,1,3",
+     {"n": 4, "shape": "2:4", "terms": [{"d": [0], "w": "1,2,3,4", "coeff": 1}]}),
+    (("product", "--shape", "1:3", "--u", "2,1,3", "--v", "2,1,3"),
+     "product-table_1-3_v1.json", "2,1,3;2,1,3",
+     {"n": 3, "terms": [{"d": [0, 0], "w": "3,1,2", "coeff": 1}]}),
+    (("schubert", "--n", "3", "--w", "3,1,2", "--quantum"),
+     "qschubert_3_v1.json", "3,1,2",
+     [{"coeff": 1, "monomial": [{"kind": "g", "indices": [9, 2], "exp": 1}]}]),
 ], ids=["product-coeff", "product-string", "qschubert-keys", "schubert-factor",
         "product-float", "product-bool", "product-float-degree",
         "qschubert-float", "qschubert-bool", "qschubert-float-exponent",
         "product-not-a-permutation", "product-longer-permutation",
         "product-long-degree", "product-negative-degree",
-        "partial-not-a-coset-representative"])
+        "partial-not-a-coset-representative", "product-other-n",
+        "product-other-shape", "partial-complete-class",
+        "qschubert-other-alphabet"])
 def test_malformed_cache_entry_is_recomputed(
         capsys, cache_dir, monkeypatch, argv, name, key, bad, fmt):
     argv = argv + ("--format", fmt)
@@ -765,13 +780,20 @@ def _other_class(entries):
     return entries["1,3,2;1,3,2"]
 
 
+def _other_ring(entries):
+    # a sound class of Fl_5, not of Fl_3
+    return {"n": 5, "terms": [{"d": [0, 0, 0, 0], "w": "1,2,3,4,5", "coeff": 1}]}
+
+
 @pytest.mark.parametrize("keys, bad, computed", [
     (["1,3,2;2,1,3"], _junk, 1),
     (["2,1,3;1,3,2"], _junk, 0),
     (["1,3,2;2,1,3", "2,1,3;1,3,2"], _junk, 1),
     (["2,1,3;1,3,2"], _unreadable, 0),
     (["2,1,3;1,3,2"], _other_class, 0),
-], ids=["canonical", "mirror", "both", "mirror-unreadable", "mirror-differs"])
+    (["1,3,2;2,1,3"], _other_ring, 1),
+], ids=["canonical", "mirror", "both", "mirror-unreadable", "mirror-differs",
+        "canonical-other-ring"])
 def test_table_replaces_malformed_entries(
         capsys, cache_dir, monkeypatch, keys, bad, computed):
     # a bad canonical entry is recomputed; a mirror that is not equal to its

@@ -1,12 +1,11 @@
 """Permutation combinatorics and flag-shape bookkeeping."""
 
 import math
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from qschubert.perm import lehmer_code
 from qschubert import (
     FlagShape,
     all_permutations,
@@ -137,14 +136,6 @@ def test_all_permutations_is_sorted_and_complete():
     got = all_permutations(3)
     assert got == sorted(permutations((1, 2, 3)))
     assert len(all_permutations(4)) == 24
-
-
-def test_lehmer_code_is_a_bijection_onto_staircase_codes():
-    for n in (1, 2, 3, 4, 5):
-        codes = {lehmer_code(w): w for w in all_permutations(n)}
-        staircase = set(product(*(range(n - i + 1) for i in range(1, n))))
-        assert set(codes) == staircase
-        assert all(sum(c) == length(w) for c, w in codes.items())
 
 
 def test_flag_shape_basic_fields():

@@ -4,6 +4,7 @@ import random
 import sys
 import threading
 from bisect import bisect_right
+from functools import lru_cache
 from itertools import permutations, product, zip_longest
 
 import pytest
@@ -357,16 +358,75 @@ def test_schubert_poly_is_the_divided_difference_chain_on_s6():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_schubert_packing_fields_hold_the_top_grade(n):
-    packing = schubert._schubert_memo(n).packing
+    packing = schubert._transition(n)._packing
     top = n * (n - 1) // 2
     assert (1 << packing._width) - 1 >= top
-    # every x_1..x_n at the bound, each alone and all in one monomial
-    powers = [x_var(i) ** top for i in range(1, n + 1)]
+    # every x_1..x_n and q_1..q_{n−1} at the bound, each alone and all in
+    # one monomial
+    powers = [v ** top for v in
+              [x_var(i) for i in range(1, n + 1)] + [q_var(i) for i in range(1, n)]]
     all_at_top = Polynomial.constant(1)
     for power in powers:
         all_at_top = all_at_top * power
     p = sum(powers, all_at_top + 2)
     assert packing.unpack(packing.pack(p)) == p
+
+
+def test_schubert_check_and_lift_fill_one_engine():
+    w = (2, 5, 1, 4, 3)
+    engine = schubert._transition(5)
+    # the check runs uncached, through e_decomposition's own body
+    for fill, memo in ((schubert_poly, engine._classical),
+                       (e_decomposition.__wrapped__, engine._classical),
+                       (universal.quantum_schubert, engine._lifts)):
+        memo.pop(w, None)
+        fill(w)
+        assert w in memo, fill
+    assert w in engine._classical and w in engine._lifts
+
+
+def test_concurrent_engine_matches_serial(monkeypatch):
+    ws = all_permutations(5)
+    serial = {w: (schubert_poly(w), universal.quantum_schubert(w),
+                  e_decomposition(w)) for w in ws}
+    # fresh caches for the threads; monkeypatch puts the originals back
+    fresh = lru_cache(maxsize=None)(schubert._Transition)
+    monkeypatch.setattr(schubert, "_transition", fresh)
+    monkeypatch.setattr(universal, "_transition", fresh)
+    monkeypatch.setattr(schubert, "e_decomposition",
+                        lru_cache(maxsize=None)(e_decomposition.__wrapped__))
+    monkeypatch.setattr(schubert, "_e_basis",
+                        lru_cache(maxsize=1)(schubert._e_basis.__wrapped__))
+    workers = 4
+    start = threading.Barrier(workers)
+    results = [None] * workers
+    errors = []
+
+    def work(slot):
+        try:
+            order = random.Random(slot).sample(ws, len(ws))
+            start.wait(timeout=60)
+            results[slot] = {w: (schubert.schubert_poly(w),
+                                 universal.quantum_schubert(w),
+                                 schubert.e_decomposition(w)) for w in order}
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    # switch threads often, so that they meet inside one chain of ∂_i
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert all(got == serial for got in results)
 
 
 @pytest.mark.parametrize("n, sample", [(3, None), (4, None), (5, None),
@@ -390,21 +450,6 @@ def test_packed_lift_matches_the_polynomial_transition(n, sample):
                 q_d = q_d * q_var(i) ** e
             want = want - q_d * engine.lift(u)
         assert engine.lift(w) == want, w
-
-
-@pytest.mark.parametrize("n", range(2, 9))
-def test_lift_packing_fields_hold_the_top_grade(n):
-    packing = schubert._Transition(n)._packing
-    top = n * (n - 1) // 2
-    assert (1 << packing._width) - 1 >= top
-    # every variable at the bound, each alone and all in one monomial
-    powers = [v ** top for v in
-              [x_var(i) for i in range(1, n)] + [q_var(i) for i in range(1, n)]]
-    all_at_top = Polynomial.constant(1)
-    for power in powers:
-        all_at_top = all_at_top * power
-    p = sum(powers, all_at_top + 2)
-    assert packing.unpack(packing.pack(p)) == p
 
 
 def test_no_library_lift_builds_an_echelon_system(monkeypatch):
