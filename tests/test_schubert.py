@@ -372,6 +372,23 @@ def test_schubert_packing_fields_hold_the_top_grade(n):
     assert packing.unpack(packing.pack(p)) == p
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_lift_packing_fields_hold_the_top_grade(n):
+    """The lift's variables, x_1..x_{n−1} and q_1..q_{n−1}, at exponent
+    C(n, 2) round-trip through the engine's one packing."""
+    packing = schubert._transition(n)._packing
+    top = n * (n - 1) // 2
+    assert (1 << packing._width) - 1 >= top
+    # every variable at the bound, each alone and all in one monomial
+    powers = [v ** top for v in
+              [x_var(i) for i in range(1, n)] + [q_var(i) for i in range(1, n)]]
+    all_at_top = Polynomial.constant(1)
+    for power in powers:
+        all_at_top = all_at_top * power
+    p = sum(powers, all_at_top + 2)
+    assert packing.unpack(packing.pack(p)) == p
+
+
 def test_schubert_check_and_lift_fill_one_engine():
     w = (2, 5, 1, 4, 3)
     engine = schubert._transition(5)
