@@ -29,7 +29,8 @@ from .poly import (
     x_var,
 )
 from .qring import QuantumClass, RingError, _GradedQuotientRing
-from .universal import _e_specialization, path_poly
+from .schubert import e_decomposition, e_fold
+from .universal import path_poly
 
 __all__ = [
     "PartialRing",
@@ -156,7 +157,8 @@ def partial_universal_schubert_c(w: Perm, shape: FlagShape) -> Polynomial:
     shape = _check_shape(shape)
     w = shape.check(w)
     ns = shape.ns
-    return _e_specialization(w, lambda k, p: c_var(k, ns[bisect_right(ns, p) - 1]))
+    return e_fold(e_decomposition(w).coeffs,
+                  lambda k, p: c_var(k, ns[bisect_right(ns, p) - 1]))
 
 
 @lru_cache(maxsize=None)
@@ -177,7 +179,7 @@ def partial_quantum_schubert(w: Perm, shape: FlagShape) -> Polynomial:
         l = bisect_right(shape.ns, p) - 1
         return _partial_e(k, l, shape) if l else Polynomial.zero()
 
-    out = _e_specialization(w, factor)
+    out = e_fold(e_decomposition(w).coeffs, factor)
     qg = _q_grade_dict(shape)
     if not out.is_zero() and not (
         out.is_homogeneous(qg) and out.grade(qg) == length(w)

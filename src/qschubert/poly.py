@@ -22,11 +22,18 @@ Monomials rest in this tuple form everywhere but in the kernels of
 `schubert`, which pack them into one int with a bit field per variable
 (`_Packing`), all fields of one width, so that a monomial product is one int
 addition.  The width must hold every exponent the kernel meets, so that no
-field carries into the next.  There are two packings:
+field carries into the next.  There are three packings:
   * the fold (`e_fold`) has one packing per call.  Its fields are as wide as
     the bit length of the sum, over the factor positions, of the largest
     exponent of any factor used there; no product of that call exceeds it.
     The sum is decoded once, at the end.
+  * the path fold of `universal.universal_schubert_g` has one packing per n,
+    over the g_i[j] with i ≥ 1 and i + j ≤ n − 1, built by the same helper
+    as the per-call one (`schubert._pack_columns`) from every E_k(p),
+    1 ≤ k ≤ p < n.  Each E_k(p) is squarefree and a product takes at most
+    one factor from each of the n − 1 positions, so its fields hold n − 1.
+    The packed E_k(p) and the decode tables are kept for every fold of that
+    n; `universal_schubert_c` keeps its c_k(p) the same way.
   * the Schubert engine (`schubert._Transition`) has one packing per n, over
     x_1,…,x_n, q_1,…,q_{n−1}, whose fields hold C(n, 2).  On it are the
     𝔖_w, each a divided difference of a memo entry one longer; the

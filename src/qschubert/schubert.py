@@ -11,8 +11,11 @@ Sottile's Pieri rule for e_k(x_1,…,x_p)·σ_z (`_pieri`), are unitriangular
 in the Schubert basis up to reordering, so back substitution inverts them.
 Every lift replaces each e_k(p) by an image factor(k, p) and sums
 Σ a_K·factor(k_1, 1)⋯factor(k_{n−1}, n−1) by Horner's rule on packed
-monomials (`e_fold`).  The recombination check of `e_decomposition` runs
-the same fold with factor e_k(p) and compares the packed sum with the
+monomials (`_e_fold_packed`), over factors packed by one helper
+(`_pack_columns`): once per call in `e_fold`, once per n where the factor
+depends on (k, p) alone.  The recombination check of `e_decomposition`
+and `EDecomposition.recombine` run the same fold with factor e_k(p), packed
+once per n on the engine below; the check compares the packed sum with the
 packed 𝔖_w.
 
 `_Transition`, one per n, is that engine: quantum Monk and
@@ -20,7 +23,8 @@ Lascoux–Schützenberger transition give the structure constants of
 QH*(Fl_n), which `qring` and `partial` read, and the quantum Schubert
 polynomials 𝔖^q_w, which `universal.quantum_schubert` returns.  It also
 holds the packed 𝔖_w that `schubert_poly` decodes and the packed e_k(p) of
-the check, all on one packing, and lives here so that all of them import it.
+the check and of `recombine`, all on one packing, and lives here so that
+all of them import it.
 """
 from __future__ import annotations
 
@@ -123,26 +127,37 @@ def e_fold(coeffs: dict, factor) -> Polynomial:
     """Σ a_K·factor(k_1, 1)⋯factor(k_L, L) over coeffs = {K: a_K}, all
     sequences K of one length L; a factor with k_p = 0 is 1.
 
-    Each factor(k, p), k ≠ 0, is looked up once and packed over the
-    variables of these factors alone; `_e_fold_packed` folds the packed
-    factors, and the sum is decoded once, at the end.
+    Each factor(k, p), k ≠ 0, is looked up once and packed, for this call
+    alone, over the variables of these factors (`_pack_columns`);
+    `_e_fold_packed` folds the packed factors, and the sum is decoded once,
+    at the end.  A factor that depends only on (k, p) is better packed once
+    per n, as `universal` does for E_k(p) and c_k(p).
 
     >>> e_fold({(1, 0): 1, (0, 1): -1}, elementary_poly).to_text()
     '−x2'
     """
     if not coeffs:
         return Polynomial.zero()
-    factors = [{k: factor(k, p) for k in {seq[p - 1] for seq in coeffs} if k}
-               for p in range(1, len(next(iter(coeffs))) + 1)]
-    # no product takes more than one factor from a column, so no exponent
-    # exceeds the sum over the columns of the largest exponent in each
+    packing, columns = _pack_columns(
+        [{k: factor(k, p) for k in {seq[p - 1] for seq in coeffs} if k}
+         for p in range(1, len(next(iter(coeffs))) + 1)])
+    return packing.unpack(_e_fold_packed(coeffs, columns))
+
+
+def _pack_columns(factors: list) -> tuple:
+    """(packing, columns) for factor columns, factors[p − 1] = {k: factor}:
+    one `_Packing` over the variables of all the factors, in `_var_key`
+    order, and columns[p − 1] = {k: the factor packed on it}.
+
+    No product of a fold takes more than one factor from a column, so the
+    fields hold the sum over the columns of the largest exponent in each.
+    """
     pairs = [[ve for f in column.values() for mon in f._terms for ve in mon]
              for column in factors]
     packing = _Packing(sorted({v for col in pairs for v, _ in col}, key=_var_key),
                        sum(max((e for _, e in col), default=0) for col in pairs))
-    columns = [{k: packing.pack(f) for k, f in column.items()}
-               for column in factors]
-    return packing.unpack(_e_fold_packed(coeffs, columns))
+    return packing, [{k: packing.pack(f) for k, f in column.items()}
+                     for column in factors]
 
 
 def _e_fold_packed(coeffs: dict, columns: list) -> dict:
@@ -242,12 +257,14 @@ def _e_rows(n: int, m: int) -> dict:
 
 @lru_cache(maxsize=1)
 def _e_basis(n: int, m: int) -> dict:
-    """w → {K: a_K}, K in lexicographic order, for each w ∈ S_n of length m.
+    """w → {K: a_K} for each w ∈ S_n of length m.
     The peel inverts the rows of `_e_rows`, the classes of the e_K by the
     Pieri rule, without the product engine: a row with exactly one σ_w not
     yet expressed, at coefficient 1, gives a[w] = e_K − Σ_{v≠w} B[K, v]·a[v].
     In lexicographic order every row is such a row for n ≤ 8, so one pass
-    suffices; a pass that expresses nothing new raises RingError."""
+    suffices; a pass that expresses nothing new raises RingError.  The K of
+    each w come in no fixed order; `e_decomposition` sorts the one it
+    publishes."""
     basis, todo = {}, _e_rows(n, m)
     while todo:
         done, left = len(basis), {}
@@ -265,7 +282,7 @@ def _e_basis(n: int, m: int) -> dict:
             raise RingError(f"the e-monomials of grade {m} in H*(Fl_{n}) are "
                             f"not unitriangular in the Schubert basis")
         todo = left
-    return {w: dict(sorted(coeffs.items())) for w, coeffs in basis.items()}
+    return basis
 
 
 @dataclass(frozen=True)
@@ -275,19 +292,26 @@ class EDecomposition:
     coeffs: dict
 
     def recombine(self) -> Polynomial:
-        return e_fold(self.coeffs, elementary_poly)
+        """Σ a_K·e_K, folded over the packed e_k(p) of the engine of n and
+        decoded on its packing."""
+        if not self.coeffs:
+            return Polynomial.zero()
+        engine = _transition(len(next(iter(self.coeffs))) + 1)
+        return engine._packing.unpack(
+            _e_fold_packed(self.coeffs, engine.e_columns))
 
 
 @lru_cache(maxsize=None)
 def e_decomposition(w: Perm) -> EDecomposition:
-    """𝔖_w over the e_K, read off the basis change of its grade and checked
-    by recombination against 𝔖_w before it is published.  The check folds
-    the a_K over the engine's packed e_k(p) and compares the sum with the
-    packed 𝔖_w, built by divided differences, so it is independent of the
-    Pieri rule; nothing is decoded."""
+    """𝔖_w over the e_K, K in lexicographic order, read off the basis change
+    of its grade and checked by recombination against 𝔖_w before it is
+    published.  The check folds the a_K over the engine's packed e_k(p) and
+    compares the sum with the packed 𝔖_w, built by divided differences, so
+    it is independent of the Pieri rule; nothing is decoded."""
     w = validate(w)
     engine = _transition(len(w))
-    dec = EDecomposition(_e_basis(len(w), length(w)).get(w, {}))
+    dec = EDecomposition(
+        dict(sorted(_e_basis(len(w), length(w)).get(w, {}).items())))
     if _nonzero(_e_fold_packed(dec.coeffs, engine.e_columns)) != engine.schubert(w):
         raise VerificationError(f"e-decomposition recombination failed for {w}")
     return dec

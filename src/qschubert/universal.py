@@ -10,12 +10,16 @@ polynomial 𝔖_w(g), which specializes to the quantum polynomial 𝔖_w(x,q) vi
 g_i[0] ↦ x_i, g_i[1] ↦ q_i, g_i[j≥2] ↦ 0 and further to the classical 𝔖_w(x)
 at q = 0.
 
-The lifts 𝔖_w(c), 𝔖_w(g) and the partial lifts are each one
-`schubert.e_fold` of the decomposition Σ a_K·e_{k_1}(1)⋯e_{k_{n−1}}(n−1) with
-e_k(p) replaced by its image: c_k(p), E_k(p) or, for a partial shape, the
-image of the column p rounds down to.  𝔖_w(g) is folded directly with E_k(l)
-rather than substituted into 𝔖_w(c); the two agree because distinct
-sequences K give distinct c-monomials.
+The lifts 𝔖_w(c), 𝔖_w(g) and the partial lifts are each one fold
+(`schubert._e_fold_packed`) of the decomposition
+Σ a_K·e_{k_1}(1)⋯e_{k_{n−1}}(n−1) with e_k(p) replaced by its image: c_k(p),
+E_k(p) or, for a partial shape, the image of the column p rounds down to.
+c_k(p) and E_k(p) depend on (k, p) alone, so they are packed once per n, on
+one packing per n and factor whose decode tables fill once (`_columns`); the
+partial images depend on the shape, and each partial lift packs its own
+(`schubert.e_fold`).  𝔖_w(g) is folded directly with E_k(l) rather than
+substituted into 𝔖_w(c); the two agree because distinct sequences K give
+distinct c-monomials.
 
 The quantum polynomial 𝔖_w(x,q) is not a fold: it comes from
 Lascoux–Schützenberger transition on the Fl_n product engine
@@ -41,7 +45,7 @@ from .poly import (
     q_var,
     x_var,
 )
-from .schubert import _transition, e_decomposition, e_fold
+from .schubert import _e_fold_packed, _pack_columns, _transition, e_decomposition
 
 __all__ = [
     "path_poly",
@@ -203,26 +207,41 @@ def g_from_c(i: int, j: int) -> Polynomial:
     return out
 
 
-def _e_specialization(w: Perm, factor) -> Polynomial:
-    """Σ a_K·factor(k_1, 1)⋯factor(k_{n−1}, n−1) over the e-decomposition
-    𝔖_w = Σ a_K·e_{k_1}(1)⋯e_{k_{n−1}}(n−1); a factor with k_p = 0 is 1.
+@lru_cache(maxsize=None)
+def _columns(factor, n: int) -> tuple:
+    """(packing, columns) with columns[p − 1] = {k: factor(k, p), packed}
+    for 1 ≤ k ≤ p < n, packed once per factor and n by
+    `schubert._pack_columns`, so every fold over them decodes through one
+    packing whose chunk tables fill once.
 
-    Every lift of σ_w is one choice of factor(k, p), the image of e_k(p).
-    """
-    return e_fold(e_decomposition(w).coeffs, factor)
+    For path_poly the packing is over the g_i[j] with i ≥ 1 and
+    i + j ≤ n − 1, and its bound is n − 1: each E_k(p) is squarefree, and a
+    product takes at most one factor from each of the n − 1 columns."""
+    return _pack_columns([{k: factor(k, p) for k in range(1, p + 1)}
+                          for p in range(1, n)])
+
+
+def _e_fold_per_n(w: Perm, factor) -> Polynomial:
+    """Σ a_K·factor(k_1, 1)⋯factor(k_{n−1}, n−1) over the e-decomposition
+    𝔖_w = Σ a_K·e_{k_1}(1)⋯e_{k_{n−1}}(n−1), for a factor that depends on
+    (k, p) alone, folded over the columns of its n (`_columns`)."""
+    coeffs = e_decomposition(w).coeffs
+    packing, columns = _columns(factor, len(w))
+    return packing.unpack(_e_fold_packed(coeffs, columns))
 
 
 @lru_cache(maxsize=None)
 def universal_schubert_c(w: Perm) -> Polynomial:
     """𝔖_w(c) = Σ a_K·c_{k_1}(1)⋯c_{k_{n−1}}(n−1); homogeneous of grade length(w)."""
-    return _e_specialization(w, c_var)
+    return _e_fold_per_n(w, c_var)
 
 
 @lru_cache(maxsize=None)
 def universal_schubert_g(w: Perm) -> Polynomial:
     """𝔖_w(g) = Σ a_K·E_{k_1}(1)⋯E_{k_{n−1}}(n−1), which is 𝔖_w(c) with
-    c_k(l) := E_k(l)."""
-    return _e_specialization(w, path_poly)
+    c_k(l) := E_k(l).  The fold runs over the E_k(p) packed once per n
+    (`_columns`) and is decoded on that packing."""
+    return _e_fold_per_n(w, path_poly)
 
 
 def specialize_quantum(p: Polynomial) -> Polynomial:

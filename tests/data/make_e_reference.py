@@ -5,7 +5,9 @@
 For each n in NS the file holds, for every w ∈ S_n, the coefficients a_K of
 𝔖_w = Σ a_K·e_{k_1}(1)⋯e_{k_{n−1}}(n−1) as [[k_1, …, k_{n−1}], a_K] pairs,
 K in lexicographic order.  tests/test_e_reference.py checks the package
-against every entry.
+against every entry.  The decompositions are computed grade by grade, so
+that each basis change is built once, and written with the permutations in
+lexicographic order.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import argparse
 import json
 from pathlib import Path
 
-from qschubert import all_permutations, e_decomposition
+from qschubert import all_permutations, e_decomposition, length
 
 NS = (3, 4, 5, 6)
 
@@ -22,15 +24,21 @@ def perm_text(w):
     return ",".join(map(str, w))
 
 
+def entries(n):
+    """perm_text(w) → the [[k_1, …, k_{n−1}], a_K] pairs of w, for w ∈ S_n
+    in lexicographic order."""
+    ws = all_permutations(n)
+    coeffs = {w: e_decomposition(w).coeffs for w in sorted(ws, key=length)}
+    return {perm_text(w): [[list(seq), a] for seq, a in coeffs[w].items()]
+            for w in ws}
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out", nargs="?",
                     default=str(Path(__file__).with_name("e_reference.json")))
     args = ap.parse_args(argv)
-    groups = [{"n": n, "entries": {
-        perm_text(w): [[list(seq), a]
-                       for seq, a in e_decomposition(w).coeffs.items()]
-        for w in all_permutations(n)}} for n in NS]
+    groups = [{"n": n, "entries": entries(n)} for n in NS]
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump({"groups": groups}, fh, indent=None, separators=(",", ":"))
         fh.write("\n")

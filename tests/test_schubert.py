@@ -143,6 +143,8 @@ def test_e_decomposition_key_bounds_and_grading():
 def test_e_decomposition_recombines_exactly():
     for w in all_permutations(4):
         assert e_decomposition(w).recombine() == schubert_poly(w)
+    assert schubert.EDecomposition({}).recombine().is_zero()
+    assert e_decomposition((1,)).recombine() == Polynomial.constant(1)
 
 
 @pytest.fixture()

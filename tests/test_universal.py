@@ -1,7 +1,9 @@
 """Path polynomials, universal Schubert polynomials, and their specializations."""
 
+import random
 import sys
 import threading
+from functools import lru_cache
 
 import pytest
 
@@ -26,6 +28,7 @@ from qschubert import (
     universal_schubert_g,
     x_var,
 )
+from qschubert import universal
 from qschubert.schubert import _Transition, e_decomposition, e_fold
 from qschubert.universal import path_poly_via_determinant, path_poly_via_recursion
 
@@ -116,6 +119,40 @@ def test_universal_schubert_g_is_the_substitution_into_the_c_polynomial():
             p = universal_schubert_c(w)
             asg = {v: path_poly(v[1], v[2]) for v in p.variables() if v[0] == "c"}
             assert universal_schubert_g(w) == p.substitute(asg), w
+
+
+@pytest.mark.parametrize("n, sample", [(1, None), (2, None), (3, None),
+                                       (4, None), (5, None), (6, None), (7, 60)])
+def test_universal_lifts_match_the_per_call_e_fold(n, sample):
+    """The folds over E_k(p) and c_k(p) packed once per n equal the generic
+    e_fold, which packs them again for each call."""
+    ws = all_permutations(n)
+    if sample:
+        ws = random.Random(n).sample(ws, sample)
+    # grade by grade, so that each basis change is built once
+    for w in sorted(ws, key=length):
+        coeffs = e_decomposition(w).coeffs
+        assert universal_schubert_g(w) == e_fold(coeffs, path_poly), w
+        assert universal_schubert_c(w) == e_fold(coeffs, c_var), w
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_path_packing_fields_hold_the_top_grade(n):
+    """Every g_i[j] with i + j ≤ n − 1 at exponent n − 1, alone and all in
+    one monomial, round-trips through the packing of the path columns."""
+    packing, columns = universal._columns(path_poly, n)
+    assert [sorted(column) for column in columns] == [
+        list(range(1, p + 1)) for p in range(1, n)]
+    gs = [g_var(i, j) for i in range(1, n) for j in range(n - i)]
+    assert sorted(packing._shifts) == sorted(v for g in gs for v in g.variables())
+    top = n - 1
+    assert (1 << packing._width) - 1 >= top
+    powers = [g ** top for g in gs]
+    all_at_top = Polynomial.constant(1)
+    for power in powers:
+        all_at_top = all_at_top * power
+    p = sum(powers, all_at_top + 2)
+    assert packing.unpack(packing.pack(p)) == p
 
 
 def test_universal_schubert_homogeneous():
@@ -212,6 +249,49 @@ def test_concurrent_lifts_match_serial():
             errors.append(exc)
 
     # switch threads often, so that they meet inside one transition tree
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert not any(t.is_alive() for t in threads)
+    assert all(got == serial for got in results)
+
+
+def test_concurrent_universal_lifts_match_serial(monkeypatch):
+    ws = all_permutations(5)
+    serial = {w: (universal_schubert_g(w), universal_schubert_c(w)) for w in ws}
+    # fresh column and lift caches for the threads; monkeypatch puts the
+    # originals back
+    monkeypatch.setattr(universal, "_columns",
+                        lru_cache(maxsize=None)(universal._columns.__wrapped__))
+    for name in ("universal_schubert_g", "universal_schubert_c"):
+        monkeypatch.setattr(universal, name, lru_cache(maxsize=None)(
+            getattr(universal, name).__wrapped__))
+    workers = 4
+    start = threading.Barrier(workers)
+    results = [None] * workers
+    errors = []
+
+    def work(slot):
+        try:
+            order = random.Random(slot).sample(ws, len(ws))
+            start.wait(timeout=60)
+            results[slot] = {w: (universal.universal_schubert_g(w),
+                                 universal.universal_schubert_c(w))
+                             for w in order}
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    # switch threads often, so that they meet inside one packing and its
+    # chunk tables
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
