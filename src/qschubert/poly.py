@@ -35,7 +35,8 @@ field carries into the next.  There are three packings:
     The packed E_k(p) and the decode tables are kept for every fold of that
     n; `universal_schubert_c` keeps its c_k(p) the same way.
   * the Schubert engine (`schubert._Transition`) has one packing per n, over
-    x_1,…,x_n, q_1,…,q_{n−1}, whose fields hold C(n, 2).  On it are the
+    x_1,…,x_n, q_1,…,q_{n−1}, whose fields hold C(n, 2) (1 at n = 1),
+    since a packing with variables refuses a bound below 1.  On it are the
     𝔖_w, each a divided difference of a memo entry one longer; the
     e_k(x_1,…,x_p) that the recombination check of `e_decomposition` folds;
     and the transition lifts 𝔖^q_w.  Every term that a divided difference,
@@ -433,16 +434,23 @@ class _Packing:
     lowest, which must be the monomial order, and all have the width of the
     bit length of `bound`.  The caller picks a bound that no exponent of any
     monomial it packs or forms can exceed, so no field carries into the
-    next: the product of two packed monomials is their sum.  `unpack` turns
-    a packed sum back into a Polynomial with canonical tuple monomials.  It
-    decodes _CHUNK_FIELDS fields at a time through a table, filled on first
-    use, of the pair tuples each chunk value stands for; the tables are
-    built from one shared (variable, exponent) pair per field value.
+    next: the product of two packed monomials is their sum.  A bound below
+    1 with variables to hold, and an exponent above the bound in `pack`,
+    raise ValueError; `key` and the products that callers form on packed
+    monomials are not checked.  `unpack` turns a packed sum back into a
+    Polynomial with canonical tuple monomials.  It decodes _CHUNK_FIELDS
+    fields at a time through a table, filled on first use, of the pair
+    tuples each chunk value stands for; the tables are built from one
+    shared (variable, exponent) pair per field value.
     """
 
-    __slots__ = ("_width", "_shifts", "_pairs", "_chunks")
+    __slots__ = ("_bound", "_width", "_shifts", "_pairs", "_chunks")
 
     def __init__(self, order, bound: int):
+        if order and bound < 1:
+            raise ValueError(f"a packing with variables needs a bound ≥ 1: "
+                             f"{bound}")
+        self._bound = bound
         self._width = width = bound.bit_length()
         self._shifts = {v: i * width for i, v in enumerate(order)}
         self._pairs = [[None] + [(v, e) for e in range(1, bound + 1)]
@@ -457,7 +465,10 @@ class _Packing:
 
     def pack(self, p: Polynomial) -> dict:
         """{packed monomial: coefficient} of p, with every monomial as `key`
-        requires."""
+        requires; an exponent above the bound raises ValueError."""
+        bound = self._bound
+        if any(e > bound for mon in p._terms for _, e in mon):
+            raise ValueError(f"an exponent exceeds the packing bound {bound}")
         return {self.key(mon): c for mon, c in p._terms.items()}
 
     def _chunk(self, j: int, part: int) -> tuple:

@@ -5,10 +5,13 @@ one Schubert engine per n that holds them with the quantum products.
 x_1^{n−1}x_2^{n−2}⋯x_{n−1} = 𝔖_{w_0}: 𝔖_w = ∂_i 𝔖_{w·s_i} for an ascent i
 of w.  Every 𝔖_w for w ∈ S_n decomposes uniquely as 𝔖_w = Σ a_K·e_K over the
 e_K = e_{k_1}(1)⋯e_{k_{n−1}}(n−1) with k_p ≤ p and Σk_p = length(w)
-(Fomin–Gelfand–Postnikov).  The a_K of one grade come from one basis change
-in H*(Fl_n) (`_e_basis`): the classes of the e_K, multiplied out by
-Sottile's Pieri rule for e_k(x_1,…,x_p)·σ_z (`_pieri`), are unitriangular
-in the Schubert basis up to reordering, so back substitution inverts them.
+(Fomin–Gelfand–Postnikov).  The a_K of w are peeled on demand
+(`_Transition.e_coeffs`): the pivot K(w), k_p = #{i ≤ p : w(i) > w(p+1)}
+(`_e_pivot`), has a class in H*(Fl_n), multiplied out by Sottile's Pieri
+rule for e_k(x_1,…,x_p)·σ_z (`_pieri`), that holds σ_w once and otherwise
+only σ_u with u⁻¹ lexicographically after w⁻¹, so
+a[w] = {K(w): 1} − Σ_{u≠w} B[K(w), u]·a[u] resolves, and only the u that
+the row of w reaches are peeled.
 Every lift replaces each e_k(p) by an image factor(k, p) and sums
 Σ a_K·factor(k_1, 1)⋯factor(k_{n−1}, n−1) by Horner's rule on packed
 monomials (`_e_fold_packed`), over factors packed by one helper
@@ -23,8 +26,8 @@ Lascoux–Schützenberger transition give the structure constants of
 QH*(Fl_n), which `qring` and `partial` read, and the quantum Schubert
 polynomials 𝔖^q_w, which `universal.quantum_schubert` returns.  It also
 holds the packed 𝔖_w that `schubert_poly` decodes and the packed e_k(p) of
-the check and of `recombine`, all on one packing, and lives here so that
-all of them import it.
+the check and of `recombine`, all on one packing, and the memos of the
+peel, and lives here so that all of them import it.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 
-from .perm import Perm, length, validate
+from .perm import Perm, validate
 from .poly import (
     Polynomial,
     VerificationError,
@@ -228,61 +231,32 @@ def _pieri(z: Perm, p: int) -> tuple:
     return rows
 
 
-def _e_rows(n: int, m: int) -> dict:
-    """K → e_K in H*(Fl_n) as w → B[K, w], for every K of grade m in
-    lexicographic order.  The K are walked position by position: the class
-    of each prefix (k_1,…,k_{p−1}) is multiplied by e_k(p) for every k at
-    once, by the Pieri rule (`_pieri`), for all the K that share it."""
-    # (k_1,…,k_p), the grade still to place, e_{k_1}(1)⋯e_{k_p}(p)
-    prefixes = [((), m, {tuple(range(1, n + 1)): 1})]
-    for p in range(1, n):
-        room = (n - 1) * n // 2 - p * (p + 1) // 2  # (p+1) + … + (n−1)
-        longer = []
-        for seq, rest, cls in prefixes:
-            if rest <= room:
-                longer.append((seq + (0,), rest, cls))
-            ks = range(max(1, rest - room), min(p, rest) + 1)
-            if not ks:
-                continue
-            accs = [{} for _ in ks]
-            for z, c in cls.items():
-                rows = _pieri(z, p)
-                for k, acc in zip(ks, accs):
-                    _gather(acc, rows[k].items(), c)
-            longer += [(seq + (k,), rest - k, _nonzero(acc))
-                       for k, acc in zip(ks, accs)]
-        prefixes = longer
-    return {seq: cls for seq, rest, cls in prefixes if not rest}
+def _e_pivot(w: Perm) -> tuple:
+    """K(w) = (k_1,…,k_{n−1}) with k_p = #{i ≤ p : w(i) > w(p+1)}, the
+    e-monomial whose class in H*(Fl_n) holds σ_w at coefficient 1 beside
+    only σ_u with u⁻¹ lexicographically after w⁻¹.  w ↦ K(w) is a bijection
+    from the w of length m onto the K with k_p ≤ p and Σk_p = m."""
+    return tuple(sum(x > y for x in w[:p]) for p, y in enumerate(w) if p)
 
 
-@lru_cache(maxsize=1)
-def _e_basis(n: int, m: int) -> dict:
-    """w → {K: a_K} for each w ∈ S_n of length m.
-    The peel inverts the rows of `_e_rows`, the classes of the e_K by the
-    Pieri rule, without the product engine: a row with exactly one σ_w not
-    yet expressed, at coefficient 1, gives a[w] = e_K − Σ_{v≠w} B[K, v]·a[v].
-    In lexicographic order every row is such a row for n ≤ 8, so one pass
-    suffices; a pass that expresses nothing new raises RingError.  The K of
-    each w come in no fixed order; `e_decomposition` sorts the one it
-    publishes."""
-    basis, todo = {}, _e_rows(n, m)
-    while todo:
-        done, left = len(basis), {}
-        for seq, row in todo.items():
-            fresh = [v for v in row if v not in basis]
-            if len(fresh) != 1 or row[fresh[0]] != 1:
-                left[seq] = row
-                continue
-            acc = {seq: 1}
-            for v, b in row.items():
-                if v != fresh[0]:
-                    _gather(acc, basis[v].items(), -b)
-            basis[fresh[0]] = _nonzero(acc)
-        if len(basis) == done:
-            raise RingError(f"the e-monomials of grade {m} in H*(Fl_{n}) are "
-                            f"not unitriangular in the Schubert basis")
-        todo = left
-    return basis
+def _is_pivot_row(row: dict, w: Perm) -> bool:
+    """Whether the class row = {u: B[K, u]} holds σ_w at coefficient 1 and
+    every other σ_u with u⁻¹ lexicographically after w⁻¹, that is, with the
+    least value that u and w place apart placed later by u."""
+    if row.get(w) != 1:
+        return False
+    where = w.index
+    values = range(1, len(w) + 1)
+    for u in row:
+        if u == w:
+            continue
+        for j in values:
+            a, b = u.index(j), where(j)
+            if a != b:
+                break
+        if a < b:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -303,15 +277,15 @@ class EDecomposition:
 
 @lru_cache(maxsize=None)
 def e_decomposition(w: Perm) -> EDecomposition:
-    """𝔖_w over the e_K, K in lexicographic order, read off the basis change
-    of its grade and checked by recombination against 𝔖_w before it is
-    published.  The check folds the a_K over the engine's packed e_k(p) and
-    compares the sum with the packed 𝔖_w, built by divided differences, so
-    it is independent of the Pieri rule; nothing is decoded."""
+    """𝔖_w over the e_K, K in lexicographic order, peeled on the engine of
+    its n (`_Transition.e_coeffs`) and checked by recombination against 𝔖_w
+    before it is published.  The check folds the a_K over the engine's
+    packed e_k(p) and compares the sum with the packed 𝔖_w, built by
+    divided differences, so it is independent of the Pieri rule; nothing is
+    decoded."""
     w = validate(w)
     engine = _transition(len(w))
-    dec = EDecomposition(
-        dict(sorted(_e_basis(len(w), length(w)).get(w, {}).items())))
+    dec = EDecomposition(dict(sorted(engine.e_coeffs(w).items())))
     if _nonzero(_e_fold_packed(dec.coeffs, engine.e_columns)) != engine.schubert(w):
         raise VerificationError(f"e-decomposition recombination failed for {w}")
     return dec
@@ -363,14 +337,19 @@ class _Transition:
     `_x_terms` and `_step`.  The 𝔖_w come from divided differences
     (`schubert`), so the recombination check, which folds them against the
     packed e_k(p) (`e_columns`), owes nothing to the lift or the Pieri rule.
+    The e-decompositions are peeled here on demand (`e_coeffs`), each from
+    the class of the e-monomial of its pivot (`e_row`), over two memos:
+    `_e_prefixes`, the classes e_{k_1}(1)⋯e_{k_p}(p) of the prefixes,
+    p < n − 1, by the Pieri rule, and `_e_coeffs`, the a_K of each w peeled.
     Memo entries are stored complete, so a race between threads costs at
     most a duplicate entry.
     One `_Packing` over x_1,…,x_n, q_1,…,q_{n−1} holds 𝔖_w, 𝔖^q_w and the
-    e_k(p); its fields hold C(n, 2), the top grade, which no term that a
-    lift, a divided difference or the check's fold meets exceeds, cancelled
-    ones included.  A lift node adds the key of x_r or q^d to every key of
-    a shorter lift.  The lift never sets x_n, but ∂_{n−1} writes x_n terms
-    that cancel only once every monomial is done, so x_n has a field.
+    e_k(p); its fields hold C(n, 2) (1 at n = 1), the top grade, which no
+    term that a lift, a divided difference or the check's fold meets
+    exceeds, cancelled ones included.  A lift node adds the key of x_r or
+    q^d to every key of a shorter lift.  The lift never sets x_n, but
+    ∂_{n−1} writes x_n terms that cancel only once every monomial is done,
+    so x_n has a field.
     """
 
     def __init__(self, n: int):
@@ -381,9 +360,12 @@ class _Transition:
         self._steps = {}  # w → (r, v, R as ((d, u), c) pairs)
         self._memo = {}   # y → {w → σ_w ∗ σ_y}
         self._lifts = {}  # w → 𝔖^q_w as {packed monomial: coefficient}
+        # (k_1,…,k_p), p < n − 1 → e_{k_1}(1)⋯e_{k_p}(p) as {z: c}
+        self._e_prefixes = {(): {self.identity: 1}}
+        self._e_coeffs = {}  # w → {K: a_K}, the e-decomposition of 𝔖_w
         self._packing = packing = _Packing(
             [("x", i) for i in range(1, n + 1)] + [("q", i) for i in range(1, n)],
-            n * (n - 1) // 2)
+            max(n * (n - 1) // 2, 1))
         # w → 𝔖_w as {packed monomial: coefficient}, from the staircase 𝔖_{w_0}
         staircase = tuple((("x", p), n - p) for p in range(1, n))
         self._classical = {tuple(range(n, 0, -1)): {packing.key(staircase): 1}}
@@ -529,6 +511,85 @@ class _Transition:
                 acc[key] = get(key, 0) + c
                 key += step
         return _nonzero(acc)
+
+    def e_row(self, seq: tuple) -> dict:
+        """The class of e_K = e_{k_1}(1)⋯e_{k_{n−1}}(n−1) in H*(Fl_n), K =
+        seq, as {u: B[K, u]}.  Its prefix class comes from `_e_prefix`; the
+        last column is multiplied on here, for this k alone, and not kept.
+        With k_{n−1} = 0 the row is the prefix memo's own entry, which must
+        not be changed."""
+        cls, k = self._e_prefix(seq[:-1]), seq[-1] if seq else 0
+        if not k:
+            return cls
+        p, acc = len(seq), {}
+        get = acc.get
+        for z, c in cls.items():
+            for u, b in _pieri(z, p)[k].items():
+                acc[u] = get(u, 0) + b * c
+        return _nonzero(acc)
+
+    def _e_prefix(self, seq: tuple) -> dict:
+        """e_{k_1}(1)⋯e_{k_p}(p) as {z: c}, memoized.  A missing prefix is
+        built with all its p + 1 siblings at once: the parent class times
+        every e_k(p), 1 ≤ k ≤ p, one `_pieri` lookup per σ_z (k = 0 is the
+        parent itself).  Entries are stored complete."""
+        memo = self._e_prefixes
+        if seq not in memo:
+            parent, p = seq[:-1], len(seq)
+            cls = self._e_prefix(parent)
+            accs = [{} for _ in range(p)]
+            for z, c in cls.items():
+                rows = _pieri(z, p)
+                for k, acc in enumerate(accs, start=1):
+                    _gather(acc, rows[k].items(), c)
+            for k, acc in enumerate(accs, start=1):
+                memo[parent + (k,)] = _nonzero(acc)
+            memo[parent + (0,)] = cls
+        return memo[seq]
+
+    def e_coeffs(self, w: Perm) -> dict:
+        """{K: a_K} with 𝔖_w = Σ a_K·e_K, in no fixed order; memoized.
+
+        The row of the pivot K(w) (`_e_pivot`, `e_row`) is σ_w plus σ_u
+        with u⁻¹ lexicographically after w⁻¹, so
+        a[w] = {K(w): 1} − Σ_{u≠w} B[K(w), u]·a[u], and the u are resolved
+        first by an explicit stack, as `_walk` resolves a transition tree.
+        Each row is built once, when its w first reaches the top of the
+        stack, and dropped when a[w] is stored.  A row that breaks either
+        property raises RingError, so a wrong row cannot loop."""
+        memo = self._e_coeffs
+        got = memo.get(w)
+        if got is not None:
+            return got
+        stack = [(w, None, None)]
+        while stack:
+            top, seq, row = stack[-1]
+            if top in memo:
+                stack.pop()
+                continue
+            if row is None:
+                seq = _e_pivot(top)
+                row = self.e_row(seq)
+                if not _is_pivot_row(row, top):
+                    raise RingError(
+                        f"the e-monomials of H*(Fl_{self.n}) are not "
+                        f"unitriangular in the Schubert basis: e_{seq} at "
+                        f"σ_{list(top)}")
+                stack[-1] = (top, seq, row)
+            missing = [(u, None, None) for u in row
+                       if u != top and u not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
+            acc = {seq: 1}
+            get = acc.get
+            for u, b in row.items():
+                if u != top:
+                    for key, a in memo[u].items():
+                        acc[key] = get(key, 0) - b * a
+            memo[top] = _nonzero(acc)
+            stack.pop()
+        return memo[w]
 
     @cached_property
     def e_columns(self) -> list:

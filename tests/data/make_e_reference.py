@@ -5,8 +5,7 @@
 For each n in NS the file holds, for every w ∈ S_n, the coefficients a_K of
 𝔖_w = Σ a_K·e_{k_1}(1)⋯e_{k_{n−1}}(n−1) as [[k_1, …, k_{n−1}], a_K] pairs,
 K in lexicographic order.  tests/test_e_reference.py checks the package
-against every entry.  The decompositions are computed grade by grade, so
-that each basis change is built once, and written with the permutations in
+against every entry.  The permutations are decomposed and written in
 lexicographic order.
 """
 from __future__ import annotations
@@ -15,7 +14,7 @@ import argparse
 import json
 from pathlib import Path
 
-from qschubert import all_permutations, e_decomposition, length
+from qschubert import all_permutations, e_decomposition
 
 NS = (3, 4, 5, 6)
 
@@ -27,10 +26,9 @@ def perm_text(w):
 def entries(n):
     """perm_text(w) → the [[k_1, …, k_{n−1}], a_K] pairs of w, for w ∈ S_n
     in lexicographic order."""
-    ws = all_permutations(n)
-    coeffs = {w: e_decomposition(w).coeffs for w in sorted(ws, key=length)}
-    return {perm_text(w): [[list(seq), a] for seq, a in coeffs[w].items()]
-            for w in ws}
+    return {perm_text(w): [[list(seq), a]
+                           for seq, a in e_decomposition(w).coeffs.items()]
+            for w in all_permutations(n)}
 
 
 def main(argv=None):

@@ -234,23 +234,10 @@ def test_failed_recombination_is_one_internal_error_line(
     assert "Traceback" not in err
 
 
-def test_stuck_peel_is_one_internal_error_line(capsys, cache_dir, monkeypatch):
+def test_stuck_peel_is_one_internal_error_line(capsys, cache_dir, doubled_pieri):
     # doubled Pieri products leave no row of coefficient 1 to peel
-    pieri = schubert._pieri
-    monkeypatch.setattr(
-        schubert, "_pieri",
-        lambda z, p: tuple({y: 2 * c for y, c in row.items()}
-                           for row in pieri(z, p)))
-    caches = (schubert._e_basis, schubert.e_decomposition,
-              universal.universal_schubert_g)
-    for cached in caches:
-        cached.cache_clear()
-    try:
-        code, out, err = run(capsys, "schubert", "--n", "4", "--w", "3,1,4,2",
-                             "--universal", cache=cache_dir)
-    finally:
-        for cached in caches:
-            cached.cache_clear()
+    code, out, err = run(capsys, "schubert", "--n", "4", "--w", "3,1,4,2",
+                         "--universal", cache=cache_dir)
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
     assert err.startswith("internal error: ")
@@ -274,8 +261,8 @@ def test_two_point_suite_fails_on_a_nonzero_invariant():
                         "expected 0"]
 
 
-def test_verify_specialization_builds_one_system_per_grade(
-        capsys, cache_dir, monkeypatch):
+def test_verify_specialization_builds_each_row_once(
+        capsys, cache_dir, monkeypatch, e_rows_built):
     builds = []
     init = poly.EchelonSystem.__init__
 
@@ -284,24 +271,21 @@ def test_verify_specialization_builds_one_system_per_grade(
         init(self, generators)
 
     monkeypatch.setattr(poly.EchelonSystem, "__init__", counted)
-    for cached in (schubert._e_basis, schubert.e_decomposition,
-                   universal.universal_schubert_c,
-                   universal.universal_schubert_g):
-        cached.cache_clear()
-    # the quantum lifts are memoized on the Fl_4 engine
-    schubert._transition(4)._lifts.clear()
+    # a fresh Fl_4 engine, which also holds the quantum lifts
+    rows = e_rows_built(4)
     code, out, _ = run(
         capsys, "verify", "--suite", "specialization", "--n", "4",
         cache=cache_dir,
     )
     assert (code, out) == (0, "pass, 24 chains\n")
-    # one basis change per grade of S_4, and no echelon solve
-    assert schubert._e_basis.cache_info().misses == 7
+    # one row per permutation of S_4, and no echelon solve
+    assert sorted(rows) == sorted(map(schubert._e_pivot, all_permutations(4)))
+    assert set(rows.values()) == {1}
     assert builds == []
 
 
 def test_quantum_schubert_miss_builds_no_echelon_system(
-        capsys, cache_dir, monkeypatch):
+        capsys, cache_dir, monkeypatch, fresh_engines):
     builds = []
     init = poly.EchelonSystem.__init__
 
@@ -310,9 +294,6 @@ def test_quantum_schubert_miss_builds_no_echelon_system(
         init(self, generators)
 
     monkeypatch.setattr(poly.EchelonSystem, "__init__", counted)
-    for cached in (schubert._e_basis, schubert.e_decomposition):
-        cached.cache_clear()
-    schubert._transition(5)._lifts.clear()
     w = (3, 5, 1, 4, 2)
     code, out, _ = run(
         capsys, "schubert", "--n", "5", "--quantum", "--w", "3,5,1,4,2",

@@ -257,6 +257,26 @@ def test_non_integer_scalars_raise_type_error(scalar):
     assert p != scalar
 
 
+@pytest.mark.parametrize("bound", [0, -1])
+def test_packing_refuses_a_bound_below_one(bound):
+    # fields of width 0 would make unpack of a nonzero key loop forever
+    with pytest.raises(ValueError, match="bound ≥ 1"):
+        poly._Packing([("x", 1), ("q", 1)], bound)
+    # with no variable there is no field to hold
+    empty = poly._Packing([], bound)
+    assert empty.unpack(empty.pack(Polynomial.constant(3))) == 3
+
+
+def test_packing_refuses_an_exponent_above_the_bound():
+    packing = poly._Packing([("x", 1), ("x", 2)], 2)
+    at_bound = X1 ** 2 * X2 ** 2 - X2
+    assert packing.unpack(packing.pack(at_bound)) == at_bound
+    # x_1^3 would carry into the x_2 field and read as x_1·x_2
+    for p in (X1 ** 3, X1 * X2 ** 3 + X1):
+        with pytest.raises(ValueError, match="exceeds the packing bound 2"):
+            packing.pack(p)
+
+
 def test_solver_example_and_recombination():
     gens = [X1 * (X1 + X2), X1 * X2]
     assert solve_linear_expansion(X1 * X1, gens) == (1, -1)

@@ -1,11 +1,14 @@
 """Schubert polynomials, divided differences, and e-decompositions."""
 
+import json
 import random
 import sys
 import threading
 from bisect import bisect_right
+from collections import Counter
 from functools import lru_cache
 from itertools import permutations, product, zip_longest
+from pathlib import Path
 
 import pytest
 
@@ -287,24 +290,78 @@ def _e_monomial(seq) -> Polynomial:
 
 
 def test_e_system_generators_are_the_elementary_products():
-    # each row of the basis change is the class of its e-monomial
+    # each row of the peel is the class of its e-monomial
     for n in range(2, 6):
         ring = quantum_ring(n)
+        engine = schubert._Transition(n)
         zero = (0,) * (n - 1)
-        for m in range(n * (n - 1) // 2 + 1):
-            for seq, row in schubert._e_rows(n, m).items():
-                want = ring.expand_classical(_e_monomial(seq))
-                assert want._terms == {(zero, w): c for w, c in row.items()}, seq
+        for seq in product(*(range(p + 1) for p in range(1, n))):
+            want = ring.expand_classical(_e_monomial(seq))
+            row = engine.e_row(seq)
+            assert want._terms == {(zero, w): c for w, c in row.items()}, seq
 
 
 def test_e_sequences_match_the_filter_of_all_tuples():
-    # the prefix walk reaches every K of the grade, in lexicographic order
+    # the pivots of the w of one grade are every K of the grade
     for n in range(1, 8):
         tuples = list(product(*(range(p + 1) for p in range(1, n))))
+        pivots = {}
+        for w in all_permutations(n):
+            pivots.setdefault(length(w), []).append(schubert._e_pivot(w))
         for m in range(-1, n * (n - 1) // 2 + 2):
-            assert list(schubert._e_rows(n, m)) == [
+            assert sorted(pivots.get(m, ())) == [
                 seq for seq in tuples if sum(seq) == m
             ], (n, m)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_pivot_rows_are_unitriangular(n):
+    """K(w) has grade ℓ(w) and k_p ≤ p, w ↦ K(w) is a bijection onto the K
+    of each grade, and the class of e_{K(w)} holds σ_w at coefficient 1 and
+    otherwise only σ_u with u⁻¹ lexicographically after w⁻¹."""
+    engine = schubert._Transition(n)
+    ws = all_permutations(n)
+    pivots = {w: schubert._e_pivot(w) for w in ws}
+    for w, seq in pivots.items():
+        assert len(seq) == n - 1 and sum(seq) == length(w), w
+        assert all(0 <= k <= p for p, k in enumerate(seq, start=1)), w
+    assert len(set(pivots.values())) == len(ws)
+    # each grade has as many K as w, so the injection is onto
+    grades = Counter(map(sum, product(*(range(p + 1) for p in range(1, n)))))
+    assert grades == Counter(map(length, ws))
+    for w, seq in pivots.items():
+        row = engine.e_row(seq)
+        assert row.get(w) == 1, w
+        inverse = _inverse(w)
+        assert all(_inverse(u) > inverse for u in row if u != w), w
+        assert schubert._is_pivot_row(row, w)
+
+
+def _inverse(w):
+    return tuple(sorted(range(1, len(w) + 1), key=lambda i: w[i - 1]))
+
+
+def test_is_pivot_row_refuses_each_broken_property():
+    w = (1, 3, 2)  # w⁻¹ = (1, 3, 2)
+    assert schubert._is_pivot_row({w: 1, (2, 1, 3): 1, (3, 1, 2): 5}, w)
+    # σ_w at a coefficient other than 1, or missing
+    assert not schubert._is_pivot_row({w: 2, (2, 1, 3): 1}, w)
+    assert not schubert._is_pivot_row({(2, 1, 3): 1}, w)
+    # id⁻¹ = (1, 2, 3) comes before w⁻¹
+    assert not schubert._is_pivot_row({w: 1, (1, 2, 3): 1}, w)
+
+
+def test_lexicographic_walk_builds_each_row_once(e_rows_built):
+    n = 6
+    built = e_rows_built(n)
+    reference = json.loads(
+        (Path(__file__).parent / "data" / "e_reference.json").read_text("utf-8"))
+    group = next(g for g in reference["groups"] if g["n"] == n)
+    for w in all_permutations(n):
+        got = [[list(seq), a] for seq, a in e_decomposition(w).coeffs.items()]
+        assert got == group["entries"][",".join(map(str, w))], w
+    assert max(built.values()) == 1
+    assert sorted(built) == sorted(map(schubert._e_pivot, all_permutations(n)))
 
 
 def test_e_decomposition_matches_the_echelon_solve():
@@ -414,8 +471,6 @@ def test_concurrent_engine_matches_serial(monkeypatch):
     monkeypatch.setattr(universal, "_transition", fresh)
     monkeypatch.setattr(schubert, "e_decomposition",
                         lru_cache(maxsize=None)(e_decomposition.__wrapped__))
-    monkeypatch.setattr(schubert, "_e_basis",
-                        lru_cache(maxsize=1)(schubert._e_basis.__wrapped__))
     workers = 4
     start = threading.Barrier(workers)
     results = [None] * workers
@@ -471,14 +526,12 @@ def test_packed_lift_matches_the_polynomial_transition(n, sample):
         assert engine.lift(w) == want, w
 
 
-def test_no_library_lift_builds_an_echelon_system(monkeypatch):
+def test_no_library_lift_builds_an_echelon_system(monkeypatch, fresh_engines):
     def refuse(*args, **kwargs):
         raise AssertionError("a library lift built an echelon system")
 
     monkeypatch.setattr(poly.EchelonSystem, "__init__", refuse)
-    for cached in (schubert._e_basis, e_decomposition,
-                   universal.universal_schubert_c, universal.universal_schubert_g,
-                   partial.partial_quantum_schubert,
+    for cached in (partial.partial_quantum_schubert,
                    partial.partial_universal_schubert_c):
         cached.cache_clear()
     for n in range(3, 6):
@@ -491,24 +544,6 @@ def test_no_library_lift_builds_an_echelon_system(monkeypatch):
         for w in partial.partial_ring(shape).basis:
             partial.partial_quantum_schubert(w, shape)
             partial.partial_universal_schubert_c(w, shape)
-
-
-@pytest.fixture()
-def doubled_pieri(monkeypatch):
-    """Every Pieri product comes back doubled, so no row of a basis change
-    of grade ≥ 1 has a coefficient 1."""
-    pieri = schubert._pieri
-    caches = (schubert._e_basis, e_decomposition,
-              universal.universal_schubert_c, universal.universal_schubert_g)
-    for cached in caches:
-        cached.cache_clear()
-    monkeypatch.setattr(
-        schubert, "_pieri",
-        lambda z, p: tuple({y: 2 * c for y, c in row.items()}
-                           for row in pieri(z, p)))
-    yield
-    for cached in caches:
-        cached.cache_clear()
 
 
 def test_a_stuck_peel_raises_ring_error(doubled_pieri):
@@ -524,34 +559,36 @@ def _decompose_uncached(ws):
     return {w: raw(w).coeffs for w in ws}
 
 
-def test_grade_by_grade_lifts_build_one_system_per_grade(monkeypatch):
+def test_grade_by_grade_walk_builds_each_row_once(monkeypatch, e_rows_built):
     def refuse(*args, **kwargs):
         raise AssertionError("e_decomposition built an echelon system")
 
     monkeypatch.setattr(poly.EchelonSystem, "__init__", refuse)
-    schubert._e_basis.cache_clear()
+    built = e_rows_built(5)
     ws = sorted(all_permutations(5), key=length)
     _decompose_uncached(ws)
-    assert schubert._e_basis.cache_info().misses == 11
-    # the one basis change kept is the last grade's; a repeat of it builds
-    # nothing
+    assert sorted(built) == sorted(map(schubert._e_pivot, ws))
+    assert set(built.values()) == {1}
+    # the engine keeps every a_K it peeled; a repeat builds nothing
     _decompose_uncached([longest_element(5)])
-    info = schubert._e_basis.cache_info()
-    assert (info.misses, info.currsize) == (11, 1)
+    assert sum(built.values()) == len(ws)
 
 
-def test_interleaved_grades_match_serial_order():
+def test_interleaved_grades_match_serial_order(fresh_engines):
     s4 = sorted(all_permutations(4), key=length)
     s5 = sorted(all_permutations(5), key=length)
     serial = _decompose_uncached(s4 + s5)
-    # while S_4 lasts, every call changes n, so each one rebuilds the system
+    fresh_engines.cache_clear()
+    # while S_4 lasts, every call changes n, and so the engine it peels on
     order = [w for pair in zip_longest(s4, reversed(s5)) for w in pair if w]
     assert _decompose_uncached(order) == serial
 
 
-def test_threads_sharing_the_system_match_serial():
+def test_threads_sharing_the_system_match_serial(fresh_engines):
     ws = all_permutations(5)
     serial = _decompose_uncached(ws)
+    # the threads peel on one engine that holds nothing yet
+    fresh_engines.cache_clear()
     workers = 4
     start = threading.Barrier(workers)
     results = [None] * workers
