@@ -27,7 +27,8 @@ QH*(Fl_n), which `qring` and `partial` read, and the quantum Schubert
 polynomials 𝔖^q_w, which `universal.quantum_schubert` returns.  It also
 holds the packed 𝔖_w that `schubert_poly` decodes and the packed e_k(p) of
 the check and of `recombine`, all on one packing, and the memos of the
-peel, and lives here so that all of them import it.
+peel, and lives here so that all of them import it.  One walker
+(`_Transition._walk`) fills the memos of all of these.
 """
 from __future__ import annotations
 
@@ -285,10 +286,13 @@ def e_decomposition(w: Perm) -> EDecomposition:
     decoded."""
     w = validate(w)
     engine = _transition(len(w))
-    dec = EDecomposition(dict(sorted(engine.e_coeffs(w).items())))
-    if _nonzero(_e_fold_packed(dec.coeffs, engine.e_columns)) != engine.schubert(w):
+    coeffs = dict(sorted(engine.e_coeffs(w).items()))
+    if _nonzero(_e_fold_packed(coeffs, engine.e_columns)) != engine.schubert(w):
         raise VerificationError(f"e-decomposition recombination failed for {w}")
-    return dec
+    # the sorted dict replaces the peel's entry, so the engine and this
+    # memo hold one copy
+    engine._e_coeffs[w] = coeffs
+    return EDecomposition(coeffs)
 
 
 class RingError(VerificationError):
@@ -320,6 +324,30 @@ def _q_monomial(d: tuple) -> tuple:
     return tuple((("q", i), e) for i, e in enumerate(d, start=1) if e)
 
 
+def _ascent(w: Perm) -> tuple:
+    """The expand of 𝔖_w: w·s_i for the first ascent i of w, then i."""
+    i = next(i for i in range(1, len(w)) if w[i - 1] < w[i])
+    up = (*w[:i - 1], w[i], w[i - 1], *w[i + 1:])
+    return (up,), up, i
+
+
+def _parent(seq: tuple) -> tuple:
+    """The expand of a prefix class: its parent prefix, then the prefix."""
+    return (seq[:-1],), seq
+
+
+def _peel(memo: dict, w: Perm, seq: tuple, row: dict) -> dict:
+    """a[w] = {K(w): 1} − Σ_{u≠w} B[K(w), u]·a[u], with K(w) = seq and the
+    a[u] in memo."""
+    acc = {seq: 1}
+    get = acc.get
+    for u, b in row.items():
+        if u != w:
+            for key, a in memo[u].items():
+                acc[key] = get(key, 0) - b * a
+    return _nonzero(acc)
+
+
 class _Transition:
     """The Schubert engine of S_n: the structure constants of QH*(Fl_n),
     σ_w ∗ σ_y as a dict (d, z) → c, and the packed 𝔖_w and 𝔖^q_w.
@@ -332,17 +360,17 @@ class _Transition:
     quantum ones shorter, so the recursion ends.  Quantum Monk holds for the
     𝔖^q_w as polynomials in Z[x, q], so the same step lifts them (`lift`):
     𝔖^q_w = x_r·𝔖^q_v − Σ_R c·q^d·𝔖^q_u, down to 𝔖^q_id = 1.  Both walk
-    the transition tree of w by one walker (`_walk`) over a memo keyed by
-    permutation, with their own rule per node, and share the memos of
-    `_x_terms` and `_step`.  The 𝔖_w come from divided differences
+    the transition tree of w, with their own rule per node, and share the
+    memos of `_x_terms` and `_step`.  The 𝔖_w come from divided differences
     (`schubert`), so the recombination check, which folds them against the
     packed e_k(p) (`e_columns`), owes nothing to the lift or the Pieri rule.
     The e-decompositions are peeled here on demand (`e_coeffs`), each from
     the class of the e-monomial of its pivot (`e_row`), over two memos:
     `_e_prefixes`, the classes e_{k_1}(1)⋯e_{k_p}(p) of the prefixes,
-    p < n − 1, by the Pieri rule, and `_e_coeffs`, the a_K of each w peeled.
-    Memo entries are stored complete, so a race between threads costs at
-    most a duplicate entry.
+    p < n − 1, each one Pieri product of its parent's, and `_e_coeffs`, the
+    a_K of each w peeled.  One walker (`_walk`) fills the five memos
+    `_memo`, `_lifts`, `_classical`, `_e_prefixes` and `_e_coeffs`, each
+    entry after those it is built from.
     One `_Packing` over x_1,…,x_n, q_1,…,q_{n−1} holds 𝔖_w, 𝔖^q_w and the
     e_k(p); its fields hold C(n, 2) (1 at n = 1), the top grade, which no
     term that a lift, a divided difference or the check's fold meets
@@ -359,7 +387,8 @@ class _Transition:
         self._x = {}      # (r, w) → x_r ∗ σ_w as ((d, z), c) pairs
         self._steps = {}  # w → (r, v, R as ((d, u), c) pairs)
         self._memo = {}   # y → {w → σ_w ∗ σ_y}
-        self._lifts = {}  # w → 𝔖^q_w as {packed monomial: coefficient}
+        # w → 𝔖^q_w as {packed monomial: coefficient}
+        self._lifts = {self.identity: {0: 1}}
         # (k_1,…,k_p), p < n − 1 → e_{k_1}(1)⋯e_{k_p}(p) as {z: c}
         self._e_prefixes = {(): {self.identity: 1}}
         self._e_coeffs = {}  # w → {K: a_K}, the e-decomposition of 𝔖_w
@@ -413,35 +442,45 @@ class _Transition:
         got = self._steps[w] = (r, v, tuple(rest.items()))
         return got
 
-    def _walk(self, memo: dict, w: Perm, base, node):
-        """memo[w], with the transition tree of w resolved by an explicit
-        stack: memo maps a permutation to its entry, base is the entry of
-        the identity, and node(memo, r, v, R) builds the entry of a node
-        from those of v and of the u of R."""
-        got = memo.get(w)
+    def _walk(self, memo: dict, key, expand, node):
+        """memo[key], resolved by an explicit stack.  expand(key) runs once
+        per entry built and returns (keys, *args): the keys the entry is
+        built from, then what node(memo, *args) needs to build it once they
+        are all in memo.  An entry is stored only when it is complete, so
+        another thread sees each one whole or not at all, a race costs at
+        most a duplicate build, and an expand or node that raises leaves
+        no entry for its key."""
+        got = memo.get(key)
         if got is not None:
             return got
-        memo.setdefault(self.identity, base)
-        stack = [w]
+        stack = [(key, None)]
         while stack:
-            top = stack[-1]
+            top, parts = stack[-1]
             if top in memo:
                 stack.pop()
                 continue
-            r, v, rest = self._step(top)
-            missing = [u for u in (v, *(u for (_, u), _ in rest))
-                       if u not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
-            memo[top] = node(memo, r, v, rest)
+            if parts is None:
+                parts = expand(top)
+                missing = [(k, None) for k in parts[0] if k not in memo]
+                if missing:
+                    # top is met again only once all of these are stored
+                    stack[-1] = (top, parts)
+                    stack.extend(missing)
+                    continue
+            memo[top] = node(memo, *parts[1:])
             stack.pop()
-        return memo[w]
+        return memo[key]
+
+    def _tree(self, w: Perm) -> tuple:
+        """The expand of a transition tree: v and the u of R, then the
+        step (r, v, R) of w."""
+        _, v, rest = step = self._step(w)
+        return (v, *(u for (_, u), _ in rest)), *step
 
     def product(self, w: Perm, y: Perm) -> dict:
         """σ_w ∗ σ_y, from the memo of the products with this σ_y."""
-        return self._walk(self._memo.setdefault(y, {}), w,
-                          {(self.zero, y): 1}, self._product_node)
+        memo = self._memo.setdefault(y, {self.identity: {(self.zero, y): 1}})
+        return self._walk(memo, w, self._tree, self._product_node)
 
     def _product_node(self, memo: dict, r: int, v: Perm, rest: tuple) -> dict:
         """x_r ∗ (σ_v ∗ σ_y) less c·q^d·(σ_u ∗ σ_y) for each term of R."""
@@ -455,7 +494,7 @@ class _Transition:
     def lift(self, w: Perm) -> Polynomial:
         """𝔖^q_w, decoded from its packed memo entry."""
         return self._packing.unpack(
-            self._walk(self._lifts, w, {0: 1}, self._lift_node))
+            self._walk(self._lifts, w, self._tree, self._lift_node))
 
     def _lift_node(self, memo: dict, r: int, v: Perm, rest: tuple) -> dict:
         """x_r times the terms of 𝔖^q_v, less c·q^d times those of each
@@ -479,20 +518,12 @@ class _Transition:
         """𝔖_w, packed; w must be a permutation of n.  𝔖_w = ∂_i 𝔖_{w·s_i}
         for the first ascent i of w, so each entry costs one divided
         difference of an entry one longer."""
-        memo = self._classical
-        chain = []
-        while w not in memo:
-            i = next(i for i in range(1, len(w)) if w[i - 1] < w[i])
-            chain.append((w, i))
-            w = (*w[:i - 1], w[i], w[i - 1], *w[i + 1:])
-        terms = memo[w]
-        for w, i in reversed(chain):
-            terms = memo[w] = self._divided_difference(terms, i)
-        return terms
+        return self._walk(self._classical, w, _ascent, self._divided_difference)
 
-    def _divided_difference(self, terms: dict, i: int) -> dict:
-        """∂_i of packed terms, by `divided_difference`'s telescoped sum:
-        x_i^a·x_{i+1}^b·R ↦ ±Σ_{lo ≤ j < hi} x_i^j·x_{i+1}^{a+b−1−j}·R."""
+    def _divided_difference(self, memo: dict, up: Perm, i: int) -> dict:
+        """∂_i of the packed memo[up], by `divided_difference`'s telescoped
+        sum: x_i^a·x_{i+1}^b·R ↦ ±Σ_{lo ≤ j < hi} x_i^j·x_{i+1}^{a+b−1−j}·R."""
+        terms = memo[up]
         width = self._packing._width
         low, high = (i - 1) * width, i * width
         mask = (1 << width) - 1
@@ -514,11 +545,18 @@ class _Transition:
 
     def e_row(self, seq: tuple) -> dict:
         """The class of e_K = e_{k_1}(1)⋯e_{k_{n−1}}(n−1) in H*(Fl_n), K =
-        seq, as {u: B[K, u]}.  Its prefix class comes from `_e_prefix`; the
-        last column is multiplied on here, for this k alone, and not kept.
-        With k_{n−1} = 0 the row is the prefix memo's own entry, which must
-        not be changed."""
-        cls, k = self._e_prefix(seq[:-1]), seq[-1] if seq else 0
+        seq, as {u: B[K, u]}: the class of its prefix, from the memo
+        `_e_prefixes`, times e_{k_{n−1}}(n−1), which is multiplied on here
+        and not kept.  With k_{n−1} = 0 the row is the prefix memo's own
+        entry, which must not be changed."""
+        self._walk(self._e_prefixes, seq[:-1], _parent, self._e_times)
+        return self._e_times(self._e_prefixes, seq)
+
+    def _e_times(self, memo: dict, seq: tuple) -> dict:
+        """The class of the prefix seq[:−1], from memo, times e_k(p), k =
+        seq[−1] and p = len(seq), by the Pieri rule; the parent class itself
+        when k = 0."""
+        cls, k = memo[seq[:-1]], seq[-1] if seq else 0
         if not k:
             return cls
         p, acc = len(seq), {}
@@ -528,68 +566,27 @@ class _Transition:
                 acc[u] = get(u, 0) + b * c
         return _nonzero(acc)
 
-    def _e_prefix(self, seq: tuple) -> dict:
-        """e_{k_1}(1)⋯e_{k_p}(p) as {z: c}, memoized.  A missing prefix is
-        built with all its p + 1 siblings at once: the parent class times
-        every e_k(p), 1 ≤ k ≤ p, one `_pieri` lookup per σ_z (k = 0 is the
-        parent itself).  Entries are stored complete."""
-        memo = self._e_prefixes
-        if seq not in memo:
-            parent, p = seq[:-1], len(seq)
-            cls = self._e_prefix(parent)
-            accs = [{} for _ in range(p)]
-            for z, c in cls.items():
-                rows = _pieri(z, p)
-                for k, acc in enumerate(accs, start=1):
-                    _gather(acc, rows[k].items(), c)
-            for k, acc in enumerate(accs, start=1):
-                memo[parent + (k,)] = _nonzero(acc)
-            memo[parent + (0,)] = cls
-        return memo[seq]
-
     def e_coeffs(self, w: Perm) -> dict:
-        """{K: a_K} with 𝔖_w = Σ a_K·e_K, in no fixed order; memoized.
+        """{K: a_K} with 𝔖_w = Σ a_K·e_K, memoized; in K order once
+        `e_decomposition` has published it, in no fixed order before.
 
         The row of the pivot K(w) (`_e_pivot`, `e_row`) is σ_w plus σ_u
-        with u⁻¹ lexicographically after w⁻¹, so
-        a[w] = {K(w): 1} − Σ_{u≠w} B[K(w), u]·a[u], and the u are resolved
-        first by an explicit stack, as `_walk` resolves a transition tree.
-        Each row is built once, when its w first reaches the top of the
-        stack, and dropped when a[w] is stored.  A row that breaks either
-        property raises RingError, so a wrong row cannot loop."""
-        memo = self._e_coeffs
-        got = memo.get(w)
-        if got is not None:
-            return got
-        stack = [(w, None, None)]
-        while stack:
-            top, seq, row = stack[-1]
-            if top in memo:
-                stack.pop()
-                continue
-            if row is None:
-                seq = _e_pivot(top)
-                row = self.e_row(seq)
-                if not _is_pivot_row(row, top):
-                    raise RingError(
-                        f"the e-monomials of H*(Fl_{self.n}) are not "
-                        f"unitriangular in the Schubert basis: e_{seq} at "
-                        f"σ_{list(top)}")
-                stack[-1] = (top, seq, row)
-            missing = [(u, None, None) for u in row
-                       if u != top and u not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
-            acc = {seq: 1}
-            get = acc.get
-            for u, b in row.items():
-                if u != top:
-                    for key, a in memo[u].items():
-                        acc[key] = get(key, 0) - b * a
-            memo[top] = _nonzero(acc)
-            stack.pop()
-        return memo[w]
+        with u⁻¹ lexicographically after w⁻¹ (`_pivot_row`), so
+        a[w] = {K(w): 1} − Σ_{u≠w} B[K(w), u]·a[u], with the u resolved
+        first."""
+        return self._walk(self._e_coeffs, w, self._pivot_row, _peel)
+
+    def _pivot_row(self, w: Perm) -> tuple:
+        """The expand of the peel: the u ≠ w of the row of K(w), then w,
+        K(w) and the row.  A row that breaks either pivot property raises
+        RingError, so a wrong row cannot loop."""
+        seq = _e_pivot(w)
+        row = self.e_row(seq)
+        if not _is_pivot_row(row, w):
+            raise RingError(
+                f"the e-monomials of H*(Fl_{self.n}) are not unitriangular "
+                f"in the Schubert basis: e_{seq} at σ_{list(w)}")
+        return [u for u in row if u != w], w, seq, row
 
     @cached_property
     def e_columns(self) -> list:

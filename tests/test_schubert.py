@@ -553,6 +553,23 @@ def test_a_stuck_peel_raises_ring_error(doubled_pieri):
     assert e_decomposition((1, 2, 3)).coeffs == {(0, 0): 1}
 
 
+def test_a_stuck_peel_stores_nothing(doubled_pieri):
+    w = (1, 3, 2)
+    for _ in range(2):  # the second call raises again, from no stale entry
+        with pytest.raises(RingError, match="not unitriangular"):
+            e_decomposition(w)
+        assert w not in schubert._transition(3)._e_coeffs
+
+
+def test_e_decomposition_publishes_the_engine_entry(fresh_engines):
+    """The sorted a_K that e_decomposition publishes are the engine's own
+    entry, not a copy beside it."""
+    for w in all_permutations(4):
+        coeffs = e_decomposition(w).coeffs
+        assert coeffs is fresh_engines(4)._e_coeffs[w]
+        assert list(coeffs) == sorted(coeffs)
+
+
 def _decompose_uncached(ws):
     """e_decomposition of each w, bypassing its per-permutation memo."""
     raw = e_decomposition.__wrapped__
