@@ -15,6 +15,17 @@ permutations alone, in integers, and is memoized:
    classes of the ring's generators, with the bilinear class product that
    also folds N-point products and Gromov–Witten invariants.
 
+Each structure constant is held as {key: c}, with one int key per class
+q^d·σ_w from the engine to `QuantumClass` (`schubert._Codec`: the q-degree
+fields above the rank of w).  The engine's entries are the classes of the
+complete rings, without a copy; `_compare` writes keys of the partial ring,
+with m fields; `_times` adds keys; `gromov_witten` encodes (d, dual(w)) once
+and reads that one key.  Keys are decoded only at the public boundary of a
+class (`items`, `coefficient`, `to_text`, `to_json_obj`).  A fold, product
+or expansion of total grade g keeps every d_l ≤ g/2, so the fields never
+carry; a grade that could make one carry (g ≥ 2^(FIELD_BITS + 1)) raises
+ValueError.
+
 The polynomial presentation (relations and Schubert polynomial lifts) stays
 public; `qschubert verify` checks it against the products.
 """
@@ -26,8 +37,9 @@ from operator import index
 from .perm import FlagShape, Perm, all_permutations, length, validate
 from .poly import Polynomial, _json_int
 from .schubert import (
+    FIELD_BITS,
     RingError,
-    _add,
+    _codec,
     _gather,
     _grassmannian,
     _nonzero,
@@ -55,48 +67,73 @@ __all__ = [
 _length = lru_cache(maxsize=None)(length)
 
 
+def _class_codec(n: int, shape):
+    """The codec of the classes of n over shape, None for the complete one."""
+    return _codec(n, n - 1 if shape is None else shape.m)
+
+
 class QuantumClass:
     """An integer combination of basis classes q^d·σ_w.
 
-    Terms are keyed by (d, w) with d a tuple of q-exponents and w a
-    permutation; zero coefficients are dropped.  Equality compares n and the
-    term dictionaries, so a class over a partial flag shape and one over the
-    complete shape agree exactly when their expansions match.
+    Terms are held packed, {key of q^d·σ_w: c} on the codec of the ring's n
+    and q count (`schubert._Codec`), with zero coefficients dropped; `items`,
+    `coefficient`, `to_text` and `to_json_obj` decode them.  Equality
+    compares n and the terms, so a class over a partial flag shape and one
+    over the complete shape agree exactly when their expansions match.
     """
 
-    __slots__ = ("n", "shape", "_terms")
+    __slots__ = ("n", "shape", "_codec", "_terms")
 
     def __init__(self, n: int, terms=None, shape=None):
-        self.n = n
-        self.shape = shape
-        clean = {}
-        for (d, w), c in (terms or {}).items():
-            if c:
-                clean[(tuple(d), tuple(w))] = c
-        self._terms = clean
+        """terms maps (d, w) to c; ValueError unless every w is a
+        permutation of n and every d has one entry in [0, 2^FIELD_BITS) per
+        q of the ring."""
+        self.n, self.shape = n, shape
+        self._codec = codec = _class_codec(n, shape)
+        self._terms = {codec.encode(d, w): c
+                       for (d, w), c in (terms or {}).items() if c}
+
+    @classmethod
+    def _wrap(cls, n, shape, codec, terms: dict) -> "QuantumClass":
+        """A class holding the packed terms itself, without a copy; terms
+        must have no zero coefficient and must not be changed later."""
+        self = cls.__new__(cls)
+        self.n, self.shape, self._codec, self._terms = n, shape, codec, terms
+        return self
+
+    def _like(self, terms: dict) -> "QuantumClass":
+        return QuantumClass._wrap(self.n, self.shape, self._codec, terms)
 
     @classmethod
     def unit(cls, w: Perm, shape=None) -> "QuantumClass":
         """The single class 1·σ_w at q-degree zero."""
         w = validate(w)
-        qc = shape.m if shape is not None else len(w) - 1
-        return cls(len(w), {((0,) * qc, w): 1}, shape=shape)
+        codec = _class_codec(len(w), shape)
+        return cls._wrap(len(w), shape, codec, {codec.index(w): 1})
 
     def coefficient(self, d, w) -> int:
-        return self._terms.get((tuple(d), tuple(w)), 0)
+        try:
+            key = self._codec.encode(d, w)
+        except (TypeError, ValueError):
+            return 0
+        return self._terms.get(key, 0)
 
     def items(self):
         """Terms as ((d, w), coeff), sorted by d then w."""
-        return sorted(self._terms.items())
+        decode, terms = self._codec.decode, self._terms
+        return [(decode(key), terms[key]) for key in sorted(terms)]
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def __eq__(self, other) -> bool:
+        # classes on two codecs differ in the length of d, so they agree
+        # only when both are zero
         return (
             isinstance(other, QuantumClass)
             and self.n == other.n
-            and self._terms == other._terms
+            and (self._terms == other._terms if self._codec is other._codec
+                 else not self._terms and not other._terms)
         )
 
     def __hash__(self):
@@ -113,10 +150,8 @@ class QuantumClass:
         if (not isinstance(other, QuantumClass) or other.n != self.n
                 or other._shape_key() != self._shape_key()):
             return NotImplemented
-        terms = dict(self._terms)
-        for key, c in other._terms.items():
-            terms[key] = terms.get(key, 0) + c
-        return QuantumClass(self.n, terms, shape=self.shape)
+        return self._like(_nonzero(_gather(dict(self._terms),
+                                           other._terms.items())))
 
     def __sub__(self, other: "QuantumClass") -> "QuantumClass":
         return self.__add__((-1) * other)
@@ -124,9 +159,8 @@ class QuantumClass:
     def __rmul__(self, c: int) -> "QuantumClass":
         if not isinstance(c, int):
             return NotImplemented
-        return QuantumClass(
-            self.n, {key: c * v for key, v in self._terms.items()}, shape=self.shape
-        )
+        return self._like({key: c * v for key, v in self._terms.items()}
+                          if c else {})
 
     def to_text(self) -> str:
         """Human-readable form, e.g. 'σ[3,1,2] + q1·σ[1,2,3]'."""
@@ -164,27 +198,33 @@ class QuantumClass:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "QuantumClass":
-        """Inverse of `to_json_obj`; n, degrees and coefficients must be
-        ints, and a float or a bool raises TypeError.  A shape must be one
-        of n, every w must be a permutation of n that indexes a class of the
-        ring, and every d must have one entry ≥ 0 per q of the ring; else
-        ValueError."""
+        """Inverse of `to_json_obj`, encoded straight to packed keys; n,
+        degrees and coefficients must be ints, and a float or a bool raises
+        TypeError.  A shape must be one of n, every w must be a permutation
+        of n that indexes a class of the ring, and every d must have one
+        entry in [0, 2^FIELD_BITS) per q of the ring; else ValueError."""
         shape = FlagShape.from_string(obj["shape"]) if "shape" in obj else None
         n = _json_int(obj["n"])
         if shape is not None and shape.n != n:
             raise ValueError(f"shape {shape.to_string()} is not a shape of n = {n}")
-        q_count = n - 1 if shape is None else shape.m
+        codec = _class_codec(n, shape)
+        q_count, index, shifts = codec.m, codec.index, codec.shifts
         terms = {}
         for t in obj["terms"]:
-            w = validate(int(a) for a in t["w"].split(","))
-            d = tuple(map(_json_int, t["d"]))
+            w = validate(map(int, t["w"].split(",")))
             if len(w) != n or shape is not None and not shape.is_min_rep(w):
                 raise ValueError(f"σ{list(w)} is not a class of the ring")
-            if len(d) != q_count or any(e < 0 for e in d):
-                raise ValueError(f"{list(d)} is not a q-degree of {q_count} "
-                                 f"entries ≥ 0")
-            terms[(d, w)] = _json_int(t["coeff"])
-        return cls(n, terms, shape=shape)
+            d = t["d"]
+            if len(d) != q_count:
+                raise ValueError(f"{d} is not a q-degree of {q_count} entries")
+            key = index(w)
+            for e, s in zip(d, shifts):
+                if _json_int(e) < 0 or e >> FIELD_BITS:
+                    raise ValueError(f"{d} is not a q-degree of entries in "
+                                     f"[0, 2^{FIELD_BITS})")
+                key += e << s
+            terms[key] = _json_int(t["coeff"])
+        return cls._wrap(n, shape, codec, _nonzero(terms))
 
     def __repr__(self):
         return f"QuantumClass({self.to_text()!r})"
@@ -198,11 +238,13 @@ class _GradedQuotientRing:
     product (`_Transition`) through the comparison filter (`_compare`), the
     identity on complete shapes.  The pair memo `_products` wraps each
     answer without a copy, so on complete shapes its classes hold the
-    engine memo's own entries.  One bilinear class product (`_times`)
-    folds those structure constants for `quantum_product_multi` and
-    `gromov_witten`, builds the generator classes by one Chern recursion
-    (`_generator_classes`), and evaluates a polynomial in the generators
-    `_vars` and the q_l by Horner's rule for `expand_in_quantum_basis`.
+    engine memo's own entries.  One bilinear class product (`_times`), on
+    packed keys, folds those structure constants for `quantum_product_multi`
+    and for all but the last insertion of `gromov_witten`, which reads the
+    last product at one key (`_coefficient`).  It also builds the generator
+    classes by one Chern recursion (`_generator_classes`), and evaluates a
+    polynomial in the generators `_vars` and the q_l by Horner's rule for
+    `expand_in_quantum_basis`.
     `classical_product` and `expand_classical` are the q⁰ slices.
 
     The element rules `_check_element`, `_dual` and `_moduli_dimension` are
@@ -226,7 +268,7 @@ class _GradedQuotientRing:
                            for i, l in self._blocks)
         self._index = {v: i for i, v in enumerate(self._vars)}
         self._q_zero = {("q", l): 0 for l in range(1, shape.m + 1)}
-        self._zero_d = (0,) * self.q_count
+        self._codec = _codec(self.n, shape.m)
         self._fl = _transition(self.n)
         self._products = {}
         self._gens = None
@@ -253,15 +295,17 @@ class _GradedQuotientRing:
                 raise ValueError(f"variable {v} is not in the ring alphabet")
         return p
 
+    def _class(self, terms: dict) -> QuantumClass:
+        return QuantumClass._wrap(self.n, self.shape, self._codec, terms)
+
     def _q0(self, terms: dict) -> QuantumClass:
-        return QuantumClass(self.n, {key: c for key, c in terms.items()
-                                     if key[0] == self._zero_d},
-                            shape=self.shape)
+        # a key at q-degree zero is its rank alone
+        mask = self._codec.mask
+        return self._class({key: c for key, c in terms.items() if key <= mask})
 
     def expand_in_quantum_basis(self, p: Polynomial) -> QuantumClass:
         """Rewrite p as an integer combination of classes q^d·σ_w."""
-        return QuantumClass(self.n, self._horner(self._checked(p)),
-                            shape=self.shape)
+        return self._class(self._horner(self._checked(p)))
 
     def expand_classical(self, p: Polynomial) -> QuantumClass:
         """Rewrite a q-free polynomial in the Schubert basis (all d = 0)."""
@@ -293,10 +337,7 @@ class _GradedQuotientRing:
         if got is None:
             # wrap the product's own dict: on complete shapes it is the
             # engine memo's entry, which nothing mutates
-            got = QuantumClass.__new__(QuantumClass)
-            got.n, got.shape = self.n, self.shape
-            got._terms = self._pair_product(*key)
-            self._products[key] = got
+            got = self._products[key] = self._class(self._pair_product(*key))
         return got
 
     def quantum_product_multi(self, ws) -> QuantumClass:
@@ -304,14 +345,15 @@ class _GradedQuotientRing:
         ws = [self._check_element(w) for w in ws]
         if not ws:
             raise ValueError("need at least one factor")
-        return QuantumClass(self.n, self._fold(ws), shape=self.shape)
+        return self._class(self._fold(ws, sum(map(_length, ws))))
 
     def classical_product(self, u, v) -> QuantumClass:
         return self._q0(self.quantum_product(u, v)._terms)
 
     def gromov_witten(self, ws, w, d) -> int:
         """N-point genus-zero invariant ⟨σ_{w_1},…,σ_{w_N}, σ_w⟩_d, read off
-        as the coefficient of q^d·σ_{w∨} in the product of the σ_{w_i}.
+        as the coefficient of q^d·σ_{w∨} in the product of the σ_{w_i}: the
+        fold of the first N − 1, times σ_{w_N} at that one key alone.
 
         Returns 0 immediately when the lengths fail the dimension count.
         Each entry of d is read with operator.index: a bool counts as its
@@ -329,12 +371,17 @@ class _GradedQuotientRing:
         total = sum(map(_length, ws)) + _length(w)
         if total != self._moduli_dimension(d):
             return 0
-        return self._fold(ws).get((d, self._dual(w)), 0)
+        # the fold's grade check bounds every d_l, so d encodes exactly
+        acc = self._fold(ws[:-1], total)
+        return self._coefficient(acc, ws[-1], self._codec.key(d, self._dual(w)))
 
     # -- the product path -------------------------------------------------
     def _pair_product(self, u: Perm, v: Perm) -> dict:
-        """σ_u ∗ σ_v on a memo miss, by transition on the shorter factor."""
-        if _length(u) > _length(v):
+        """σ_u ∗ σ_v, packed, on a memo miss, by transition on the shorter
+        factor."""
+        lu, lv = _length(u), _length(v)
+        self._codec.check(lu + lv)
+        if lu > lv:
             u, v = v, u
         terms = self._fl.product(u, v)
         return terms if self._complete else self._compare(terms)
@@ -349,53 +396,86 @@ class _GradedQuotientRing:
         of the last t; and only if w = (w_0∘y)·ω′, which reverses each of
         those two runs of every block, increases inside every block.  It adds
         c to q^d·σ_{dual(w)}.
+
+        d_B is read off the engine's key by shifts, and the lift, whose
+        levels lie between consecutive d_l, is packed the same way to be
+        compared with it whole.
         """
         shape, ns, n = self._shape, self._ns, self.n
+        src, dst = self._fl.codec, self._codec
+        base, mask, field = src.base, src.mask, (1 << FIELD_BITS) - 1
+        reads = [src.shifts[k - 1] for k in ns[1:-1]]
         out = {}
-        for (lifted, y), c in terms.items():
-            d = tuple(lifted[k - 1] for k in ns[1:-1])
+        for key, c in terms.items():
+            d = tuple(key >> s & field for s in reads)
             steps = (0,) + d + (0,)
-            w = [n + 1 - e for e in y]
-            level, lift = 0, []
+            w = [n + 1 - e for e in src.perm(key & mask)]
+            level, lift = 0, 0
             for l in range(1, len(ns)):
                 lo, hi = ns[l - 1], ns[l]
                 a, t = divmod(steps[l] - steps[l - 1], hi - lo)
                 cut = hi - t
-                for i in range(lo, hi):
+                for i in range(lo, min(hi, n - 1)):
                     level += a + (i >= cut)
-                    lift.append(level)
+                    lift = (lift << FIELD_BITS) + level
                 w[lo:cut] = w[lo:cut][::-1]
                 w[cut:hi] = w[cut:hi][::-1]
-            if tuple(lift[:-1]) != lifted or not shape.is_min_rep(w):
+            if lift != key >> base or not shape.is_min_rep(w):
                 continue
-            key = (d, shape.dual(w))
-            out[key] = out.get(key, 0) + c
+            k = dst.key(d, shape.dual(w))
+            out[k] = out.get(k, 0) + c
         return out
 
     def _times(self, acc: dict, other: dict) -> dict:
         """(Σ c·q^d·σ_v) ∗ (Σ c′·q^d′·σ_w) by bilinearity over the memoized
-        pairwise products."""
+        pairwise products, on packed keys: q^d·q^d′·(σ_v ∗ σ_w) adds the
+        degree parts of both keys to each key of σ_v ∗ σ_w."""
         out = {}
-        for (d1, w), c1 in other.items():
-            for (d, v), c in acc.items():
-                base = _add(d, d1) if any(d1) else d
+        get = out.get
+        mask, perms = self._codec.mask, self._codec._perms
+        product = self.quantum_product
+        for k1, c1 in other.items():
+            w = perms[k1 & mask]
+            d1 = k1 & ~mask
+            for k, c in acc.items():
+                zi = k & mask
+                base = k - zi + d1
                 c *= c1
-                for (d2, y), c2 in self.quantum_product(v, w)._terms.items():
-                    key = (_add(base, d2), y)
-                    out[key] = out.get(key, 0) + c * c2
+                for k2, c2 in product(perms[zi], w)._terms.items():
+                    k2 += base
+                    out[k2] = get(k2, 0) + c * c2
         return _nonzero(out)
 
-    def _fold(self, ws) -> dict:
-        """σ_{w_1} ∗ ⋯ ∗ σ_{w_N} over checked factors: a left fold of
-        `_times`."""
-        acc = {(self._zero_d, ws[0]): 1}
+    def _coefficient(self, acc: dict, w: Perm, key: int) -> int:
+        """The coefficient of key in acc ∗ σ_w.  A term k = q^d·σ_v of acc
+        meets it at key − (k less the rank of v) in σ_v ∗ σ_w; as no sum of
+        keys carries, only a term that adds up to key field by field can
+        sit there."""
+        mask, perms = self._codec.mask, self._codec._perms
+        product = self.quantum_product
+        out = 0
+        for k, c in acc.items():
+            zi = k & mask
+            out += c * product(perms[zi], w)._terms.get(key - k + zi, 0)
+        return out
+
+    def _fold(self, ws, grade: int) -> dict:
+        """σ_{w_1} ∗ ⋯ ∗ σ_{w_N} over checked factors of total grade at most
+        `grade`: a left fold of `_times`, and σ_id = 1 when N = 0.
+        ValueError when that grade could carry a field of the keys
+        (`_Codec.check`)."""
+        self._codec.check(grade)
+        if not ws:
+            return {0: 1}  # the identity has rank 0
+        index = self._codec.index
+        acc = {index(ws[0]): 1}
         for w in ws[1:]:
-            acc = self._times(acc, {(self._zero_d, w): 1})
+            acc = self._times(acc, {index(w): 1})
         return acc
 
     def _generator_classes(self) -> list:
-        """The class of each generator in `_vars`, computed once.  ẽ_k(t),
-        for 1 ≤ t ≤ m and k ≤ n_t, is σ_g for the Grassmannian g
+        """The class of each generator in `_vars`, packed, computed once.
+        ẽ_k(t), for 1 ≤ t ≤ m and k ≤ n_t, is σ_g for the Grassmannian g
         with 𝔖_g = e_k(x_1..x_{n_t}) (`schubert._grassmannian`); other
         ẽ_k(t) are 0 and ẽ_0 = 1.  The kernel Chern identity ẽ(l) = ẽ(l−1) ∗ σ^l
         (`kernel_chern_partial_check`) gives σ^l_0 = 1 and
@@ -404,13 +484,13 @@ class _GradedQuotientRing:
         """
         if self._gens is not None:
             return self._gens
-        n, ns, zero = self.n, self._ns, self._zero_d
-        one = {(zero, tuple(range(1, n + 1))): 1}
+        n, ns, index = self.n, self._ns, self._codec.index
+        one = {index(tuple(range(1, n + 1))): 1}
 
         def e(k, t):
             if not (1 <= t < len(ns) - 1 and k <= ns[t]):
                 return {}
-            return {(zero, _grassmannian(k, ns[t], n)): 1}
+            return {index(_grassmannian(k, ns[t], n)): 1}
 
         gens = []
         for i, l in self._blocks:
@@ -425,8 +505,12 @@ class _GradedQuotientRing:
         return gens
 
     def _keyed(self, p: Polynomial):
-        """p as (a, d, c) triples over `_vars` and the q_l."""
+        """p as (a, key of q^d, c) triples over `_vars` and the q_l, after
+        the grade check (`_Codec.check`) of its top grade, whose terms bound
+        every q-degree that Horner's rule reaches."""
         out = []
+        top = 0
+        grades = self._shape.q_grades
         for mon, c in p._terms.items():
             a, d = [0] * len(self._vars), [0] * self.q_count
             for v, e in mon:
@@ -434,18 +518,22 @@ class _GradedQuotientRing:
                     d[v[1] - 1] = e
                 else:
                     a[self._index[v]] = e
-            out.append((tuple(a), tuple(d), c))
-        return out
+            top = max(top, sum(e * i for e, (i, _) in zip(a, self._blocks))
+                      + sum(e * g for e, g in zip(d, grades)))
+            out.append((tuple(a), d, c))
+        self._codec.check(top)
+        degree = self._codec.degree
+        return [(a, degree(d), c) for a, d, c in out]
 
     def _horner(self, p: Polynomial) -> dict:
         """p evaluated over the generator classes by Horner's rule, one
         generator at a time: Σ_e g^e·p_e = (…(p_top·g + p_{top−1})·g …)·g + p_0."""
         gens = self._generator_classes()
-        one = tuple(range(1, self.n + 1))
 
         def run(terms, i):
             if i == len(gens):
-                return _gather({}, (((d, one), c) for _, d, c in terms))
+                # q^d·σ_id: the identity has rank 0
+                return _gather({}, ((d, c) for _, d, c in terms))
             by_power = {}
             for term in terms:
                 by_power.setdefault(term[0][i], []).append(term)

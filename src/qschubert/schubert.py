@@ -29,9 +29,17 @@ holds the packed 𝔖_w that `schubert_poly` decodes and the packed e_k(p) of
 the check and of `recombine`, all on one packing, and the memos of the
 peel, and lives here so that all of them import it.  One walker
 (`_Transition._walk`) fills the memos of all of these.
+
+Every structure constant, here and in `qring`, is keyed by one int
+(`_Codec`, one per n and q count m, `_codec`): the fields of q_1,…,q_m, of
+FIELD_BITS bits each with q_1 highest, sit above the lexicographic rank of
+w in S_n, so a key times q^d is the key plus that of d, keys sort as
+(d, w), and the rank of a key is key & mask.  The engine writes keys with
+m = n − 1, which the complete rings and their classes share.
 """
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -299,10 +307,6 @@ class RingError(VerificationError):
     """An internal consistency check of the ring presentation failed."""
 
 
-def _add(u: tuple, v: tuple) -> tuple:
-    return tuple(map(operator.add, u, v))
-
-
 def _gather(out: dict, terms, scale: int = 1) -> dict:
     """Add scale·terms, given as (key, c) pairs, into out and return out."""
     for key, c in terms:
@@ -310,9 +314,110 @@ def _gather(out: dict, terms, scale: int = 1) -> dict:
     return out
 
 
-def _shifted(d: tuple, terms):
-    """The (key, c) pairs of q^d·terms."""
-    return (((_add(d, d2), z), c) for (d2, z), c in terms)
+# the bits of each q-degree field of a packed class key
+FIELD_BITS = 16
+
+
+@lru_cache(maxsize=None)
+def _rank_maps(n: int) -> tuple:
+    """(rank of w, w of rank) for the permutations of n met so far, shared by
+    the codecs of every q count of n."""
+    return {}, {}
+
+
+class _Codec:
+    """The packed keys of the classes q^d·σ_w, w ∈ S_n, d of m entries: the
+    int Σ_l d_l·2^(base + (m − l)·FIELD_BITS) + rank(w).
+
+    rank(w) is the index of w in the lexicographic order of S_n, below
+    base = bit_length(n! − 1) bits, and each d_l has a field of FIELD_BITS
+    bits above it, d_1 highest, so that sorting keys sorts (d, w).  A key
+    times q^d′ is the key plus that of d′ (`degree`).  Ranks are computed
+    and memoized both ways on first sight, so a permutation never met costs
+    nothing.  Every rank in a key comes from `index`, or is the identity's
+    rank 0, known from the start, so `perm` is one lookup.
+
+    Every term of a product, a fold or an expansion of total grade g has
+    2·d_l ≤ g, q_l being of grade ≥ 2, so no field carries while g <
+    2^(FIELD_BITS + 1) (`check`); the engine's own terms have g ≤ 2·C(n, 2).
+    """
+
+    def __init__(self, n: int, m: int):
+        self.n, self.m = n, m
+        self.base = base = (math.factorial(n) - 1).bit_length()
+        self.mask = (1 << base) - 1
+        # the shift of the field of d_l, l = 1..m
+        self.shifts = tuple(base + (m - l) * FIELD_BITS for l in range(1, m + 1))
+        self.zero = (0,) * m
+        # the d of each degree part of a key decoded so far
+        self._degrees = {0: self.zero}
+        # (n − 1)!, …, 1!, 0!: the place values of the digits of a rank
+        self._places = tuple(math.factorial(i) for i in range(n - 1, -1, -1))
+        self._ranks, self._perms = _rank_maps(n)
+        self.index(tuple(range(1, n + 1)))
+
+    def __reduce__(self):
+        # a pickled or copied class keeps the one codec of its (n, m), which
+        # its equality compares by identity
+        return _codec, (self.n, self.m)
+
+    def index(self, w: Perm) -> int:
+        """The rank of a permutation w of n: Σ_p #{j > p : w(j) < w(p)}·(n − p)!,
+        the count of the values below w(p) not yet placed."""
+        got = self._ranks.get(w)
+        if got is None:
+            got = placed = 0
+            for a, place in zip(w, self._places):
+                got += (a - 1 - (placed & ((1 << a) - 1)).bit_count()) * place
+                placed |= 1 << a
+            self._perms[got] = w
+            self._ranks[w] = got
+        return got
+
+    def perm(self, i: int) -> Perm:
+        """The permutation of rank i, a rank in a key."""
+        return self._perms[i]
+
+    def degree(self, d) -> int:
+        """The key of q^d·σ_id less rank(id) = 0."""
+        return sum(e << s for e, s in zip(d, self.shifts))
+
+    def key(self, d, w: Perm) -> int:
+        return self.degree(d) + self.index(w)
+
+    def decode(self, key: int) -> tuple:
+        """(d, w) of a key."""
+        rank = key & self.mask
+        d = self._degrees.get(key - rank)
+        if d is None:
+            field = (1 << FIELD_BITS) - 1
+            d = self._degrees[key - rank] = tuple(
+                key >> s & field for s in self.shifts)
+        return d, self._perms[rank]
+
+    def encode(self, d, w) -> int:
+        """The key of q^d·σ_w; ValueError unless w is a permutation of n and
+        d has m entries in [0, 2^FIELD_BITS)."""
+        d, w = tuple(map(operator.index, d)), validate(w)
+        if len(w) != self.n:
+            raise ValueError(f"σ{list(w)} is not a class of S_{self.n}")
+        if len(d) != self.m or any(e < 0 or e >> FIELD_BITS for e in d):
+            raise ValueError(f"{list(d)} is not a q-degree of {self.m} "
+                             f"entries in [0, 2^{FIELD_BITS})")
+        return self.key(d, w)
+
+    def check(self, grade: int) -> None:
+        """ValueError when terms of this total grade could carry a field."""
+        if grade >> FIELD_BITS + 1:
+            raise ValueError(f"total grade {grade} could carry a q-degree "
+                             f"field of {FIELD_BITS} bits")
+
+
+@lru_cache(maxsize=None)
+def _codec(n: int, m: int) -> _Codec:
+    """The codec of n with m q's, shared by the engine of n (m = n − 1), by
+    every ring of n with m q's and by their classes."""
+    return _Codec(n, m)
 
 
 def _nonzero(terms: dict) -> dict:
@@ -350,9 +455,10 @@ def _peel(memo: dict, w: Perm, seq: tuple, row: dict) -> dict:
 
 class _Transition:
     """The Schubert engine of S_n: the structure constants of QH*(Fl_n),
-    σ_w ∗ σ_y as a dict (d, z) → c, and the packed 𝔖_w and 𝔖^q_w.
+    σ_w ∗ σ_y as a dict {key of q^d·σ_z: c} on the codec of n with n − 1
+    q's (`codec`), and the packed 𝔖_w and 𝔖^q_w.
 
-    Quantum Monk gives x_r ∗ σ_w (`_x_terms`).  Transition: with r the last
+    Quantum Monk gives x_r ∗ σ_w (`_monk`).  Transition: with r the last
     descent of w, s the last position after r with w(s) < w(r) and
     v = w·t_rs, x_r ∗ σ_v = σ_w + R, so σ_w ∗ σ_y is
     x_r ∗ (σ_v ∗ σ_y) − Σ_R c·q^d·(σ_u ∗ σ_y), down to σ_id ∗ σ_y = σ_y.  The
@@ -361,7 +467,10 @@ class _Transition:
     𝔖^q_w as polynomials in Z[x, q], so the same step lifts them (`lift`):
     𝔖^q_w = x_r·𝔖^q_v − Σ_R c·q^d·𝔖^q_u, down to 𝔖^q_id = 1.  Both walk
     the transition tree of w, with their own rule per node, and share the
-    memos of `_x_terms` and `_step`.  The 𝔖_w come from divided differences
+    memo of `_step`.  The product node works on packed keys alone: its memo
+    `_x_terms` holds x_r ∗ σ_z as (delta, sign) pairs, so a term K with
+    z = K & mask maps to K + delta, and the q^d of a term of R adds the key
+    of d; no tuple is built.  The 𝔖_w come from divided differences
     (`schubert`), so the recombination check, which folds them against the
     packed e_k(p) (`e_columns`), owes nothing to the lift or the Pieri rule.
     The e-decompositions are peeled here on demand (`e_coeffs`), each from
@@ -382,11 +491,12 @@ class _Transition:
 
     def __init__(self, n: int):
         self.n = n
-        self.zero = (0,) * (n - 1)
         self.identity = tuple(range(1, n + 1))
-        self._x = {}      # (r, w) → x_r ∗ σ_w as ((d, z), c) pairs
+        self.codec = _codec(n, n - 1)
+        # _x[r]: rank of z → x_r ∗ σ_z as (delta, sign) pairs
+        self._x = [{} for _ in range(n + 1)]
         self._steps = {}  # w → (r, v, R as ((d, u), c) pairs)
-        self._memo = {}   # y → {w → σ_w ∗ σ_y}
+        self._memo = {}   # y → {w → σ_w ∗ σ_y, packed}
         # w → 𝔖^q_w as {packed monomial: coefficient}
         self._lifts = {self.identity: {0: 1}}
         # (k_1,…,k_p), p < n − 1 → e_{k_1}(1)⋯e_{k_p}(p) as {z: c}
@@ -399,15 +509,12 @@ class _Transition:
         staircase = tuple((("x", p), n - p) for p in range(1, n))
         self._classical = {tuple(range(n, 0, -1)): {packing.key(staircase): 1}}
 
-    def _x_terms(self, r: int, w: Perm) -> tuple:
-        """x_r ∗ σ_w = Σ_{b>r} ε_rb − Σ_{a<r} ε_ar: quantum Monk for σ_{s_r}
-        minus that for σ_{s_{r−1}}.  ε_ab is σ_{w·t_ab} if w·t_ab is one
-        longer than w, q_a⋯q_{b−1}·σ_{w·t_ab} if 2(b − a) − 1 shorter, else 0."""
-        got = self._x.get((r, w))
-        if got is not None:
-            return got
+    def _monk(self, r: int, w: Perm):
+        """x_r ∗ σ_w as (d, z, sign) triples: x_r ∗ σ_w = Σ_{b>r} ε_rb −
+        Σ_{a<r} ε_ar, quantum Monk for σ_{s_r} minus that for σ_{s_{r−1}}.
+        ε_ab is σ_{w·t_ab} if w·t_ab is one longer than w,
+        q_a⋯q_{b−1}·σ_{w·t_ab} if 2(b − a) − 1 shorter, else 0."""
         n = self.n
-        out = []
         for a, b, sign in ([(r, b, 1) for b in range(r + 1, n + 1)]
                            + [(a, r, -1) for a in range(1, r)]):
             lo, hi = w[a - 1], w[b - 1]
@@ -415,15 +522,24 @@ class _Transition:
             if lo < hi:
                 if any(lo < x < hi for x in between):
                     continue
-                d = self.zero
+                d = self.codec.zero
             elif all(hi < x < lo for x in between):
                 d = tuple(int(a <= i < b) for i in range(1, n))
             else:
                 continue
             z = list(w)
             z[a - 1], z[b - 1] = hi, lo
-            out.append(((d, tuple(z)), sign))
-        got = self._x[(r, w)] = tuple(out)
+            yield d, tuple(z), sign
+
+    def _x_terms(self, r: int, zi: int) -> tuple:
+        """x_r ∗ σ_z, z of rank zi, as (delta, sign) pairs (`_monk`), delta
+        the key of the term less zi."""
+        got = self._x[r].get(zi)
+        if got is None:
+            codec = self.codec
+            got = self._x[r][zi] = tuple(
+                (codec.degree(d) + codec.index(z) - zi, sign)
+                for d, z, sign in self._monk(r, codec.perm(zi)))
         return got
 
     def _step(self, w: Perm) -> tuple:
@@ -436,8 +552,8 @@ class _Transition:
         v = list(w)
         v[r - 1], v[s - 1] = w[s - 1], w[r - 1]
         v = tuple(v)
-        rest = dict(self._x_terms(r, v))
-        if rest.pop((self.zero, w), 0) != 1:
+        rest = {(d, z): sign for d, z, sign in self._monk(r, v)}
+        if rest.pop((self.codec.zero, w), 0) != 1:
             raise RingError(f"x_{r}∗σ_{list(v)} does not contain σ_{list(w)} once")
         got = self._steps[w] = (r, v, tuple(rest.items()))
         return got
@@ -478,17 +594,31 @@ class _Transition:
         return (v, *(u for (_, u), _ in rest)), *step
 
     def product(self, w: Perm, y: Perm) -> dict:
-        """σ_w ∗ σ_y, from the memo of the products with this σ_y."""
-        memo = self._memo.setdefault(y, {self.identity: {(self.zero, y): 1}})
+        """σ_w ∗ σ_y, packed, from the memo of the products with this σ_y;
+        the entry itself, which must not be changed."""
+        memo = self._memo.get(y)
+        if memo is None:
+            memo = self._memo.setdefault(
+                y, {self.identity: {self.codec.index(y): 1}})
         return self._walk(memo, w, self._tree, self._product_node)
 
     def _product_node(self, memo: dict, r: int, v: Perm, rest: tuple) -> dict:
         """x_r ∗ (σ_v ∗ σ_y) less c·q^d·(σ_u ∗ σ_y) for each term of R."""
         acc = {}
-        for (d, z), c in memo[v].items():
-            _gather(acc, _shifted(d, self._x_terms(r, z)), c)
+        get = acc.get
+        mask, x_r = self.codec.mask, self._x[r]
+        for k, c in memo[v].items():
+            terms = x_r.get(k & mask)
+            if terms is None:
+                terms = self._x_terms(r, k & mask)
+            for delta, sign in terms:
+                delta += k
+                acc[delta] = get(delta, 0) + sign * c
         for (d, u), c in rest:
-            _gather(acc, _shifted(d, memo[u].items()), -c)
+            shift = self.codec.degree(d)
+            for k, c2 in memo[u].items():
+                k += shift
+                acc[k] = get(k, 0) - c * c2
         return _nonzero(acc)
 
     def lift(self, w: Perm) -> Polynomial:

@@ -251,7 +251,7 @@ def test_two_point_suite_fails_on_a_nonzero_invariant():
         def _pair_product(self, u, v):
             terms = dict(super()._pair_product(u, v))
             if {u, v} == {(3, 1, 2), (3, 2, 1)}:
-                terms[((1, 0), (3, 2, 1))] = 1
+                terms[self._codec.key((1, 0), (3, 2, 1))] = 1
             return terms
 
     failures = []

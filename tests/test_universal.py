@@ -215,7 +215,10 @@ def test_quantum_monk_holds_for_the_quantum_schubert_polynomials(n):
     for w in all_permutations(n):
         for r in range(1, n + 1):
             rhs = Polynomial.zero()
-            for (d, z), c in engine._x_terms(r, w + (n + 1,)):
+            # x_r ∗ σ_w as (delta, sign) pairs on the rank of w
+            wi = engine.codec.index(w + (n + 1,))
+            for delta, c in engine._x_terms(r, wi):
+                d, z = engine.codec.decode(wi + delta)
                 rhs = rhs + c * _q_power(d) * quantum_schubert(z)
             assert x_var(r) * quantum_schubert(w) == rhs, (w, r)
 
