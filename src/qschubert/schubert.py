@@ -318,11 +318,37 @@ def _gather(out: dict, terms, scale: int = 1) -> dict:
 FIELD_BITS = 16
 
 
+class _Unranked(dict):
+    """w of rank, for the permutations of n: a rank not met yet is unranked
+    from its factorial digits on first read and memoized both ways, so a
+    key pickled in another process, or ranked by another codec of n, reads
+    here too."""
+
+    def __init__(self, n: int, ranks: dict):
+        super().__init__()
+        self.ranks = ranks
+        # (n − 1)!, …, 1!, 0!: the place values of the digits of a rank
+        self.places = tuple(math.factorial(i) for i in range(n - 1, -1, -1))
+
+    def __missing__(self, rank: int) -> Perm:
+        if not 0 <= rank < self.places[0] * len(self.places):
+            raise KeyError(rank)
+        left, rest, w = list(range(1, len(self.places) + 1)), rank, []
+        for place in self.places:
+            digit, rest = divmod(rest, place)
+            w.append(left.pop(digit))
+        w = tuple(w)
+        self.ranks[w] = rank
+        self[rank] = w
+        return w
+
+
 @lru_cache(maxsize=None)
 def _rank_maps(n: int) -> tuple:
     """(rank of w, w of rank) for the permutations of n met so far, shared by
     the codecs of every q count of n."""
-    return {}, {}
+    ranks = {}
+    return ranks, _Unranked(n, ranks)
 
 
 class _Codec:
@@ -333,13 +359,16 @@ class _Codec:
     base = bit_length(n! − 1) bits, and each d_l has a field of FIELD_BITS
     bits above it, d_1 highest, so that sorting keys sorts (d, w).  A key
     times q^d′ is the key plus that of d′ (`degree`).  Ranks are computed
-    and memoized both ways on first sight, so a permutation never met costs
-    nothing.  Every rank in a key comes from `index`, or is the identity's
-    rank 0, known from the start, so `perm` is one lookup.
+    and memoized both ways on first sight, from either side (`index`,
+    `_Unranked`), so a permutation never met costs nothing and a rank
+    never met reads all the same.
 
     Every term of a product, a fold or an expansion of total grade g has
     2·d_l ≤ g, q_l being of grade ≥ 2, so no field carries while g <
-    2^(FIELD_BITS + 1) (`check`); the engine's own terms have g ≤ 2·C(n, 2).
+    2^(FIELD_BITS + 1) (`check`).  A pair product, the engine's own terms
+    included, has g ≤ 2·C(n, 2) = n(n − 1), below that bound for every
+    n ≤ 362, far past any S_n within reach, so only folds and expansions
+    are checked.
     """
 
     def __init__(self, n: int, m: int):
@@ -351,14 +380,12 @@ class _Codec:
         self.zero = (0,) * m
         # the d of each degree part of a key decoded so far
         self._degrees = {0: self.zero}
-        # (n − 1)!, …, 1!, 0!: the place values of the digits of a rank
-        self._places = tuple(math.factorial(i) for i in range(n - 1, -1, -1))
         self._ranks, self._perms = _rank_maps(n)
-        self.index(tuple(range(1, n + 1)))
+        self._places = self._perms.places
 
     def __reduce__(self):
-        # a pickled or copied class keeps the one codec of its (n, m), which
-        # its equality compares by identity
+        # a pickled or copied class shares the codec of its (n, m) instead
+        # of holding a copy of it
         return _codec, (self.n, self.m)
 
     def index(self, w: Perm) -> int:

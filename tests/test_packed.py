@@ -5,6 +5,7 @@ the public `items()` of the pair products on (d, w) tuples instead, so a key
 bug that every order of a fold shares (which the `associativity` suite
 cannot see) shows here."""
 import copy
+import itertools
 import os
 import pickle
 import random
@@ -17,7 +18,15 @@ from pathlib import Path
 import pytest
 
 import qschubert
-from qschubert import FlagShape, PartialRing, Polynomial, QuantumClass, quantum_ring
+from qschubert import (
+    FlagShape,
+    PartialRing,
+    Polynomial,
+    QuantumClass,
+    QuantumRing,
+    quantum_ring,
+    schubert,
+)
 from qschubert.perm import dual, length
 from qschubert.schubert import FIELD_BITS, _codec
 
@@ -108,6 +117,65 @@ def test_pickled_and_copied_classes_share_the_codec():
             assert back.to_text() == c.to_text()
 
 
+def test_every_rank_unranks_to_its_permutation():
+    ranks = {}
+    perms = schubert._Unranked(4, ranks)
+    codec = _codec(4, 3)
+    for i, w in enumerate(sorted(itertools.permutations(range(1, 5)))):
+        assert perms[i] == w and ranks[w] == i == codec.index(w)
+    with pytest.raises(KeyError):
+        perms[24]
+
+
+def test_a_second_codec_of_one_layout_reads_and_compares_the_same(monkeypatch):
+    # two threads that miss `_codec` or `_rank_maps` at once may each keep
+    # a codec of their own; classes and folds must not tell them apart
+    ring = quantum_ring(4)
+    ws = [(2, 1, 4, 3), (3, 1, 4, 2), (1, 4, 3, 2)]
+    want = ring.quantum_product_multi(ws)
+    monkeypatch.setattr(schubert, "_rank_maps", schubert._rank_maps.__wrapped__)
+    twin = schubert._Codec(4, 3)
+    assert twin is not want._codec and not twin._perms
+    same = QuantumClass._wrap(4, None, twin, dict(want._terms))
+    assert same == want and hash(same) == hash(want)
+    assert same.to_text() == want.to_text()
+    other = QuantumRing(4)
+    other._codec = twin
+    assert other.quantum_product_multi(ws) == want
+    assert other.gromov_witten(ws[:2], (1, 2, 3, 4), (1, 0, 0)) == \
+        ring.gromov_witten(ws[:2], (1, 2, 3, 4), (1, 0, 0))
+
+
+# read back, in a fresh interpreter, classes pickled in this one: no rank in
+# their keys has been met there yet
+_UNPICKLE = """
+import pickle, sys
+import qschubert as qs
+for c in pickle.load(open(sys.argv[1], "rb")):
+    ring = qs.quantum_ring(c.n) if c.shape is None else qs.PartialRing(c.shape)
+    print(repr(c.to_text()), c.items(), c.to_json_obj(),
+          ring.class_to_poly(c), c.coefficient(*c.items()[-1][0]))
+"""
+
+
+def test_classes_pickled_here_read_in_a_fresh_interpreter(tmp_path):
+    classes = [
+        quantum_ring(3).quantum_product((2, 1, 3), (2, 1, 3)),
+        quantum_ring(4).quantum_product_multi([(2, 1, 4, 3)] * 3),
+        PartialRing(FlagShape.from_string("2:4")).quantum_product(
+            (1, 3, 2, 4), (1, 3, 2, 4)),
+    ]
+    path = tmp_path / "classes.pickle"
+    path.write_bytes(pickle.dumps(classes))
+    ring = {None: quantum_ring, "2:4": lambda n: PartialRing(
+        FlagShape.from_string("2:4"))}
+    want = [" ".join(map(str, (
+        repr(c.to_text()), c.items(), c.to_json_obj(),
+        ring[c.shape and c.shape.to_string()](c.n).class_to_poly(c),
+        c.coefficient(*c.items()[-1][0])))) for c in classes]
+    assert _run_fresh(_UNPICKLE, str(path)).splitlines() == want
+
+
 @pytest.mark.parametrize("text, samples, seed", [
     ("1:2:3", 30, 41),
     ("1:2:3:4", 60, 42),
@@ -139,8 +207,8 @@ def test_gromov_witten_matches_the_plain_fold(text, samples, seed):
     assert nonzero
 
 
-# one insertion folds no factor: σ_id, whose rank the codec must know before
-# any permutation has been met
+# one insertion folds no factor: σ_id, rank 0, which the codec reads before
+# any permutation has been ranked
 _ONE_INSERTION = """
 import qschubert as qs
 print(qs.gromov_witten([(3, 2, 1)], (1, 2, 3), (0, 0)),
@@ -149,12 +217,17 @@ print(qs.gromov_witten([(3, 2, 1)], (1, 2, 3), (0, 0)),
 """
 
 
-def test_one_insertion_in_a_fresh_interpreter():
+def _run_fresh(code, *args):
+    """The stdout of code run by a fresh interpreter on this package."""
     src = str(Path(qschubert.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    result = subprocess.run([sys.executable, "-c", _ONE_INSERTION],
+    result = subprocess.run([sys.executable, "-c", code, *args],
                             capture_output=True, text=True, env=env, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["1", "1", "0"]
+    return result.stdout
+
+
+def test_one_insertion_in_a_fresh_interpreter():
+    assert _run_fresh(_ONE_INSERTION).split() == ["1", "1", "0"]
