@@ -3,7 +3,17 @@
 Classical, quantum, and universal Schubert polynomials; quantum cohomology
 products and Gromov–Witten structure constants; everything in exact integer
 arithmetic.
+
+The ring layer loads on first use.  `import qschubert` imports `perm`,
+`poly`, `schubert` and `universal`; the names of `qring` (QuantumClass,
+QuantumRing, RingError, quantum_product, gromov_witten, …) and of `partial`
+(PartialRing, partial_ring, partial_quantum_product, partial_gw, …) import
+their module the first time one of them is read, and are then bound here
+like the others.  Each `qschubert` command is a fresh process that pays for
+every module it imports, so one that never multiplies classes, such as one
+that only builds Schubert polynomials, does not compile the ring modules.
 """
+from importlib import import_module
 
 from .perm import (
     FlagShape,
@@ -54,33 +64,33 @@ from .universal import (
     universal_schubert_c,
     universal_schubert_g,
 )
-from .qring import (
-    QuantumClass,
-    QuantumRing,
-    RingError,
-    classical_product,
-    expand_in_quantum_basis,
-    gromov_witten,
-    quantum_product,
-    quantum_product_multi,
-    quantum_ring,
-    relations,
-)
-from .partial import (
-    PartialRing,
-    index_sets,
-    kernel_chern_partial_check,
-    kernel_chern_partial_report,
-    partial_gw,
-    partial_quantum_product,
-    partial_quantum_schubert,
-    partial_relations,
-    partial_ring,
-    partial_universal_schubert_c,
-    tilde_E,
-)
-
 __version__ = "0.1.0"
+
+# the names of the ring layer, by the module that defines them
+_LAZY = dict.fromkeys((
+    "QuantumClass",
+    "QuantumRing",
+    "RingError",
+    "classical_product",
+    "expand_in_quantum_basis",
+    "gromov_witten",
+    "quantum_product",
+    "quantum_product_multi",
+    "quantum_ring",
+    "relations",
+), "qring") | dict.fromkeys((
+    "PartialRing",
+    "index_sets",
+    "kernel_chern_partial_check",
+    "kernel_chern_partial_report",
+    "partial_gw",
+    "partial_quantum_product",
+    "partial_quantum_schubert",
+    "partial_relations",
+    "partial_ring",
+    "partial_universal_schubert_c",
+    "tilde_E",
+), "partial")
 
 __all__ = [
     "FlagShape",
@@ -146,3 +156,18 @@ __all__ = [
     "partial_universal_schubert_c",
     "tilde_E",
 ]
+
+
+def __getattr__(name):
+    """A name of the ring layer: import its module, and bind the name here
+    so that later reads are plain lookups."""
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _LAZY.keys())

@@ -6,7 +6,6 @@ word identity in this package is stated under that convention.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations as _all_tuples
 from math import comb
@@ -146,8 +145,23 @@ def _as_int(a) -> int:
     return i
 
 
-@dataclass(frozen=True)
-class FlagShape:
+class _Frozen:
+    """Base of the package's value classes: no attribute can be set or
+    deleted once __init__ has set the fields through object.__setattr__.
+    A cached_property still fills, since it writes the instance __dict__
+    directly.  It stands in for @dataclass(frozen=True), so that importing
+    the package does not import dataclasses and, under it, inspect."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FlagShape(_Frozen):
     """A partial flag shape: steps n_1 < … < n_m inside ambient dimension n.
 
     Internally n_0 = 0 and n_{m+1} = n.  The complete shape has steps
@@ -166,16 +180,28 @@ class FlagShape:
     steps: tuple[int, ...]
     n: int
 
-    def __post_init__(self):
-        steps = tuple(map(_as_int, self.steps))
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "n", _as_int(self.n))
+    def __init__(self, steps, n):
+        steps = tuple(map(_as_int, steps))
+        n = _as_int(n)
         if len(steps) == 0:
             raise ValueError("shape needs at least one step")
         if any(b <= a for a, b in zip(steps, steps[1:])):
             raise ValueError(f"steps must be strictly increasing: {steps}")
-        if steps[0] < 1 or steps[-1] >= self.n:
-            raise ValueError(f"steps must satisfy 1 ≤ n_1 < … < n_m < n: {steps} in {self.n}")
+        if steps[0] < 1 or steps[-1] >= n:
+            raise ValueError(f"steps must satisfy 1 ≤ n_1 < … < n_m < n: {steps} in {n}")
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.steps, self.n) == (other.steps, other.n)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.steps, self.n))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(steps={self.steps!r}, n={self.n!r})"
 
     @classmethod
     def complete(cls, n: int) -> "FlagShape":

@@ -41,11 +41,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 
-from .perm import Perm, validate
+from .perm import Perm, _Frozen, validate
 from .poly import (
     Polynomial,
     VerificationError,
@@ -268,11 +267,23 @@ def _is_pivot_row(row: dict, w: Perm) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class EDecomposition:
-    """𝔖_w = Σ coeffs[(k_1,…,k_{n−1})] · e_{k_1}(1)⋯e_{k_{n−1}}(n−1)."""
+class EDecomposition(_Frozen):
+    """𝔖_w = Σ coeffs[(k_1,…,k_{n−1})] · e_{k_1}(1)⋯e_{k_{n−1}}(n−1).
+
+    Compared by value; unhashable, since it holds a dict."""
 
     coeffs: dict
+
+    def __init__(self, coeffs: dict):
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(coeffs={self.coeffs!r})"
 
     def recombine(self) -> Polynomial:
         """Σ a_K·e_K, folded over the packed e_k(p) of the engine of n and

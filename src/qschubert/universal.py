@@ -230,17 +230,19 @@ def _e_fold_per_n(w: Perm, factor) -> Polynomial:
     return packing.unpack(_e_fold_packed(coeffs, columns))
 
 
-@lru_cache(maxsize=None)
 def universal_schubert_c(w: Perm) -> Polynomial:
     """𝔖_w(c) = Σ a_K·c_{k_1}(1)⋯c_{k_{n−1}}(n−1); homogeneous of grade length(w)."""
     return _e_fold_per_n(w, c_var)
 
 
-@lru_cache(maxsize=None)
 def universal_schubert_g(w: Perm) -> Polynomial:
     """𝔖_w(g) = Σ a_K·E_{k_1}(1)⋯E_{k_{n−1}}(n−1), which is 𝔖_w(c) with
     c_k(l) := E_k(l).  The fold runs over the E_k(p) packed once per n
-    (`_columns`) and is decoded on that packing."""
+    (`_columns`) and is decoded on that packing.
+
+    Not memoized, like `universal_schubert_c`: no library path reads a
+    lift twice, and the lifts of a walk through S_n take far more memory
+    than the memoized decompositions they are folded from."""
     return _e_fold_per_n(w, path_poly)
 
 

@@ -1,28 +1,49 @@
 """Shared fixtures."""
+import os
+import subprocess
+import sys
 from collections import Counter
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
+import qschubert
 from qschubert import schubert, universal
+
+
+@pytest.fixture()
+def run_fresh():
+    """run(code, *args): the stdout of code run by a fresh interpreter on
+    this package."""
+    src = str(Path(qschubert.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+
+    def run(code, *args):
+        result = subprocess.run([sys.executable, "-c", code, *args],
+                                capture_output=True, text=True, env=env,
+                                timeout=120)
+        assert result.returncode == 0, result.stderr
+        return result.stdout
+
+    return run
 
 
 @pytest.fixture()
 def fresh_engines(monkeypatch):
     """A fresh `_transition` cache in `schubert` and `universal`, so that
-    every e-decomposition is peeled again; the memos of e_decomposition and
-    of the universal lifts are cleared before and after, and monkeypatch
-    puts the shared engines back.  Returns the fresh cache."""
+    every e-decomposition is peeled again; the memo of e_decomposition is
+    cleared before and after (the universal lifts keep none, so each one
+    folds a decomposition of the fresh engines), and monkeypatch puts the
+    shared engines back.  Returns the fresh cache."""
     fresh = lru_cache(maxsize=None)(schubert._Transition)
     monkeypatch.setattr(schubert, "_transition", fresh)
     monkeypatch.setattr(universal, "_transition", fresh)
-    caches = (schubert.e_decomposition, universal.universal_schubert_c,
-              universal.universal_schubert_g)
-    for cached in caches:
-        cached.cache_clear()
+    schubert.e_decomposition.cache_clear()
     yield fresh
-    for cached in caches:
-        cached.cache_clear()
+    schubert.e_decomposition.cache_clear()
 
 
 @pytest.fixture()

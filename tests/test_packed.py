@@ -6,18 +6,13 @@ bug that every order of a fold shares (which the `associativity` suite
 cannot see) shows here."""
 import copy
 import itertools
-import os
 import pickle
 import random
-import subprocess
-import sys
 from math import comb
 from operator import add
-from pathlib import Path
 
 import pytest
 
-import qschubert
 from qschubert import (
     FlagShape,
     PartialRing,
@@ -158,7 +153,7 @@ for c in pickle.load(open(sys.argv[1], "rb")):
 """
 
 
-def test_classes_pickled_here_read_in_a_fresh_interpreter(tmp_path):
+def test_classes_pickled_here_read_in_a_fresh_interpreter(tmp_path, run_fresh):
     classes = [
         quantum_ring(3).quantum_product((2, 1, 3), (2, 1, 3)),
         quantum_ring(4).quantum_product_multi([(2, 1, 4, 3)] * 3),
@@ -173,7 +168,7 @@ def test_classes_pickled_here_read_in_a_fresh_interpreter(tmp_path):
         repr(c.to_text()), c.items(), c.to_json_obj(),
         ring[c.shape and c.shape.to_string()](c.n).class_to_poly(c),
         c.coefficient(*c.items()[-1][0])))) for c in classes]
-    assert _run_fresh(_UNPICKLE, str(path)).splitlines() == want
+    assert run_fresh(_UNPICKLE, str(path)).splitlines() == want
 
 
 @pytest.mark.parametrize("text, samples, seed", [
@@ -217,17 +212,5 @@ print(qs.gromov_witten([(3, 2, 1)], (1, 2, 3), (0, 0)),
 """
 
 
-def _run_fresh(code, *args):
-    """The stdout of code run by a fresh interpreter on this package."""
-    src = str(Path(qschubert.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    result = subprocess.run([sys.executable, "-c", code, *args],
-                            capture_output=True, text=True, env=env, timeout=120)
-    assert result.returncode == 0, result.stderr
-    return result.stdout
-
-
-def test_one_insertion_in_a_fresh_interpreter():
-    assert _run_fresh(_ONE_INSERTION).split() == ["1", "1", "0"]
+def test_one_insertion_in_a_fresh_interpreter(run_fresh):
+    assert run_fresh(_ONE_INSERTION).split() == ["1", "1", "0"]

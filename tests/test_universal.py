@@ -271,13 +271,11 @@ def test_concurrent_lifts_match_serial():
 def test_concurrent_universal_lifts_match_serial(monkeypatch):
     ws = all_permutations(5)
     serial = {w: (universal_schubert_g(w), universal_schubert_c(w)) for w in ws}
-    # fresh column and lift caches for the threads; monkeypatch puts the
-    # originals back
+    # a fresh column cache for the threads, so that they fill one packing's
+    # decode tables together (the lifts keep no memo of their own);
+    # monkeypatch puts the original back
     monkeypatch.setattr(universal, "_columns",
                         lru_cache(maxsize=None)(universal._columns.__wrapped__))
-    for name in ("universal_schubert_g", "universal_schubert_c"):
-        monkeypatch.setattr(universal, name, lru_cache(maxsize=None)(
-            getattr(universal, name).__wrapped__))
     workers = 4
     start = threading.Barrier(workers)
     results = [None] * workers
