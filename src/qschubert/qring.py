@@ -10,7 +10,8 @@ permutations alone, in integers, and is memoized:
    transition; the same engine lifts the quantum Schubert polynomials.
 2. Fl(N) (`_GradedQuotientRing._compare`): Peterson's comparison formula
    reads each structure constant off one term of the Fl_n product of the two
-   minimal coset representatives.
+   minimal coset representatives.  A term's fate depends on its Fl_n key
+   alone, so each ring compares each key once (`_compared`).
 3. Polynomials (`_GradedQuotientRing._horner`): Horner's rule over the
    classes of the ring's generators, with the bilinear class product that
    also folds N-point products and Gromov–Witten invariants.
@@ -273,6 +274,8 @@ class _GradedQuotientRing:
         self._codec = _codec(self.n, shape.m)
         self._fl = _transition(self.n)
         self._products = {}
+        # Fl_n key → its key on this ring, −1 when `_compare` drops it
+        self._compared = {}
         self._gens = None
 
     def _classical_lift(self, w: Perm) -> Polynomial:
@@ -399,31 +402,38 @@ class _GradedQuotientRing:
 
         d_B is read off the engine's key by shifts, and the lift, whose
         levels lie between consecutive d_l, is packed the same way to be
-        compared with it whole.
+        compared with it whole.  What a term becomes depends on its key
+        alone, so the ring memoizes it per Fl_n key (`_compared`: the key
+        of q^d·σ_{dual(w)}, or −1 for a dropped term), each entry stored
+        whole in one assignment.
         """
         shape, ns, n = self._shape, self._ns, self.n
         src, dst = self._fl.codec, self._codec
         base, mask, field = src.base, src.mask, (1 << FIELD_BITS) - 1
         reads = [src.shifts[k - 1] for k in ns[1:-1]]
+        compared = self._compared
         out = {}
         for key, c in terms.items():
-            d = tuple(key >> s & field for s in reads)
-            steps = (0,) + d + (0,)
-            w = [n + 1 - e for e in src.perm(key & mask)]
-            level, lift = 0, 0
-            for l in range(1, len(ns)):
-                lo, hi = ns[l - 1], ns[l]
-                a, t = divmod(steps[l] - steps[l - 1], hi - lo)
-                cut = hi - t
-                for i in range(lo, min(hi, n - 1)):
-                    level += a + (i >= cut)
-                    lift = (lift << FIELD_BITS) + level
-                w[lo:cut] = w[lo:cut][::-1]
-                w[cut:hi] = w[cut:hi][::-1]
-            if lift != key >> base or not shape.is_min_rep(w):
-                continue
-            k = dst.key(d, shape.dual(w))
-            out[k] = out.get(k, 0) + c
+            k = compared.get(key)
+            if k is None:
+                d = tuple(key >> s & field for s in reads)
+                steps = (0,) + d + (0,)
+                w = [n + 1 - e for e in src.perm(key & mask)]
+                level, lift = 0, 0
+                for l in range(1, len(ns)):
+                    lo, hi = ns[l - 1], ns[l]
+                    a, t = divmod(steps[l] - steps[l - 1], hi - lo)
+                    cut = hi - t
+                    for i in range(lo, min(hi, n - 1)):
+                        level += a + (i >= cut)
+                        lift = (lift << FIELD_BITS) + level
+                    w[lo:cut] = w[lo:cut][::-1]
+                    w[cut:hi] = w[cut:hi][::-1]
+                k = compared[key] = (
+                    dst.key(d, shape.dual(w))
+                    if lift == key >> base and shape.is_min_rep(w) else -1)
+            if k >= 0:
+                out[k] = out.get(k, 0) + c
         return out
 
     def _times(self, acc: dict, other: dict) -> dict:

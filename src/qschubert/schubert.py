@@ -496,7 +496,10 @@ class _Transition:
     σ_w ∗ σ_y as a dict {key of q^d·σ_z: c} on the codec of n with n − 1
     q's (`codec`), and the packed 𝔖_w and 𝔖^q_w.
 
-    Quantum Monk gives x_r ∗ σ_w (`_monk`).  Transition: with r the last
+    Quantum Monk gives x_r ∗ σ_w (`_monk`), read off the edge table
+    `_edges`, built once per engine: for each r, the edges (a, b) of x_r
+    with their sign, the q-degree d of q_a⋯q_{b−1} and its key dkey.
+    `_x_terms` and `_step` both read it.  Transition: with r the last
     descent of w, s the last position after r with w(s) < w(r) and
     v = w·t_rs, x_r ∗ σ_v = σ_w + R, so σ_w ∗ σ_y is
     x_r ∗ (σ_v ∗ σ_y) − Σ_R c·q^d·(σ_u ∗ σ_y), down to σ_id ∗ σ_y = σ_y.  The
@@ -505,12 +508,13 @@ class _Transition:
     𝔖^q_w as polynomials in Z[x, q], so the same step lifts them (`lift`):
     𝔖^q_w = x_r·𝔖^q_v − Σ_R c·q^d·𝔖^q_u, down to 𝔖^q_id = 1.  Both walk
     the transition tree of w, with their own rule per node, and share the
-    memo of `_step`.  The product node works on packed keys alone: its memo
-    `_x_terms` holds x_r ∗ σ_z as (delta, sign) pairs, so a term K with
-    z = K & mask maps to K + delta, and the q^d of a term of R adds the key
-    of d; no tuple is built.  The 𝔖_w come from divided differences
-    (`schubert`), so the recombination check, which folds them against the
-    packed e_k(p) (`e_columns`), owes nothing to the lift or the Pieri rule.
+    memo of `_step`, which holds each term of R as (d, dkey, u, c).  The
+    product node works on packed keys alone: its memo `_x_terms` holds
+    x_r ∗ σ_z as (delta, sign) pairs, so a term K with z = K & mask maps to
+    K + delta, and the q^d of a term of R adds its dkey; no tuple is built.
+    The 𝔖_w come from divided differences (`schubert`), so the
+    recombination check, which folds them against the packed e_k(p)
+    (`e_columns`), owes nothing to the lift or the Pieri rule.
     The e-decompositions are peeled here on demand (`e_coeffs`), each from
     the class of the e-monomial of its pivot (`e_row`), over two memos:
     `_e_prefixes`, the classes e_{k_1}(1)⋯e_{k_p}(p) of the prefixes,
@@ -530,10 +534,17 @@ class _Transition:
     def __init__(self, n: int):
         self.n = n
         self.identity = tuple(range(1, n + 1))
-        self.codec = _codec(n, n - 1)
+        self.codec = codec = _codec(n, n - 1)
+        # _edges[r]: (a, b, sign, d of q_a⋯q_{b−1}, its key) per edge of x_r
+        self._edges = [[] for _ in range(n + 1)]
+        for a, b in combinations(range(1, n + 1), 2):
+            d = (0,) * (a - 1) + (1,) * (b - a) + (0,) * (n - b)
+            dkey = codec.degree(d)
+            self._edges[a].append((a, b, 1, d, dkey))
+            self._edges[b].append((a, b, -1, d, dkey))
         # _x[r]: rank of z → x_r ∗ σ_z as (delta, sign) pairs
         self._x = [{} for _ in range(n + 1)]
-        self._steps = {}  # w → (r, v, R as ((d, u), c) pairs)
+        self._steps = {}  # w → (r, v, R as (d, dkey, u, c) terms)
         self._memo = {}   # y → {w → σ_w ∗ σ_y, packed}
         # w → 𝔖^q_w as {packed monomial: coefficient}
         self._lifts = {self.identity: {0: 1}}
@@ -547,37 +558,45 @@ class _Transition:
         staircase = tuple((("x", p), n - p) for p in range(1, n))
         self._classical = {tuple(range(n, 0, -1)): {packing.key(staircase): 1}}
 
-    def _monk(self, r: int, w: Perm):
-        """x_r ∗ σ_w as (d, z, sign) triples: x_r ∗ σ_w = Σ_{b>r} ε_rb −
+    def _monk(self, r: int, w: Perm) -> list:
+        """x_r ∗ σ_w as (d, dkey, z, sign) terms, dkey the key of q^d, read
+        off the edges of x_r (`_edges`): x_r ∗ σ_w = Σ_{b>r} ε_rb −
         Σ_{a<r} ε_ar, quantum Monk for σ_{s_r} minus that for σ_{s_{r−1}}.
         ε_ab is σ_{w·t_ab} if w·t_ab is one longer than w,
         q_a⋯q_{b−1}·σ_{w·t_ab} if 2(b − a) − 1 shorter, else 0."""
-        n = self.n
-        for a, b, sign in ([(r, b, 1) for b in range(r + 1, n + 1)]
-                           + [(a, r, -1) for a in range(1, r)]):
+        out, zero = [], self.codec.zero
+        for a, b, sign, d, dkey in self._edges[r]:
             lo, hi = w[a - 1], w[b - 1]
             between = w[a:b - 1]
             if lo < hi:
-                if any(lo < x < hi for x in between):
-                    continue
-                d = self.codec.zero
-            elif all(hi < x < lo for x in between):
-                d = tuple(int(a <= i < b) for i in range(1, n))
+                # one longer: no w(i), a < i < b, lies between lo and hi
+                for x in between:
+                    if lo < x < hi:
+                        break
+                else:
+                    out.append((zero, 0, (*w[:a - 1], hi, *between, lo,
+                                          *w[b:]), sign))
             else:
-                continue
-            z = list(w)
-            z[a - 1], z[b - 1] = hi, lo
-            yield d, tuple(z), sign
+                # 2(b − a) − 1 shorter: every w(i), a < i < b, lies
+                # between hi and lo
+                for x in between:
+                    if not hi < x < lo:
+                        break
+                else:
+                    out.append((d, dkey, (*w[:a - 1], hi, *between, lo,
+                                          *w[b:]), sign))
+        return out
 
-    def _x_terms(self, r: int, zi: int) -> tuple:
+    def _x_terms(self, r: int, zi: int) -> list:
         """x_r ∗ σ_z, z of rank zi, as (delta, sign) pairs (`_monk`), delta
-        the key of the term less zi."""
+        the key of the term less zi; the memo entry itself, which must not
+        be changed."""
         got = self._x[r].get(zi)
         if got is None:
-            codec = self.codec
-            got = self._x[r][zi] = tuple(
-                (codec.degree(d) + codec.index(z) - zi, sign)
-                for d, z, sign in self._monk(r, codec.perm(zi)))
+            index = self.codec.index
+            got = self._x[r][zi] = [
+                (dkey + index(z) - zi, sign)
+                for _, dkey, z, sign in self._monk(r, self.codec.perm(zi))]
         return got
 
     def _step(self, w: Perm) -> tuple:
@@ -590,10 +609,11 @@ class _Transition:
         v = list(w)
         v[r - 1], v[s - 1] = w[s - 1], w[r - 1]
         v = tuple(v)
-        rest = {(d, z): sign for d, z, sign in self._monk(r, v)}
-        if rest.pop((self.codec.zero, w), 0) != 1:
+        rest, head = self._monk(r, v), (self.codec.zero, 0, w, 1)
+        if head not in rest:
             raise RingError(f"x_{r}∗σ_{list(v)} does not contain σ_{list(w)} once")
-        got = self._steps[w] = (r, v, tuple(rest.items()))
+        rest.remove(head)
+        got = self._steps[w] = (r, v, tuple(rest))
         return got
 
     def _walk(self, memo: dict, key, expand, node):
@@ -629,7 +649,7 @@ class _Transition:
         """The expand of a transition tree: v and the u of R, then the
         step (r, v, R) of w."""
         _, v, rest = step = self._step(w)
-        return (v, *(u for (_, u), _ in rest)), *step
+        return (v, *(u for _, _, u, _ in rest)), *step
 
     def product(self, w: Perm, y: Perm) -> dict:
         """σ_w ∗ σ_y, packed, from the memo of the products with this σ_y;
@@ -652,10 +672,9 @@ class _Transition:
             for delta, sign in terms:
                 delta += k
                 acc[delta] = get(delta, 0) + sign * c
-        for (d, u), c in rest:
-            shift = self.codec.degree(d)
+        for _, dkey, u, c in rest:
             for k, c2 in memo[u].items():
-                k += shift
+                k += dkey
                 acc[k] = get(k, 0) - c * c2
         return _nonzero(acc)
 
@@ -671,7 +690,7 @@ class _Transition:
         shift = self._packing.key(((("x", r), 1),))
         # x_r·(distinct monomials) are distinct: nothing to gather yet
         acc = {m + shift: c for m, c in memo[v].items()}
-        for (d, u), c in rest:
+        for d, _, u, c in rest:
             shift = self._packing.key(_q_monomial(d))
             for m, c2 in memo[u].items():
                 m += shift

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
@@ -153,6 +154,22 @@ def test_quantum_monk_oracle_exhaustive_s3_s4():
             for r in range(1, n):
                 got = quantum_product(transposition(n, r), w)
                 assert as_map(got) == quantum_monk(r, w, n)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_monk_edge_table_matches_the_length_oracle(n):
+    # x_r = σ_{s_r} − σ_{s_{r−1}}, with σ_{s_0} = σ_{s_n} = 0, so the decoded
+    # x_r ∗ σ_z of a fresh engine is the difference of the two oracle sums
+    engine = _Transition(n)
+    for z in all_permutations(n):
+        zi = engine.codec.index(z)
+        for r in range(1, n + 1):
+            want = Counter(quantum_monk(r, z, n) if r < n else {})
+            if r > 1:
+                want.subtract(quantum_monk(r - 1, z, n))
+            got = {engine.codec.decode(zi + delta): sign
+                   for delta, sign in engine._x_terms(r, zi)}
+            assert got == {t: c for t, c in want.items() if c}, (z, r)
 
 
 def test_quantum_product_commutative_sample_s4():
@@ -506,7 +523,8 @@ def _slow_products(ring_class):
 
 
 def test_concurrent_table_matches_serial():
-    for ring_class, arg in ((QuantumRing, 4), (PartialRing, STEP134)):
+    for ring_class, arg in ((QuantumRing, 4), (PartialRing, STEP134),
+                            (PartialRing, FlagShape.from_string("2:6"))):
         serial = _full_table(ring_class(arg))
         ring = _slow_products(ring_class)(arg)
         workers = 4
@@ -537,6 +555,27 @@ def test_concurrent_table_matches_serial():
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert all(got == serial for got in results), arg
+
+
+@pytest.mark.parametrize("shape", ["2:6", "1:3:4", "2:4:6"])
+def test_comparison_memo_holds_each_key_compared_alone(shape):
+    shape = FlagShape.from_string(shape)
+    ring = PartialRing(shape)
+    table = _full_table(ring)
+    assert ring._compared
+    # each key compared alone, on a ring that has compared nothing yet
+    fresh = PartialRing(shape)
+    for key, k in ring._compared.items():
+        assert key not in fresh._compared
+        assert fresh._compare({key: 3}) == ({k: 3} if k >= 0 else {}), key
+    # the pairs walked backwards fill an equal memo and give equal tables
+    backward = PartialRing(shape)
+    basis = list(backward.basis)
+    pairs = [(u, v) for i, u in enumerate(basis) for v in basis[i:]]
+    assert {(u, v): (backward.quantum_product(u, v),
+                     backward.classical_product(u, v))
+            for u, v in reversed(pairs)} == table
+    assert backward._compared == ring._compared
 
 
 def test_rings_expand_without_echelon_or_fractions(monkeypatch):
