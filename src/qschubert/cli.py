@@ -88,13 +88,9 @@ def _parse_degree(text: str, want: int) -> tuple:
     return d
 
 
-def _ring_from_args(args, max_n=None):
-    """Either the complete ring for --n or the partial ring for --shape.
-
-    With max_n, a larger n is refused before the ring is built, and so
-    before a table lists all n! permutations.
-    """
-    shape = None
+def _selection(args, max_n=None) -> tuple:
+    """(n, shape) of --n or --shape, shape None for --n, read before any
+    ring is built; with max_n, a larger n is refused."""
     if getattr(args, "shape", None):
         shape = _parse_shape(args.shape)
         n = shape.n
@@ -103,17 +99,27 @@ def _ring_from_args(args, max_n=None):
     elif args.n < 2:
         raise CLIInputError(f"need n ≥ 2: {args.n}")
     else:
-        n = args.n
+        n, shape = args.n, None
     if max_n is not None and n > max_n:
         raise CLIInputError(
             f"table generation is limited to n ≤ {max_n} (got n = {n})"
         )
+    return n, shape
+
+
+def _ring(n, shape):
+    """The partial ring of shape, or the complete ring of n for None."""
     return partial_ring(shape) if shape is not None else quantum_ring(n)
 
 
-def _check_basis_element(ring, w) -> tuple:
+def _parse_element(text: str, n: int, shape) -> tuple:
+    """A basis element of the ring of n and shape, checked before the ring
+    is built, length first (`_parse_perm`, then `FlagShape.check`)."""
+    w = _parse_perm(text, n)
+    if shape is None:
+        return w
     try:
-        return ring._check_element(w)
+        return shape.check(w)
     except ValueError as exc:
         raise CLIInputError(str(exc)) from None
 
@@ -448,9 +454,10 @@ def _cached_product(ring, cache: TableCache, u, v) -> tuple:
 
 
 def cmd_product(args) -> int:
-    ring = _ring_from_args(args)
-    u = _check_basis_element(ring, _parse_perm(args.u, ring.n))
-    v = _check_basis_element(ring, _parse_perm(args.v, ring.n))
+    n, shape = _selection(args)
+    u = _parse_element(args.u, n, shape)
+    v = _parse_element(args.v, n, shape)
+    ring = _ring(n, shape)
     # one serialization serves the cache entry and the JSON output
     cls, obj = _cached_product(ring, TableCache(args.cache_dir), u, v)
     if args.format == "json":
@@ -464,16 +471,14 @@ def cmd_product(args) -> int:
 
 
 def cmd_gw(args) -> int:
-    ring = _ring_from_args(args)
+    n, shape = _selection(args)
     parts = [p for p in args.insertions.split(";") if p]
     if not parts:
         raise CLIInputError("--insertions must list at least one permutation")
-    ws = [
-        _check_basis_element(ring, _parse_perm(p, ring.n)) for p in parts
-    ]
-    w = _check_basis_element(ring, _parse_perm(args.cls, ring.n))
-    d = _parse_degree(args.degree, ring.q_count)
-    value = ring.gromov_witten(ws, w, d)
+    ws = [_parse_element(p, n, shape) for p in parts]
+    w = _parse_element(args.cls, n, shape)
+    d = _parse_degree(args.degree, n - 1 if shape is None else shape.m)
+    value = _ring(n, shape).gromov_witten(ws, w, d)
     if args.format == "json":
         print(_dumps({"value": value}))
     else:
@@ -735,7 +740,7 @@ def cmd_verify(args) -> int:
         fn, default_n = _COMPLETE_SUITES[name]
         if not args.shape and args.n is None:
             args.n = default_n
-        summary = fn(_ring_from_args(args), args.seed, failures)
+        summary = fn(_ring(*_selection(args)), args.seed, failures)
     elif name in _N_SUITES:
         fn, default_n = _N_SUITES[name]
         if args.shape:
@@ -777,7 +782,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    ring = _ring_from_args(args, max_n=args.max_n)
+    ring = _ring(*_selection(args, max_n=args.max_n))
     cache = TableCache(args.cache_dir)
     key = _product_cache_key(ring)
     entries = cache.load("product-table", key) or {}

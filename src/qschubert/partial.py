@@ -11,6 +11,10 @@ the shape (tilde_E), then substitute the surviving block-anchored paths by
 σ-variables and signed q parameters.  Complete shapes substitute x_l for the
 grade-1 block classes, so the complete-shape objects coincide exactly with
 their counterparts for the full flag manifold.
+
+The ring of a shape (`partial_ring`) owns the memos derived from it, the
+ẽ^q_k(l) and the lifts, which `partial_quantum_schubert` and
+`partial_relations` read; the other functions here keep none.
 """
 from __future__ import annotations
 
@@ -61,12 +65,6 @@ def _sigma(shape: FlagShape, i: int, l: int) -> Polynomial:
     return sigma_var(i, l)
 
 
-@lru_cache(maxsize=None)
-def _q_grade_dict(shape: FlagShape) -> dict:
-    return {l: shape.q_grades[l - 1] for l in range(1, shape.m + 1)}
-
-
-@lru_cache(maxsize=None)
 def index_sets(shape: FlagShape):
     """Admissible interval pairs (i, j), i.e. paths covering vertices i..j.
 
@@ -94,7 +92,6 @@ def index_sets(shape: FlagShape):
     return frozenset(g_sigma), frozenset(g_q)
 
 
-@lru_cache(maxsize=None)
 def tilde_E(k: int, l: int, shape: FlagShape) -> Polynomial:
     """E_k on the first n_l vertices with inadmissible g-variables set to 0.
 
@@ -138,13 +135,6 @@ def _apply_sigma_q(p: Polynomial, shape: FlagShape) -> Polynomial:
     return p.substitute(asg)
 
 
-@lru_cache(maxsize=None)
-def _partial_e(k: int, l: int, shape: FlagShape) -> Polynomial:
-    """ẽ^q_k(l): tilde_E(k, l) after the block σ/q substitution."""
-    return _apply_sigma_q(tilde_E(k, l, shape), shape)
-
-
-@lru_cache(maxsize=None)
 def partial_universal_schubert_c(w: Perm, shape: FlagShape) -> Polynomial:
     """𝔖_w^(N)(c): round every c-column down to the nearest jump value.
 
@@ -161,39 +151,18 @@ def partial_universal_schubert_c(w: Perm, shape: FlagShape) -> Polynomial:
                   lambda k, p: c_var(k, ns[bisect_right(ns, p) - 1]))
 
 
-@lru_cache(maxsize=None)
 def partial_quantum_schubert(w: Perm, shape: FlagShape) -> Polynomial:
     """𝔖_w^(N)(σ,q): substitute c_k(n_l) := ẽ^q_k(l), the block σ/q image
     of tilde_E(k,l), into 𝔖_w^(N)(c).  Homogeneous of grade length(w); at a
     complete shape this is exactly the quantum polynomial of the full flag
-    manifold.
+    manifold.  Memoized on the ring of the shape (`PartialRing`).
 
     >>> partial_quantum_schubert((2, 1, 3), FlagShape((1,), 3)).to_text()
     's1^1'
     """
     shape = _check_shape(shape)
     w = shape.check(w)
-
-    def factor(k, p):
-        # column p rounds down to the jump value n_l; c_k(n_0) = 0
-        l = bisect_right(shape.ns, p) - 1
-        return _partial_e(k, l, shape) if l else Polynomial.zero()
-
-    out = e_fold(e_decomposition(w).coeffs, factor)
-    qg = _q_grade_dict(shape)
-    if not out.is_zero() and not (
-        out.is_homogeneous(qg) and out.grade(qg) == length(w)
-    ):
-        raise RingError(
-            f"partial quantum polynomial for {w} is not homogeneous of grade "
-            f"{length(w)}"
-        )
-    return out
-
-
-@lru_cache(maxsize=None)
-def _partial_relations(shape: FlagShape) -> tuple:
-    return tuple(_partial_e(k, shape.m + 1, shape) for k in range(1, shape.n + 1))
+    return partial_ring(shape)._basis_lift(w)
 
 
 def partial_relations(shape: FlagShape) -> list:
@@ -205,8 +174,7 @@ def partial_relations(shape: FlagShape) -> list:
     >>> [r.to_text() for r in partial_relations(FlagShape((1,), 3))]
     ['s1^1 + s1^2', 's1^1·s1^2 + s2^2', 's1^1·s2^2 − q1']
     """
-    shape = _check_shape(shape)
-    return list(_partial_relations(shape))
+    return list(partial_ring(_check_shape(shape)).relations())
 
 
 class PartialRing(_GradedQuotientRing):
@@ -217,25 +185,55 @@ class PartialRing(_GradedQuotientRing):
     shapes use x_1,…,x_n in place of the grade-1 block classes.  The ring
     supplies the relations ẽ^q_k and the lifts 𝔖_w^(N)(σ,q); its products
     are read off Fl_n products by the comparison formula in the shared code
-    (`_GradedQuotientRing`).
+    (`_GradedQuotientRing`).  It owns every memo of its shape: ẽ^q_k(l)
+    (`_e`) and the lifts (`_lifts`).
     """
 
     def __init__(self, shape: FlagShape):
         shape = _check_shape(shape)
         self.shape = shape
-        self.q_grades = dict(_q_grade_dict(shape))
+        self.q_grades = dict(enumerate(shape.q_grades, start=1))
         super().__init__(shape)
         self.sigma_vars = tuple(sorted(self._vars, key=_var_key))
+        self._e = {}      # (k, l) → ẽ^q_k(l)
+        self._lifts = {}  # w → 𝔖_w^(N)(σ,q)
 
     @cached_property
     def basis(self) -> tuple:
         return tuple(sn_elements(self.shape))
 
+    def _partial_e(self, k: int, l: int) -> Polynomial:
+        """ẽ^q_k(l): tilde_E(k, l) after the block σ/q substitution."""
+        got = self._e.get((k, l))
+        if got is None:
+            got = self._e[k, l] = _apply_sigma_q(tilde_E(k, l, self.shape),
+                                                 self.shape)
+        return got
+
     def relations(self) -> tuple:
-        return _partial_relations(self.shape)
+        return tuple(self._partial_e(k, self.q_count + 1)
+                     for k in range(1, self.n + 1))
 
     def _basis_lift(self, w):
-        return partial_quantum_schubert(w, self.shape)
+        """𝔖_w^(N)(σ,q), memoized: the e-fold of 𝔖_w with column p rounded
+        down to its jump value n_l and e_k(p) ↦ ẽ^q_k(l), c_k(n_0) = 0."""
+        got = self._lifts.get(w)
+        if got is not None:
+            return got
+        ns, zero = self._ns, Polynomial.zero()
+
+        def factor(k, p):
+            l = bisect_right(ns, p) - 1
+            return self._partial_e(k, l) if l else zero
+
+        out = e_fold(e_decomposition(w).coeffs, factor)
+        if not out.is_zero() and out.grades(self.q_grades) != {length(w)}:
+            raise RingError(
+                f"partial quantum polynomial for {w} is not homogeneous of "
+                f"grade {length(w)}"
+            )
+        self._lifts[w] = out
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -264,15 +262,11 @@ def _kernel_quotient(l: int, shape: FlagShape) -> dict:
     tilde_E(k, t), computed through grade n_{l+1} − n_{l−1}."""
     ns = shape.ns
     top = ns[l + 1] - ns[l - 1]
+    low = [tilde_E(t, l, shape) for t in range(top + 1)]
     Q = {0: Polynomial.constant(1)}
     for j in range(1, top + 1):
-        qj = tilde_E(j, l + 1, shape)
-        for t in range(1, j + 1):
-            low = tilde_E(t, l, shape)
-            if low.is_zero():
-                continue
-            qj = qj - low * Q[j - t]
-        Q[j] = qj
+        Q[j] = tilde_E(j, l + 1, shape) - sum(
+            (low[t] * Q[j - t] for t in range(1, j + 1)), Polynomial.zero())
     return Q
 
 

@@ -281,7 +281,8 @@ class FlagShape(_Frozen):
         w = tuple(w)
         got = self._members.get(w)
         if got is None:
-            if sorted(w) != self._values:
+            # the length first, so a huge n lists nothing
+            if len(w) != self.n or sorted(w) != self._values:
                 validate(w)  # a non-permutation gets validate's message
                 raise ValueError(f"permutation {w} is not in S_{self.n}")
             if self._wide and not self.is_min_rep(w):

@@ -32,8 +32,9 @@ field carries into the next.  There are three packings:
     as the per-call one (`schubert._pack_columns`) from every E_k(p),
     1 ≤ k ≤ p < n.  Each E_k(p) is squarefree and a product takes at most
     one factor from each of the n − 1 positions, so its fields hold n − 1.
-    The packed E_k(p) and the decode tables are kept for every fold of that
-    n; `universal_schubert_c` keeps its c_k(p) the same way.
+    The engine of n keeps the packed E_k(p) and their decode tables for
+    every fold of that n (`schubert._Transition.columns`), and the c_k(p)
+    of `universal_schubert_c` the same way.
   * the Schubert engine (`schubert._Transition`) has one packing per n, over
     x_1,…,x_n, q_1,…,q_{n−1}, whose fields hold C(n, 2) (1 at n = 1),
     since a packing with variables refuses a bound below 1.  On it are the

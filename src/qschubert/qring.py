@@ -78,9 +78,9 @@ class QuantumClass:
 
     Terms are held packed, {key of q^d·σ_w: c} on the codec of the ring's n
     and q count (`schubert._Codec`), with zero coefficients dropped; `items`,
-    `coefficient`, `to_text` and `to_json_obj` decode them.  Equality
-    compares n and the terms, so a class over a partial flag shape and one
-    over the complete shape agree exactly when their expansions match.
+    `coefficient`, `to_text` and `to_json_obj` decode them.  Classes compare
+    by n, shape and keys, shape None and the complete shape counting as the
+    same, so classes of two shapes differ even when both are zero.
     """
 
     __slots__ = ("n", "shape", "_codec", "_terms")
@@ -128,19 +128,17 @@ class QuantumClass:
         return not self._terms
 
     def __eq__(self, other) -> bool:
-        # keys of one n and one q count share a layout, whichever codec
-        # object wrote them; classes of two q counts differ in the length
-        # of d, so they agree only when both are zero
+        # keys of one n and one shape share a layout, whichever codec
+        # object wrote them
         return (
             isinstance(other, QuantumClass)
             and self.n == other.n
-            and (self._terms == other._terms
-                 if self._codec.m == other._codec.m
-                 else not self._terms and not other._terms)
+            and self._shape_key() == other._shape_key()
+            and self._terms == other._terms
         )
 
     def __hash__(self):
-        return hash((self.n, frozenset(self._terms.items())))
+        return hash((self.n, self._shape_key(), frozenset(self._terms.items())))
 
     def _shape_key(self):
         """The shape, with the complete shape read as None."""

@@ -16,19 +16,18 @@ Every lift replaces each e_k(p) by an image factor(k, p) and sums
 Σ a_K·factor(k_1, 1)⋯factor(k_{n−1}, n−1) by Horner's rule on packed
 monomials (`_e_fold_packed`), over factors packed by one helper
 (`_pack_columns`): once per call in `e_fold`, once per n where the factor
-depends on (k, p) alone.  The recombination check of `e_decomposition`
-and `EDecomposition.recombine` run the same fold with factor e_k(p), packed
-once per n on the engine below; the check compares the packed sum with the
-packed 𝔖_w.
+depends on (k, p) alone (`_Transition.columns`).  The recombination check
+of `e_decomposition` and `EDecomposition.recombine` fold with e_k(p) on the
+engine's own packing; the check compares the packed sum with the packed 𝔖_w.
 
 `_Transition`, one per n, is that engine: quantum Monk and
 Lascoux–Schützenberger transition give the structure constants of
 QH*(Fl_n), which `qring` and `partial` read, and the quantum Schubert
 polynomials 𝔖^q_w, which `universal.quantum_schubert` returns.  It also
 holds the packed 𝔖_w that `schubert_poly` decodes and the packed e_k(p) of
-the check and of `recombine`, all on one packing, and the memos of the
-peel, and lives here so that all of them import it.  One walker
-(`_Transition._walk`) fills the memos of all of these.
+the check and of `recombine`, all on one packing, and every other memo of
+n, and lives here so that all of them import it; only the codecs are
+shared between engines (`_codec`).
 
 Every structure constant, here and in `qring`, is keyed by one int
 (`_Codec`, one per n and q count m, `_codec`): the fields of q_1,…,q_m, of
@@ -119,7 +118,6 @@ def schubert_poly(w: Perm) -> Polynomial:
     return engine._packing.unpack(engine.schubert(w))
 
 
-@lru_cache(maxsize=None)
 def elementary_poly(k: int, l: int) -> Polynomial:
     """e_k(x_1,…,x_l); 1 when k = 0, 0 when k < 0 or k > l."""
     if l < 1:
@@ -142,7 +140,7 @@ def e_fold(coeffs: dict, factor) -> Polynomial:
     alone, over the variables of these factors (`_pack_columns`);
     `_e_fold_packed` folds the packed factors, and the sum is decoded once,
     at the end.  A factor that depends only on (k, p) is better packed once
-    per n, as `universal` does for E_k(p) and c_k(p).
+    per n on its engine (`_Transition.columns`), like E_k(p) and c_k(p).
 
     >>> e_fold({(1, 0): 1, (0, 1): -1}, elementary_poly).to_text()
     '−x2'
@@ -203,7 +201,6 @@ def _grassmannian(k: int, p: int, n: int) -> Perm:
             *range(p + 2, n + 1))
 
 
-@lru_cache(maxsize=None)
 def _pieri(z: Perm, p: int) -> tuple:
     """(e_0(p)·σ_z, e_1(p)·σ_z, …, e_p(p)·σ_z) in H*(Fl_n), each as z′ → 1,
     with e_k(p) = e_k(x_1,…,x_p), 1 ≤ p < n.
@@ -213,7 +210,6 @@ def _pieri(z: Perm, p: int) -> tuple:
     raising the length by one, with a_i ≤ p < b_i, the a_i pairwise
     distinct and b_1 ≥ b_2 ≥ ⋯ ≥ b_k.  Each z′ ends exactly one such chain,
     so every coefficient is 1.  One depth-first walk gives every k at once.
-    The memo holds each (z, p) once; its rows must not be changed.
     """
     n = len(z)
     rows = ({z: 1},) + tuple({} for _ in range(p))
@@ -295,23 +291,24 @@ class EDecomposition(_Frozen):
             _e_fold_packed(self.coeffs, engine.e_columns))
 
 
-@lru_cache(maxsize=None)
 def e_decomposition(w: Perm) -> EDecomposition:
     """𝔖_w over the e_K, K in lexicographic order, peeled on the engine of
     its n (`_Transition.e_coeffs`) and checked by recombination against 𝔖_w
-    before it is published.  The check folds the a_K over the engine's
-    packed e_k(p) and compares the sum with the packed 𝔖_w, built by
-    divided differences, so it is independent of the Pieri rule; nothing is
-    decoded."""
+    before the engine keeps it (`_decompositions`).  The check folds the
+    a_K over the engine's packed e_k(p) and compares the sum with the packed
+    𝔖_w, built by divided differences, so it is independent of the Pieri
+    rule; nothing is decoded."""
     w = validate(w)
     engine = _transition(len(w))
-    coeffs = dict(sorted(engine.e_coeffs(w).items()))
-    if _nonzero(_e_fold_packed(coeffs, engine.e_columns)) != engine.schubert(w):
-        raise VerificationError(f"e-decomposition recombination failed for {w}")
-    # the sorted dict replaces the peel's entry, so the engine and this
-    # memo hold one copy
-    engine._e_coeffs[w] = coeffs
-    return EDecomposition(coeffs)
+    got = engine._decompositions.get(w)
+    if got is None:
+        coeffs = dict(sorted(engine.e_coeffs(w).items()))
+        if _nonzero(_e_fold_packed(coeffs, engine.e_columns)) != engine.schubert(w):
+            raise VerificationError(f"e-decomposition recombination failed for {w}")
+        # the sorted dict replaces the peel's entry: one copy of the a_K
+        engine._e_coeffs[w] = coeffs
+        got = engine._decompositions[w] = EDecomposition(coeffs)
+    return got
 
 
 class RingError(VerificationError):
@@ -354,14 +351,6 @@ class _Unranked(dict):
         return w
 
 
-@lru_cache(maxsize=None)
-def _rank_maps(n: int) -> tuple:
-    """(rank of w, w of rank) for the permutations of n met so far, shared by
-    the codecs of every q count of n."""
-    ranks = {}
-    return ranks, _Unranked(n, ranks)
-
-
 class _Codec:
     """The packed keys of the classes q^d·σ_w, w ∈ S_n, d of m entries: the
     int Σ_l d_l·2^(base + (m − l)·FIELD_BITS) + rank(w).
@@ -391,7 +380,11 @@ class _Codec:
         self.zero = (0,) * m
         # the d of each degree part of a key decoded so far
         self._degrees = {0: self.zero}
-        self._ranks, self._perms = _rank_maps(n)
+        # w of rank and rank of w, for the permutations of n met so far: the
+        # codec with m = n − 1 holds them, and every other codec of n reads it
+        self._perms = (_Unranked(n, {}) if m == n - 1
+                       else _codec(n, n - 1)._perms)
+        self._ranks = self._perms.ranks
         self._places = self._perms.places
 
     def __reduce__(self):
@@ -454,7 +447,7 @@ class _Codec:
 @lru_cache(maxsize=None)
 def _codec(n: int, m: int) -> _Codec:
     """The codec of n with m q's, shared by the engine of n (m = n − 1), by
-    every ring of n with m q's and by their classes."""
+    every ring of n with m q's and by every class of n, even with no engine."""
     return _Codec(n, m)
 
 
@@ -521,7 +514,9 @@ class _Transition:
     p < n − 1, each one Pieri product of its parent's, and `_e_coeffs`, the
     a_K of each w peeled.  One walker (`_walk`) fills the five memos
     `_memo`, `_lifts`, `_classical`, `_e_prefixes` and `_e_coeffs`, each
-    entry after those it is built from.
+    entry after those it is built from; beside them sit the Pieri rows
+    (`_pieri_rows`), the checked decompositions of `e_decomposition` and
+    the factor columns of the universal lifts (`columns`).
     One `_Packing` over x_1,…,x_n, q_1,…,q_{n−1} holds 𝔖_w, 𝔖^q_w and the
     e_k(p); its fields hold C(n, 2) (1 at n = 1), the top grade, which no
     term that a lift, a divided difference or the check's fold meets
@@ -551,6 +546,9 @@ class _Transition:
         # (k_1,…,k_p), p < n − 1 → e_{k_1}(1)⋯e_{k_p}(p) as {z: c}
         self._e_prefixes = {(): {self.identity: 1}}
         self._e_coeffs = {}  # w → {K: a_K}, the e-decomposition of 𝔖_w
+        self._pieri_rows = {}      # (z, p) → the rows of `_pieri`
+        self._decompositions = {}  # w → its checked EDecomposition
+        self._columns = {}         # factor → (packing, columns)
         self._packing = packing = _Packing(
             [("x", i) for i in range(1, n + 1)] + [("q", i) for i in range(1, n)],
             max(n * (n - 1) // 2, 1))
@@ -747,15 +745,18 @@ class _Transition:
         if not k:
             return cls
         p, acc = len(seq), {}
-        get = acc.get
+        get, rows = acc.get, self._pieri_rows
         for z, c in cls.items():
-            for u, b in _pieri(z, p)[k].items():
+            row = rows.get((z, p))
+            if row is None:
+                row = rows[z, p] = _pieri(z, p)
+            for u, b in row[k].items():
                 acc[u] = get(u, 0) + b * c
         return _nonzero(acc)
 
     def e_coeffs(self, w: Perm) -> dict:
         """{K: a_K} with 𝔖_w = Σ a_K·e_K, memoized; in K order once
-        `e_decomposition` has published it, in no fixed order before.
+        `e_decomposition` has checked it, in no fixed order before.
 
         The row of the pivot K(w) (`_e_pivot`, `e_row`) is σ_w plus σ_u
         with u⁻¹ lexicographically after w⁻¹ (`_pivot_row`), so
@@ -782,6 +783,18 @@ class _Transition:
         pack = self._packing.pack
         return [{k: pack(elementary_poly(k, p)) for k in range(1, p + 1)}
                 for p in range(1, self.n)]
+
+    def columns(self, factor) -> tuple:
+        """(packing, columns) with columns[p − 1] = {k: factor(k, p),
+        packed} for 1 ≤ k ≤ p < n, packed once per factor object
+        (`_pack_columns`), so that every fold over them decodes through one
+        packing; racing threads keep the first stored."""
+        got = self._columns.get(factor)
+        if got is None:
+            got = self._columns.setdefault(factor, _pack_columns(
+                [{k: factor(k, p) for k in range(1, p + 1)}
+                 for p in range(1, self.n)]))
+        return got
 
 
 @lru_cache(maxsize=None)

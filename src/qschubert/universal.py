@@ -14,12 +14,12 @@ The lifts 𝔖_w(c), 𝔖_w(g) and the partial lifts are each one fold
 (`schubert._e_fold_packed`) of the decomposition
 Σ a_K·e_{k_1}(1)⋯e_{k_{n−1}}(n−1) with e_k(p) replaced by its image: c_k(p),
 E_k(p) or, for a partial shape, the image of the column p rounds down to.
-c_k(p) and E_k(p) depend on (k, p) alone, so they are packed once per n, on
-one packing per n and factor whose decode tables fill once (`_columns`); the
-partial images depend on the shape, and each partial lift packs its own
-(`schubert.e_fold`).  𝔖_w(g) is folded directly with E_k(l) rather than
-substituted into 𝔖_w(c); the two agree because distinct sequences K give
-distinct c-monomials.
+c_k(p) and E_k(p) depend on (k, p) alone, so the engine of n packs them once
+per factor, on one packing whose decode tables fill once
+(`schubert._Transition.columns`); the partial images depend on the shape,
+and each partial lift packs its own (`schubert.e_fold`).  𝔖_w(g) is folded
+directly with E_k(l) rather than substituted into 𝔖_w(c); the two agree
+because distinct sequences K give distinct c-monomials.
 
 The quantum polynomial 𝔖_w(x,q) is not a fold: it comes from
 Lascoux–Schützenberger transition on the Fl_n product engine
@@ -45,7 +45,7 @@ from .poly import (
     q_var,
     x_var,
 )
-from .schubert import _e_fold_packed, _pack_columns, _transition, e_decomposition
+from .schubert import _e_fold_packed, _transition, e_decomposition
 
 __all__ = [
     "path_poly",
@@ -207,26 +207,13 @@ def g_from_c(i: int, j: int) -> Polynomial:
     return out
 
 
-@lru_cache(maxsize=None)
-def _columns(factor, n: int) -> tuple:
-    """(packing, columns) with columns[p − 1] = {k: factor(k, p), packed}
-    for 1 ≤ k ≤ p < n, packed once per factor and n by
-    `schubert._pack_columns`, so every fold over them decodes through one
-    packing whose chunk tables fill once.
-
-    For path_poly the packing is over the g_i[j] with i ≥ 1 and
-    i + j ≤ n − 1, and its bound is n − 1: each E_k(p) is squarefree, and a
-    product takes at most one factor from each of the n − 1 columns."""
-    return _pack_columns([{k: factor(k, p) for k in range(1, p + 1)}
-                          for p in range(1, n)])
-
-
 def _e_fold_per_n(w: Perm, factor) -> Polynomial:
     """Σ a_K·factor(k_1, 1)⋯factor(k_{n−1}, n−1) over the e-decomposition
     𝔖_w = Σ a_K·e_{k_1}(1)⋯e_{k_{n−1}}(n−1), for a factor that depends on
-    (k, p) alone, folded over the columns of its n (`_columns`)."""
+    (k, p) alone, folded over its columns on the engine of n
+    (`schubert._Transition.columns`; `poly` bounds the path packing)."""
     coeffs = e_decomposition(w).coeffs
-    packing, columns = _columns(factor, len(w))
+    packing, columns = _transition(len(w)).columns(factor)
     return packing.unpack(_e_fold_packed(coeffs, columns))
 
 
@@ -238,7 +225,7 @@ def universal_schubert_c(w: Perm) -> Polynomial:
 def universal_schubert_g(w: Perm) -> Polynomial:
     """𝔖_w(g) = Σ a_K·E_{k_1}(1)⋯E_{k_{n−1}}(n−1), which is 𝔖_w(c) with
     c_k(l) := E_k(l).  The fold runs over the E_k(p) packed once per n
-    (`_columns`) and is decoded on that packing.
+    on its engine and is decoded on that packing.
 
     Not memoized, like `universal_schubert_c`: no library path reads a
     lift twice, and the lifts of a walk through S_n take far more memory

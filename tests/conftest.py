@@ -34,16 +34,13 @@ def run_fresh():
 @pytest.fixture()
 def fresh_engines(monkeypatch):
     """A fresh `_transition` cache in `schubert` and `universal`, so that
-    every e-decomposition is peeled again; the memo of e_decomposition is
-    cleared before and after (the universal lifts keep none, so each one
-    folds a decomposition of the fresh engines), and monkeypatch puts the
-    shared engines back.  Returns the fresh cache."""
+    every e-decomposition, lift and column is built again: the engine of n
+    holds every memo of n.  monkeypatch puts the shared engines back.
+    Returns the fresh cache."""
     fresh = lru_cache(maxsize=None)(schubert._Transition)
     monkeypatch.setattr(schubert, "_transition", fresh)
     monkeypatch.setattr(universal, "_transition", fresh)
-    schubert.e_decomposition.cache_clear()
-    yield fresh
-    schubert.e_decomposition.cache_clear()
+    return fresh
 
 
 @pytest.fixture()

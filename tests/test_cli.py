@@ -208,7 +208,7 @@ def test_verify_more_suites_pass(capsys, cache_dir):
 
 
 def test_failed_recombination_is_one_internal_error_line(
-        capsys, cache_dir, monkeypatch):
+        capsys, cache_dir, monkeypatch, fresh_engines):
     # the packed fold of the recombination check off by 1
     fold = schubert._e_fold_packed
 
@@ -218,14 +218,10 @@ def test_failed_recombination_is_one_internal_error_line(
         return out
 
     monkeypatch.setattr(schubert, "_e_fold_packed", broken)
-    # the universal lift keeps no memo, so it reaches the check of a fresh
-    # decomposition
-    schubert.e_decomposition.cache_clear()
-    try:
-        code, out, err = run(capsys, "schubert", "--n", "4", "--w", "3,1,4,2",
-                             "--universal", cache=cache_dir)
-    finally:
-        schubert.e_decomposition.cache_clear()
+    # the universal lift keeps no memo, so on a fresh engine it reaches the
+    # check of a fresh decomposition
+    code, out, err = run(capsys, "schubert", "--n", "4", "--w", "3,1,4,2",
+                         "--universal", cache=cache_dir)
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
     assert err.startswith("internal error: ")
@@ -1008,3 +1004,23 @@ def test_bad_invocations_print_one_error_line(capsys, cache_dir, argv):
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("product", "--n", "400", "--u", "1", "--v", "1"),
+    ("product", "--n", "9999999999", "--u", "1", "--v", "1"),
+    ("product", "--shape", "1:100000000", "--u", "1", "--v", "1"),
+    ("gw", "--n", "3000", "--insertions", "1", "--class", "1", "--degree", "0"),
+])
+def test_arguments_are_checked_before_the_ring_is_built(cache_dir, argv):
+    # no ring of these n fits in 1 GiB of address space, or builds in the
+    # time a bad argument should take to refuse
+    pytest.importorskip("resource")
+    probe = ("import resource, sys; "
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+             "from qschubert.cli import main; "
+             "sys.exit(main(sys.argv[1:]))")
+    result = _python("-c", probe, "--cache-dir", str(cache_dir), *argv)
+    n = argv[2].split(":")[-1]
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: permutation '1' is not in S_{n}\n"

@@ -337,3 +337,7 @@ def test_shape_check_messages_are_one_line():
         "(2, 1, 3, 4) is not a minimal coset representative for shape 2:4")
     with pytest.raises(ValueError, match="not a permutation of 1..3"):
         shape.check((1, 1, 2))
+    # a permutation of another length is refused before 1..n is listed
+    with pytest.raises(ValueError,
+                       match=r"^permutation \(1,\) is not in S_1000000000000$"):
+        FlagShape((1,), 10 ** 12).check((1,))

@@ -427,6 +427,16 @@ def test_quantum_class_sums_refuse_mixed_shapes():
     with pytest.raises(TypeError):
         (QuantumClass.unit(w, shape=grass)
          + QuantumClass.unit((2, 1, 3, 4), shape=FlagShape.from_string("1:4")))
+    # nor are they equal where they share n, q count and keys
+    one = (1, 2, 3, 4)
+    a = QuantumClass.unit(one, shape=grass)
+    b = QuantumClass.unit(one, shape=FlagShape.from_string("1:4"))
+    assert a._terms == b._terms and a != b and len({a, b}) == 2
+    assert (0 * a) != (0 * b)
+    # shape None and the complete shape are one shape
+    full = QuantumClass.unit(one, shape=FlagShape.complete(4))
+    assert QuantumClass.unit(one) == full
+    assert hash(QuantumClass.unit(one)) == hash(full)
 
 
 def test_quantum_class_sums_over_one_shape_are_unchanged():

@@ -151,10 +151,11 @@ def test_e_decomposition_recombines_exactly():
 
 
 @pytest.fixture()
-def broken_packed_fold(monkeypatch):
+def broken_packed_fold(monkeypatch, fresh_engines):
     """The packed fold of the recombination check off by 1, so the check
-    of e_decomposition fails; its memo is cleared on both sides, and the
-    universal lifts keep none, so each one reaches the check."""
+    of e_decomposition fails; the engines are fresh, so no decomposition
+    is checked yet, and the universal lifts keep none, so each one reaches
+    the check."""
     fold = schubert._e_fold_packed
 
     def broken(coeffs, columns):
@@ -163,9 +164,6 @@ def broken_packed_fold(monkeypatch):
         return out
 
     monkeypatch.setattr(schubert, "_e_fold_packed", broken)
-    schubert.e_decomposition.cache_clear()
-    yield
-    schubert.e_decomposition.cache_clear()
 
 
 def test_failed_recombination_raises_verification_error(broken_packed_fold):
@@ -235,7 +233,8 @@ def _partial_factor(k, p):
     lies below n_1 = 2 and gives 0; columns 2–4 give σ classes, and
     ẽ^q_4(2) holds −q_1."""
     l = bisect_right(_PARTIAL_SHAPE.ns, p) - 1
-    return partial._partial_e(k, l, _PARTIAL_SHAPE) if l else Polynomial.zero()
+    return (partial.partial_ring(_PARTIAL_SHAPE)._partial_e(k, l) if l
+            else Polynomial.zero())
 
 
 def _powers(k, p):
@@ -452,26 +451,24 @@ def test_lift_packing_fields_hold_the_top_grade(n):
 def test_schubert_check_and_lift_fill_one_engine():
     w = (2, 5, 1, 4, 3)
     engine = schubert._transition(5)
-    # the check runs uncached, through e_decomposition's own body
-    for fill, memo in ((schubert_poly, engine._classical),
-                       (e_decomposition.__wrapped__, engine._classical),
-                       (universal.quantum_schubert, engine._lifts)):
-        memo.pop(w, None)
+    # the check reads 𝔖_w, and the peel and the check fill their own memos
+    for fill, memos in ((schubert_poly, [engine._classical]),
+                        (e_decomposition, [engine._classical, engine._e_coeffs,
+                                           engine._decompositions]),
+                        (universal.quantum_schubert, [engine._lifts])):
+        for memo in memos:
+            memo.pop(w, None)
         fill(w)
-        assert w in memo, fill
+        assert all(w in memo for memo in memos), fill
     assert w in engine._classical and w in engine._lifts
 
 
-def test_concurrent_engine_matches_serial(monkeypatch):
+def test_concurrent_engine_matches_serial(fresh_engines):
     ws = all_permutations(5)
     serial = {w: (schubert_poly(w), universal.quantum_schubert(w),
                   e_decomposition(w)) for w in ws}
-    # fresh caches for the threads; monkeypatch puts the originals back
-    fresh = lru_cache(maxsize=None)(schubert._Transition)
-    monkeypatch.setattr(schubert, "_transition", fresh)
-    monkeypatch.setattr(universal, "_transition", fresh)
-    monkeypatch.setattr(schubert, "e_decomposition",
-                        lru_cache(maxsize=None)(e_decomposition.__wrapped__))
+    # the threads share one engine that holds nothing yet
+    fresh_engines.cache_clear()
     workers = 4
     start = threading.Barrier(workers)
     results = [None] * workers
@@ -533,9 +530,6 @@ def test_no_library_lift_builds_an_echelon_system(monkeypatch, fresh_engines):
         raise AssertionError("a library lift built an echelon system")
 
     monkeypatch.setattr(poly.EchelonSystem, "__init__", refuse)
-    for cached in (partial.partial_quantum_schubert,
-                   partial.partial_universal_schubert_c):
-        cached.cache_clear()
     for n in range(3, 6):
         for w in sorted(all_permutations(n), key=length):
             assert e_decomposition(w).recombine() == schubert_poly(w)
@@ -543,8 +537,10 @@ def test_no_library_lift_builds_an_echelon_system(monkeypatch, fresh_engines):
             universal.universal_schubert_g(w)
     for text in ("2:4", "1:3:4", "2:4:6"):
         shape = FlagShape.from_string(text)
-        for w in partial.partial_ring(shape).basis:
-            partial.partial_quantum_schubert(w, shape)
+        # a ring of its own holds no lift yet
+        ring = partial.PartialRing(shape)
+        for w in ring.basis:
+            ring.basis_polynomial(w)
             partial.partial_universal_schubert_c(w, shape)
 
 
@@ -572,10 +568,56 @@ def test_e_decomposition_publishes_the_engine_entry(fresh_engines):
         assert list(coeffs) == sorted(coeffs)
 
 
-def _decompose_uncached(ws):
-    """e_decomposition of each w, bypassing its per-permutation memo."""
-    raw = e_decomposition.__wrapped__
-    return {w: raw(w).coeffs for w in ws}
+def _memo_sizes(owner) -> dict:
+    """The entry count of each dict an engine or a ring holds, a list of
+    dicts read as a dict by index, with the entry count of its dict values:
+    what any memo that grows changes."""
+    sizes = {}
+    for name, value in vars(owner).items():
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            value = dict(enumerate(value))
+        if isinstance(value, dict):
+            sizes[name] = (len(value), sum(len(v) for v in value.values()
+                                           if isinstance(v, dict)))
+    return sizes
+
+
+def test_fresh_owners_leave_the_shared_memos_unchanged(monkeypatch):
+    """Every memo of n is its engine's and every memo of a shape its
+    ring's: lifts and decompositions on a fresh engine and a fresh
+    PartialRing add nothing to the shared ones."""
+    n, shape = 5, FlagShape.from_string("2:3:5")
+    engine, ring = schubert._transition(n), partial.partial_ring(shape)
+    for w in ((2, 1, 3, 4, 5), (3, 1, 2, 5, 4)):
+        e_decomposition(w)
+        universal.quantum_schubert(w)
+        universal.universal_schubert_g(w)
+    ring.basis_polynomial(ring.basis[1])
+    ring.relations()
+    before = _memo_sizes(engine), _memo_sizes(ring)
+    fresh = lru_cache(maxsize=None)(schubert._Transition)
+    monkeypatch.setattr(schubert, "_transition", fresh)
+    monkeypatch.setattr(universal, "_transition", fresh)
+    own = partial.PartialRing(shape)
+    for w in all_permutations(n):
+        schubert_poly(w)
+        e_decomposition(w)
+        universal.quantum_schubert(w)
+        universal.universal_schubert_g(w)
+        universal.universal_schubert_c(w)
+    for w in own.basis:
+        own.basis_polynomial(w)
+    own.relations()
+    assert (_memo_sizes(engine), _memo_sizes(ring)) == before
+    assert len(fresh(n)._decompositions) == 120
+    assert len(fresh(n)._columns) == 2
+    assert len(own._lifts) == len(own.basis)
+
+
+def _decompose(ws):
+    """The a_K of each w, on the engines of the moment: `fresh_engines`
+    makes them fresh, and its `cache_clear()` drops every memo they hold."""
+    return {w: e_decomposition(w).coeffs for w in ws}
 
 
 def test_grade_by_grade_walk_builds_each_row_once(monkeypatch, e_rows_built):
@@ -585,27 +627,29 @@ def test_grade_by_grade_walk_builds_each_row_once(monkeypatch, e_rows_built):
     monkeypatch.setattr(poly.EchelonSystem, "__init__", refuse)
     built = e_rows_built(5)
     ws = sorted(all_permutations(5), key=length)
-    _decompose_uncached(ws)
+    _decompose(ws)
     assert sorted(built) == sorted(map(schubert._e_pivot, ws))
     assert set(built.values()) == {1}
-    # the engine keeps every a_K it peeled; a repeat builds nothing
-    _decompose_uncached([longest_element(5)])
+    # the engine keeps every a_K it peeled; a repeat builds nothing, even
+    # past the memo of checked decompositions
+    schubert._transition(5)._decompositions.clear()
+    _decompose([longest_element(5)])
     assert sum(built.values()) == len(ws)
 
 
 def test_interleaved_grades_match_serial_order(fresh_engines):
     s4 = sorted(all_permutations(4), key=length)
     s5 = sorted(all_permutations(5), key=length)
-    serial = _decompose_uncached(s4 + s5)
+    serial = _decompose(s4 + s5)
     fresh_engines.cache_clear()
     # while S_4 lasts, every call changes n, and so the engine it peels on
     order = [w for pair in zip_longest(s4, reversed(s5)) for w in pair if w]
-    assert _decompose_uncached(order) == serial
+    assert _decompose(order) == serial
 
 
 def test_threads_sharing_the_system_match_serial(fresh_engines):
     ws = all_permutations(5)
-    serial = _decompose_uncached(ws)
+    serial = _decompose(ws)
     # the threads peel on one engine that holds nothing yet
     fresh_engines.cache_clear()
     workers = 4
@@ -618,7 +662,7 @@ def test_threads_sharing_the_system_match_serial(fresh_engines):
             order = list(ws)
             random.Random(slot).shuffle(order)
             start.wait(timeout=60)
-            results[slot] = _decompose_uncached(order)
+            results[slot] = _decompose(order)
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 

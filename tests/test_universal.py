@@ -3,7 +3,6 @@
 import random
 import sys
 import threading
-from functools import lru_cache
 
 import pytest
 
@@ -140,7 +139,7 @@ def test_universal_lifts_match_the_per_call_e_fold(n, sample):
 def test_path_packing_fields_hold_the_top_grade(n):
     """Every g_i[j] with i + j ≤ n − 1 at exponent n − 1, alone and all in
     one monomial, round-trips through the packing of the path columns."""
-    packing, columns = universal._columns(path_poly, n)
+    packing, columns = _Transition(n).columns(path_poly)
     assert [sorted(column) for column in columns] == [
         list(range(1, p + 1)) for p in range(1, n)]
     gs = [g_var(i, j) for i in range(1, n) for j in range(n - i)]
@@ -268,14 +267,13 @@ def test_concurrent_lifts_match_serial():
     assert all(got == serial for got in results)
 
 
-def test_concurrent_universal_lifts_match_serial(monkeypatch):
+def test_concurrent_universal_lifts_match_serial(fresh_engines):
     ws = all_permutations(5)
     serial = {w: (universal_schubert_g(w), universal_schubert_c(w)) for w in ws}
-    # a fresh column cache for the threads, so that they fill one packing's
-    # decode tables together (the lifts keep no memo of their own);
-    # monkeypatch puts the original back
-    monkeypatch.setattr(universal, "_columns",
-                        lru_cache(maxsize=None)(universal._columns.__wrapped__))
+    # a fresh engine for the threads, so that they pack its columns and
+    # fill one packing's decode tables together (the lifts keep no memo of
+    # their own)
+    fresh_engines.cache_clear()
     workers = 4
     start = threading.Barrier(workers)
     results = [None] * workers
