@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import os
 import random
@@ -431,11 +432,13 @@ def _pair_key(u, v) -> str:
 def _read_class(ring, obj):
     """The class of a product entry, or None when the entry cannot be read
     or is a class of another ring, so that it is recomputed and stored
-    over."""
-    cls = _read_entry(QuantumClass, obj)
-    if cls is not None and cls.n == ring.n and cls.shape == ring.shape:
-        return cls
-    return None
+    over.  The entry's n and shape string are compared before it is parsed,
+    so no codec of another n is built."""
+    shape = None if ring.shape is None else ring.shape.to_string()
+    if (not isinstance(obj, dict) or obj.get("n") != ring.n
+            or obj.get("shape") != shape):
+        return None
+    return _read_entry(QuantumClass, obj)
 
 
 def _cached_product(ring, cache: TableCache, u, v) -> tuple:
@@ -493,42 +496,64 @@ def _sampled(basis, k, limit, seed):
     """The k-tuples of basis elements in lexicographic order, or a seeded
     sample of `limit` of them when there are more.  The sample draws
     indices from range(len(basis) ** k), which random.sample treats as it
-    would the list of all tuples, so no such list is built."""
+    would the list of all tuples, so no such list is built.  Past
+    sys.maxsize, where random.sample cannot take the range's len(), the
+    indices come from the loop it runs on large populations: a random
+    index, drawn again while it repeats."""
     size = len(basis)
     total = size ** k
-    picks = (range(total) if total <= limit
-             else random.Random(seed).sample(range(total), limit))
+    rng = random.Random(seed)
+    if total <= limit:
+        picks = range(total)
+    elif total <= sys.maxsize:
+        picks = rng.sample(range(total), limit)
+    else:
+        picks = {}  # ordered as drawn
+        while len(picks) < limit:
+            picks[rng.randrange(total)] = None
     # index i names the tuple of the elements at its base-|B| digits, most
     # significant first
     return [tuple(basis[i // size ** j % size] for j in range(k - 1, -1, -1))
             for i in picks]
 
 
-def _suite_associativity(ring, seed, failures):
+class _SuiteFailure(Exception):
+    """A suite's first counterexample; `cmd_verify` prints it as the one
+    `fail:` line."""
+
+
+def _checked(check, *args):
+    """check(*args), a library check that raises VerificationError, whose
+    message becomes the suite's failure."""
+    try:
+        check(*args)
+    except VerificationError as exc:
+        raise _SuiteFailure(str(exc)) from None
+
+
+def _suite_associativity(ring, seed):
     basis = list(ring.basis)
     triples = _sampled(basis, 3, 250 if len(basis) <= 6 else 100, seed)
     for u, v, w in triples:
         left = ring.quantum_product_multi([u, v, w])
         if left != ring.quantum_product_multi([v, w, u]):
-            failures.append(f"(σ_{u}∗σ_{v})∗σ_{w} ≠ σ_{u}∗(σ_{v}∗σ_{w})")
-            return None
+            raise _SuiteFailure(f"(σ_{u}∗σ_{v})∗σ_{w} ≠ σ_{u}∗(σ_{v}∗σ_{w})")
     return f"{len(triples)} triples"
 
 
-def _suite_q0_classical(ring, seed, failures):
+def _suite_q0_classical(ring, seed):
     # the q = 0 slice of the structure constants against the product of the
     # classical lifts, expanded by Horner's rule
     pairs = _sampled(list(ring.basis), 2, 600, seed)
     for u, v in pairs:
         lifts = ring._classical_lift(u) * ring._classical_lift(v)
         if ring.classical_product(u, v) != ring.expand_classical(lifts):
-            failures.append(f"q=0 slice of σ_{u}∗σ_{v} differs from the "
-                            f"classical product")
-            return None
+            raise _SuiteFailure(f"q=0 slice of σ_{u}∗σ_{v} differs from the "
+                                f"classical product")
     return f"{len(pairs)} pairs"
 
 
-def _suite_duality(ring, seed, failures):
+def _suite_duality(ring, seed):
     basis = list(ring.basis)
     d0 = (0,) * ring.q_count
     dim = ring._moduli_dimension(d0)
@@ -542,106 +567,84 @@ def _suite_duality(ring, seed, failures):
             got = ring.classical_product(u, v).coefficient(d0, top)
             want = 1 if v == ring._dual(u) else 0
             if got != want:
-                failures.append(
+                raise _SuiteFailure(
                     f"pairing ⟨σ_{u},σ_{v}⟩ = {got}, expected {want}"
                 )
-                return None
     return f"{checked} pairs"
 
 
-def _suite_relations(ring, seed, failures):
+def _suite_relations(ring, seed):
     rels = list(ring.relations())
     for k, rel in enumerate(rels, start=1):
         if not ring.expand_in_quantum_basis(rel).is_zero():
-            failures.append(f"relation {k} does not expand to zero")
-            return None
+            raise _SuiteFailure(f"relation {k} does not expand to zero")
     if ring.shape is None:
         for k, rel in enumerate(rels, start=1):
             classical = rel.substitute(ring._q_zero)
             if classical != elementary_poly(k, ring.n):
-                failures.append(
+                raise _SuiteFailure(
                     f"relation {k} at q=0 is not the elementary polynomial"
                 )
-                return None
     return f"{len(rels)} relations"
 
 
-def _suite_giambelli(ring, seed, failures):
+def _suite_giambelli(ring, seed):
     for w in ring.basis:
         got = ring.expand_in_quantum_basis(ring.basis_polynomial(w))
         if got != QuantumClass.unit(w, shape=ring.shape):
-            failures.append(f"σ_{w} does not expand to the unit class")
-            return None
+            raise _SuiteFailure(f"σ_{w} does not expand to the unit class")
     return f"{len(ring.basis)} classes"
 
 
-def _suite_specialization(n, seed, failures):
-    # grade by grade, so that each (n, grade) e-monomial system is built once
+def _suite_specialization(n, seed):
     ws = sorted(all_permutations(n), key=length)
     for w in ws:
         universal = universal_schubert_g(w)
         quantum = quantum_schubert(w)
         if specialize_quantum(universal) != quantum:
-            failures.append(f"universal → quantum failed at {w}")
-            return None
+            raise _SuiteFailure(f"universal → quantum failed at {w}")
         classical = schubert_poly(w)
         if specialize_classical(universal) != classical:
-            failures.append(f"universal → classical failed at {w}")
-            return None
+            raise _SuiteFailure(f"universal → classical failed at {w}")
         q_zero = {v: 0 for v in quantum.variables() if v[0] == "q"}
         if quantum.substitute(q_zero) != classical:
-            failures.append(f"quantum → classical failed at {w}")
-            return None
+            raise _SuiteFailure(f"quantum → classical failed at {w}")
     return f"{len(ws)} chains"
 
 
-def _suite_recursion_roundtrip(n, seed, failures):
+def _suite_recursion_roundtrip(n, seed):
     for l in range(1, n + 1):
         for k in range(0, l + 1):
             direct = path_poly(k, l)
             if direct != path_poly_via_recursion(k, l):
-                failures.append(f"recursion disagrees at E_{k}({l})")
-                return None
+                raise _SuiteFailure(f"recursion disagrees at E_{k}({l})")
             if direct != path_poly_via_determinant(k, l):
-                failures.append(f"determinant disagrees at E_{k}({l})")
-                return None
+                raise _SuiteFailure(f"determinant disagrees at E_{k}({l})")
     for i in range(1, n + 1):
         for j in range(0, n - i + 1):
             image = g_from_c(i, j)
             back = image.substitute(
                 {v: path_poly(v[1], v[2]) for v in image.variables()}
             )
-            want = Polynomial.variable(("g", i, j))
-            if back != want:
-                failures.append(f"g↔c round trip failed at g{i}[{j}]")
-                return None
+            if back != Polynomial.variable(("g", i, j)):
+                raise _SuiteFailure(f"g↔c round trip failed at g{i}[{j}]")
     return None
 
 
-def _suite_kernel_chern(n, seed, failures):
-    count = 0
-    for l in range(1, n + 1):
-        for k in range(1, l):
-            try:
-                kernel_chern_check(k, l)
-            except VerificationError as exc:
-                failures.append(str(exc))
-                return None
-            count += 1
-    return f"{count} pairs"
+def _suite_kernel_chern(n, seed):
+    pairs = [(k, l) for l in range(1, n + 1) for k in range(1, l)]
+    for k, l in pairs:
+        _checked(kernel_chern_check, k, l)
+    return f"{len(pairs)} pairs"
 
 
-def _suite_kernel_chern_partial(shape, seed, failures):
+def _suite_kernel_chern_partial(shape, seed):
     for l in range(1, shape.m + 1):
-        try:
-            kernel_chern_partial_check(l, shape)
-        except VerificationError as exc:
-            failures.append(str(exc))
-            return None
+        _checked(kernel_chern_partial_check, l, shape)
     return f"{shape.m} maps"
 
 
-def _suite_lemma_es(n, seed, failures):
+def _suite_lemma_es(n, seed):
     count = 0
     stack = [()]
     while stack:
@@ -655,42 +658,38 @@ def _suite_lemma_es(n, seed, failures):
             continue
         total, weighted = lemma_es_check(e)
         if not (total <= weighted and weighted >= 2):
-            failures.append(f"bounds fail at e = {e}")
-            return None
+            raise _SuiteFailure(f"bounds fail at e = {e}")
         if (weighted == 2) != (total == 1):
-            failures.append(f"equality case fails at e = {e}")
-            return None
+            raise _SuiteFailure(f"equality case fails at e = {e}")
         count += 1
     return f"{count} multiindices"
 
 
-def _suite_grading(ring, seed, failures):
+def _suite_grading(ring, seed):
     pairs = _sampled(list(ring.basis), 2, 600, seed)
     dim = ring._moduli_dimension((0,) * ring.q_count)
     for u, v in pairs:
         for (d, w), c in ring.quantum_product(u, v).items():
             if c < 0:
-                failures.append(
+                raise _SuiteFailure(
                     f"negative structure constant {c} at q^{d}·σ_{w} "
                     f"in σ_{u}∗σ_{v}"
                 )
-                return None
             weight = ring._moduli_dimension(d) - dim
             if length(w) + weight != length(u) + length(v):
-                failures.append(
+                raise _SuiteFailure(
                     f"graded mismatch at q^{d}·σ_{w} in σ_{u}∗σ_{v}"
                 )
-                return None
     return f"{len(pairs)} pairs"
 
 
-def _suite_two_point(ring, seed, failures):
+def _suite_two_point(ring, seed):
     # the fundamental-class axiom: ⟨σ_u, σ_v, σ_id⟩_d = 0 for d ≠ 0, read off
     # the product σ_u ∗ σ_v at every d with entries ≤ 2 that passes its
     # dimension gate
     identity = tuple(range(1, ring.n + 1))
     by_dim = {}
-    for d in _degree_vectors(ring.q_count, 2):
+    for d in itertools.product(range(3), repeat=ring.q_count):
         if any(d):
             by_dim.setdefault(ring._moduli_dimension(d), []).append(d)
     lengths = [(w, length(w)) for w in ring.basis]
@@ -701,81 +700,68 @@ def _suite_two_point(ring, seed, failures):
                 got = ring.gromov_witten([u, v], identity, d)
                 count += 1
                 if got != 0:
-                    failures.append(
+                    raise _SuiteFailure(
                         f"⟨σ_{u},σ_{v},σ_{identity}⟩_{d} = {got}, expected 0"
                     )
-                    return None
     return f"{count} invariants"
 
 
-def _degree_vectors(m, bound):
-    out = [()]
-    for _ in range(m):
-        out = [d + (e,) for d in out for e in range(bound + 1)]
-    return out
-
-
-_COMPLETE_SUITES = {
-    "associativity": (_suite_associativity, 3),
-    "q0-classical": (_suite_q0_classical, 3),
-    "duality": (_suite_duality, 3),
-    "relations": (_suite_relations, 3),
-    "giambelli": (_suite_giambelli, 3),
-    "grading": (_suite_grading, 3),
-    "two-point": (_suite_two_point, 3),
-}
-
-_N_SUITES = {
-    "specialization": (_suite_specialization, 3),
-    "recursion-roundtrip": (_suite_recursion_roundtrip, 5),
-    "kernel-chern": (_suite_kernel_chern, 5),
-    "lemma-es": (_suite_lemma_es, 5),
+# name -> (suite, selector, default n).  A "ring" suite takes the ring of
+# --n or --shape, an "n" suite --n alone, a "shape" suite --shape alone;
+# each is called with that ring, n or shape and the seed.
+_SUITES = {
+    "associativity": (_suite_associativity, "ring", 3),
+    "q0-classical": (_suite_q0_classical, "ring", 3),
+    "duality": (_suite_duality, "ring", 3),
+    "relations": (_suite_relations, "ring", 3),
+    "giambelli": (_suite_giambelli, "ring", 3),
+    "grading": (_suite_grading, "ring", 3),
+    "two-point": (_suite_two_point, "ring", 3),
+    "specialization": (_suite_specialization, "n", 3),
+    "recursion-roundtrip": (_suite_recursion_roundtrip, "n", 5),
+    "kernel-chern": (_suite_kernel_chern, "n", 5),
+    "kernel-chern-partial": (_suite_kernel_chern_partial, "shape", None),
+    "lemma-es": (_suite_lemma_es, "n", 5),
 }
 
 
 def cmd_verify(args) -> int:
     name = args.suite
-    failures: list[str] = []
-    if name in _COMPLETE_SUITES:
-        fn, default_n = _COMPLETE_SUITES[name]
-        if not args.shape and args.n is None:
-            args.n = default_n
-        summary = fn(_ring(*_selection(args)), args.seed, failures)
-    elif name in _N_SUITES:
-        fn, default_n = _N_SUITES[name]
-        if args.shape:
-            raise CLIInputError(f"suite {name!r} takes --n, not --shape")
-        n = args.n if args.n is not None else default_n
-        if n < 1:
-            raise CLIInputError(f"need n ≥ 1: {n}")
-        summary = fn(n, args.seed, failures)
-    elif name == "kernel-chern-partial":
-        if not args.shape:
-            raise CLIInputError("suite 'kernel-chern-partial' needs --shape")
-        summary = _suite_kernel_chern_partial(
-            _parse_shape(args.shape), args.seed, failures
-        )
-    else:
-        known = sorted(
-            list(_COMPLETE_SUITES) + list(_N_SUITES) + ["kernel-chern-partial"]
-        )
+    if name not in _SUITES:
         raise CLIInputError(
-            f"unknown suite {args.suite!r}; known suites: {', '.join(known)}"
+            f"unknown suite {name!r}; known suites: {', '.join(sorted(_SUITES))}"
         )
+    suite, selector, default_n = _SUITES[name]
+    if selector == "shape" and not args.shape:
+        raise CLIInputError(f"suite {name!r} needs --shape")
+    if selector == "n" and args.shape:
+        raise CLIInputError(f"suite {name!r} takes --n, not --shape")
+    if not args.shape and args.n is None:
+        args.n = default_n
+    if selector == "shape":
+        selection = _parse_shape(args.shape)
+    elif selector == "ring":
+        selection = _ring(*_selection(args))
+    elif args.n < 1:
+        raise CLIInputError(f"need n ≥ 1: {args.n}")
+    else:
+        selection = args.n
+    try:
+        summary, failure = suite(selection, args.seed), None
+    except _SuiteFailure as exc:
+        summary, failure = None, str(exc)
     if args.format == "json":
-        obj = {"suite": name, "status": "fail" if failures else "pass"}
-        if failures:
-            obj["failures"] = failures
+        obj = {"suite": name, "status": "pass" if failure is None else "fail"}
+        if failure is not None:
+            obj["failures"] = [failure]
         elif summary is not None:
             obj["summary"] = summary
         print(_dumps(obj))
-        return 1 if failures else 0
-    if failures:
-        for line in failures:
-            print(f"fail: {line}")
-        return 1
-    print("pass" if summary is None else f"pass, {summary}")
-    return 0
+    elif failure is not None:
+        print(f"fail: {failure}")
+    else:
+        print("pass" if summary is None else f"pass, {summary}")
+    return 0 if failure is None else 1
 
 
 # ---- table -----------------------------------------------------------------

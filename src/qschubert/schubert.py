@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .perm import Perm, _Frozen, validate
 from .poly import (
@@ -335,8 +335,10 @@ class _Unranked(dict):
     def __init__(self, n: int, ranks: dict):
         super().__init__()
         self.ranks = ranks
-        # (n − 1)!, …, 1!, 0!: the place values of the digits of a rank
-        self.places = tuple(math.factorial(i) for i in range(n - 1, -1, -1))
+        # (n − 1)!, …, 1!, 0!: the place values of the digits of a rank, by
+        # one running product 0!, 1!, … (none for n = 0)
+        rising = tuple(accumulate(range(1, n), operator.mul, initial=1))
+        self.places = rising[:n][::-1]
 
     def __missing__(self, rank: int) -> Perm:
         if not 0 <= rank < self.places[0] * len(self.places):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qschubert import Polynomial, QuantumClass, quantum_product, quantum_schubert
-from qschubert import cli, poly, schubert
+from qschubert import cli, poly, qring, schubert
 from qschubert.cli import main
 from qschubert.partial import partial_ring
 from qschubert.perm import FlagShape, all_permutations
@@ -240,7 +240,8 @@ def test_stuck_peel_is_one_internal_error_line(capsys, cache_dir, doubled_pieri)
     assert "Traceback" not in err
 
 
-def test_two_point_suite_fails_on_a_nonzero_invariant():
+def test_two_point_suite_fails_on_a_nonzero_invariant(
+        capsys, cache_dir, monkeypatch):
     # q1·σ_w0 in σ_312 ∗ σ_321 would make ⟨σ_312, σ_321, σ_id⟩_(1,0) = 1
     class Broken(QuantumRing):
         def _pair_product(self, u, v):
@@ -249,11 +250,35 @@ def test_two_point_suite_fails_on_a_nonzero_invariant():
                 terms[self._codec.key((1, 0), (3, 2, 1))] = 1
             return terms
 
-    failures = []
-    assert cli._suite_two_point(QuantumRing(3), 1, failures) == "8 invariants"
-    assert cli._suite_two_point(Broken(3), 1, failures) is None
-    assert failures == ["⟨σ_(3, 1, 2),σ_(3, 2, 1),σ_(1, 2, 3)⟩_(1, 0) = 1, "
-                        "expected 0"]
+    message = "⟨σ_(3, 1, 2),σ_(3, 2, 1),σ_(1, 2, 3)⟩_(1, 0) = 1, expected 0"
+    assert cli._suite_two_point(QuantumRing(3), 1) == "8 invariants"
+    with pytest.raises(cli._SuiteFailure) as failure:
+        cli._suite_two_point(Broken(3), 1)
+    assert str(failure.value) == message
+    # the command prints that counterexample alone
+    monkeypatch.setattr(cli, "quantum_ring", Broken)
+    argv = ("verify", "--suite", "two-point", "--n", "3")
+    assert run(capsys, *argv, cache=cache_dir) == (1, f"fail: {message}\n", "")
+    code, out, err = run(capsys, *argv, "--format", "json", cache=cache_dir)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"suite": "two-point", "status": "fail",
+                               "failures": [message]}
+
+
+def test_readme_suite_table_lists_every_suite_with_its_selector():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split(
+        "### Verification suites", 1)[1].split("\n### ", 1)[0]
+    rows = [line.split("|")[1:-1] for line in section.splitlines()
+            if line.startswith("| `")]
+    listed = {name.strip().strip("`"): (selector.strip(), default.strip())
+              for name, _, selector, default in rows}
+    selectors = {"ring": "`--n` or `--shape`", "n": "`--n`", "shape": "`--shape`"}
+    assert listed == {
+        name: (selectors[selector],
+               "—" if default_n is None else f"`--n {default_n}`")
+        for name, (_, selector, default_n) in cli._SUITES.items()
+    }
 
 
 def test_verify_specialization_builds_each_row_once(
@@ -481,6 +506,36 @@ def test_malformed_cache_entry_is_recomputed(
     assert run(capsys, *argv, cache=cache_dir) == clean
     obj = json.loads(fp.read_text(encoding="utf-8"))
     assert obj["entries"][key] == good
+
+
+@pytest.mark.parametrize("argv", [
+    ("product", "--n", "3", "--u", "2,1,3", "--v", "2,1,3"),
+    ("table", "--n", "3"),
+], ids=["product", "table"])
+def test_cached_entry_of_a_huge_n_builds_no_codec_of_it(
+        capsys, cache_dir, monkeypatch, argv):
+    clean = run(capsys, *argv, cache=cache_dir)
+    assert clean[0] == 0
+    fp = Path(cache_dir) / "product-table_3_v1.json"
+    good = fp.read_bytes()
+    obj = json.loads(good)
+    obj["entries"]["2,1,3;2,1,3"] = {"n": 8000, "terms": []}
+    fp.write_text(json.dumps(obj), encoding="utf-8")
+    codec = qring._class_codec
+
+    def only_n3(n, shape):
+        assert n == 3, f"a codec of n = {n} was built"
+        return codec(n, shape)
+
+    monkeypatch.setattr(qring, "_class_codec", only_n3)
+    monkeypatch.setattr(cli, "_TABLES", {})
+    code, out, err = run(capsys, *argv, cache=cache_dir)
+    if argv[0] == "table":
+        assert (code, err) == (0, "")
+        assert out.endswith("(36 entries, 1 computed)\n")
+    else:
+        assert (code, out, err) == clean
+    assert fp.read_bytes() == good
 
 
 def test_cache_stale_version_ignored(capsys, cache_dir):
@@ -975,6 +1030,37 @@ def test_sampled_tuples_equal_the_sample_of_the_listed_tuples():
                 for seed in (0, 1, 7):
                     assert cli._sampled(basis, k, limit, seed) == \
                         _list_sample(tuples, limit, seed), (basis, k, limit, seed)
+
+
+class _StandIn:
+    """A basis of `size` elements that can be indexed but not listed."""
+
+    def __init__(self, size):
+        self.size = size
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, i):
+        if not 0 <= i < self.size:
+            raise IndexError(i)
+        return i
+
+    def __iter__(self):
+        raise AssertionError("the basis was listed")
+
+
+def test_sampled_draws_past_sys_maxsize_without_listing_the_basis():
+    # as many elements as S_10: 3 628 800³ triples is past sys.maxsize, so
+    # random.sample cannot take the len() of their index range
+    basis = _StandIn(3_628_800)
+    assert len(basis) ** 3 > sys.maxsize
+    triples = cli._sampled(basis, 3, 100, 1)
+    assert len(set(triples)) == 100
+    assert all(len(t) == 3 and all(0 <= e < len(basis) for e in t)
+               for t in triples)
+    assert cli._sampled(basis, 3, 100, 1) == triples
+    assert cli._sampled(basis, 3, 100, 2) != triples
 
 
 def test_associativity_at_n6_runs_in_bounded_memory():

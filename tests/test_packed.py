@@ -6,6 +6,7 @@ bug that every order of a fold shares (which the `associativity` suite
 cannot see) shows here."""
 import copy
 import itertools
+import math
 import pickle
 import random
 from math import comb
@@ -120,6 +121,20 @@ def test_every_rank_unranks_to_its_permutation():
         assert perms[i] == w and ranks[w] == i == codec.index(w)
     with pytest.raises(KeyError):
         perms[24]
+
+
+def test_unranked_place_values_are_one_running_product(monkeypatch):
+    # (n − 1)!, …, 0!, without computing n factorials: at n = 8000 those
+    # took seconds
+    want = {n: tuple(math.factorial(i) for i in range(n - 1, -1, -1))
+            for n in (0, 1, 2, 3, 5, 8, 13, 40)}
+
+    def no_factorial(k):
+        raise AssertionError(f"{k}! computed on its own")
+
+    monkeypatch.setattr(math, "factorial", no_factorial)
+    for n, places in want.items():
+        assert schubert._Unranked(n, {}).places == places, n
 
 
 def test_a_second_codec_of_one_layout_reads_and_compares_the_same():
