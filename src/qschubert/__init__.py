@@ -134,27 +134,7 @@ __all__ = [
     "specialize_quantum",
     "universal_schubert_c",
     "universal_schubert_g",
-    "QuantumClass",
-    "QuantumRing",
-    "RingError",
-    "classical_product",
-    "expand_in_quantum_basis",
-    "gromov_witten",
-    "quantum_product",
-    "quantum_product_multi",
-    "quantum_ring",
-    "relations",
-    "PartialRing",
-    "index_sets",
-    "kernel_chern_partial_check",
-    "kernel_chern_partial_report",
-    "partial_gw",
-    "partial_quantum_product",
-    "partial_quantum_schubert",
-    "partial_relations",
-    "partial_ring",
-    "partial_universal_schubert_c",
-    "tilde_E",
+    *_LAZY,
 ]
 
 

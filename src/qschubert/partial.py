@@ -5,12 +5,15 @@ with jumps exactly at the n_l.  The ring is presented on block Chern-class
 variables σ_i^l (grade i, block l of size n_l − n_{l−1}) and deformation
 parameters q_l of grade n_{l+1} − n_{l−1}, modulo the relations ẽ^q_k.
 
-Everything is produced from the universal (path-alphabet) polynomials in two
-steps: first kill the g-variables whose vertex interval is not admissible for
-the shape (tilde_E), then substitute the surviving block-anchored paths by
-σ-variables and signed q parameters.  Complete shapes substitute x_l for the
-grade-1 block classes, so the complete-shape objects coincide exactly with
-their counterparts for the full flag manifold.
+Everything is produced from the universal (path-alphabet) polynomials by
+one block substitution (`_apply_sigma_q`): block-anchored paths become
+σ-variables and signed q parameters, and every other g-variable becomes 0.
+That zero set holds every g-variable whose vertex interval is not admissible
+for the shape (`index_sets`), so the ring applies it to the path polynomial
+E_k directly (`PartialRing._partial_e`); tilde_E, E_k with only the
+inadmissible g-variables set to 0, serves the kernel Chern checks.  Complete
+shapes substitute x_l for the grade-1 block classes, so the complete-shape
+objects coincide exactly with their counterparts for the full flag manifold.
 
 The ring of a shape (`partial_ring`) owns the memos derived from it, the
 ẽ^q_k(l) and the lifts, which `partial_quantum_schubert` and
@@ -203,10 +206,11 @@ class PartialRing(_GradedQuotientRing):
         return tuple(sn_elements(self.shape))
 
     def _partial_e(self, k: int, l: int) -> Polynomial:
-        """ẽ^q_k(l): tilde_E(k, l) after the block σ/q substitution."""
+        """ẽ^q_k(l): E_k on the first n_l vertices after the block σ/q
+        substitution, which kills every g-variable that tilde_E kills."""
         got = self._e.get((k, l))
         if got is None:
-            got = self._e[k, l] = _apply_sigma_q(tilde_E(k, l, self.shape),
+            got = self._e[k, l] = _apply_sigma_q(path_poly(k, self._ns[l]),
                                                  self.shape)
         return got
 

@@ -237,10 +237,6 @@ class FlagShape(_Frozen):
         ns = self.ns
         return tuple((lo, hi) for lo, hi in zip(ns, ns[1:]) if hi - lo > 1)
 
-    @cached_property
-    def _values(self) -> list:
-        return list(range(1, self.n + 1))
-
     def is_complete(self) -> bool:
         return not self._wide
 
@@ -281,16 +277,15 @@ class FlagShape(_Frozen):
         w = tuple(w)
         got = self._members.get(w)
         if got is None:
-            # the length first, so a huge n lists nothing
-            if len(w) != self.n or sorted(w) != self._values:
-                validate(w)  # a non-permutation gets validate's message
+            # validate reads w alone, so a huge n lists nothing
+            got = validate(w)
+            if len(got) != self.n:
                 raise ValueError(f"permutation {w} is not in S_{self.n}")
-            if self._wide and not self.is_min_rep(w):
+            if self._wide and not self.is_min_rep(got):
                 raise ValueError(
                     f"{w} is not a minimal coset representative for shape "
                     f"{self.to_string()}"
                 )
-            got = tuple(map(int, w))
             self._members[got] = got
         return got
 

@@ -22,10 +22,11 @@ fields above the rank of w).  The engine's entries are the classes of the
 complete rings, without a copy; `_compare` writes keys of the partial ring,
 with m fields; `_times` adds keys; `gromov_witten` encodes (d, dual(w)) once
 and reads that one key.  Keys are decoded only at the public boundary of a
-class (`items`, `coefficient`, `to_text`, `to_json_obj`).  A fold, product
-or expansion of total grade g keeps every d_l ≤ g/2, so the fields never
-carry; a grade that could make one carry (g ≥ 2^(FIELD_BITS + 1)) raises
-ValueError.
+class (`items`, `coefficient`, `to_text`, `to_json_obj`), and the terms that
+come in there are checked and keyed by one function (`_class_terms`).  A
+fold, product or expansion of total grade g keeps every d_l ≤ g/2, so the
+fields never carry; a grade that could make one carry
+(g ≥ 2^(FIELD_BITS + 1)) raises ValueError.
 
 The polynomial presentation (relations and Schubert polynomial lifts) stays
 public; `qschubert verify` checks it against the products.
@@ -73,12 +74,51 @@ def _class_codec(n: int, shape):
     return _codec(n, n - 1 if shape is None else shape.m)
 
 
+def _class_terms(n: int, shape, triples) -> tuple:
+    """(codec, {key of q^d·σ_w: c}) for the classes of n over shape, from
+    (d, w, c) triples: the one rule of what a class term is.  Repeated
+    terms add and zero sums drop.  ValueError unless shape is None or a
+    shape of n, every w is a class of the ring (a permutation of n, and on
+    a shape `FlagShape.check`) and every d has one entry in
+    [0, 2^FIELD_BITS) per q; TypeError unless every entry of d and every c
+    is an int, so a bool or a float raises it."""
+    if shape is not None and shape.n != n:
+        raise ValueError(f"shape {shape.to_string()} is not a shape of n = {n}")
+    codec = _class_codec(n, shape)
+    q_count, index, shifts = codec.m, codec.index, codec.shifts
+    check = validate if shape is None else shape.check
+    terms = {}
+    for d, w, c in triples:
+        w = check(w)
+        if len(w) != n:
+            raise ValueError(f"σ{list(w)} is not a class of the ring")
+        if len(d) != q_count:
+            raise ValueError(f"{list(d)} is not a q-degree of {q_count} entries")
+        # the key as `_Codec.key` packs it, field by field
+        key = index(w)
+        for e, s in zip(d, shifts):
+            if e.__class__ is not int or e < 0 or e >> FIELD_BITS:
+                _json_int(e)  # an entry that is no int raises TypeError
+                raise ValueError(f"{list(d)} is not a q-degree of entries in "
+                                 f"[0, 2^{FIELD_BITS})")
+            key += e << s
+        c = _json_int(c)
+        if key in terms:
+            c += terms[key]
+        terms[key] = c
+    # stored classes hold no zero, so a reader keeps the dict it built
+    return codec, terms if all(terms.values()) else _nonzero(terms)
+
+
 class QuantumClass:
     """An integer combination of basis classes q^d·σ_w.
 
     Terms are held packed, {key of q^d·σ_w: c} on the codec of the ring's n
     and q count (`schubert._Codec`), with zero coefficients dropped; `items`,
-    `coefficient`, `to_text` and `to_json_obj` decode them.  Classes compare
+    `coefficient`, `to_text` and `to_json_obj` decode them.  The
+    constructor, `unit`, `coefficient` and `from_json_obj` take terms from
+    outside through `_class_terms`, so all four accept the same terms and
+    the reader reads every class that the others build.  Classes compare
     by n, shape and keys, shape None and the complete shape counting as the
     same, so classes of two shapes differ even when both are zero.
     """
@@ -86,13 +126,10 @@ class QuantumClass:
     __slots__ = ("n", "shape", "_codec", "_terms")
 
     def __init__(self, n: int, terms=None, shape=None):
-        """terms maps (d, w) to c; ValueError unless every w is a
-        permutation of n and every d has one entry in [0, 2^FIELD_BITS) per
-        q of the ring."""
+        """terms maps (d, w) to c, checked and keyed by `_class_terms`."""
         self.n, self.shape = n, shape
-        self._codec = codec = _class_codec(n, shape)
-        self._terms = {codec.encode(d, w): c
-                       for (d, w), c in (terms or {}).items() if c}
+        self._codec, self._terms = _class_terms(
+            n, shape, ((d, w, c) for (d, w), c in (terms or {}).items()))
 
     @classmethod
     def _wrap(cls, n, shape, codec, terms: dict) -> "QuantumClass":
@@ -107,14 +144,16 @@ class QuantumClass:
 
     @classmethod
     def unit(cls, w: Perm, shape=None) -> "QuantumClass":
-        """The single class 1·σ_w at q-degree zero."""
-        w = validate(w)
-        codec = _class_codec(len(w), shape)
-        return cls._wrap(len(w), shape, codec, {codec.index(w): 1})
+        """The single class 1·σ_w at q-degree zero, of n = len(w)."""
+        w = tuple(w)
+        d = (0,) * (len(w) - 1 if shape is None else shape.m)
+        return cls(len(w), {(d, w): 1}, shape)
 
     def coefficient(self, d, w) -> int:
+        """The coefficient of q^d·σ_w, 0 when (d, w) is no class term of the
+        ring."""
         try:
-            key = self._codec.encode(d, w)
+            _, (key,) = _class_terms(self.n, self.shape, ((d, w, 1),))
         except (TypeError, ValueError):
             return 0
         return self._terms.get(key, 0)
@@ -199,33 +238,15 @@ class QuantumClass:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "QuantumClass":
-        """Inverse of `to_json_obj`, encoded straight to packed keys; n,
-        degrees and coefficients must be ints, and a float or a bool raises
-        TypeError.  A shape must be one of n, every w must be a permutation
-        of n that indexes a class of the ring, and every d must have one
-        entry in [0, 2^FIELD_BITS) per q of the ring; else ValueError."""
+        """Inverse of `to_json_obj`: n must be an int, and the shape string,
+        n and the terms must pass `_class_terms`, as they do for the
+        constructor."""
         shape = FlagShape.from_string(obj["shape"]) if "shape" in obj else None
         n = _json_int(obj["n"])
-        if shape is not None and shape.n != n:
-            raise ValueError(f"shape {shape.to_string()} is not a shape of n = {n}")
-        codec = _class_codec(n, shape)
-        q_count, index, shifts = codec.m, codec.index, codec.shifts
-        terms = {}
-        for t in obj["terms"]:
-            w = validate(map(int, t["w"].split(",")))
-            if len(w) != n or shape is not None and not shape.is_min_rep(w):
-                raise ValueError(f"σ{list(w)} is not a class of the ring")
-            d = t["d"]
-            if len(d) != q_count:
-                raise ValueError(f"{d} is not a q-degree of {q_count} entries")
-            key = index(w)
-            for e, s in zip(d, shifts):
-                if _json_int(e) < 0 or e >> FIELD_BITS:
-                    raise ValueError(f"{d} is not a q-degree of entries in "
-                                     f"[0, 2^{FIELD_BITS})")
-                key += e << s
-            terms[key] = _json_int(t["coeff"])
-        return cls._wrap(n, shape, codec, _nonzero(terms))
+        codec, terms = _class_terms(n, shape, [
+            (t["d"], tuple(map(int, t["w"].split(","))), t["coeff"])
+            for t in obj["terms"]])
+        return cls._wrap(n, shape, codec, terms)
 
     def __repr__(self):
         return f"QuantumClass({self.to_text()!r})"

@@ -243,24 +243,22 @@ def _e_pivot(w: Perm) -> tuple:
     return tuple(sum(x > y for x in w[:p]) for p, y in enumerate(w) if p)
 
 
+@lru_cache(maxsize=None)
+def _inverse(w: Perm) -> Perm:
+    """w⁻¹, memoized, since a pivot check reads it for every class of a row."""
+    out = [0] * len(w)
+    for i, a in enumerate(w, start=1):
+        out[a - 1] = i
+    return tuple(out)
+
+
 def _is_pivot_row(row: dict, w: Perm) -> bool:
     """Whether the class row = {u: B[K, u]} holds σ_w at coefficient 1 and
-    every other σ_u with u⁻¹ lexicographically after w⁻¹, that is, with the
-    least value that u and w place apart placed later by u."""
+    every other σ_u with u⁻¹ lexicographically after w⁻¹."""
     if row.get(w) != 1:
         return False
-    where = w.index
-    values = range(1, len(w) + 1)
-    for u in row:
-        if u == w:
-            continue
-        for j in values:
-            a, b = u.index(j), where(j)
-            if a != b:
-                break
-        if a < b:
-            return False
-    return True
+    least = _inverse(w)
+    return all(_inverse(u) > least for u in row if u != w)
 
 
 class EDecomposition(_Frozen):
@@ -365,6 +363,11 @@ class _Codec:
     `_Unranked`), so a permutation never met costs nothing and a rank
     never met reads all the same.
 
+    The codec checks nothing: `key` and `degree` pack terms already known
+    to be classes.  A term from outside the package, given to a
+    `QuantumClass` or read from JSON, is checked by `qring._class_terms`,
+    which packs it field by field in the same loop.
+
     Every term of a product, a fold or an expansion of total grade g has
     2·d_l ≤ g, q_l being of grade ≥ 2, so no field carries while g <
     2^(FIELD_BITS + 1) (`check`).  A pair product, the engine's own terms
@@ -427,17 +430,6 @@ class _Codec:
             d = self._degrees[key - rank] = tuple(
                 key >> s & field for s in self.shifts)
         return d, self._perms[rank]
-
-    def encode(self, d, w) -> int:
-        """The key of q^d·σ_w; ValueError unless w is a permutation of n and
-        d has m entries in [0, 2^FIELD_BITS)."""
-        d, w = tuple(map(operator.index, d)), validate(w)
-        if len(w) != self.n:
-            raise ValueError(f"σ{list(w)} is not a class of S_{self.n}")
-        if len(d) != self.m or any(e < 0 or e >> FIELD_BITS for e in d):
-            raise ValueError(f"{list(d)} is not a q-degree of {self.m} "
-                             f"entries in [0, 2^{FIELD_BITS})")
-        return self.key(d, w)
 
     def check(self, grade: int) -> None:
         """ValueError when terms of this total grade could carry a field."""

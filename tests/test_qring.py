@@ -13,6 +13,7 @@ from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qschubert import (
     EchelonSystem,
@@ -43,7 +44,7 @@ from qschubert import (
 )
 from qschubert import cli, partial, perm, qring
 from qschubert.qring import _GradedQuotientRing
-from qschubert.schubert import _Transition
+from qschubert.schubert import FIELD_BITS, _Transition
 
 ID3 = (1, 2, 3)
 S1 = (2, 1, 3)
@@ -497,6 +498,113 @@ def test_quantum_class_json_round_trip():
 def test_quantum_class_json_refuses_terms_outside_the_ring(obj):
     with pytest.raises(ValueError):
         QuantumClass.from_json_obj(obj)
+
+
+def _class_json(n, terms, shape=None):
+    """The JSON of QuantumClass(n, terms, shape), written term by term."""
+    obj = {"n": n, "terms": [
+        {"d": list(d), "w": ",".join(map(str, w)), "coeff": c}
+        for (d, w), c in terms.items()]}
+    if shape is not None:
+        obj["shape"] = shape.to_string()
+    return obj
+
+
+@st.composite
+def _class_inputs(draw):
+    """(n, terms, shape): a shape of n ≤ 5 or None, and terms whose w may
+    lie outside the ring and whose d and c may be no ints."""
+    ambient = draw(st.integers(2, 5))
+    steps = draw(st.sets(st.integers(1, ambient - 1), min_size=1))
+    shape = draw(st.sampled_from(
+        [None, FlagShape(sorted(steps), ambient), FlagShape.complete(ambient)]))
+    n = draw(st.sampled_from([ambient, ambient, ambient, max(2, ambient - 1)]))
+    m = n - 1 if shape is None else shape.m
+    entry = st.integers(0, 2 ** FIELD_BITS - 1) | st.sampled_from(
+        [-1, 2 ** FIELD_BITS, True, 1.0])
+    degree = st.lists(entry, min_size=m, max_size=m) | st.lists(entry, max_size=5)
+    coeff = st.integers(-10 ** 20, 10 ** 20) | st.sampled_from([0, True, 1.5, "x"])
+    terms = draw(st.dictionaries(
+        st.tuples(degree.map(tuple),
+                  st.sampled_from(all_permutations(draw(st.sampled_from(
+                      [n, n, n, ambient]))))),
+        coeff, max_size=4))
+    return n, terms, shape
+
+
+@settings(max_examples=300)
+@given(_class_inputs())
+def test_the_reader_reads_every_class_the_constructor_builds(args):
+    n, terms, shape = args
+    try:
+        cls = QuantumClass(n, terms, shape)
+    except (TypeError, ValueError) as refused:
+        # the reader refuses the same terms the same way
+        with pytest.raises(type(refused)):
+            QuantumClass.from_json_obj(_class_json(n, terms, shape))
+        return
+    assert QuantumClass.from_json_obj(cls.to_json_obj()) == cls
+    assert QuantumClass.from_json_obj(_class_json(n, terms, shape)) == cls
+    for (d, w), c in terms.items():
+        assert cls.coefficient(d, w) == c
+
+
+GR24 = FlagShape((2,), 4)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: QuantumClass(4, {((0,), (1, 2, 4, 3)): 1}, shape=GR24),
+    lambda: QuantumClass.unit((2, 1, 3, 4), shape=GR24),
+    lambda: QuantumClass.from_json_obj(
+        _class_json(4, {((0,), (1, 2, 4, 3)): 1}, GR24)),
+    lambda: QuantumClass.from_json_obj(
+        _class_json(4, {((0,), (2, 1, 3, 4)): 1}, GR24)),
+], ids=["constructor", "unit", "reader", "reader-unit"])
+def test_a_permutation_outside_the_shape_is_no_class(build):
+    with pytest.raises(ValueError, match="minimal coset representative"):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: QuantumClass(3, {((0,), (1, 2, 3)): 1}, shape=GR24),
+    lambda: QuantumClass.unit((1, 2, 3), shape=GR24),
+    lambda: QuantumClass.from_json_obj(
+        _class_json(3, {((0,), (1, 2, 3)): 1}, GR24)),
+], ids=["constructor", "unit", "reader"])
+def test_a_shape_of_another_n_is_refused(build):
+    with pytest.raises(ValueError, match="shape 2:4 is not a shape of n = 3"):
+        build()
+
+
+@pytest.mark.parametrize("c", [True, 1.5, "x"])
+def test_a_coefficient_must_be_an_int(c):
+    terms = {((0, 0), ID3): c}
+    with pytest.raises(TypeError):
+        QuantumClass(3, terms)
+    with pytest.raises(TypeError):
+        QuantumClass.from_json_obj(_class_json(3, terms))
+
+
+@pytest.mark.parametrize("d", [(True, 0), (1, False)])
+def test_a_degree_entry_must_be_an_int(d):
+    with pytest.raises(TypeError):
+        QuantumClass(3, {(d, ID3): 1})
+    with pytest.raises(TypeError):
+        QuantumClass.from_json_obj(_class_json(3, {(d, ID3): 1}))
+    # the coefficient of a term that no class has is 0
+    cls = quantum_product(S1, S1)
+    assert cls.coefficient((1, 0), ID3) == 1
+    assert cls.coefficient(d, ID3) == 0
+
+
+def test_the_reader_adds_repeated_terms():
+    term = {"d": [1, 0], "w": "1,2,3"}
+    obj = {"n": 3, "terms": [{**term, "coeff": 1}, {**term, "coeff": 2}]}
+    cls = QuantumClass.from_json_obj(obj)
+    assert cls == QuantumClass(3, {((1, 0), ID3): 3})
+    assert cls.items() == [(((1, 0), ID3), 3)]
+    obj["terms"][1]["coeff"] = -1
+    assert QuantumClass.from_json_obj(obj).is_zero()
 
 
 def test_ring_object_reuse_returns_same_instance():
