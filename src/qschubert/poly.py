@@ -22,7 +22,13 @@ Monomials rest in this tuple form everywhere but in the kernels of
 `schubert`, which pack them into one int with a bit field per variable
 (`_Packing`), all fields of one width, so that a monomial product is one int
 addition.  The width must hold every exponent the kernel meets, so that no
-field carries into the next.  There are three packings:
+field carries into the next.  A factor that a fold multiplies by is packed
+grouped by coefficient, as ((c, packed monomials), …)
+(`_Packing.pack_factor`), so the product kernel (`_packed_mul_into`) runs
+an int addition and a dict update per term and multiplies coefficients
+once per group.  A packed sum is decoded by one table lookup per chunk of
+at most 8 fields (`_Packing.unpack`), two on every packing of S_6.
+There are three packings:
   * the fold (`e_fold`) has one packing per call.  Its fields are as wide as
     the bit length of the sum, over the factor positions, of the largest
     exponent of any factor used there; no product of that call exceeds it.
@@ -45,7 +51,9 @@ field carries into the next.  There are three packings:
     has grade at most C(n, 2), with x of grade 1 and q of grade 2.  The lift
     never sets x_n, but ∂_{n−1} writes x_n terms that cancel only after the
     whole step, so x_n has a field.  The entries stay packed in the engine's
-    memos, and `schubert_poly` and the lift decode the one asked for.
+    memos, and `schubert_poly` and the lift decode the one asked for.  A
+    lift node multiplies by x_r or q^d by adding its packed key, which the
+    engine computes once per x_r and per edge.
 A polynomial holds a dict monomial → nonzero coefficient.  Coefficients are
 Python ints, and the only scalars that arithmetic accepts are ints: any other
 scalar, a Fraction or a float among them, raises TypeError.
@@ -104,6 +112,15 @@ def _var_key(v: Variable):
     return (_KIND_ORDER[v[0]],) + v[1:]
 
 
+def _factor_key(pair):
+    """The sort key of a (variable, exponent) pair of a monomial."""
+    return _var_key(pair[0])
+
+
+# an unassigned variable in `Polynomial._map_monomials`
+_FIXED = object()
+
+
 def mon_grade(mon: Monomial, q_grades=None) -> int:
     return sum(e * var_grade(v, q_grades) for v, e in mon)
 
@@ -113,7 +130,7 @@ def mon_mul(m1: Monomial, m2: Monomial) -> Monomial:
     factors = dict(m1)
     for v, e in m2:
         factors[v] = factors.get(v, 0) + e
-    return tuple(sorted(factors.items(), key=lambda ve: _var_key(ve[0])))
+    return tuple(sorted(factors.items(), key=_factor_key))
 
 
 def mon_sort_key(mon: Monomial):
@@ -287,7 +304,10 @@ class Polynomial:
     def substitute(self, assignment) -> "Polynomial":
         """Replace variables per `assignment` (variable → Polynomial or int).
 
-        Unassigned variables are left fixed.  Ring homomorphism.
+        Unassigned variables are left fixed.  Ring homomorphism.  When every
+        value has at most one term, each monomial maps to one monomial or to
+        nothing (`_map_monomials`); else the powers of the values are
+        multiplied out (`_expand`).
         """
         if not assignment:
             return self
@@ -295,6 +315,37 @@ class Polynomial:
             v: (p if isinstance(p, Polynomial) else Polynomial.constant(p))
             for v, p in assignment.items()
         }
+        if all(len(p._terms) <= 1 for p in asg.values()):
+            return self._map_monomials(asg)
+        return self._expand(asg)
+
+    def _map_monomials(self, asg: dict) -> "Polynomial":
+        """`substitute` for values v ↦ c·m of one term or 0: a monomial with
+        a variable sent to 0 goes, and any other maps to one monomial, with
+        m^e for each v^e in it and its coefficient times c^e, sorted once."""
+        images = {v: next(iter(p._terms.items()), None) for v, p in asg.items()}
+        acc = {}
+        for mon, coeff in self._terms.items():
+            factors = {}
+            for v, e in mon:
+                image = images.get(v, _FIXED)
+                if image is _FIXED:
+                    factors[v] = factors.get(v, 0) + e
+                    continue
+                if image is None:
+                    break
+                m, c = image
+                coeff *= c ** e
+                for u, k in m:
+                    factors[u] = factors.get(u, 0) + k * e
+            else:
+                key = tuple(sorted(factors.items(), key=_factor_key))
+                acc[key] = acc.get(key, 0) + coeff
+        return Polynomial(acc)
+
+    def _expand(self, asg: dict) -> "Polynomial":
+        """`substitute` for any Polynomial values: each monomial times the
+        product of the powers of its variables' values."""
         power_cache = {}
 
         def powered(v, e):
@@ -398,12 +449,8 @@ class Polynomial:
                 if e < 0:
                     raise ValueError(f"negative exponent {e} of {render_var(v)}")
                 factors[v] = factors.get(v, 0) + e
-            mon = tuple(
-                sorted(
-                    ((v, e) for v, e in factors.items() if e),
-                    key=lambda ve: _var_key(ve[0]),
-                )
-            )
+            mon = tuple(sorted(((v, e) for v, e in factors.items() if e),
+                               key=_factor_key))
             c = entry["coeff"]
             c = int(c) if c.__class__ is str and _DECIMAL.fullmatch(c) else c
             terms[mon] = terms.get(mon, 0) + _json_int(c)
@@ -423,9 +470,35 @@ def _json_int(value) -> int:
 # ---- packed monomials, inside the folds and the Schubert engine ----
 
 
-# fields decoded at once by `_Packing.unpack`: a wider chunk takes fewer
-# steps per monomial but misses its table more often
-_CHUNK_FIELDS = 4
+# the most fields that one decode table of `_Packing.unpack` covers: a wider
+# chunk takes fewer lookups per monomial, but its table can hold more values
+_CHUNK_FIELDS = 8
+
+
+class _Chunk(dict):
+    """The table of one chunk of a `_Packing`'s fields: chunk value → the
+    pair tuple it stands for, seeded with 0 → () and filled on a miss from
+    one shared (variable, exponent) pair per field value (`fields`)."""
+
+    __slots__ = ("_fields", "_width")
+
+    def __init__(self, fields: list, width: int):
+        super().__init__({0: ()})
+        self._fields = fields
+        self._width = width
+
+    def __missing__(self, part: int) -> tuple:
+        width = self._width
+        mask = (1 << width) - 1
+        pairs, rest = [], part
+        for values in self._fields:
+            if rest & mask:
+                pairs.append(values[rest & mask])
+            rest >>= width
+            if not rest:
+                break
+        got = self[part] = tuple(pairs)
+        return got
 
 
 class _Packing:
@@ -438,14 +511,21 @@ class _Packing:
     next: the product of two packed monomials is their sum.  A bound below
     1 with variables to hold, and an exponent above the bound in `pack`,
     raise ValueError; `key` and the products that callers form on packed
-    monomials are not checked.  `unpack` turns a packed sum back into a
-    Polynomial with canonical tuple monomials.  It decodes _CHUNK_FIELDS
-    fields at a time through a table, filled on first use, of the pair
-    tuples each chunk value stands for; the tables are built from one
-    shared (variable, exponent) pair per field value.
+    monomials are not checked.
+
+    `unpack` turns a packed sum back into a Polynomial with canonical tuple
+    monomials.  The F fields are cut into max(2, ⌈F/_CHUNK_FIELDS⌉) chunks
+    of ⌈F/chunks⌉ fields each, the last ones maybe fewer or none, and each
+    chunk has a table (`_Chunk`) from its value to the pair tuple it
+    stands for, seeded with 0 → () and filled on a miss.  So every monomial
+    is decoded by the same lookups, one per chunk, whichever of its chunks
+    are empty: two up to 2·_CHUNK_FIELDS fields, which covers both
+    packings of S_6 and the engine's up to S_8.  A table holds one entry
+    per chunk value met, so it never exceeds the number of distinct
+    monomials decoded, nor (bound + 1) to the power of its chunk's fields.
     """
 
-    __slots__ = ("_bound", "_width", "_shifts", "_pairs", "_chunks")
+    __slots__ = ("_bound", "_width", "_shifts", "_mask", "_tables")
 
     def __init__(self, order, bound: int):
         if order and bound < 1:
@@ -454,9 +534,15 @@ class _Packing:
         self._bound = bound
         self._width = width = bound.bit_length()
         self._shifts = {v: i * width for i, v in enumerate(order)}
-        self._pairs = [[None] + [(v, e) for e in range(1, bound + 1)]
-                       for v in order]
-        self._chunks = [{} for _ in range(0, len(order), _CHUNK_FIELDS)]
+        # per field, its (variable, exponent) pair at each exponent
+        pairs = [[None] + [(v, e) for e in range(1, bound + 1)] for v in order]
+        chunks = max(-(-len(order) // _CHUNK_FIELDS), 2)
+        span = -(-len(order) // chunks)  # fields per chunk
+        self._mask = (1 << span * width) - 1
+        # per chunk, the shift of its lowest field and its table
+        self._tables = [(j * span * width,
+                         _Chunk(pairs[j * span:(j + 1) * span], width))
+                        for j in range(chunks)]
 
     def key(self, mon: Monomial) -> int:
         """The packed form of a monomial whose variables are all in the
@@ -472,58 +558,49 @@ class _Packing:
             raise ValueError(f"an exponent exceeds the packing bound {bound}")
         return {self.key(mon): c for mon, c in p._terms.items()}
 
-    def _chunk(self, j: int, part: int) -> tuple:
-        """The pairs that chunk j of a packed monomial stands for."""
-        width = self._width
-        mask = (1 << width) - 1
-        pairs = []
-        i = j * _CHUNK_FIELDS
-        rest = part
-        while rest:
-            e = rest & mask
-            if e:
-                pairs.append(self._pairs[i][e])
-            rest >>= width
-            i += 1
-        got = self._chunks[j][part] = tuple(pairs)
-        return got
+    def pack_factor(self, p: Polynomial) -> tuple:
+        """p packed as by `pack` and grouped by coefficient, as
+        ((c, packed monomials), …): a factor of `_packed_mul_into`."""
+        groups = {}
+        for m, c in self.pack(p).items():
+            groups.setdefault(c, []).append(m)
+        return tuple((c, tuple(keys)) for c, keys in groups.items())
 
     def unpack(self, terms: dict) -> Polynomial:
         """The Polynomial of a packed {monomial: coefficient} dict; zero
         coefficients are dropped."""
-        bits = self._width * _CHUNK_FIELDS
-        mask = (1 << bits) - 1
-        chunks = self._chunks
-        out = {}
-        for m, c in terms.items():
-            if not c:
-                continue
-            mon = ()
-            j = 0
-            while m:
-                part = m & mask
-                if part:
-                    # a nonzero chunk stands for at least one pair, so only
-                    # a miss reads as falsy
-                    mon += chunks[j].get(part) or self._chunk(j, part)
-                m >>= bits
-                j += 1
-            out[mon] = c
+        mask = self._mask
+        (_, low), (shift, high), *more = self._tables
         res = Polynomial.__new__(Polynomial)
-        res._terms = out
+        if not more:
+            res._terms = {low[m & mask] + high[m >> shift & mask]: c
+                          for m, c in terms.items() if c}
+            return res
+        # past two chunks, one pass per further chunk extends the pairs of
+        # every monomial
+        keys = [m for m, c in terms.items() if c]
+        mons = [low[m & mask] + high[m >> shift & mask] for m in keys]
+        for shift, table in more:
+            mons = [pairs + table[m >> shift & mask]
+                    for pairs, m in zip(mons, keys)]
+        res._terms = dict(zip(mons, map(terms.__getitem__, keys)))
         return res
 
 
-def _packed_mul_into(out: dict, a: dict, b: dict) -> dict:
-    """out += a·b on packed {monomial: coefficient} dicts of one packing;
-    returns out.  Cancelled terms stay in out with coefficient 0."""
-    if len(a) > len(b):
-        a, b = b, a
+def _packed_mul_into(out: dict, part: dict, factor: tuple) -> dict:
+    """out += part·factor on packed monomials of one packing, part a
+    {monomial: coefficient} dict and factor grouped by coefficient as
+    ((c, monomials), …) (`_Packing.pack_factor`); returns out.  Zero terms
+    of part are skipped, and cancelled terms stay in out with coefficient
+    0, so a fold need not filter its partial sums."""
     get = out.get
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = m1 + m2
-            out[m] = get(m, 0) + c1 * c2
+    for m1, c1 in part.items():
+        if c1:
+            for c, keys in factor:
+                c *= c1
+                for m in keys:
+                    m += m1
+                    out[m] = get(m, 0) + c
     return out
 
 

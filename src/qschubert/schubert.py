@@ -14,11 +14,13 @@ a[w] = {K(w): 1} − Σ_{u≠w} B[K(w), u]·a[u] resolves, and only the u that
 the row of w reaches are peeled.
 Every lift replaces each e_k(p) by an image factor(k, p) and sums
 Σ a_K·factor(k_1, 1)⋯factor(k_{n−1}, n−1) by Horner's rule on packed
-monomials (`_e_fold_packed`), over factors packed by one helper
-(`_pack_columns`): once per call in `e_fold`, once per n where the factor
-depends on (k, p) alone (`_Transition.columns`).  The recombination check
-of `e_decomposition` and `EDecomposition.recombine` fold with e_k(p) on the
-engine's own packing; the check compares the packed sum with the packed 𝔖_w.
+monomials (`_e_fold_packed`), over factors packed and grouped by
+coefficient by one helper (`_pack_columns`): once per call in `e_fold`,
+once per n where the factor depends on (k, p) alone
+(`_Transition.columns`).  E_k(p), c_k(p) and e_k(p) are one group each,
+of coefficient 1.  The recombination check of `e_decomposition` and
+`EDecomposition.recombine` fold with e_k(p) on the engine's own packing;
+the check compares the packed sum with the packed 𝔖_w.
 
 `_Transition`, one per n, is that engine: quantum Monk and
 Lascoux–Schützenberger transition give the structure constants of
@@ -156,7 +158,8 @@ def e_fold(coeffs: dict, factor) -> Polynomial:
 def _pack_columns(factors: list) -> tuple:
     """(packing, columns) for factor columns, factors[p − 1] = {k: factor}:
     one `_Packing` over the variables of all the factors, in `_var_key`
-    order, and columns[p − 1] = {k: the factor packed on it}.
+    order, and columns[p − 1] = {k: the factor packed on it, grouped by
+    coefficient} (`_Packing.pack_factor`).
 
     No product of a fold takes more than one factor from a column, so the
     fields hold the sum over the columns of the largest exponent in each.
@@ -165,14 +168,16 @@ def _pack_columns(factors: list) -> tuple:
              for column in factors]
     packing = _Packing(sorted({v for col in pairs for v, _ in col}, key=_var_key),
                        sum(max((e for _, e in col), default=0) for col in pairs))
-    return packing, [{k: packing.pack(f) for k, f in column.items()}
+    return packing, [{k: packing.pack_factor(f) for k, f in column.items()}
                      for column in factors]
 
 
 def _e_fold_packed(coeffs: dict, columns: list) -> dict:
     """Σ a_K·columns[0][k_1]⋯columns[L−1][k_L] on packed monomials, where
-    columns[p − 1] maps each k ≠ 0 that some K has at p to a packed factor;
-    cancelled terms stay with coefficient 0.
+    columns[p − 1] maps each k ≠ 0 that some K has at p to a packed factor
+    grouped by coefficient (`_Packing.pack_factor`); cancelled terms stay
+    with coefficient 0, and each product skips those of its partial sum
+    (`_packed_mul_into`).
 
     Horner's rule over the trie of the sequences read from the end: the
     sequences are grouped by their last entry k, each group's sum over
@@ -186,7 +191,6 @@ def _e_fold_packed(coeffs: dict, columns: list) -> dict:
         up = {}
         for seq, part in level.items():
             out = up.setdefault(seq[1:], {})
-            part = {m: c for m, c in part.items() if c}
             if seq[0]:
                 _packed_mul_into(out, part, column[seq[0]])
             else:
@@ -514,8 +518,12 @@ class _Transition:
     One `_Packing` over x_1,…,x_n, q_1,…,q_{n−1} holds 𝔖_w, 𝔖^q_w and the
     e_k(p); its fields hold C(n, 2) (1 at n = 1), the top grade, which no
     term that a lift, a divided difference or the check's fold meets
-    exceeds, cancelled ones included.  A lift node adds the key of x_r or
-    q^d to every key of a shorter lift.  The lift never sets x_n, but
+    exceeds, cancelled ones included.  A lift node adds the packed key of
+    x_r or q^d to every key of a shorter lift, read from tables built with
+    the edges (`_x_shifts`, and `_q_shifts` by the dkey of each edge), and
+    drops each term as it cancels.  The e_k(p) of the check (`e_columns`),
+    like the factor columns, are packed grouped by coefficient
+    (`_Packing.pack_factor`).  The lift never sets x_n, but
     ∂_{n−1} writes x_n terms that cancel only once every monomial is done,
     so x_n has a field.
     """
@@ -524,11 +532,21 @@ class _Transition:
         self.n = n
         self.identity = tuple(range(1, n + 1))
         self.codec = codec = _codec(n, n - 1)
+        self._packing = packing = _Packing(
+            [("x", i) for i in range(1, n + 1)] + [("q", i) for i in range(1, n)],
+            max(n * (n - 1) // 2, 1))
+        # what a lift node adds to a packed monomial to multiply it by x_r,
+        # at r − 1, and by q^d, at the key dkey of d: 0 for a classical term,
+        # and q_a⋯q_{b−1} for a quantum edge
+        self._x_shifts = tuple(packing.key(((("x", r), 1),))
+                               for r in range(1, n + 1))
+        self._q_shifts = {0: 0}
         # _edges[r]: (a, b, sign, d of q_a⋯q_{b−1}, its key) per edge of x_r
         self._edges = [[] for _ in range(n + 1)]
         for a, b in combinations(range(1, n + 1), 2):
             d = (0,) * (a - 1) + (1,) * (b - a) + (0,) * (n - b)
             dkey = codec.degree(d)
+            self._q_shifts[dkey] = packing.key(_q_monomial(d))
             self._edges[a].append((a, b, 1, d, dkey))
             self._edges[b].append((a, b, -1, d, dkey))
         # _x[r]: rank of z → x_r ∗ σ_z as (delta, sign) pairs
@@ -543,9 +561,6 @@ class _Transition:
         self._pieri_rows = {}      # (z, p) → the rows of `_pieri`
         self._decompositions = {}  # w → its checked EDecomposition
         self._columns = {}         # factor → (packing, columns)
-        self._packing = packing = _Packing(
-            [("x", i) for i in range(1, n + 1)] + [("q", i) for i in range(1, n)],
-            max(n * (n - 1) // 2, 1))
         # w → 𝔖_w as {packed monomial: coefficient}, from the staircase 𝔖_{w_0}
         staircase = tuple((("x", p), n - p) for p in range(1, n))
         self._classical = {tuple(range(n, 0, -1)): {packing.key(staircase): 1}}
@@ -678,15 +693,18 @@ class _Transition:
     def _lift_node(self, memo: dict, r: int, v: Perm, rest: tuple) -> dict:
         """x_r times the terms of 𝔖^q_v, less c·q^d times those of each
         𝔖^q_u of R, summed in one packed dict: a monomial times x_r or q^d
-        is its key plus that of x_r or q^d."""
-        shift = self._packing.key(((("x", r), 1),))
+        is its key plus the packed x_r or q^d (`_x_shifts`, `_q_shifts`)."""
+        shift = self._x_shifts[r - 1]
         # x_r·(distinct monomials) are distinct: nothing to gather yet
         acc = {m + shift: c for m, c in memo[v].items()}
-        for d, _, u, c in rest:
-            shift = self._packing.key(_q_monomial(d))
+        get, shifts = acc.get, self._q_shifts
+        for _, dkey, u, c in rest:
+            shift = shifts[dkey]
             for m, c2 in memo[u].items():
                 m += shift
-                s = acc.get(m, 0) - c * c2
+                # dropped at once: a pass at the end, as in `_product_node`,
+                # copies the whole sum and measured slower here
+                s = get(m, 0) - c * c2
                 if s:
                     acc[m] = s
                 else:
@@ -772,9 +790,10 @@ class _Transition:
 
     @cached_property
     def e_columns(self) -> list:
-        """Column p − 1 maps k to e_k(x_1,…,x_p), packed, for 1 ≤ k ≤ p < n;
-        built on first use, so building a ring packs none."""
-        pack = self._packing.pack
+        """Column p − 1 maps k to e_k(x_1,…,x_p), packed and grouped by
+        coefficient (`_Packing.pack_factor`), for 1 ≤ k ≤ p < n; built on
+        first use, so building a ring packs none."""
+        pack = self._packing.pack_factor
         return [{k: pack(elementary_poly(k, p)) for k in range(1, p + 1)}
                 for p in range(1, self.n)]
 

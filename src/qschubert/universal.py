@@ -15,11 +15,16 @@ The lifts 𝔖_w(c), 𝔖_w(g) and the partial lifts are each one fold
 Σ a_K·e_{k_1}(1)⋯e_{k_{n−1}}(n−1) with e_k(p) replaced by its image: c_k(p),
 E_k(p) or, for a partial shape, the image of the column p rounds down to.
 c_k(p) and E_k(p) depend on (k, p) alone, so the engine of n packs them once
-per factor, on one packing whose decode tables fill once
-(`schubert._Transition.columns`); the partial images depend on the shape,
-and each partial lift packs its own (`schubert.e_fold`).  𝔖_w(g) is folded
-directly with E_k(l) rather than substituted into 𝔖_w(c); the two agree
-because distinct sequences K give distinct c-monomials.
+per factor, each as one group of coefficient 1, on one packing whose decode
+tables fill once (`schubert._Transition.columns`); the partial images
+depend on the shape, and each partial lift packs its own, grouped by
+coefficient the same way (`schubert.e_fold`).  𝔖_w(g) is folded directly
+with E_k(l) rather than substituted into 𝔖_w(c); the two agree because
+distinct sequences K give distinct c-monomials.
+
+Both specializations send each g_i[j] to x_i, q_i or 0, so
+`Polynomial.substitute` maps each monomial of 𝔖_w(g) to one monomial or
+drops it, with no polynomial product.
 
 The quantum polynomial 𝔖_w(x,q) is not a fold: it comes from
 Lascoux–Schützenberger transition on the Fl_n product engine

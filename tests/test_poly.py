@@ -277,6 +277,123 @@ def test_packing_refuses_an_exponent_above_the_bound():
             packing.pack(p)
 
 
+_ALPHABET = st.one_of(
+    st.tuples(st.just("x"), st.integers(1, 9)),
+    st.tuples(st.just("q"), st.integers(1, 8)),
+    st.tuples(st.just("g"), st.integers(1, 4), st.integers(0, 3)),
+)
+
+
+@st.composite
+def _packings(draw):
+    """(packing, p): a packing of 0–20 variables with a bound of 1–9, and a
+    polynomial on it whose monomials include the constant, one with only
+    the lowest field, one with only the last field, at the bound, and one
+    with every field at the bound, so that the low chunk, the high chunk or
+    both are empty in some monomial."""
+    order = sorted(draw(st.lists(_ALPHABET, unique=True, max_size=20)),
+                   key=poly._var_key)
+    bound = draw(st.integers(1, 9))
+    terms = {(): draw(st.integers(-3, 3))}
+    if order:
+        terms[((order[0], 1),)] = 1
+        terms[((order[-1], bound),)] = -2
+        terms[tuple((v, bound) for v in order)] = 5
+        for factors in draw(st.lists(st.dictionaries(
+                st.sampled_from(order), st.integers(1, bound)), max_size=12)):
+            mon = tuple(sorted(factors.items(), key=poly._factor_key))
+            terms[mon] = draw(st.integers(-9, 9))
+    return poly._Packing(order, bound), Polynomial(terms)
+
+
+@settings(max_examples=300)
+@given(_packings())
+def test_unpack_inverts_pack(case):
+    packing, p = case
+    chunks = packing._tables
+    fields = [len(table._fields) for _, table in chunks]
+    assert sum(fields) == len(packing._shifts)
+    assert len(chunks) == max(2, -(-sum(fields) // poly._CHUNK_FIELDS))
+    assert max(fields) <= poly._CHUNK_FIELDS
+    packed = packing.pack(p)
+    assert packing.unpack(packed) == p
+    if p:
+        # a zero coefficient is dropped
+        mon, c = next(iter(p._terms.items()))
+        packed[packing.key(mon)] = 0
+        assert packing.unpack(packed) == p - Polynomial({mon: c})
+
+
+_MUL_ORDER = [("x", 1), ("x", 2), ("q", 1), ("g", 1, 0)]
+
+
+def _packed_terms(top):
+    """{monomial over _MUL_ORDER with exponents ≤ top: coefficient}, the
+    coefficients in −3..3, zero among them."""
+    return st.dictionaries(
+        st.dictionaries(st.sampled_from(_MUL_ORDER), st.integers(1, top)).map(
+            lambda factors: tuple(sorted(factors.items(), key=poly._factor_key))),
+        st.integers(-3, 3), max_size=8)
+
+
+@settings(max_examples=300)
+@given(_packed_terms(3), _packed_terms(3), _packed_terms(6))
+def test_grouped_factor_product_matches_polynomial_mul(part, factor, before):
+    """out += part·factor on packed monomials, with the factor grouped by
+    coefficient (zero, negative and non-unit groups among them), equals the
+    Polynomial arithmetic, also when part and out hold zero terms."""
+    packing = poly._Packing(_MUL_ORDER, 6)
+    groups = {}
+    for mon, c in factor.items():
+        groups.setdefault(c, []).append(packing.key(mon))
+    grouped = tuple((c, tuple(keys)) for c, keys in groups.items())
+    out = {packing.key(mon): c for mon, c in before.items()}
+    got = poly._packed_mul_into(
+        out, {packing.key(mon): c for mon, c in part.items()}, grouped)
+    assert got is out
+    want = Polynomial(before) + Polynomial(part) * Polynomial(factor)
+    assert packing.unpack(got) == want
+    # pack_factor groups a Polynomial the same way
+    f = Polynomial(factor)
+    assert {(c, m) for c, keys in packing.pack_factor(f) for m in keys} == \
+        {(c, m) for m, c in packing.pack(f).items()}
+
+
+def _single_term_values():
+    """A value of at most one term: 0, an int, or c·m with m over the
+    same alphabet as the polynomials substituted into."""
+    mon = st.dictionaries(st.sampled_from(_MUL_ORDER), st.integers(1, 2),
+                          max_size=3)
+    return st.one_of(
+        st.integers(-3, 3),
+        st.builds(lambda c, factors: Polynomial({tuple(
+            sorted(factors.items(), key=poly._factor_key)): c}),
+            st.integers(-3, 3).filter(bool), mon))
+
+
+@settings(max_examples=300)
+@given(_packed_terms(3), st.dictionaries(
+    st.sampled_from(_MUL_ORDER + [("q", 2)]), _single_term_values()))
+def test_monomial_map_matches_the_expansion(terms, assignment):
+    """With every value of at most one term, `substitute` maps monomials to
+    monomials; it agrees with the general path, which multiplies out the
+    powers of the values, also where a value holds a fixed variable or a
+    variable that is itself assigned."""
+    p = Polynomial(terms)
+    values = {v: c if isinstance(c, Polynomial) else Polynomial.constant(c)
+              for v, c in assignment.items()}
+    want = p._expand(values)
+    assert p._map_monomials(values) == want
+    assert p.substitute(assignment) == want
+
+
+def test_substitute_takes_the_general_path_for_a_sum():
+    p = X1 ** 2 * Q1 - X2
+    assert p.substitute({("x", 1): X2 + Q1, ("x", 2): 3}) == \
+        (X2 + Q1) ** 2 * Q1 - 3
+    assert p.substitute({("x", 1): -X2, ("q", 1): 0}) == -X2
+
+
 def test_solver_example_and_recombination():
     gens = [X1 * (X1 + X2), X1 * X2]
     assert solve_linear_expansion(X1 * X1, gens) == (1, -1)

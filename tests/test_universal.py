@@ -1,5 +1,7 @@
 """Path polynomials, universal Schubert polynomials, and their specializations."""
 
+import hashlib
+import json
 import random
 import sys
 import threading
@@ -27,8 +29,8 @@ from qschubert import (
     universal_schubert_g,
     x_var,
 )
-from qschubert import universal
-from qschubert.schubert import _Transition, e_decomposition, e_fold
+from qschubert import poly, universal
+from qschubert.schubert import _e_fold_packed, _Transition, e_decomposition, e_fold
 from qschubert.universal import path_poly_via_determinant, path_poly_via_recursion
 
 
@@ -305,6 +307,66 @@ def test_concurrent_universal_lifts_match_serial(fresh_engines):
     assert not errors
     assert not any(t.is_alive() for t in threads)
     assert all(got == serial for got in results)
+
+
+def test_concurrent_unpack_matches_serial():
+    """Threads decode the universal lifts of S_5 through one fresh packing,
+    whose chunk tables start empty and fill as they meet misses."""
+    ws = all_permutations(5)
+    packing, columns = _Transition(5).columns(path_poly)
+    folds = [_e_fold_packed(e_decomposition(w).coeffs, columns) for w in ws]
+    serial = [packing.unpack(f) for f in folds]
+    fresh = poly._Packing(list(packing._shifts), packing._bound)
+    assert [dict(table) for _, table in fresh._tables] == [{0: ()}] * 2
+    workers = 4
+    start = threading.Barrier(workers)
+    results = [None] * workers
+    errors = []
+
+    def work(slot):
+        try:
+            order = random.Random(slot).sample(range(len(ws)), len(ws))
+            start.wait(timeout=60)
+            got = {i: fresh.unpack(folds[i]) for i in order}
+            results[slot] = [got[i] for i in range(len(ws))]
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    # switch threads often, so that they miss and fill one table together
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert not any(t.is_alive() for t in threads)
+    assert all(got == serial for got in results)
+    assert [dict(t) for _, t in fresh._tables] == \
+        [dict(t) for _, t in packing._tables]
+
+
+# the sha256 of one JSON array that holds, for each w of
+# random.Random(7).sample(S_7, 60) in that order, [w, 𝔖^q_w, 𝔖_w(g), 𝔖_w(c)],
+# each polynomial as its sorted (monomial, coefficient) pairs
+S7_LIFT_DIGEST = "333678cccaee94f9ee0a7d523bfeadc0c1347e972f8b1d09bcffb0a47de600e0"
+
+
+def test_s7_lifts_match_digest(fresh_engines):
+    lifts = (quantum_schubert, universal_schubert_g, universal_schubert_c)
+    digest = hashlib.sha256(b"[")
+    # entry by entry, as json.dumps writes the array, so that no more than
+    # one entry's lifts are held at once
+    for i, w in enumerate(random.Random(7).sample(all_permutations(7), 60)):
+        entry = [list(w)] + [sorted(lift(w)._terms.items()) for lift in lifts]
+        digest.update((", " if i else "").encode() + json.dumps(entry).encode())
+    digest.update(b"]")
+    assert digest.hexdigest() == S7_LIFT_DIGEST
 
 
 def test_specialization_chain_s4():
