@@ -16,8 +16,9 @@ shapes substitute x_l for the grade-1 block classes, so the complete-shape
 objects coincide exactly with their counterparts for the full flag manifold.
 
 The ring of a shape (`partial_ring`) owns the memos derived from it, the
-ẽ^q_k(l) and the lifts, which `partial_quantum_schubert` and
-`partial_relations` read; the other functions here keep none.
+ẽ^q_k(l), their packed images (`PartialRing._images`) and the lifts, which
+`partial_quantum_schubert` and `partial_relations` read; the other
+functions here keep none.
 """
 from __future__ import annotations
 
@@ -36,8 +37,8 @@ from .poly import (
     x_var,
 )
 from .qring import QuantumClass, RingError, _GradedQuotientRing
-from .schubert import e_decomposition, e_fold
-from .universal import path_poly
+from .schubert import _fold, _pack_images, e_decomposition
+from .universal import path_poly, universal_schubert_c
 
 __all__ = [
     "PartialRing",
@@ -142,16 +143,17 @@ def partial_universal_schubert_c(w: Perm, shape: FlagShape) -> Polynomial:
     """𝔖_w^(N)(c): round every c-column down to the nearest jump value.
 
     c_i(j) becomes c_i(n_k) for n_k ≤ j < n_{k+1}; columns below n_1 collapse
-    to constants (c_i(0) = 0 for i ≥ 1).
+    to constants (c_i(0) = 0 for i ≥ 1): `universal_schubert_c` under
+    that substitution, a ring map sending each variable to one term.
 
     >>> partial_universal_schubert_c((2, 1, 3), FlagShape((1,), 3)).to_text()
     'c1(1)'
     """
     shape = _check_shape(shape)
-    w = shape.check(w)
+    lift = universal_schubert_c(shape.check(w))
     ns = shape.ns
-    return e_fold(e_decomposition(w).coeffs,
-                  lambda k, p: c_var(k, ns[bisect_right(ns, p) - 1]))
+    return lift.substitute({v: c_var(v[1], ns[bisect_right(ns, v[2]) - 1])
+                            for v in lift.variables()})
 
 
 def partial_quantum_schubert(w: Perm, shape: FlagShape) -> Polynomial:
@@ -189,7 +191,7 @@ class PartialRing(_GradedQuotientRing):
     supplies the relations ẽ^q_k and the lifts 𝔖_w^(N)(σ,q); its products
     are read off Fl_n products by the comparison formula in the shared code
     (`_GradedQuotientRing`).  It owns every memo of its shape: ẽ^q_k(l)
-    (`_e`) and the lifts (`_lifts`).
+    (`_e`), their images packed once (`_images`) and the lifts (`_lifts`).
     """
 
     def __init__(self, shape: FlagShape):
@@ -214,23 +216,31 @@ class PartialRing(_GradedQuotientRing):
                                                  self.shape)
         return got
 
+    @cached_property
+    def _images(self) -> tuple:
+        """The packed images of e_k(p) in the lifts, ẽ^q_k(l) for the jump
+        value n_l that p rounds down to and 0 below n_1
+        (`schubert._pack_images`), built on the first lift."""
+        ns, zero = self._ns, Polynomial.zero()
+
+        def image(k, p):
+            l = bisect_right(ns, p) - 1
+            return self._partial_e(k, l) if l else zero
+
+        return _pack_images(image, self.n)
+
     def relations(self) -> tuple:
         return tuple(self._partial_e(k, self.q_count + 1)
                      for k in range(1, self.n + 1))
 
     def _basis_lift(self, w):
         """𝔖_w^(N)(σ,q), memoized: the e-fold of 𝔖_w with column p rounded
-        down to its jump value n_l and e_k(p) ↦ ẽ^q_k(l), c_k(n_0) = 0."""
+        down to its jump value n_l and e_k(p) ↦ ẽ^q_k(l), c_k(n_0) = 0
+        (`_images`)."""
         got = self._lifts.get(w)
         if got is not None:
             return got
-        ns, zero = self._ns, Polynomial.zero()
-
-        def factor(k, p):
-            l = bisect_right(ns, p) - 1
-            return self._partial_e(k, l) if l else zero
-
-        out = e_fold(e_decomposition(w).coeffs, factor)
+        out = _fold(e_decomposition(w).coeffs, *self._images)
         if not out.is_zero() and out.grades(self.q_grades) != {length(w)}:
             raise RingError(
                 f"partial quantum polynomial for {w} is not homogeneous of "

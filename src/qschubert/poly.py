@@ -28,19 +28,19 @@ grouped by coefficient, as ((c, packed monomials), …)
 an int addition and a dict update per term and multiplies coefficients
 once per group.  A packed sum is decoded by one table lookup per chunk of
 at most 8 fields (`_Packing.unpack`), two on every packing of S_6.
-There are three packings:
-  * the fold (`e_fold`) has one packing per call.  Its fields are as wide as
-    the bit length of the sum, over the factor positions, of the largest
-    exponent of any factor used there; no product of that call exceeds it.
-    The sum is decoded once, at the end.
-  * the path fold of `universal.universal_schubert_g` has one packing per n,
-    over the g_i[j] with i ≥ 1 and i + j ≤ n − 1, built by the same helper
-    as the per-call one (`schubert._pack_columns`) from every E_k(p),
-    1 ≤ k ≤ p < n.  Each E_k(p) is squarefree and a product takes at most
-    one factor from each of the n − 1 positions, so its fields hold n − 1.
-    The engine of n keeps the packed E_k(p) and their decode tables for
-    every fold of that n (`schubert._Transition.columns`), and the c_k(p)
-    of `universal_schubert_c` the same way.
+There are two kinds of packing:
+  * the images of a fold have one packing per owner and image, built once
+    from every image(k, p), 1 ≤ k ≤ p < n (`schubert._pack_images`): the
+    engine of n packs E_k(p) for `universal.universal_schubert_g` and
+    c_k(p) for `universal_schubert_c` (`schubert._Transition.columns`), and
+    each partial ring its ẽ^q_k(l) (`partial.PartialRing._images`).  Its
+    fields are as wide as the bit length of the sum, over the positions p,
+    of the largest exponent of an image at p; a product of a fold takes at
+    most one image from each position, so none exceeds it.  The E_k(p) are
+    squarefree, over the g_i[j] with i ≥ 1 and i + j ≤ n − 1, so the path
+    fields hold n − 1.  The owner keeps the packed images and their decode
+    tables for every fold over them, and each sum is decoded once, at the
+    end (`schubert._fold`).
   * the Schubert engine (`schubert._Transition`) has one packing per n, over
     x_1,…,x_n, q_1,…,q_{n−1}, whose fields hold C(n, 2) (1 at n = 1),
     since a packing with variables refuses a bound below 1.  On it are the

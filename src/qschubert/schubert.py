@@ -12,15 +12,15 @@ rule for e_k(x_1,…,x_p)·σ_z (`_pieri`), that holds σ_w once and otherwise
 only σ_u with u⁻¹ lexicographically after w⁻¹, so
 a[w] = {K(w): 1} − Σ_{u≠w} B[K(w), u]·a[u] resolves, and only the u that
 the row of w reaches are peeled.
-Every lift replaces each e_k(p) by an image factor(k, p) and sums
-Σ a_K·factor(k_1, 1)⋯factor(k_{n−1}, n−1) by Horner's rule on packed
-monomials (`_e_fold_packed`), over factors packed and grouped by
-coefficient by one helper (`_pack_columns`): once per call in `e_fold`,
-once per n where the factor depends on (k, p) alone
-(`_Transition.columns`).  E_k(p), c_k(p) and e_k(p) are one group each,
-of coefficient 1.  The recombination check of `e_decomposition` and
-`EDecomposition.recombine` fold with e_k(p) on the engine's own packing;
-the check compares the packed sum with the packed 𝔖_w.
+Every lift replaces each e_k(p) by an image and sums
+Σ a_K·image(k_1, 1)⋯image(k_{n−1}, n−1) by Horner's rule on packed
+monomials (`_e_fold_packed`, decoded once by `_fold`), over images that
+their owner packs once, grouped by coefficient (`_pack_images`): the
+engine of n per factor (`_Transition.columns`), and each partial ring.
+E_k(p), c_k(p) and e_k(p) are one group each, of coefficient 1.  The
+recombination check of `e_decomposition` and `EDecomposition.recombine`
+fold with e_k(p) on the engine's own packing; the check compares the
+packed sum with the packed 𝔖_w.
 
 `_Transition`, one per n, is that engine: quantum Monk and
 Lascoux–Schützenberger transition give the structure constants of
@@ -60,7 +60,6 @@ __all__ = [
     "elementary_poly",
     "e_decomposition",
     "EDecomposition",
-    "e_fold",
 ]
 
 
@@ -134,42 +133,29 @@ def elementary_poly(k: int, l: int) -> Polynomial:
     return Polynomial(terms)
 
 
-def e_fold(coeffs: dict, factor) -> Polynomial:
-    """Σ a_K·factor(k_1, 1)⋯factor(k_L, L) over coeffs = {K: a_K}, all
-    sequences K of one length L; a factor with k_p = 0 is 1.
+def _pack_images(image, n: int) -> tuple:
+    """(packing, columns) for the images image(k, p) of e_k(p), each read
+    once, 1 ≤ k ≤ p < n: one `_Packing` over the variables of all the
+    images, in `_var_key` order, and columns[p − 1] = {k: image(k, p)
+    packed on it, grouped by coefficient} (`_Packing.pack_factor`).
 
-    Each factor(k, p), k ≠ 0, is looked up once and packed, for this call
-    alone, over the variables of these factors (`_pack_columns`);
-    `_e_fold_packed` folds the packed factors, and the sum is decoded once,
-    at the end.  A factor that depends only on (k, p) is better packed once
-    per n on its engine (`_Transition.columns`), like E_k(p) and c_k(p).
-
-    >>> e_fold({(1, 0): 1, (0, 1): -1}, elementary_poly).to_text()
-    '−x2'
-    """
-    if not coeffs:
-        return Polynomial.zero()
-    packing, columns = _pack_columns(
-        [{k: factor(k, p) for k in {seq[p - 1] for seq in coeffs} if k}
-         for p in range(1, len(next(iter(coeffs))) + 1)])
-    return packing.unpack(_e_fold_packed(coeffs, columns))
-
-
-def _pack_columns(factors: list) -> tuple:
-    """(packing, columns) for factor columns, factors[p − 1] = {k: factor}:
-    one `_Packing` over the variables of all the factors, in `_var_key`
-    order, and columns[p − 1] = {k: the factor packed on it, grouped by
-    coefficient} (`_Packing.pack_factor`).
-
-    No product of a fold takes more than one factor from a column, so the
+    No product of a fold takes more than one image from a column, so the
     fields hold the sum over the columns of the largest exponent in each.
     """
+    images = [{k: image(k, p) for k in range(1, p + 1)} for p in range(1, n)]
     pairs = [[ve for f in column.values() for mon in f._terms for ve in mon]
-             for column in factors]
+             for column in images]
     packing = _Packing(sorted({v for col in pairs for v, _ in col}, key=_var_key),
                        sum(max((e for _, e in col), default=0) for col in pairs))
     return packing, [{k: packing.pack_factor(f) for k, f in column.items()}
-                     for column in factors]
+                     for column in images]
+
+
+def _fold(coeffs: dict, packing: _Packing, columns: list) -> Polynomial:
+    """Σ a_K·image(k_1, 1)⋯image(k_{n−1}, n−1) over coeffs = {K: a_K}, a
+    column of K with k_p = 0 being 1, folded over the packed images of
+    `_pack_images` (`_e_fold_packed`) and decoded once on their packing."""
+    return packing.unpack(_e_fold_packed(coeffs, columns))
 
 
 def _e_fold_packed(coeffs: dict, columns: list) -> dict:
@@ -289,8 +275,7 @@ class EDecomposition(_Frozen):
         if not self.coeffs:
             return Polynomial.zero()
         engine = _transition(len(next(iter(self.coeffs))) + 1)
-        return engine._packing.unpack(
-            _e_fold_packed(self.coeffs, engine.e_columns))
+        return _fold(self.coeffs, engine._packing, engine.e_columns)
 
 
 def e_decomposition(w: Perm) -> EDecomposition:
@@ -514,7 +499,8 @@ class _Transition:
     `_memo`, `_lifts`, `_classical`, `_e_prefixes` and `_e_coeffs`, each
     entry after those it is built from; beside them sit the Pieri rows
     (`_pieri_rows`), the checked decompositions of `e_decomposition` and
-    the factor columns of the universal lifts (`columns`).
+    the packed images c_k(p) and E_k(p) of the universal lifts, one
+    packing per factor (`columns`).
     One `_Packing` over x_1,…,x_n, q_1,…,q_{n−1} holds 𝔖_w, 𝔖^q_w and the
     e_k(p); its fields hold C(n, 2) (1 at n = 1), the top grade, which no
     term that a lift, a divided difference or the check's fold meets
@@ -522,7 +508,7 @@ class _Transition:
     x_r or q^d to every key of a shorter lift, read from tables built with
     the edges (`_x_shifts`, and `_q_shifts` by the dkey of each edge), and
     drops each term as it cancels.  The e_k(p) of the check (`e_columns`),
-    like the factor columns, are packed grouped by coefficient
+    like the packed images, are grouped by coefficient
     (`_Packing.pack_factor`).  The lift never sets x_n, but
     ∂_{n−1} writes x_n terms that cancel only once every monomial is done,
     so x_n has a field.
@@ -798,15 +784,13 @@ class _Transition:
                 for p in range(1, self.n)]
 
     def columns(self, factor) -> tuple:
-        """(packing, columns) with columns[p − 1] = {k: factor(k, p),
-        packed} for 1 ≤ k ≤ p < n, packed once per factor object
-        (`_pack_columns`), so that every fold over them decodes through one
-        packing; racing threads keep the first stored."""
+        """(packing, columns) of the images factor(k, p), 1 ≤ k ≤ p < n,
+        packed once per factor object (`_pack_images`), so that every fold
+        over them decodes through one packing; racing threads keep the
+        first stored."""
         got = self._columns.get(factor)
         if got is None:
-            got = self._columns.setdefault(factor, _pack_columns(
-                [{k: factor(k, p) for k in range(1, p + 1)}
-                 for p in range(1, self.n)]))
+            got = self._columns.setdefault(factor, _pack_images(factor, self.n))
         return got
 
 

@@ -9,7 +9,26 @@ from pathlib import Path
 import pytest
 
 import qschubert
-from qschubert import schubert, universal
+from qschubert import Polynomial, schubert, universal
+
+
+def _naive_fold(coeffs, factor):
+    """Σ a_K·factor(k_1, 1)⋯factor(k_L, L), multiplied out term by term with
+    Polynomial.__mul__."""
+    out = Polynomial.zero()
+    for seq, a in coeffs.items():
+        term = Polynomial.constant(a)
+        for p, k in enumerate(seq, start=1):
+            if k:
+                term = term * factor(k, p)
+        out = out + term
+    return out
+
+
+@pytest.fixture()
+def naive_fold():
+    """The oracle of the packed folds: `_naive_fold`, which packs nothing."""
+    return _naive_fold
 
 
 @pytest.fixture()

@@ -1,6 +1,10 @@
 """Quantum cohomology of partial flag manifolds."""
 
+import hashlib
+import json
 import random
+import sys
+import threading
 from itertools import product
 
 import pytest
@@ -33,7 +37,7 @@ from qschubert import (
     universal_schubert_c,
     x_var,
 )
-from qschubert.partial import _apply_sigma_q
+from qschubert.partial import PartialRing, _apply_sigma_q
 
 P1 = FlagShape((1,), 2)
 P2 = FlagShape((1,), 3)
@@ -136,6 +140,75 @@ def test_partial_lifts_match_the_two_stage_substitution(shape):
         c_poly, lift = _two_stage_lifts(w, shape)
         assert partial_universal_schubert_c(w, shape) == c_poly, w
         assert partial_quantum_schubert(w, shape) == lift, w
+
+
+# sha256 over the partial lifts and partial c-lifts of `_DIGEST_CLASSES`
+PARTIAL_LIFT_DIGEST = "caed5fdf7daa3a3628b4f64a3d78db8c6e9d6e14dce773662b6d5cce8f21a4da"
+
+
+def _digest_classes():
+    """(shape string, w): every class of 2:4:6, 3:7 and 1:3:6:7, then 20
+    seeded classes each of 1:4:8 and 2:4:6:8; 585 in all."""
+    for text in ("2:4:6", "3:7", "1:3:6:7"):
+        for w in sn_elements(FlagShape.from_string(text)):
+            yield text, w
+    for text in ("1:4:8", "2:4:6:8"):
+        for w in random.Random(8).sample(sn_elements(FlagShape.from_string(text)), 20):
+            yield text, w
+
+
+def test_partial_lifts_match_digest():
+    digest = hashlib.sha256()
+    for text, w in _digest_classes():
+        shape = FlagShape.from_string(text)
+        line = json.dumps([text, list(w),
+                           partial_quantum_schubert(w, shape).to_json_obj(),
+                           partial_universal_schubert_c(w, shape).to_json_obj()])
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == PARTIAL_LIFT_DIGEST
+
+
+def test_concurrent_partial_lifts_match_serial():
+    """Threads lift every class of one fresh ring, sharing the packed images
+    it builds on the first lift and their decode tables.  A race may pack
+    them twice (`cached_property` takes no lock on Python 3.12+), but each
+    lift folds and decodes on the one packing it read."""
+    shape = FlagShape((2, 4), 6)
+    serial_ring = PartialRing(shape)
+    ws = list(serial_ring.basis)
+    serial = {w: serial_ring._basis_lift(w) for w in ws}
+    ring = PartialRing(shape)
+    assert "_images" not in vars(ring)
+    workers = 4
+    start = threading.Barrier(workers)
+    results = [None] * workers
+    errors = []
+
+    def work(slot):
+        try:
+            start.wait(timeout=60)
+            # each thread starts at its own quarter of the basis
+            cut = slot * len(ws) // workers
+            results[slot] = {w: ring._basis_lift(w) for w in ws[cut:] + ws[:cut]}
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    # switch threads often, so that they meet in the first lift's packing
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert not any(t.is_alive() for t in threads)
+    assert all(got == serial for got in results)
+    assert "_images" in vars(ring)
 
 
 def test_partial_quantum_schubert_examples():

@@ -172,6 +172,7 @@ def test_failed_recombination_raises_verification_error(broken_packed_fold):
 
 
 def test_e_fold_is_the_plain_sum_of_products():
+    packed = schubert._pack_images(elementary_poly, 5)
     for w in all_permutations(5):
         coeffs = e_decomposition(w).coeffs
         plain = Polynomial.zero()
@@ -180,14 +181,15 @@ def test_e_fold_is_the_plain_sum_of_products():
             for p, k in enumerate(seq, start=1):
                 term = term * elementary_poly(k, p)
             plain = plain + term
-        assert schubert.e_fold(coeffs, elementary_poly) == plain, w
+        assert schubert._fold(coeffs, *packed) == plain, w
         assert plain == schubert_poly(w)
 
 
 def test_e_fold_edge_cases():
-    assert schubert.e_fold({}, elementary_poly).is_zero()
-    assert schubert.e_fold({(): 3}, elementary_poly) == Polynomial.constant(3)
-    # a factor is looked up only for k_p ≠ 0, once per distinct (k_p, p)
+    packed = schubert._pack_images(elementary_poly, 1)
+    assert schubert._fold({}, *packed).is_zero()
+    assert schubert._fold({(): 3}, *packed) == Polynomial.constant(3)
+    # an image is looked up once per (k, p), 1 ≤ k ≤ p < n, used or not
     calls = []
 
     def factor(k, p):
@@ -195,25 +197,13 @@ def test_e_fold_edge_cases():
         return elementary_poly(k, p)
 
     coeffs = {(1, 0, 2): 2, (0, 1, 2): -1, (1, 1, 1): 5}
-    assert schubert.e_fold(coeffs, factor) == (
+    assert schubert._fold(coeffs, *schubert._pack_images(factor, 4)) == (
         2 * X1 * elementary_poly(2, 3)
         - elementary_poly(1, 2) * elementary_poly(2, 3)
         + 5 * X1 * elementary_poly(1, 2) * elementary_poly(1, 3)
     )
-    assert sorted(calls) == [(1, 1), (1, 2), (1, 3), (2, 3)]
-
-
-def _naive_fold(coeffs, factor):
-    """Σ a_K·factor(k_1, 1)⋯factor(k_L, L), multiplied out term by term with
-    Polynomial.__mul__."""
-    out = Polynomial.zero()
-    for seq, a in coeffs.items():
-        term = Polynomial.constant(a)
-        for p, k in enumerate(seq, start=1):
-            if k:
-                term = term * factor(k, p)
-        out = out + term
-    return out
+    assert sorted(calls) == sorted(
+        (k, p) for p in range(1, 4) for k in range(1, p + 1))
 
 
 def _seeded_coeffs(seed, length, size, keep=()):
@@ -250,10 +240,11 @@ def _powers(k, p):
     (c_var, 5, 60),
     (_partial_factor, 4, 40),
 ])
-def test_e_fold_matches_the_naive_sum(factor, length, size, seed):
+def test_e_fold_matches_the_naive_sum(factor, length, size, seed, naive_fold):
     # the longest sequence uses every factor of the largest k at each p
     coeffs = _seeded_coeffs(seed, length, size, keep=[tuple(range(1, length + 1))])
-    assert schubert.e_fold(coeffs, factor) == _naive_fold(coeffs, factor)
+    packed = schubert._pack_images(factor, length + 1)
+    assert schubert._fold(coeffs, *packed) == naive_fold(coeffs, factor)
 
 
 def test_partial_factor_has_sigmas_a_signed_q_and_a_zero_column():
@@ -263,19 +254,21 @@ def test_partial_factor_has_sigmas_a_signed_q_and_a_zero_column():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_e_fold_reaches_the_exponent_bound(seed):
-    """An exponent of the sum equals the packing bound, Σ over positions of
-    the largest exponent of a factor used there: x_1^{1·1 + 2·2 + 3·3}."""
+def test_e_fold_reaches_the_exponent_bound(seed, naive_fold):
+    """An exponent of the sum equals the packing bound, Σ over positions p of
+    the largest exponent of an image at p: x_1^{1·1 + 2·2 + 3·3}."""
     top = (1, 2, 3)
     coeffs = _seeded_coeffs(seed, 3, 8, keep=[top])
     bound = sum(
-        max(e for k in {seq[p - 1] for seq in coeffs} if k
+        max(e for k in range(1, p + 1)
             for mon in _powers(k, p)._terms for _, e in mon)
         for p in (1, 2, 3)
     )
-    got = schubert.e_fold(coeffs, _powers)
-    assert got == _naive_fold(coeffs, _powers)
-    assert max(e for mon in got._terms for v, e in mon if v == ("x", 1)) == bound == 14
+    packing, columns = schubert._pack_images(_powers, 4)
+    got = schubert._fold(coeffs, packing, columns)
+    assert got == naive_fold(coeffs, _powers)
+    top_x1 = max(e for mon in got._terms for v, e in mon if v == ("x", 1))
+    assert top_x1 == bound == packing._bound == 14
 
 
 def _e_monomial(seq) -> Polynomial:
