@@ -9,9 +9,12 @@ The ring layer loads on first use.  `import qschubert` imports `perm`,
 QuantumRing, RingError, quantum_product, gromov_witten, …) and of `partial`
 (PartialRing, partial_ring, partial_quantum_product, partial_gw, …) import
 their module the first time one of them is read, and are then bound here
-like the others.  Each `qschubert` command is a fresh process that pays for
-every module it imports, so one that never multiplies classes, such as one
-that only builds Schubert polynomials, does not compile the ring modules.
+like the others.  The deferral serves a process that imports `qschubert`
+and never multiplies classes, such as the set-up of the `basis-cold`
+benchmark workload: it pays for every module it imports, and without
+bytecode caches compiles it.  The CLI does not defer: `qschubert.cli`
+imports `qring` and `partial` when it loads, so every `qschubert` command
+loads the ring layer, one that only builds Schubert polynomials too.
 """
 from importlib import import_module
 

@@ -129,10 +129,6 @@ def _perm_key(w) -> str:
     return ",".join(str(a) for a in w)
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True)
-
-
 def _os_reason(exc: OSError) -> str:
     # mkdir(exist_ok=True) raises FileExistsError only for a non-directory
     return ("not a directory" if isinstance(exc, FileExistsError)
@@ -386,35 +382,62 @@ def _read_entry(cls, obj):
         return None
 
 
+def _cached_answer(cache: TableCache, kind: str, key: str, entry_key: str,
+                   read, compute) -> tuple:
+    """(answer, None) when read(entry) accepts the stored entry; otherwise
+    (answer, obj) for answer = compute() and obj its JSON object, which is
+    stored.  One serialization serves the cache entry and the JSON output."""
+    entries = cache.load(kind, key) or {}
+    answer = read(entries.get(entry_key))
+    if answer is not None:
+        return answer, None
+    answer = compute()
+    obj = answer.to_json_obj()
+    cache.store(kind, key, {entry_key: obj})
+    return answer, obj
+
+
+def _print(args, answer, obj=None) -> None:
+    """Print one answer: with --format json, `obj` as one line, else the
+    answer's text.  A Polynomial or QuantumClass renders itself, and is
+    serialized only when `obj` is None; any other answer is its own text."""
+    if args.format == "json":
+        obj = answer.to_json_obj() if obj is None else obj
+        print(json.dumps(obj, sort_keys=True))
+    elif isinstance(answer, (Polynomial, QuantumClass)):
+        print(answer.to_text())
+    else:
+        print(answer)
+
+
 # ---- schubert --------------------------------------------------------------
+
+
+def _read_poly(n: int, quantum: bool, obj):
+    """The polynomial of a schubert or qschubert entry of n, or None when
+    the entry cannot be read or is over another alphabet, so that it is
+    recomputed and stored over."""
+    alphabet = {("x", i) for i in range(1, n + 1)}
+    if quantum:
+        alphabet.update(("q", i) for i in range(1, n))
+    poly = _read_entry(Polynomial, obj)
+    return poly if poly is not None and poly.variables() <= alphabet else None
 
 
 def cmd_schubert(args) -> int:
     w = _parse_perm(args.w, args.n)
     if args.quantum and args.universal:
         raise CLIInputError("--quantum and --universal are mutually exclusive")
-    obj = None
     if args.universal:
-        poly = universal_schubert_g(w)
-    else:
-        kind = "qschubert" if args.quantum else "schubert"
-        cache = TableCache(args.cache_dir)
-        entries = cache.load(kind, str(args.n)) or {}
-        key = _perm_key(w)
-        poly = _read_entry(Polynomial, entries.get(key))
-        # an entry over another alphabet is recomputed like a malformed one
-        alphabet = {("x", i) for i in range(1, args.n + 1)}
-        if args.quantum:
-            alphabet.update(("q", i) for i in range(1, args.n))
-        if poly is None or not poly.variables() <= alphabet:
-            poly = quantum_schubert(w) if args.quantum else schubert_poly(w)
-            # one serialization serves the cache entry and the JSON output
-            obj = poly.to_json_obj()
-            cache.store(kind, str(args.n), {key: obj})
-    if args.format == "json":
-        print(_dumps(poly.to_json_obj() if obj is None else obj))
-    else:
-        print(poly.to_text())
+        _print(args, universal_schubert_g(w))
+        return 0
+    kind, compute = (("qschubert", quantum_schubert) if args.quantum
+                     else ("schubert", schubert_poly))
+    poly, obj = _cached_answer(
+        TableCache(args.cache_dir), kind, str(args.n), _perm_key(w),
+        functools.partial(_read_poly, args.n, args.quantum),
+        functools.partial(compute, w))
+    _print(args, poly, obj)
     return 0
 
 
@@ -441,32 +464,17 @@ def _read_class(ring, obj):
     return _read_entry(QuantumClass, obj)
 
 
-def _cached_product(ring, cache: TableCache, u, v) -> tuple:
-    """(u ∗ v, its JSON object) on a miss, which stores that object, and
-    (u ∗ v, None) on a hit."""
-    key = _product_cache_key(ring)
-    entries = cache.load("product-table", key) or {}
-    a, b = (u, v) if u <= v else (v, u)
-    cached = _read_class(ring, entries.get(_pair_key(a, b)))
-    if cached is not None:
-        return cached, None
-    cls = ring.quantum_product(u, v)
-    obj = cls.to_json_obj()
-    cache.store("product-table", key, {_pair_key(a, b): obj})
-    return cls, obj
-
-
 def cmd_product(args) -> int:
     n, shape = _selection(args)
     u = _parse_element(args.u, n, shape)
     v = _parse_element(args.v, n, shape)
     ring = _ring(n, shape)
-    # one serialization serves the cache entry and the JSON output
-    cls, obj = _cached_product(ring, TableCache(args.cache_dir), u, v)
-    if args.format == "json":
-        print(_dumps(cls.to_json_obj() if obj is None else obj))
-    else:
-        print(cls.to_text())
+    # σ_u∗σ_v = σ_v∗σ_u is stored once, under the sorted pair
+    cls, obj = _cached_answer(
+        TableCache(args.cache_dir), "product-table", _product_cache_key(ring),
+        _pair_key(*sorted((u, v))), functools.partial(_read_class, ring),
+        functools.partial(ring.quantum_product, u, v))
+    _print(args, cls, obj)
     return 0
 
 
@@ -482,10 +490,7 @@ def cmd_gw(args) -> int:
     w = _parse_element(args.cls, n, shape)
     d = _parse_degree(args.degree, n - 1 if shape is None else shape.m)
     value = _ring(n, shape).gromov_witten(ws, w, d)
-    if args.format == "json":
-        print(_dumps({"value": value}))
-    else:
-        print(value)
+    _print(args, value, {"value": value})
     return 0
 
 
@@ -750,17 +755,13 @@ def cmd_verify(args) -> int:
         summary, failure = suite(selection, args.seed), None
     except _SuiteFailure as exc:
         summary, failure = None, str(exc)
-    if args.format == "json":
-        obj = {"suite": name, "status": "pass" if failure is None else "fail"}
-        if failure is not None:
-            obj["failures"] = [failure]
-        elif summary is not None:
-            obj["summary"] = summary
-        print(_dumps(obj))
-    elif failure is not None:
-        print(f"fail: {failure}")
+    if failure is not None:
+        text, obj = f"fail: {failure}", {"status": "fail", "failures": [failure]}
+    elif summary is not None:
+        text, obj = f"pass, {summary}", {"status": "pass", "summary": summary}
     else:
-        print("pass" if summary is None else f"pass, {summary}")
+        text, obj = "pass", {"status": "pass"}
+    _print(args, text, {"suite": name, **obj})
     return 0 if failure is None else 1
 
 
@@ -807,10 +808,8 @@ def cmd_table(args) -> int:
             pass
         except OSError as exc:
             raise CLIInputError(f"cannot write {out}: {_os_reason(exc)}") from None
-    if args.format == "json":
-        print(_dumps({"path": str(path), "entries": total, "computed": computed}))
-    else:
-        print(f"wrote {path} ({total} entries, {computed} computed)")
+    _print(args, f"wrote {path} ({total} entries, {computed} computed)",
+           {"path": str(path), "entries": total, "computed": computed})
     return 0
 
 
@@ -846,23 +845,25 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cache directory (default: $QSCHUBERT_CACHE or ~/.qschubert)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every command takes --format, declared once in a shared parent
+    common = _Parser(add_help=False)
+    common.add_argument("--format", choices=("text", "json"), default="text")
+    add_parser = functools.partial(sub.add_parser, parents=[common])
 
-    p = sub.add_parser("schubert", help="print a Schubert polynomial")
+    p = add_parser("schubert", help="print a Schubert polynomial")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--w", required=True, help="permutation, e.g. 3,1,2")
     p.add_argument("--quantum", action="store_true")
     p.add_argument("--universal", action="store_true")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_schubert)
 
-    p = sub.add_parser("product", help="quantum product of two classes")
+    p = add_parser("product", help="quantum product of two classes")
     _add_selector(p)
     p.add_argument("--u", required=True)
     p.add_argument("--v", required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_product)
 
-    p = sub.add_parser("gw", help="Gromov–Witten invariant")
+    p = add_parser("gw", help="Gromov–Witten invariant")
     _add_selector(p)
     p.add_argument(
         "--insertions", required=True, help="semicolon-separated permutations"
@@ -875,21 +876,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "the coefficient of q^d·σ_{dual(w)} in their product",
     )
     p.add_argument("--degree", required=True, help="comma-separated degree")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_gw)
 
-    p = sub.add_parser("verify", help="run a verification suite")
+    p = add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True)
     _add_selector(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("table", help="materialize a multiplication table")
+    p = add_parser("table", help="materialize a multiplication table")
     _add_selector(p)
     p.add_argument("--out", help="copy the table to this path")
     p.add_argument("--max-n", type=int, default=5)
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_table)
 
     return parser

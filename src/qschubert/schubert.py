@@ -654,7 +654,9 @@ class _Transition:
         return self._walk(memo, w, self._tree, self._product_node)
 
     def _product_node(self, memo: dict, r: int, v: Perm, rest: tuple) -> dict:
-        """x_r ∗ (σ_v ∗ σ_y) less c·q^d·(σ_u ∗ σ_y) for each term of R."""
+        """x_r ∗ (σ_v ∗ σ_y) less c·q^d·(σ_u ∗ σ_y) for each term of R,
+        each term dropped as it cancels: a QuantumClass wraps the entry
+        without a copy, so it holds no zero coefficient."""
         acc = {}
         get = acc.get
         mask, x_r = self.codec.mask, self._x[r]
@@ -664,12 +666,20 @@ class _Transition:
                 terms = self._x_terms(r, k & mask)
             for delta, sign in terms:
                 delta += k
-                acc[delta] = get(delta, 0) + sign * c
+                s = get(delta, 0) + sign * c
+                if s:
+                    acc[delta] = s
+                else:
+                    del acc[delta]
         for _, dkey, u, c in rest:
             for k, c2 in memo[u].items():
                 k += dkey
-                acc[k] = get(k, 0) - c * c2
-        return _nonzero(acc)
+                s = get(k, 0) - c * c2
+                if s:
+                    acc[k] = s
+                else:
+                    del acc[k]
+        return acc
 
     def lift(self, w: Perm) -> Polynomial:
         """𝔖^q_w, decoded from its packed memo entry."""
@@ -688,8 +698,6 @@ class _Transition:
             shift = shifts[dkey]
             for m, c2 in memo[u].items():
                 m += shift
-                # dropped at once: a pass at the end, as in `_product_node`,
-                # copies the whole sum and measured slower here
                 s = get(m, 0) - c * c2
                 if s:
                     acc[m] = s

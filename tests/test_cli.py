@@ -1,6 +1,8 @@
 """Command-line interface: output formats, exit codes, and caching."""
 
 import errno
+import functools
+import hashlib
 import json
 import multiprocessing
 import os
@@ -395,6 +397,45 @@ def test_identical_invocations_are_byte_identical(capsys, cache_dir):
     assert first[0] == 0
 
 
+# every command, each answer asked twice (a miss, then a hit)
+_DIGEST_SCRIPT = [
+    ("schubert", "--n", "4", "--w", "2,4,1,3"),
+    ("schubert", "--n", "4", "--w", "2,4,1,3", "--quantum"),
+    ("schubert", "--n", "4", "--w", "2,4,1,3", "--universal"),
+    ("product", "--n", "3", "--u", "2,1,3", "--v", "2,3,1"),
+    ("product", "--shape", "2:4", "--u", "1,3,2,4", "--v", "1,3,2,4"),
+    ("product", "--shape", "1:3:4", "--u", "2,1,3,4", "--v", "3,1,2,4"),
+    ("gw", "--n", "3", "--insertions", "2,1,3;2,1,3", "--class", "3,2,1",
+     "--degree", "1,0"),
+    ("verify", "--suite", "associativity", "--n", "3"),
+    ("table", "--n", "3"),
+]
+
+# sha256 over the exit codes, output and cache files of `_DIGEST_SCRIPT`
+CLI_DIGEST = "e7e65f026023105122f495306b9177799cc9bd1ccb094f91985cab009bb81cec"
+
+
+def test_cli_script_matches_digest(capsys, tmp_path, monkeypatch):
+    """The script's bytes, in text and then in JSON, each format in a fresh
+    cache directory: every exit code, stdout and stderr, with the cache
+    directory's path replaced by a fixed token, then every cache file's name
+    and bytes in sorted order."""
+    monkeypatch.delenv("QSCHUBERT_CACHE", raising=False)
+    digest = hashlib.sha256()
+    for fmt in ("text", "json"):
+        cache = tmp_path / fmt
+        for argv in _DIGEST_SCRIPT:
+            for _ in range(2):
+                code, out, err = run(capsys, *argv, "--format", fmt, cache=cache)
+                assert code == 0, argv
+                for part in (str(code), out, err):
+                    text = part.replace(str(cache), "<cache>")
+                    digest.update(text.encode("utf-8") + b"\0")
+        for fp in sorted(cache.iterdir()):
+            digest.update(fp.name.encode("utf-8") + b"\0" + fp.read_bytes() + b"\0")
+    assert digest.hexdigest() == CLI_DIGEST
+
+
 def test_cache_file_layout(capsys, cache_dir):
     run(capsys, "product", "--shape", "1:3", "--u", "2,1,3", "--v", "2,1,3",
         cache=cache_dir)
@@ -700,7 +741,9 @@ def _write_products(path, barrier, pairs):
     ring = quantum_ring(4)
     cache = _LockstepCache(path, barrier)
     for u, v in pairs:
-        cli._cached_product(ring, cache, u, v)
+        cli._cached_answer(cache, "product-table", "4", cli._pair_key(u, v),
+                           functools.partial(cli._read_class, ring),
+                           functools.partial(ring.quantum_product, u, v))
 
 
 def _assert_full_fl4_table(path):
@@ -1083,6 +1126,15 @@ def test_associativity_at_n6_runs_in_bounded_memory():
     ("product", "--n", "3", "--u", "1,2,3", "--v", "1,2,3", "--format", "xml"),
     ("product", "--n", "3", "--u", "1,2", "--v", "1,2,3"),
     ("verify", "--suite", "no-such-suite"),
+    ("table", "--n", "3", "--max-n", "x"),
+    ("verify", "--suite", "associativity", "--seed", "x"),
+    ("schubert", "--n", "3", "--w", "3,1,2", "--quantum", "--universal"),
+    ("schubert", "--n", "3", "--w", "3,1,2", "--format", "xml"),
+    ("verify", "--suite", "kernel-chern-partial"),
+    ("verify", "--suite", "specialization", "--shape", "2:4"),
+    ("verify", "--suite", "lemma-es", "--n", "0"),
+    ("gw", "--n", "3", "--insertions", "2,1,3;9,9,9", "--class", "1,2,3",
+     "--degree", "0,0"),
 ])
 def test_bad_invocations_print_one_error_line(capsys, cache_dir, argv):
     code, out, err = run(capsys, *argv, cache=cache_dir)
