@@ -200,6 +200,10 @@ def _pieri(z: Perm, p: int) -> tuple:
     raising the length by one, with a_i ≤ p < b_i, the a_i pairwise
     distinct and b_1 ≥ b_2 ≥ ⋯ ≥ b_k.  Each z′ ends exactly one such chain,
     so every coefficient is 1.  One depth-first walk gives every k at once.
+    In the last column, p = n − 1, every b is n, so y·t_an covers y iff
+    y(a) < y(n) and y(a) tops every y(c) < y(n), a < c < n: one downward
+    scan over a finds every cover of a node.  A used a holds more than y(n)
+    from then on, as y(n) only falls, so the scan needs no record of it.
     """
     n = len(z)
     rows = ({z: 1},) + tuple({} for _ in range(p))
@@ -208,6 +212,16 @@ def _pieri(z: Perm, p: int) -> tuple:
     while stack:
         y, used, top, k = stack.pop()
         row = rows[k + 1] if k < p else None
+        if p == n - 1:
+            hi, floor = y[-1], 0
+            for a in range(p, 0, -1):
+                lo = y[a - 1]
+                if floor < lo < hi:
+                    floor = lo
+                    x = (*y[:a - 1], hi, *y[a:-1], lo)
+                    row[x] = row.get(x, 0) + 1
+                    stack.append((x, used, n, k + 1))
+            continue
         for a in range(1, p + 1):
             if used >> a & 1:
                 continue
@@ -229,8 +243,13 @@ def _e_pivot(w: Perm) -> tuple:
     """K(w) = (k_1,…,k_{n−1}) with k_p = #{i ≤ p : w(i) > w(p+1)}, the
     e-monomial whose class in H*(Fl_n) holds σ_w at coefficient 1 beside
     only σ_u with u⁻¹ lexicographically after w⁻¹.  w ↦ K(w) is a bijection
-    from the w of length m onto the K with k_p ≤ p and Σk_p = m."""
-    return tuple(sum(x > y for x in w[:p]) for p, y in enumerate(w) if p)
+    from the w of length m onto the K with k_p ≤ p and Σk_p = m.  k_p counts
+    the bits above w(p+1) in the set of w(1),…,w(p), held as a bitmask."""
+    seen, out = 1 << w[0], []
+    for y in w[1:]:
+        out.append((seen >> y).bit_count())
+        seen |= 1 << y
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -746,7 +765,8 @@ class _Transition:
     def _e_times(self, memo: dict, seq: tuple) -> dict:
         """The class of the prefix seq[:−1], from memo, times e_k(p), k =
         seq[−1] and p = len(seq), by the Pieri rule; the parent class itself
-        when k = 0."""
+        when k = 0.  Every Pieri coefficient is 1 and every prefix class is
+        positive, so no term cancels and the sum needs no zero filter."""
         cls, k = memo[seq[:-1]], seq[-1] if seq else 0
         if not k:
             return cls
@@ -758,7 +778,7 @@ class _Transition:
                 row = rows[z, p] = _pieri(z, p)
             for u, b in row[k].items():
                 acc[u] = get(u, 0) + b * c
-        return _nonzero(acc)
+        return acc
 
     def e_coeffs(self, w: Perm) -> dict:
         """{K: a_K} with 𝔖_w = Σ a_K·e_K, memoized; in K order once

@@ -48,7 +48,6 @@ from .poly import (
     VerificationError,
     c_var,
     g_var,
-    mon_mul,
     q_var,
     x_var,
 )
@@ -80,8 +79,9 @@ def _cover_monomials(a: int, b: int, k: int) -> tuple:
     out = list(_cover_monomials(a + 1, b, k))
     for j in range(0, min(k - 1, b - a) + 1):
         head = ((("g", a, j), 1),)
+        # every g of rest has index > a, so head + rest is in `_var_key` order
         for rest in _cover_monomials(a + j + 1, b, k - j - 1):
-            out.append(mon_mul(head, rest))
+            out.append(head + rest)
     return tuple(out)
 
 

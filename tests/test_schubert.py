@@ -292,12 +292,16 @@ def test_e_system_generators_are_the_elementary_products():
 
 
 def test_e_sequences_match_the_filter_of_all_tuples():
-    # the pivots of the w of one grade are every K of the grade
+    # K(w), read off a bitmask, is k_p = #{i ≤ p : w(i) > w(p+1)}, and the
+    # pivots of the w of one grade are every K of the grade
     for n in range(1, 8):
         tuples = list(product(*(range(p + 1) for p in range(1, n))))
         pivots = {}
         for w in all_permutations(n):
-            pivots.setdefault(length(w), []).append(schubert._e_pivot(w))
+            seq = schubert._e_pivot(w)
+            assert seq == tuple(sum(w[i] > w[p] for i in range(p))
+                                for p in range(1, n)), w
+            pivots.setdefault(length(w), []).append(seq)
         for m in range(-1, n * (n - 1) // 2 + 2):
             assert sorted(pivots.get(m, ())) == [
                 seq for seq in tuples if sum(seq) == m
@@ -371,18 +375,23 @@ def test_e_decomposition_matches_the_echelon_solve():
                 assert list(e_decomposition(w).coeffs.items()) == want, w
 
 
-@pytest.mark.parametrize("n, sample", [(5, None), (6, 120)])
+@pytest.mark.parametrize("n, sample", [(5, None), (6, 120), (7, 360)])
 def test_pieri_is_the_q0_slice_of_the_product(n, sample):
     """e_k(p)·σ_z by the Pieri rule is the q⁰ slice of σ_z ∗ σ_g on the
-    transition engine, 𝔖_g = e_k(p), for every 1 ≤ k ≤ p < n."""
+    transition engine, 𝔖_g = e_k(p), for every 1 ≤ k ≤ p < n on a seeded
+    sample of z, and in the last column, p = n − 1, which `_pieri` scans on
+    its own, for every z of S_n up to n = 6 and the sample beyond.  Every
+    class that `e_row` returns, and every prefix class behind it, is
+    positive, so no Pieri sum can cancel."""
     zs = all_permutations(n)
-    if sample:
-        zs = random.Random(n).sample(zs, sample)
+    sampled = set(random.Random(n).sample(zs, sample)) if sample else set(zs)
+    if n > 6:  # S_7's last column, like its others, on the sample alone
+        zs = sorted(sampled)
     engine = schubert._Transition(n)
     zero = (0,) * (n - 1)
     decode = engine.codec.decode
     for z in zs:
-        for p in range(1, n):
+        for p in range(1, n) if z in sampled else (n - 1,):
             rows = schubert._pieri(z, p)
             assert len(rows) == p + 1 and rows[0] == {z: 1}
             for k in range(1, p + 1):
@@ -392,6 +401,10 @@ def test_pieri_is_the_q0_slice_of_the_product(n, sample):
                         if d == zero}
                 assert rows[k] == want, (z, k, p)
                 assert set(rows[k].values()) <= {1}, (z, k, p)
+    for z in zs:
+        row = engine.e_row(schubert._e_pivot(z))
+        assert row and min(row.values()) > 0, z
+    assert all(min(cls.values()) > 0 for cls in engine._e_prefixes.values())
 
 
 def test_schubert_poly_is_the_divided_difference_chain_on_s6():
@@ -640,8 +653,9 @@ def test_interleaved_grades_match_serial_order(fresh_engines):
     assert _decompose(order) == serial
 
 
-def test_threads_sharing_the_system_match_serial(fresh_engines):
-    ws = all_permutations(5)
+@pytest.mark.parametrize("n", [5, 6])
+def test_threads_sharing_the_system_match_serial(fresh_engines, n):
+    ws = all_permutations(n)
     serial = _decompose(ws)
     # the threads peel on one engine that holds nothing yet
     fresh_engines.cache_clear()

@@ -74,6 +74,9 @@ def test_path_poly_three_way_agreement():
     for l in range(1, 6):
         for k in range(0, l + 1):
             direct = path_poly(k, l)
+            # each cover monomial is built in `_var_key` order, unsorted
+            for mono, _ in direct.terms():
+                assert list(mono) == sorted(mono, key=lambda ve: poly._var_key(ve[0]))
             assert direct == path_poly_via_recursion(k, l)
             assert direct == path_poly_via_determinant(k, l)
 
