@@ -117,7 +117,7 @@ def _factor_key(pair):
     return _var_key(pair[0])
 
 
-# an unassigned variable in `Polynomial._map_monomials`
+# an unassigned variable in `Polynomial.substitute`
 _FIXED = object()
 
 
@@ -302,82 +302,56 @@ class Polynomial:
     # ---- structure ----------------------------------------------------
 
     def substitute(self, assignment) -> "Polynomial":
-        """Replace variables per `assignment` (variable → Polynomial or int).
+        """Replace variables per `assignment` (variable → Polynomial or int),
+        all at once: the variables of a value are not substituted again.
 
-        Unassigned variables are left fixed.  Ring homomorphism.  When every
-        value has at most one term, each monomial maps to one monomial or to
-        nothing (`_map_monomials`); else the powers of the values are
-        multiplied out (`_expand`).
+        Unassigned variables are left fixed.  Ring homomorphism.  A value of
+        0 drops every monomial it meets, and a value c·m of one term turns
+        v^e into m^e and multiplies the coefficient by c^e, so only a value
+        of two or more terms multiplies polynomials: its e-th power is taken
+        once per call.  A value that is neither a Polynomial nor an int
+        raises TypeError.
         """
         if not assignment:
             return self
-        asg = {
-            v: (p if isinstance(p, Polynomial) else Polynomial.constant(p))
-            for v, p in assignment.items()
-        }
-        if all(len(p._terms) <= 1 for p in asg.values()):
-            return self._map_monomials(asg)
-        return self._expand(asg)
-
-    def _map_monomials(self, asg: dict) -> "Polynomial":
-        """`substitute` for values v ↦ c·m of one term or 0: a monomial with
-        a variable sent to 0 goes, and any other maps to one monomial, with
-        m^e for each v^e in it and its coefficient times c^e, sorted once."""
-        images = {v: next(iter(p._terms.items()), None) for v, p in asg.items()}
+        images = {}
+        for v, p in assignment.items():
+            if isinstance(p, int):
+                p = Polynomial.constant(p)
+            elif not isinstance(p, Polynomial):
+                raise TypeError(f"cannot substitute a {type(p).__name__} for "
+                                f"{v!r}: values are Polynomials or ints")
+            # 0 → None, c·m → (m, c), a longer value → itself
+            terms = p._terms
+            images[v] = p if len(terms) > 1 else next(iter(terms.items()), None)
+        powers = {}
         acc = {}
         for mon, coeff in self._terms.items():
             factors = {}
+            spread = None
             for v, e in mon:
                 image = images.get(v, _FIXED)
                 if image is _FIXED:
                     factors[v] = factors.get(v, 0) + e
-                    continue
-                if image is None:
+                elif image is None:
                     break
-                m, c = image
-                coeff *= c ** e
-                for u, k in m:
-                    factors[u] = factors.get(u, 0) + k * e
+                elif image.__class__ is tuple:
+                    coeff *= image[1] ** e
+                    for u, k in image[0]:
+                        factors[u] = factors.get(u, 0) + k * e
+                else:
+                    power = powers.get((v, e))
+                    if power is None:
+                        power = powers[v, e] = image ** e
+                    spread = power if spread is None else spread * power
             else:
                 key = tuple(sorted(factors.items(), key=_factor_key))
-                acc[key] = acc.get(key, 0) + coeff
-        return Polynomial(acc)
-
-    def _expand(self, asg: dict) -> "Polynomial":
-        """`substitute` for any Polynomial values: each monomial times the
-        product of the powers of its variables' values."""
-        power_cache = {}
-
-        def powered(v, e):
-            key = (v, e)
-            got = power_cache.get(key)
-            if got is None:
-                got = power_cache[key] = asg[v] ** e
-            return got
-
-        acc = {}
-        for mon, coeff in self._terms.items():
-            fixed = []
-            replaced = None
-            dead = False
-            for v, e in mon:
-                if v in asg:
-                    piece = powered(v, e)
-                    replaced = piece if replaced is None else replaced * piece
-                    if replaced.is_zero():
-                        dead = True
-                        break
+                if spread is None:
+                    acc[key] = acc.get(key, 0) + coeff
                 else:
-                    fixed.append((v, e))
-            if dead:
-                continue
-            base = tuple(fixed)
-            if replaced is None:
-                acc[base] = acc.get(base, 0) + coeff
-            else:
-                for m2, c2 in replaced._terms.items():
-                    m = mon_mul(base, m2)
-                    acc[m] = acc.get(m, 0) + coeff * c2
+                    for m, c in spread._terms.items():
+                        m = mon_mul(key, m)
+                        acc[m] = acc.get(m, 0) + coeff * c
         return Polynomial(acc)
 
     def homogeneous_component(self, grade: int, q_grades=None) -> "Polynomial":

@@ -359,32 +359,51 @@ def test_grouped_factor_product_matches_polynomial_mul(part, factor, before):
         {(c, m) for m, c in packing.pack(f).items()}
 
 
-def _single_term_values():
-    """A value of at most one term: 0, an int, or c·m with m over the
-    same alphabet as the polynomials substituted into."""
+def _substitution_values():
+    """A value to substitute: 0 or another int, one term c·m, or a sum of
+    two or three terms, with m over the alphabet of the polynomials
+    substituted into, so that a value may hold an assigned variable."""
     mon = st.dictionaries(st.sampled_from(_MUL_ORDER), st.integers(1, 2),
-                          max_size=3)
+                          max_size=3).map(
+        lambda factors: tuple(sorted(factors.items(), key=poly._factor_key)))
+    coeff = st.integers(-3, 3).filter(bool)
     return st.one_of(
         st.integers(-3, 3),
-        st.builds(lambda c, factors: Polynomial({tuple(
-            sorted(factors.items(), key=poly._factor_key)): c}),
-            st.integers(-3, 3).filter(bool), mon))
+        st.builds(lambda m, c: Polynomial({m: c}), mon, coeff),
+        st.dictionaries(mon, coeff, min_size=2, max_size=3).map(Polynomial))
 
 
-@settings(max_examples=300)
-@given(_packed_terms(3), st.dictionaries(
-    st.sampled_from(_MUL_ORDER + [("q", 2)]), _single_term_values()))
-def test_monomial_map_matches_the_expansion(terms, assignment):
-    """With every value of at most one term, `substitute` maps monomials to
-    monomials; it agrees with the general path, which multiplies out the
-    powers of the values, also where a value holds a fixed variable or a
-    variable that is itself assigned."""
-    p = Polynomial(terms)
-    values = {v: c if isinstance(c, Polynomial) else Polynomial.constant(c)
-              for v, c in assignment.items()}
-    want = p._expand(values)
-    assert p._map_monomials(values) == want
-    assert p.substitute(assignment) == want
+@settings(max_examples=400)
+@given(_packed_terms(3),
+       st.dictionaries(st.sampled_from(_MUL_ORDER + [("q", 2)]),
+                       _substitution_values()),
+       st.permutations(_MUL_ORDER), st.integers(0, len(_MUL_ORDER)))
+def test_monomial_map_matches_the_expansion(terms, assignment, perm, moved):
+    """`substitute` equals Σ c·Π value^e multiplied out with `*` and `**`,
+    for values of 0, ints, one term and several terms.  The first `moved`
+    variables of the alphabet go to a permutation of it, the swap x1 ↔ x2
+    among them: all values are substituted at once, so the variables of a
+    value are never substituted again."""
+    assignment.update((v, Polynomial.variable(u))
+                      for v, u in zip(_MUL_ORDER[:moved], perm))
+    want = Polynomial.zero()
+    for mon, c in terms.items():
+        term = c
+        for v, e in mon:
+            term = term * assignment.get(v, Polynomial.variable(v)) ** e
+        want = want + term
+    assert Polynomial(terms).substitute(assignment) == want
+
+
+def test_substitute_takes_polynomials_and_ints_only():
+    """Like arithmetic, `substitute` takes no scalar but an int (a bool is
+    one); any other value raises TypeError naming its variable."""
+    p = X1 ** 2 + X2
+    for value in (Fraction(1, 2), 0.5, "1", None):
+        with pytest.raises(TypeError, match=r"\('x', 1\)"):
+            p.substitute({("x", 1): value})
+    assert p.substitute({("x", 1): 3}) == X2 + 9
+    assert p.substitute({("x", 1): True}) == X2 + 1
 
 
 def test_substitute_takes_the_general_path_for_a_sum():

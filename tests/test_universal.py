@@ -9,6 +9,7 @@ import threading
 import pytest
 
 from qschubert import (
+    FlagShape,
     Polynomial,
     VerificationError,
     all_permutations,
@@ -17,6 +18,7 @@ from qschubert import (
     g_var,
     kernel_chern_check,
     length,
+    partial_universal_schubert_c,
     path_poly,
     path_poly_range,
     quantum_e,
@@ -30,6 +32,7 @@ from qschubert import (
     x_var,
 )
 from qschubert import poly, universal
+from qschubert.partial import PartialRing
 from qschubert.schubert import (
     _e_fold_packed,
     _fold,
@@ -425,3 +428,34 @@ def test_path_alphabet_validates_arguments():
     assert path_poly_range(0, 3, 2) == Polynomial.constant(1)
     # g_i[j] outside i ≥ 1, j ≥ 0 is zero
     assert g_from_c(0, 1).is_zero() and g_from_c(2, -1).is_zero()
+
+
+def test_one_term_values_multiply_no_polynomials(monkeypatch):
+    """The specializations, the q = 0 slice and the block substitutions of
+    the partial lifts send every variable to 0, an int or one term c·m, so
+    `substitute` multiplies no two polynomials and takes no power."""
+    mul = Polynomial.__mul__
+
+    def scalar_mul(self, other):
+        if isinstance(other, Polynomial):
+            raise AssertionError("a product of two polynomials")
+        return mul(self, other)
+
+    def no_pow(self, k):
+        raise AssertionError("a power of a polynomial")
+
+    monkeypatch.setattr(Polynomial, "__mul__", scalar_mul)
+    monkeypatch.setattr(Polynomial, "__rmul__", scalar_mul)
+    monkeypatch.setattr(Polynomial, "__pow__", no_pow)
+    shape = FlagShape((2, 4), 6)
+    for w in all_permutations(4):
+        g = universal_schubert_g(w)
+        assert specialize_quantum(g) == quantum_schubert(w)
+        assert specialize_classical(g) == schubert_poly(w)
+        q = quantum_schubert(w)
+        assert q.substitute({v: 0 for v in q.variables() if v[0] == "q"}) \
+            == schubert_poly(w)
+    ring = PartialRing(shape)
+    for w in ring.basis:
+        partial_universal_schubert_c(w, shape)
+        ring._basis_lift(w)
