@@ -561,7 +561,7 @@ def _suite_q0_classical(ring, seed):
 def _suite_duality(ring, seed):
     basis = list(ring.basis)
     d0 = (0,) * ring.q_count
-    dim = ring._moduli_dimension(d0)
+    dim = ring._shape.moduli_dimension(d0)
     top = max(basis, key=length)
     checked = 0
     for u in basis:
@@ -570,7 +570,7 @@ def _suite_duality(ring, seed):
                 continue
             checked += 1
             got = ring.classical_product(u, v).coefficient(d0, top)
-            want = 1 if v == ring._dual(u) else 0
+            want = 1 if v == ring._shape.dual(u) else 0
             if got != want:
                 raise _SuiteFailure(
                     f"pairing ⟨σ_{u},σ_{v}⟩ = {got}, expected {want}"
@@ -672,7 +672,7 @@ def _suite_lemma_es(n, seed):
 
 def _suite_grading(ring, seed):
     pairs = _sampled(list(ring.basis), 2, 600, seed)
-    dim = ring._moduli_dimension((0,) * ring.q_count)
+    dim = ring._shape.moduli_dimension((0,) * ring.q_count)
     for u, v in pairs:
         for (d, w), c in ring.quantum_product(u, v).items():
             if c < 0:
@@ -680,7 +680,7 @@ def _suite_grading(ring, seed):
                     f"negative structure constant {c} at q^{d}·σ_{w} "
                     f"in σ_{u}∗σ_{v}"
                 )
-            weight = ring._moduli_dimension(d) - dim
+            weight = ring._shape.moduli_dimension(d) - dim
             if length(w) + weight != length(u) + length(v):
                 raise _SuiteFailure(
                     f"graded mismatch at q^{d}·σ_{w} in σ_{u}∗σ_{v}"
@@ -696,7 +696,7 @@ def _suite_two_point(ring, seed):
     by_dim = {}
     for d in itertools.product(range(3), repeat=ring.q_count):
         if any(d):
-            by_dim.setdefault(ring._moduli_dimension(d), []).append(d)
+            by_dim.setdefault(ring._shape.moduli_dimension(d), []).append(d)
     lengths = [(w, length(w)) for w in ring.basis]
     count = 0
     for u, lu in lengths:

@@ -15,10 +15,10 @@ inadmissible g-variables set to 0, serves the kernel Chern checks.  Complete
 shapes substitute x_l for the grade-1 block classes, so the complete-shape
 objects coincide exactly with their counterparts for the full flag manifold.
 
-The ring of a shape (`partial_ring`) owns the memos derived from it, the
-ẽ^q_k(l), their packed images (`PartialRing._images`) and the lifts, which
-`partial_quantum_schubert` and `partial_relations` read; the other
-functions here keep none.
+The ring of a shape (`partial_ring`) owns the memos derived from it: the
+packed images of the ẽ^q_k(l) (`PartialRing._images`), built once, and the
+lifts, which `partial_quantum_schubert` reads; the other functions here,
+`partial_relations` among them, keep none.
 """
 from __future__ import annotations
 
@@ -190,8 +190,8 @@ class PartialRing(_GradedQuotientRing):
     shapes use x_1,…,x_n in place of the grade-1 block classes.  The ring
     supplies the relations ẽ^q_k and the lifts 𝔖_w^(N)(σ,q); its products
     are read off Fl_n products by the comparison formula in the shared code
-    (`_GradedQuotientRing`).  It owns every memo of its shape: ẽ^q_k(l)
-    (`_e`), their images packed once (`_images`) and the lifts (`_lifts`).
+    (`_GradedQuotientRing`).  It owns every memo of its shape: the images
+    of the ẽ^q_k(l), packed once (`_images`), and the lifts (`_lifts`).
     """
 
     def __init__(self, shape: FlagShape):
@@ -200,7 +200,6 @@ class PartialRing(_GradedQuotientRing):
         self.q_grades = dict(enumerate(shape.q_grades, start=1))
         super().__init__(shape)
         self.sigma_vars = tuple(sorted(self._vars, key=_var_key))
-        self._e = {}      # (k, l) → ẽ^q_k(l)
         self._lifts = {}  # w → 𝔖_w^(N)(σ,q)
 
     @cached_property
@@ -210,11 +209,7 @@ class PartialRing(_GradedQuotientRing):
     def _partial_e(self, k: int, l: int) -> Polynomial:
         """ẽ^q_k(l): E_k on the first n_l vertices after the block σ/q
         substitution, which kills every g-variable that tilde_E kills."""
-        got = self._e.get((k, l))
-        if got is None:
-            got = self._e[k, l] = _apply_sigma_q(path_poly(k, self._ns[l]),
-                                                 self.shape)
-        return got
+        return _apply_sigma_q(path_poly(k, self._ns[l]), self.shape)
 
     @cached_property
     def _images(self) -> tuple:

@@ -55,8 +55,9 @@ There are two kinds of packing:
     lift node multiplies by x_r or q^d by adding its packed key, which the
     engine computes once per x_r and per edge.
 A polynomial holds a dict monomial → nonzero coefficient.  Coefficients are
-Python ints, and the only scalars that arithmetic accepts are ints: any other
-scalar, a Fraction or a float among them, raises TypeError.
+Python ints, and the only scalars that the constructor and arithmetic accept
+are ints (a bool is read as its int): any other scalar, a Fraction or a
+float among them, raises TypeError.
 """
 from __future__ import annotations
 
@@ -164,7 +165,17 @@ class Polynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        self._terms = {mon: c for mon, c in terms.items() if c} if terms else {}
+        """terms maps monomials to int coefficients, zeros dropped.  A bool
+        is stored as its int; any other coefficient raises TypeError."""
+        out = {}
+        for mon, c in terms.items() if terms else ():
+            if c.__class__ is not int:
+                if not isinstance(c, int):
+                    raise TypeError(f"not an integer coefficient: {c!r}")
+                c = int(c)
+            if c:
+                out[mon] = c
+        self._terms = out
 
     # ---- constructors -------------------------------------------------
 

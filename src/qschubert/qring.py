@@ -269,12 +269,11 @@ class _GradedQuotientRing:
     `expand_in_quantum_basis`.
     `classical_product` and `expand_classical` are the q⁰ slices.
 
-    The element rules `_check_element`, `_dual` and `_moduli_dimension` are
-    the shape's (`FlagShape.check`, `dual` and `moduli_dimension`).  A
-    subclass supplies only `basis`, `relations()` and the lifts
-    `_basis_lift` and `_classical_lift` (which `class_to_poly` and
-    `basis_polynomial` return, and the `relations` and `giambelli` suites of
-    `qschubert verify` check).
+    The element rules are the shape's, called on `_shape` directly:
+    `FlagShape.check`, `dual` and `moduli_dimension`.  A subclass supplies
+    only `basis`, `relations()` and the lifts `_basis_lift` and
+    `_classical_lift` (which `class_to_poly` and `basis_polynomial` return,
+    and the `relations` and `giambelli` suites of `qschubert verify` check).
     """
 
     def __init__(self, shape: FlagShape):
@@ -288,8 +287,9 @@ class _GradedQuotientRing:
                              for i in range(1, ns[l] - ns[l - 1] + 1))
         self._vars = tuple(("x", l) if self._complete else ("sigma", i, l)
                            for i, l in self._blocks)
-        self._index = {v: i for i, v in enumerate(self._vars)}
         self._q_zero = {("q", l): 0 for l in range(1, shape.m + 1)}
+        # the slot of each variable of the ring alphabet: `_vars`, then the q_l
+        self._index = {v: i for i, v in enumerate((*self._vars, *self._q_zero))}
         self._codec = _codec(self.n, shape.m)
         self._fl = _transition(self.n)
         self._products = {}
@@ -300,25 +300,7 @@ class _GradedQuotientRing:
     def _classical_lift(self, w: Perm) -> Polynomial:
         return self._basis_lift(w).substitute(self._q_zero)
 
-    # -- element rules ----------------------------------------------------
-    def _check_element(self, w) -> Perm:
-        return self._shape.check(w)
-
-    def _dual(self, w: Perm) -> Perm:
-        return self._shape.dual(w)
-
-    def _moduli_dimension(self, d) -> int:
-        return self._shape.moduli_dimension(d)
-
     # -- public API -------------------------------------------------------
-    def _checked(self, p: Polynomial) -> Polynomial:
-        for v in p.variables():
-            if v not in self._index and not (
-                v[0] == "q" and 1 <= v[1] <= self.q_count
-            ):
-                raise ValueError(f"variable {v} is not in the ring alphabet")
-        return p
-
     def _class(self, terms: dict) -> QuantumClass:
         return QuantumClass._wrap(self.n, self.shape, self._codec, terms)
 
@@ -329,17 +311,17 @@ class _GradedQuotientRing:
 
     def expand_in_quantum_basis(self, p: Polynomial) -> QuantumClass:
         """Rewrite p as an integer combination of classes q^d·σ_w."""
-        return self._class(self._horner(self._checked(p)))
+        return self._class(self._horner(p))
 
     def expand_classical(self, p: Polynomial) -> QuantumClass:
         """Rewrite a q-free polynomial in the Schubert basis (all d = 0)."""
         if any(v[0] == "q" for v in p.variables()):
             raise ValueError("classical expansion needs a q-free input")
-        return self._q0(self._horner(self._checked(p)))
+        return self._q0(self._horner(p))
 
     def basis_polynomial(self, w) -> Polynomial:
         """The polynomial representative of the basis class σ_w."""
-        return self._basis_lift(self._check_element(w))
+        return self._basis_lift(self._shape.check(w))
 
     def class_to_poly(self, cls: QuantumClass) -> Polynomial:
         """Polynomial representative: Σ c·q^d·(lift of σ_w)."""
@@ -354,8 +336,8 @@ class _GradedQuotientRing:
             got = self._products.get((u, v) if u <= v else (v, u))
             if got is not None:
                 return got
-        u = self._check_element(u)
-        v = self._check_element(v)
+        check = self._shape.check
+        u, v = check(u), check(v)
         key = (u, v) if u <= v else (v, u)
         got = self._products.get(key)
         if got is None:
@@ -366,7 +348,7 @@ class _GradedQuotientRing:
 
     def quantum_product_multi(self, ws) -> QuantumClass:
         """σ_{w_1} ∗ ⋯ ∗ σ_{w_N} over a nonempty factor list."""
-        ws = [self._check_element(w) for w in ws]
+        ws = list(map(self._shape.check, ws))
         if not ws:
             raise ValueError("need at least one factor")
         return self._class(self._fold(ws, sum(map(_length, ws))))
@@ -383,8 +365,9 @@ class _GradedQuotientRing:
         Each entry of d is read with operator.index: a bool counts as its
         int, and a float or a string raises TypeError.
         """
-        ws = [self._check_element(x) for x in ws]
-        w = self._check_element(w)
+        shape = self._shape
+        ws = list(map(shape.check, ws))
+        w = shape.check(w)
         d = tuple(map(index, d))
         if len(d) != self.q_count or any(e < 0 for e in d):
             raise ValueError(
@@ -393,11 +376,11 @@ class _GradedQuotientRing:
         if not ws:
             raise ValueError("need at least one insertion")
         total = sum(map(_length, ws)) + _length(w)
-        if total != self._moduli_dimension(d):
+        if total != shape.moduli_dimension(d):
             return 0
         # the fold's grade check bounds every d_l, so d encodes exactly
         acc = self._fold(ws[:-1], total)
-        return self._coefficient(acc, ws[-1], self._codec.key(d, self._dual(w)))
+        return self._coefficient(acc, ws[-1], self._codec.key(d, shape.dual(w)))
 
     # -- the product path -------------------------------------------------
     def _pair_product(self, u: Perm, v: Perm) -> dict:
@@ -536,20 +519,22 @@ class _GradedQuotientRing:
     def _keyed(self, p: Polynomial):
         """p as (a, key of q^d, c) triples over `_vars` and the q_l, after
         the grade check (`_Codec.check`) of its top grade, whose terms bound
-        every q-degree that Horner's rule reaches."""
+        every q-degree that Horner's rule reaches.  ValueError on a variable
+        outside the ring alphabet (`_index`): `_vars` and q_1,…,q_m."""
         out = []
         top = 0
-        grades = self._shape.q_grades
+        slots, cut = self._index, len(self._vars)
+        grades = [i for i, _ in self._blocks] + list(self._shape.q_grades)
         for mon, c in p._terms.items():
-            a, d = [0] * len(self._vars), [0] * self.q_count
+            a = [0] * len(slots)
             for v, e in mon:
-                if v[0] == "q":
-                    d[v[1] - 1] = e
-                else:
-                    a[self._index[v]] = e
-            top = max(top, sum(e * i for e, (i, _) in zip(a, self._blocks))
-                      + sum(e * g for e, g in zip(d, grades)))
-            out.append((tuple(a), d, c))
+                i = slots.get(v)
+                if i is None:
+                    raise ValueError(
+                        f"variable {v} is not in the ring alphabet")
+                a[i] = e
+            top = max(top, sum(e * g for e, g in zip(a, grades)))
+            out.append((tuple(a[:cut]), a[cut:], c))
         self._codec.check(top)
         degree = self._codec.degree
         return [(a, degree(d), c) for a, d, c in out]

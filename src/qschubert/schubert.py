@@ -390,9 +390,8 @@ class _Codec:
         self.mask = (1 << base) - 1
         # the shift of the field of d_l, l = 1..m
         self.shifts = tuple(base + (m - l) * FIELD_BITS for l in range(1, m + 1))
-        self.zero = (0,) * m
         # the d of each degree part of a key decoded so far
-        self._degrees = {0: self.zero}
+        self._degrees = {0: (0,) * m}
         # w of rank and rank of w, for the permutations of n met so far: the
         # codec with m = n − 1 holds them, and every other codec of n reads it
         self._perms = (_Unranked(n, {}) if m == n - 1
@@ -493,7 +492,7 @@ class _Transition:
 
     Quantum Monk gives x_r ∗ σ_w (`_monk`), read off the edge table
     `_edges`, built once per engine: for each r, the edges (a, b) of x_r
-    with their sign, the q-degree d of q_a⋯q_{b−1} and its key dkey.
+    with their sign and the key dkey of the q-degree d of q_a⋯q_{b−1}.
     `_x_terms` and `_step` both read it.  Transition: with r the last
     descent of w, s the last position after r with w(s) < w(r) and
     v = w·t_rs, x_r ∗ σ_v = σ_w + R, so σ_w ∗ σ_y is
@@ -503,7 +502,7 @@ class _Transition:
     𝔖^q_w as polynomials in Z[x, q], so the same step lifts them (`lift`):
     𝔖^q_w = x_r·𝔖^q_v − Σ_R c·q^d·𝔖^q_u, down to 𝔖^q_id = 1.  Both walk
     the transition tree of w, with their own rule per node, and share the
-    memo of `_step`, which holds each term of R as (d, dkey, u, c).  The
+    memo of `_step`, which holds each term of R as (dkey, u, c).  The
     product node works on packed keys alone: its memo `_x_terms` holds
     x_r ∗ σ_z as (delta, sign) pairs, so a term K with z = K & mask maps to
     K + delta, and the q^d of a term of R adds its dkey; no tuple is built.
@@ -546,17 +545,17 @@ class _Transition:
         self._x_shifts = tuple(packing.key(((("x", r), 1),))
                                for r in range(1, n + 1))
         self._q_shifts = {0: 0}
-        # _edges[r]: (a, b, sign, d of q_a⋯q_{b−1}, its key) per edge of x_r
+        # _edges[r]: (a, b, sign, key of q_a⋯q_{b−1}) per edge of x_r
         self._edges = [[] for _ in range(n + 1)]
         for a, b in combinations(range(1, n + 1), 2):
             d = (0,) * (a - 1) + (1,) * (b - a) + (0,) * (n - b)
             dkey = codec.degree(d)
             self._q_shifts[dkey] = packing.key(_q_monomial(d))
-            self._edges[a].append((a, b, 1, d, dkey))
-            self._edges[b].append((a, b, -1, d, dkey))
+            self._edges[a].append((a, b, 1, dkey))
+            self._edges[b].append((a, b, -1, dkey))
         # _x[r]: rank of z → x_r ∗ σ_z as (delta, sign) pairs
         self._x = [{} for _ in range(n + 1)]
-        self._steps = {}  # w → (r, v, R as (d, dkey, u, c) terms)
+        self._steps = {}  # w → (r, v, R as (dkey, u, c) terms)
         self._memo = {}   # y → {w → σ_w ∗ σ_y, packed}
         # w → 𝔖^q_w as {packed monomial: coefficient}
         self._lifts = {self.identity: {0: 1}}
@@ -571,13 +570,13 @@ class _Transition:
         self._classical = {tuple(range(n, 0, -1)): {packing.key(staircase): 1}}
 
     def _monk(self, r: int, w: Perm) -> list:
-        """x_r ∗ σ_w as (d, dkey, z, sign) terms, dkey the key of q^d, read
+        """x_r ∗ σ_w as (dkey, z, sign) terms, dkey the key of q^d, read
         off the edges of x_r (`_edges`): x_r ∗ σ_w = Σ_{b>r} ε_rb −
         Σ_{a<r} ε_ar, quantum Monk for σ_{s_r} minus that for σ_{s_{r−1}}.
         ε_ab is σ_{w·t_ab} if w·t_ab is one longer than w,
         q_a⋯q_{b−1}·σ_{w·t_ab} if 2(b − a) − 1 shorter, else 0."""
-        out, zero = [], self.codec.zero
-        for a, b, sign, d, dkey in self._edges[r]:
+        out = []
+        for a, b, sign, dkey in self._edges[r]:
             lo, hi = w[a - 1], w[b - 1]
             between = w[a:b - 1]
             if lo < hi:
@@ -586,8 +585,8 @@ class _Transition:
                     if lo < x < hi:
                         break
                 else:
-                    out.append((zero, 0, (*w[:a - 1], hi, *between, lo,
-                                          *w[b:]), sign))
+                    out.append((0, (*w[:a - 1], hi, *between, lo, *w[b:]),
+                                sign))
             else:
                 # 2(b − a) − 1 shorter: every w(i), a < i < b, lies
                 # between hi and lo
@@ -595,8 +594,8 @@ class _Transition:
                     if not hi < x < lo:
                         break
                 else:
-                    out.append((d, dkey, (*w[:a - 1], hi, *between, lo,
-                                          *w[b:]), sign))
+                    out.append((dkey, (*w[:a - 1], hi, *between, lo,
+                                       *w[b:]), sign))
         return out
 
     def _x_terms(self, r: int, zi: int) -> list:
@@ -608,7 +607,7 @@ class _Transition:
             index = self.codec.index
             got = self._x[r][zi] = [
                 (dkey + index(z) - zi, sign)
-                for _, dkey, z, sign in self._monk(r, self.codec.perm(zi))]
+                for dkey, z, sign in self._monk(r, self.codec.perm(zi))]
         return got
 
     def _step(self, w: Perm) -> tuple:
@@ -621,7 +620,7 @@ class _Transition:
         v = list(w)
         v[r - 1], v[s - 1] = w[s - 1], w[r - 1]
         v = tuple(v)
-        rest, head = self._monk(r, v), (self.codec.zero, 0, w, 1)
+        rest, head = self._monk(r, v), (0, w, 1)
         if head not in rest:
             raise RingError(f"x_{r}∗σ_{list(v)} does not contain σ_{list(w)} once")
         rest.remove(head)
@@ -661,7 +660,7 @@ class _Transition:
         """The expand of a transition tree: v and the u of R, then the
         step (r, v, R) of w."""
         _, v, rest = step = self._step(w)
-        return (v, *(u for _, _, u, _ in rest)), *step
+        return (v, *(u for _, u, _ in rest)), *step
 
     def product(self, w: Perm, y: Perm) -> dict:
         """σ_w ∗ σ_y, packed, from the memo of the products with this σ_y;
@@ -690,7 +689,7 @@ class _Transition:
                     acc[delta] = s
                 else:
                     del acc[delta]
-        for _, dkey, u, c in rest:
+        for dkey, u, c in rest:
             for k, c2 in memo[u].items():
                 k += dkey
                 s = get(k, 0) - c * c2
@@ -713,7 +712,7 @@ class _Transition:
         # x_r·(distinct monomials) are distinct: nothing to gather yet
         acc = {m + shift: c for m, c in memo[v].items()}
         get, shifts = acc.get, self._q_shifts
-        for _, dkey, u, c in rest:
+        for dkey, u, c in rest:
             shift = shifts[dkey]
             for m, c2 in memo[u].items():
                 m += shift

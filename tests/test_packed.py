@@ -77,7 +77,7 @@ def test_the_grade_check_refuses_what_could_carry():
     # a degree whose field would overflow passes the dimension gate only
     # with a grade that the check refuses, so it never reads a wrong key
     d = (2 ** FIELD_BITS, 0)
-    assert ring._moduli_dimension(d) == 3 * len(many) + length((3, 1, 2))
+    assert ring._shape.moduli_dimension(d) == 3 * len(many) + length((3, 1, 2))
     with pytest.raises(ValueError, match="could carry"):
         ring.gromov_witten(many, (3, 1, 2), d)
     top_q = Polynomial({((("q", 1), 2 ** FIELD_BITS),): 1})
@@ -209,7 +209,7 @@ def test_gromov_witten_matches_the_plain_fold(text, samples, seed):
         for d in {d for d, _ in want}:
             # every σ_w that passes the dimension gate at d, the nonzero
             # invariants among them
-            room = ring._moduli_dimension(d) - total
+            room = ring._shape.moduli_dimension(d) - total
             for w in by_length.get(room, ()):
                 got = ring.gromov_witten(ws, w, d)
                 assert got == want.get((d, _dual(ring, w)), 0), (ws, w, d)

@@ -406,6 +406,23 @@ def test_substitute_takes_polynomials_and_ints_only():
     assert p.substitute({("x", 1): True}) == X2 + 1
 
 
+def test_constructor_takes_int_coefficients_only():
+    """Like arithmetic, the constructor takes no coefficient but an int; a
+    bool is stored as its int, and anything else raises TypeError, a falsy
+    one included."""
+    (mon, _), = X1.terms()
+    for c in (Fraction(1, 2), 0.5, "1", None, 0.0):
+        with pytest.raises(TypeError, match="not an integer coefficient"):
+            Polynomial({mon: c})
+        with pytest.raises(TypeError, match="not an integer coefficient"):
+            Polynomial.constant(c)
+    p = Polynomial({mon: True, (): False})
+    assert p == X1 and type(p.coefficient(mon)) is int
+    assert p.to_json_obj()[0]["coeff"] == "1"
+    assert Polynomial.from_json_obj(p.to_json_obj()) == X1
+    assert Polynomial.constant(True) == 1
+
+
 def test_substitute_takes_the_general_path_for_a_sum():
     p = X1 ** 2 * Q1 - X2
     assert p.substitute({("x", 1): X2 + Q1, ("x", 2): 3}) == \
@@ -518,9 +535,13 @@ def test_echelon_reduce_sends_monomials_outside_the_generators_to_leftover():
 
 
 def test_echelon_rejects_fractional_generators():
+    # the constructor refuses a Fraction, so the generator is built past it
+    # to reach the solver's own check
     (mon, _), = X1.terms()
+    half = Polynomial.__new__(Polynomial)
+    half._terms = {mon: Fraction(1, 2)}
     with pytest.raises(ValueError):
-        EchelonSystem([Polynomial({mon: Fraction(1, 2)})])
+        EchelonSystem([half])
 
 
 def _integer_generator_lists():

@@ -28,6 +28,7 @@ from qschubert import (
     dual,
     elementary_poly,
     expand_in_quantum_basis,
+    g_var,
     gromov_witten,
     hyperquot_dim,
     length,
@@ -38,6 +39,7 @@ from qschubert import (
     quantum_ring,
     quantum_schubert,
     relations,
+    sigma_var,
     transposition,
     q_var,
     x_var,
@@ -729,10 +731,11 @@ def test_no_ring_class_has_slice_hooks():
             assert not hasattr(ring, name), (ring, name)
     for name in ("_groebner", "_reduce", "_monic"):
         assert not hasattr(qring, name), name
-    # the element rules are the shape's, defined once in the shared base
-    for cls in (QuantumRing, PartialRing):
-        for name in ("_check_element", "_dual", "_moduli_dimension"):
-            assert name not in vars(cls), (cls, name)
+    # the element rules are the shape's, which the rings call directly
+    for cls in (_GradedQuotientRing, QuantumRing, PartialRing):
+        for name in ("_check_element", "_dual", "_moduli_dimension",
+                     "_checked"):
+            assert not hasattr(cls, name), (cls, name)
     assert not hasattr(partial, "_check_min_rep")
 
 
@@ -815,6 +818,31 @@ def test_relations_without_unit_leading_coefficient_are_refused(
             0, "pass, 2 relations\n")
 
 
+def test_expansion_refuses_a_variable_outside_the_ring_alphabet():
+    """The alphabet of a ring is its generators and q_1,…,q_m; any other
+    variable raises ValueError while the polynomial is keyed, also beside
+    terms that are in the alphabet."""
+    fl3, step = QuantumRing(3), PartialRing(STEP134)
+    cases = [(step, x_var(1)), (fl3, sigma_var(1, 1))]
+    for ring in (fl3, step):
+        cases += [(ring, v) for v in (Polynomial.variable(("q", 0)),
+                                      q_var(ring.q_count + 1), g_var(1, 0))]
+    for ring, v in cases:
+        for p in (v, ring.basis_polynomial(ring.basis[1]) + 2 * v):
+            with pytest.raises(ValueError, match="not in the ring alphabet"):
+                ring.expand_in_quantum_basis(p)
+    for ring in (fl3, step):
+        with pytest.raises(ValueError, match="not in the ring alphabet"):
+            ring.expand_classical(g_var(1, 0))
+        with pytest.raises(ValueError, match="needs a q-free input"):
+            ring.expand_classical(q_var(1))
+        # the alphabet itself expands
+        assert ring.expand_in_quantum_basis(q_var(ring.q_count)) == \
+            QuantumClass(ring.n, {((0,) * (ring.q_count - 1) + (1,),
+                                   tuple(range(1, ring.n + 1))): 1},
+                         ring.shape)
+
+
 def test_warm_fold_checks_each_factor_once(monkeypatch):
     fl4 = ((2, 1, 3, 4), (1, 3, 2, 4), (2, 3, 1, 4), (3, 1, 2, 4), (1, 2, 4, 3))
     cases = [
@@ -822,18 +850,20 @@ def test_warm_fold_checks_each_factor_once(monkeypatch):
         (PartialRing(STEP134), ((2, 1, 3, 4), (1, 2, 4, 3), (2, 1, 4, 3),
                                 (3, 1, 4, 2), (2, 1, 3, 4)), None),
     ]
+    # both rings check through the one FlagShape class: wrap its check once
+    calls = []
+    orig = FlagShape.check
+
+    def counted(self, w):
+        calls.append(w)
+        return orig(self, w)
+
+    monkeypatch.setattr(FlagShape, "check", counted)
     for ring, ws, gw in cases:
-        calls = []
-        orig = type(ring)._check_element
-
-        def counted(self, w, _orig=orig):
-            calls.append(w)
-            return _orig(self, w)
-
         ring.quantum_product_multi(ws)
         if gw is not None:
             ring.gromov_witten(ws, *gw)
-        monkeypatch.setattr(type(ring), "_check_element", counted)
+        calls.clear()
         ring.quantum_product_multi(ws)
         assert calls == list(ws)
         if gw is not None:
@@ -880,13 +910,14 @@ def test_moduli_dimension_is_the_shape_count():
     for n in range(2, 6):
         ring = QuantumRing(n)
         for d in product(range(3), repeat=n - 1):
-            assert ring._moduli_dimension(d) == hyperquot_dim(n, d), (n, d)
+            assert ring._shape.moduli_dimension(d) == hyperquot_dim(n, d), \
+                (n, d)
     for text in ("2:4", "1:3:4", "2:5", "1:3:5", "2:4:6", "1:2:3:4"):
         ring = PartialRing(FlagShape.from_string(text))
         for d in product(range(3), repeat=ring.q_count):
             want = ring.shape.dimension + sum(
                 e * ring.q_grades[l] for l, e in enumerate(d, start=1))
-            assert ring._moduli_dimension(d) == want, (text, d)
+            assert ring._shape.moduli_dimension(d) == want, (text, d)
 
 
 def _two_series_generators(ring):
