@@ -215,12 +215,15 @@ class PartialRing(_GradedQuotientRing):
     def _images(self) -> tuple:
         """The packed images of e_k(p) in the lifts, ẽ^q_k(l) for the jump
         value n_l that p rounds down to and 0 below n_1
-        (`schubert._pack_images`), built on the first lift."""
+        (`schubert._pack_images`), built on the first lift.  Each ẽ^q_k(l)
+        is built once, however many columns round down to n_l, and dropped
+        with this build."""
         ns, zero = self._ns, Polynomial.zero()
+        e = lru_cache(maxsize=None)(self._partial_e)
 
         def image(k, p):
             l = bisect_right(ns, p) - 1
-            return self._partial_e(k, l) if l else zero
+            return e(k, l) if l else zero
 
         return _pack_images(image, self.n)
 

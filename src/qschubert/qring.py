@@ -20,8 +20,9 @@ Each structure constant is held as {key: c}, with one int key per class
 q^d·σ_w from the engine to `QuantumClass` (`schubert._Codec`: the q-degree
 fields above the rank of w).  The engine's entries are the classes of the
 complete rings, without a copy; `_compare` writes keys of the partial ring,
-with m fields; `_times` adds keys; `gromov_witten` encodes (d, dual(w)) once
-and reads that one key.  Keys are decoded only at the public boundary of a
+with m fields; each ring's pair memo is keyed by the ranks of the pair
+alone, (rank(u) << base) + rank(v); `_times` adds keys; `gromov_witten`
+encodes (d, dual(w)) once and reads that one key.  Keys are decoded only at the public boundary of a
 class (`items`, `coefficient`, `to_text`, `to_json_obj`), and the terms that
 come in there are checked and keyed by one function (`_class_terms`).  A
 fold, product or expansion of total grade g keeps every d_l ≤ g/2, so the
@@ -258,14 +259,17 @@ class _GradedQuotientRing:
 
     `quantum_product` computes σ_u ∗ σ_v once per unordered pair: the Fl_n
     product (`_Transition`) through the comparison filter (`_compare`), the
-    identity on complete shapes.  The pair memo `_products` wraps each
-    answer without a copy, so on complete shapes its classes hold the
-    engine memo's own entries.  One bilinear class product (`_times`), on
-    packed keys, folds those structure constants for `quantum_product_multi`
-    and for all but the last insertion of `gromov_witten`, which reads the
-    last product at one key (`_coefficient`).  It also builds the generator
-    classes by one Chern recursion (`_generator_classes`), and evaluates a
-    polynomial in the generators `_vars` and the q_l by Horner's rule for
+    identity on complete shapes.  The ring's one pair memo `_products` is
+    keyed (rank(u) << base) + rank(v) and holds both orders of a pair as one
+    class (`_product`), which wraps the answer without a copy, so on
+    complete shapes its classes hold the engine memo's own entries.  A fold
+    starts from one `quantum_product` call, σ_{w_1} ∗ σ_{w_2}; the bilinear
+    class product (`_times`), on packed keys, then reads each pair of ranks
+    straight from the memo, for `quantum_product_multi` and for all but the
+    last insertion of `gromov_witten`, which reads the last product at one
+    key (`_coefficient`).  `_times` also builds the generator classes by
+    one Chern recursion (`_generator_classes`), and evaluates a polynomial
+    in the generators `_vars` and the q_l by Horner's rule for
     `expand_in_quantum_basis`.
     `classical_product` and `expand_classical` are the q⁰ slices.
 
@@ -292,7 +296,10 @@ class _GradedQuotientRing:
         self._index = {v: i for i, v in enumerate((*self._vars, *self._q_zero))}
         self._codec = _codec(self.n, shape.m)
         self._fl = _transition(self.n)
+        # (rank(u) << base) + rank(v) → σ_u ∗ σ_v, both orders one class
         self._products = {}
+        # rank(w) → rank(dual(w)), for the keys of `gromov_witten`
+        self._duals = {}
         # Fl_n key → its key on this ring, −1 when `_compare` drops it
         self._compared = {}
         self._gens = None
@@ -315,9 +322,7 @@ class _GradedQuotientRing:
 
     def expand_classical(self, p: Polynomial) -> QuantumClass:
         """Rewrite a q-free polynomial in the Schubert basis (all d = 0)."""
-        if any(v[0] == "q" for v in p.variables()):
-            raise ValueError("classical expansion needs a q-free input")
-        return self._q0(self._horner(p))
+        return self._q0(self._horner(p, classical=True))
 
     def basis_polynomial(self, w) -> Polynomial:
         """The polynomial representative of the basis class σ_w."""
@@ -331,20 +336,22 @@ class _GradedQuotientRing:
         return out
 
     def quantum_product(self, u, v) -> QuantumClass:
+        codec, check = self._codec, self._shape.check
         # a stored pair was checked when it was stored
         if type(u) is tuple and type(v) is tuple:
-            got = self._products.get((u, v) if u <= v else (v, u))
-            if got is not None:
-                return got
-        check = self._shape.check
-        u, v = check(u), check(v)
-        key = (u, v) if u <= v else (v, u)
-        got = self._products.get(key)
-        if got is None:
-            # wrap the product's own dict: on complete shapes it is the
-            # engine memo's entry, which nothing mutates
-            got = self._products[key] = self._class(self._pair_product(*key))
-        return got
+            ranks = codec._ranks
+            a, b = ranks.get(u), ranks.get(v)
+            if a is not None and b is not None:
+                got = self._products.get((a << codec.base) + b)
+                if got is not None:
+                    return got
+                # check returns a tuple equal to its input, or raises, so
+                # the ranks stand
+                check(u), check(v)
+                return self._product(a, b)
+        a, b = codec.index(check(u)), codec.index(check(v))
+        got = self._products.get((a << codec.base) + b)
+        return self._product(a, b) if got is None else got
 
     def quantum_product_multi(self, ws) -> QuantumClass:
         """σ_{w_1} ∗ ⋯ ∗ σ_{w_N} over a nonempty factor list."""
@@ -359,7 +366,8 @@ class _GradedQuotientRing:
     def gromov_witten(self, ws, w, d) -> int:
         """N-point genus-zero invariant ⟨σ_{w_1},…,σ_{w_N}, σ_w⟩_d, read off
         as the coefficient of q^d·σ_{w∨} in the product of the σ_{w_i}: the
-        fold of the first N − 1, times σ_{w_N} at that one key alone.
+        fold of the first N − 1, times σ_{w_N} at that one key alone, or for
+        N ≤ 2 the fold of all N at that key.
 
         Returns 0 immediately when the lengths fail the dimension count.
         Each entry of d is read with operator.index: a bool counts as its
@@ -378,11 +386,34 @@ class _GradedQuotientRing:
         total = sum(map(_length, ws)) + _length(w)
         if total != shape.moduli_dimension(d):
             return 0
+        codec = self._codec
+        rank = codec.index(w)
+        dual = self._duals.get(rank)
+        if dual is None:
+            dual = self._duals[rank] = codec.index(shape.dual(w))
         # the fold's grade check bounds every d_l, so d encodes exactly
-        acc = self._fold(ws[:-1], total)
-        return self._coefficient(acc, ws[-1], self._codec.key(d, shape.dual(w)))
+        key = codec.degree(d) + dual
+        if len(ws) < 3:
+            return self._fold(ws, total).get(key, 0)
+        return self._coefficient(self._fold(ws[:-1], total),
+                                 codec.index(ws[-1]), key)
 
     # -- the product path -------------------------------------------------
+    def _product(self, a: int, b: int) -> QuantumClass:
+        """σ_u ∗ σ_v for the classes of ranks a and b, on a memo miss: one
+        class, stored under both orders of the pair.  Rank order is the
+        lexicographic order of S_n, so the pair is computed as u ≤ v."""
+        if a > b:
+            a, b = b, a
+        perms, base, products = self._codec._perms, self._codec.base, self._products
+        # wrap the product's own dict: on complete shapes it is the engine
+        # memo's entry, which nothing mutates; a pair stored meanwhile by
+        # another thread wins, so both orders hold one class
+        got = products.setdefault(
+            (a << base) + b, self._class(self._pair_product(perms[a], perms[b])))
+        products[(b << base) + a] = got
+        return got
+
     def _pair_product(self, u: Perm, v: Perm) -> dict:
         """σ_u ∗ σ_v, packed, on a memo miss, by transition on the shorter
         factor."""
@@ -441,47 +472,55 @@ class _GradedQuotientRing:
     def _times(self, acc: dict, other: dict) -> dict:
         """(Σ c·q^d·σ_v) ∗ (Σ c′·q^d′·σ_w) by bilinearity over the memoized
         pairwise products, on packed keys: q^d·q^d′·(σ_v ∗ σ_w) adds the
-        degree parts of both keys to each key of σ_v ∗ σ_w."""
+        degree parts of both keys to each key of σ_v ∗ σ_w, read from the
+        pair memo at (rank(v) << base) + rank(w)."""
         out = {}
         get = out.get
-        mask, perms = self._codec.mask, self._codec._perms
-        product = self.quantum_product
+        mask, base = self._codec.mask, self._codec.base
+        products = self._products
         for k1, c1 in other.items():
-            w = perms[k1 & mask]
-            d1 = k1 & ~mask
+            wi = k1 & mask
+            d1 = k1 - wi
             for k, c in acc.items():
                 zi = k & mask
-                base = k - zi + d1
+                pair = products.get((zi << base) + wi)
+                if pair is None:
+                    pair = self._product(zi, wi)
+                shift = k - zi + d1
                 c *= c1
-                for k2, c2 in product(perms[zi], w)._terms.items():
-                    k2 += base
+                for k2, c2 in pair._terms.items():
+                    k2 += shift
                     out[k2] = get(k2, 0) + c * c2
         return _nonzero(out)
 
-    def _coefficient(self, acc: dict, w: Perm, key: int) -> int:
-        """The coefficient of key in acc ∗ σ_w.  A term k = q^d·σ_v of acc
-        meets it at key − (k less the rank of v) in σ_v ∗ σ_w; as no sum of
-        keys carries, only a term that adds up to key field by field can
-        sit there."""
-        mask, perms = self._codec.mask, self._codec._perms
-        product = self.quantum_product
+    def _coefficient(self, acc: dict, wi: int, key: int) -> int:
+        """The coefficient of key in acc ∗ σ_w, w of rank wi.  A term
+        k = q^d·σ_v of acc meets it at key − (k less the rank of v) in
+        σ_v ∗ σ_w; as no sum of keys carries, only a term that adds up to
+        key field by field can sit there."""
+        mask, base = self._codec.mask, self._codec.base
+        products = self._products
         out = 0
         for k, c in acc.items():
             zi = k & mask
-            out += c * product(perms[zi], w)._terms.get(key - k + zi, 0)
+            pair = products.get((zi << base) + wi)
+            if pair is None:
+                pair = self._product(zi, wi)
+            out += c * pair._terms.get(key - k + zi, 0)
         return out
 
     def _fold(self, ws, grade: int) -> dict:
-        """σ_{w_1} ∗ ⋯ ∗ σ_{w_N} over checked factors of total grade at most
-        `grade`: a left fold of `_times`, and σ_id = 1 when N = 0.
-        ValueError when that grade could carry a field of the keys
-        (`_Codec.check`)."""
+        """σ_{w_1} ∗ ⋯ ∗ σ_{w_N} over N ≥ 1 checked factors of total grade
+        at most `grade`.  For N ≥ 2 one `quantum_product` call gives
+        σ_{w_1} ∗ σ_{w_2}, whose dict starts a left fold of `_times` without
+        a copy and is never mutated.  ValueError when that grade could
+        carry a field of the keys (`_Codec.check`)."""
         self._codec.check(grade)
-        if not ws:
-            return {0: 1}  # the identity has rank 0
         index = self._codec.index
-        acc = {index(ws[0]): 1}
-        for w in ws[1:]:
+        if len(ws) == 1:
+            return {index(ws[0]): 1}
+        acc = self.quantum_product(ws[0], ws[1])._terms
+        for w in ws[2:]:
             acc = self._times(acc, {index(w): 1})
         return acc
 
@@ -516,22 +555,25 @@ class _GradedQuotientRing:
         self._gens = gens
         return gens
 
-    def _keyed(self, p: Polynomial):
+    def _keyed(self, p: Polynomial, classical: bool = False):
         """p as (a, key of q^d, c) triples over `_vars` and the q_l, after
         the grade check (`_Codec.check`) of its top grade, whose terms bound
         every q-degree that Horner's rule reaches.  ValueError on a variable
-        outside the ring alphabet (`_index`): `_vars` and q_1,…,q_m."""
+        outside the ring alphabet (`_index`): `_vars` and q_1,…,q_m, and on
+        any q_l when classical."""
         out = []
         top = 0
         slots, cut = self._index, len(self._vars)
+        limit = cut if classical else len(slots)
         grades = [i for i, _ in self._blocks] + list(self._shape.q_grades)
         for mon, c in p._terms.items():
             a = [0] * len(slots)
             for v, e in mon:
                 i = slots.get(v)
-                if i is None:
+                if i is None or i >= limit:
                     raise ValueError(
-                        f"variable {v} is not in the ring alphabet")
+                        f"variable {v} is not in the ring alphabet" if i is None
+                        else "classical expansion needs a q-free input")
                 a[i] = e
             top = max(top, sum(e * g for e, g in zip(a, grades)))
             out.append((tuple(a[:cut]), a[cut:], c))
@@ -539,9 +581,10 @@ class _GradedQuotientRing:
         degree = self._codec.degree
         return [(a, degree(d), c) for a, d, c in out]
 
-    def _horner(self, p: Polynomial) -> dict:
+    def _horner(self, p: Polynomial, classical: bool = False) -> dict:
         """p evaluated over the generator classes by Horner's rule, one
-        generator at a time: Σ_e g^e·p_e = (…(p_top·g + p_{top−1})·g …)·g + p_0."""
+        generator at a time: Σ_e g^e·p_e = (…(p_top·g + p_{top−1})·g …)·g + p_0;
+        classical refuses a q_l (`_keyed`)."""
         gens = self._generator_classes()
 
         def run(terms, i):
@@ -559,7 +602,7 @@ class _GradedQuotientRing:
                     _gather(acc, run(by_power[e], i + 1).items())
             return acc
 
-        return _nonzero(run(self._keyed(p), 0)) if p._terms else {}
+        return _nonzero(run(self._keyed(p, classical), 0)) if p._terms else {}
 
 
 class QuantumRing(_GradedQuotientRing):

@@ -677,6 +677,103 @@ def test_concurrent_table_matches_serial():
         assert all(got == serial for got in results), arg
 
 
+def _gw_queries(ring, seed, count=40):
+    """A seeded list of N-point invariants, N = 1…5, that pass the dimension
+    gate, each as (ws, w, d), with degrees up to 1 in each q."""
+    rng = random.Random(seed)
+    by_length = {}
+    for w in ring.basis:
+        by_length.setdefault(length(w), []).append(w)
+    queries = []
+    while len(queries) < count:
+        ws = tuple(rng.choice(ring.basis)
+                   for _ in range(1 + len(queries) % 5))
+        d = tuple(rng.randint(0, 1) for _ in range(ring.q_count))
+        left = ring._shape.moduli_dimension(d) - sum(map(length, ws))
+        if left in by_length:
+            queries.append((ws, rng.choice(by_length[left]), d))
+    return queries
+
+
+def _answers(ring, queries, order=None):
+    if order is not None:
+        queries = list(queries)
+        random.Random(order).shuffle(queries)
+    return {(ws, w, d): (ring.gromov_witten(ws, w, d),
+                         ring.quantum_product_multi([*ws, w]))
+            for ws, w, d in queries}
+
+
+def test_concurrent_gromov_witten_matches_serial():
+    cases = [(ring_class, arg, _gw_queries(ring_class(arg), seed))
+             for ring_class, arg, seed in ((QuantumRing, 4, 41),
+                                           (PartialRing, STEP134, 134))]
+    serial = [_answers(ring_class(arg), queries)
+              for ring_class, arg, queries in cases]
+    rings = [_slow_products(ring_class)(arg) for ring_class, arg, _ in cases]
+    workers = 4
+    start = threading.Barrier(workers)
+    results = [None] * workers
+    errors = []
+
+    def work(slot):
+        try:
+            start.wait(timeout=60)
+            # each thread asks the queries in its own order, so the threads
+            # meet missing pair products at different times
+            results[slot] = [_answers(ring, queries, order=slot)
+                             for ring, (_, _, queries) in zip(rings, cases)]
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert all(got == serial for got in results)
+    assert any(gw for table in serial for gw, _ in table.values())
+
+
+def test_pair_memo_is_rank_keyed_and_read_by_one_call(monkeypatch):
+    rings = [(QuantumRing(4), 4), (PartialRing(STEP134), 134)]
+    for ring, seed in rings:
+        queries = _gw_queries(ring, seed)
+        _answers(ring, queries)
+        for u, v in combinations_with_replacement(ring.basis, 2):
+            ring.quantum_product(u, v)
+        # one int key per order of a pair, both orders one class
+        assert ring._products
+        assert all(type(key) is int for key in ring._products)
+        rank, base = ring._codec.index, ring._codec.base
+        for u, v in combinations_with_replacement(ring.basis, 2):
+            got = ring.quantum_product(u, v)
+            assert ring.quantum_product(v, u) is got, (u, v)
+            assert ring._products[(rank(u) << base) + rank(v)] is got
+    calls = []
+    orig = _GradedQuotientRing.quantum_product
+
+    def counted(self, u, v):
+        calls.append((u, v))
+        return orig(self, u, v)
+
+    monkeypatch.setattr(_GradedQuotientRing, "quantum_product", counted)
+    for ring, seed in rings:
+        for ws, w, d in _gw_queries(ring, seed):
+            calls.clear()
+            ring.gromov_witten(ws, w, d)
+            # a warm fold makes one traced product, σ_{w_1} ∗ σ_{w_2}
+            assert calls == ([ws[:2]] if len(ws) >= 2 else []), ws
+
+
 @pytest.mark.parametrize("shape", ["2:6", "1:3:4", "2:4:6"])
 def test_comparison_memo_holds_each_key_compared_alone(shape):
     shape = FlagShape.from_string(shape)
