@@ -13,20 +13,22 @@ permutations alone, in integers, and is memoized:
    minimal coset representatives.  A term's fate depends on its Fl_n key
    alone, so each ring compares each key once (`_compared`).
 3. Polynomials (`_GradedQuotientRing._horner`): Horner's rule over the
-   classes of the ring's generators, with the bilinear class product that
-   also folds N-point products and Gromov–Witten invariants.
+   classes of the ring's generators, with the bilinear class product, whose
+   one-class step also folds N-point products and Gromov–Witten invariants.
 
 Each structure constant is held as {key: c}, with one int key per class
 q^d·σ_w from the engine to `QuantumClass` (`schubert._Codec`: the q-degree
 fields above the rank of w).  The engine's entries are the classes of the
 complete rings, without a copy; `_compare` writes keys of the partial ring,
 with m fields; each ring's pair memo is keyed by the ranks of the pair
-alone, (rank(u) << base) + rank(v); `_times` adds keys; `gromov_witten`
-encodes (d, dual(w)) once and reads that one key.  Keys are decoded only at the public boundary of a
-class (`items`, `coefficient`, `to_text`, `to_json_obj`), and the terms that
-come in there are checked and keyed by one function (`_class_terms`).  A
-fold, product or expansion of total grade g keeps every d_l ≤ g/2, so the
-fields never carry; a grade that could make one carry
+alone, (rank(u) << base) + rank(v); a fold multiplies by one class at a
+time, adding the degree part of each running key to the keys of a memoized
+pair (`_add_times`); `gromov_witten` keys each d once (`_degrees`) and reads
+one key of the fold's last product.  Keys are decoded only at the public
+boundary of a class (`items`, `coefficient`, `to_text`, `to_json_obj`), and
+the terms that come in there are checked and keyed by one function
+(`_class_terms`).  A fold, product or expansion of total grade g keeps every
+d_l ≤ g/2, so the fields never carry; a grade that could make one carry
 (g ≥ 2^(FIELD_BITS + 1)) raises ValueError.
 
 The polynomial presentation (relations and Schubert polynomial lifts) stays
@@ -263,14 +265,17 @@ class _GradedQuotientRing:
     keyed (rank(u) << base) + rank(v) and holds both orders of a pair as one
     class (`_product`), which wraps the answer without a copy, so on
     complete shapes its classes hold the engine memo's own entries.  A fold
-    starts from one `quantum_product` call, σ_{w_1} ∗ σ_{w_2}; the bilinear
-    class product (`_times`), on packed keys, then reads each pair of ranks
-    straight from the memo, for `quantum_product_multi` and for all but the
-    last insertion of `gromov_witten`, which reads the last product at one
-    key (`_coefficient`).  `_times` also builds the generator classes by
-    one Chern recursion (`_generator_classes`), and evaluates a polynomial
-    in the generators `_vars` and the q_l by Horner's rule for
-    `expand_in_quantum_basis`.
+    starts from one `quantum_product` call, σ_{w_1} ∗ σ_{w_2}, then
+    multiplies by each later factor, one class, on packed keys
+    (`_add_times`), reading each pair of ranks straight from the memo, for
+    `quantum_product_multi` and for all but the last insertion of
+    `gromov_witten`, which reads the last product at one key
+    (`_coefficient`).  `gromov_witten` reads the moduli dimension and the
+    key of each degree d from `_degrees`, filled once per d.  The bilinear
+    class product (`_times`) runs `_add_times` once per term of its other
+    factor; it builds the generator classes by one Chern recursion
+    (`_generator_classes`), and evaluates a polynomial in the generators
+    `_vars` and the q_l by Horner's rule for `expand_in_quantum_basis`.
     `classical_product` and `expand_classical` are the q⁰ slices.
 
     The element rules are the shape's, called on `_shape` directly:
@@ -300,6 +305,8 @@ class _GradedQuotientRing:
         self._products = {}
         # rank(w) → rank(dual(w)), for the keys of `gromov_witten`
         self._duals = {}
+        # checked d → (moduli dimension, key of q^d), for `gromov_witten`
+        self._degrees = {}
         # Fl_n key → its key on this ring, −1 when `_compare` drops it
         self._compared = {}
         self._gens = None
@@ -371,28 +378,34 @@ class _GradedQuotientRing:
 
         Returns 0 immediately when the lengths fail the dimension count.
         Each entry of d is read with operator.index: a bool counts as its
-        int, and a float or a string raises TypeError.
+        int, and a float or a string raises TypeError.  The length and sign
+        checks of d, its moduli dimension and its key run once per ring and
+        d: `_degrees` keeps the last two under the ints of d.
         """
         shape = self._shape
         ws = list(map(shape.check, ws))
         w = shape.check(w)
         d = tuple(map(index, d))
-        if len(d) != self.q_count or any(e < 0 for e in d):
-            raise ValueError(
-                f"degree must be {self.q_count} nonnegative integers: {d}"
-            )
+        codec = self._codec
+        got = self._degrees.get(d)
+        if got is None:
+            if len(d) != self.q_count or any(e < 0 for e in d):
+                raise ValueError(
+                    f"degree must be {self.q_count} nonnegative integers: {d}"
+                )
+            got = self._degrees[d] = (shape.moduli_dimension(d),
+                                      codec.degree(d))
         if not ws:
             raise ValueError("need at least one insertion")
         total = sum(map(_length, ws)) + _length(w)
-        if total != shape.moduli_dimension(d):
+        if total != got[0]:
             return 0
-        codec = self._codec
         rank = codec.index(w)
         dual = self._duals.get(rank)
         if dual is None:
             dual = self._duals[rank] = codec.index(shape.dual(w))
         # the fold's grade check bounds every d_l, so d encodes exactly
-        key = codec.degree(d) + dual
+        key = got[1] + dual
         if len(ws) < 3:
             return self._fold(ws, total).get(key, 0)
         return self._coefficient(self._fold(ws[:-1], total),
@@ -470,28 +483,37 @@ class _GradedQuotientRing:
         return out
 
     def _times(self, acc: dict, other: dict) -> dict:
-        """(Σ c·q^d·σ_v) ∗ (Σ c′·q^d′·σ_w) by bilinearity over the memoized
-        pairwise products, on packed keys: q^d·q^d′·(σ_v ∗ σ_w) adds the
-        degree parts of both keys to each key of σ_v ∗ σ_w, read from the
-        pair memo at (rank(v) << base) + rank(w)."""
+        """(Σ c·q^d·σ_v) ∗ (Σ c′·q^d′·σ_w) by bilinearity: `_add_times` once
+        per term of other."""
         out = {}
+        mask = self._codec.mask
+        for k1, c1 in other.items():
+            wi = k1 & mask
+            self._add_times(out, acc, wi, k1 - wi, c1)
+        return _nonzero(out)
+
+    def _add_times(self, out: dict, acc: dict, wi: int, d1: int = 0,
+                   c1: int = 1) -> dict:
+        """Add c1·q^d1·(acc ∗ σ_w) to out and return out, for w of rank wi
+        and d1 the degree part of a key: the one inner loop of every class
+        product.  On packed keys, a term c·q^d·σ_v of acc adds the degree
+        parts d + d1 to each key of σ_v ∗ σ_w, read from the pair memo at
+        (rank(v) << base) + rank(w).  acc is only read, so it may be a memo
+        entry."""
         get = out.get
         mask, base = self._codec.mask, self._codec.base
         products = self._products
-        for k1, c1 in other.items():
-            wi = k1 & mask
-            d1 = k1 - wi
-            for k, c in acc.items():
-                zi = k & mask
-                pair = products.get((zi << base) + wi)
-                if pair is None:
-                    pair = self._product(zi, wi)
-                shift = k - zi + d1
-                c *= c1
-                for k2, c2 in pair._terms.items():
-                    k2 += shift
-                    out[k2] = get(k2, 0) + c * c2
-        return _nonzero(out)
+        for k, c in acc.items():
+            zi = k & mask
+            pair = products.get((zi << base) + wi)
+            if pair is None:
+                pair = self._product(zi, wi)
+            shift = k - zi + d1
+            c *= c1
+            for k2, c2 in pair._terms.items():
+                k2 += shift
+                out[k2] = get(k2, 0) + c * c2
+        return out
 
     def _coefficient(self, acc: dict, wi: int, key: int) -> int:
         """The coefficient of key in acc ∗ σ_w, w of rank wi.  A term
@@ -512,16 +534,17 @@ class _GradedQuotientRing:
     def _fold(self, ws, grade: int) -> dict:
         """σ_{w_1} ∗ ⋯ ∗ σ_{w_N} over N ≥ 1 checked factors of total grade
         at most `grade`.  For N ≥ 2 one `quantum_product` call gives
-        σ_{w_1} ∗ σ_{w_2}, whose dict starts a left fold of `_times` without
-        a copy and is never mutated.  ValueError when that grade could
-        carry a field of the keys (`_Codec.check`)."""
+        σ_{w_1} ∗ σ_{w_2}, whose dict starts the fold without a copy and is
+        never mutated; each later factor, one class, multiplies the running
+        dict by its rank alone (`_add_times`) into a new dict.  ValueError
+        when that grade could carry a field of the keys (`_Codec.check`)."""
         self._codec.check(grade)
         index = self._codec.index
         if len(ws) == 1:
             return {index(ws[0]): 1}
         acc = self.quantum_product(ws[0], ws[1])._terms
         for w in ws[2:]:
-            acc = self._times(acc, {index(w): 1})
+            acc = _nonzero(self._add_times({}, acc, index(w)))
         return acc
 
     def _generator_classes(self) -> list:

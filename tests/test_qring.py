@@ -969,6 +969,44 @@ def test_warm_fold_checks_each_factor_once(monkeypatch):
             assert calls == list(ws) + [gw[0]]
 
 
+def test_degree_memo_keeps_the_input_rules():
+    ring = QuantumRing(4)
+    ws = ((2, 1, 3, 4), (1, 3, 2, 4), (1, 2, 4, 3), (2, 1, 3, 4))
+    w = (4, 1, 3, 2)
+    ring.gromov_witten(ws, w, (1, 0, 0))
+    assert ring.gromov_witten(ws, w, (1, 0, 0)) == 1
+    # a hit in the degree memo reads d as a miss does
+    assert ring.gromov_witten(ws, w, (True, 0, 0)) == 1
+    for d in ((1.0, 0, 0), ("1", 0, 0)):
+        with pytest.raises(TypeError):
+            ring.gromov_witten(ws, w, d)
+    for d in ((-1, 0, 0), (1, 0), (1, 0, 0, 0)):
+        for insertions in (ws, []):
+            # the degree is checked before the insertion count
+            with pytest.raises(ValueError, match="degree must be"):
+                ring.gromov_witten(insertions, w, d)
+    with pytest.raises(ValueError, match="need at least one insertion"):
+        ring.gromov_witten([], w, (1, 0, 0))
+    # only a checked degree is stored, under its ints
+    assert list(ring._degrees) == [(1, 0, 0)]
+    assert all(type(e) is int for e in next(iter(ring._degrees)))
+
+
+def test_fold_mutates_no_memo_entry():
+    # a fold starts from a pair memo entry's own dict, without a copy
+    for ring, seed in ((QuantumRing(4), 43), (PartialRing(STEP134), 135)):
+        for u, v in combinations_with_replacement(ring.basis, 2):
+            ring.quantum_product(u, v)
+        before = {key: dict(got._terms) for key, got in ring._products.items()}
+        queries = [q for q in _gw_queries(ring, seed, 60) if len(q[0]) >= 3]
+        assert {len(ws) for ws, _, _ in queries} == {3, 4, 5}
+        for query in queries:
+            # checked after each query: a changed entry feeds later folds
+            _answers(ring, [query])
+            assert {key: got._terms
+                    for key, got in ring._products.items()} == before, query
+
+
 def test_quantum_ring_9_multiplies_without_listing_s9(monkeypatch):
     def refuse(n):
         raise AssertionError(f"S_{n} listed")
