@@ -21,15 +21,17 @@ q^d·σ_w from the engine to `QuantumClass` (`schubert._Codec`: the q-degree
 fields above the rank of w).  The engine's entries are the classes of the
 complete rings, without a copy; `_compare` writes keys of the partial ring,
 with m fields; each ring's pair memo is keyed by the ranks of the pair
-alone, (rank(u) << base) + rank(v); a fold multiplies by one class at a
-time, adding the degree part of each running key to the keys of a memoized
-pair (`_add_times`); `gromov_witten` keys each d once (`_degrees`) and reads
-one key of the fold's last product.  Keys are decoded only at the public
-boundary of a class (`items`, `coefficient`, `to_text`, `to_json_obj`), and
-the terms that come in there are checked and keyed by one function
-(`_class_terms`).  A fold, product or expansion of total grade g keeps every
-d_l ≤ g/2, so the fields never carry; a grade that could make one carry
-(g ≥ 2^(FIELD_BITS + 1)) raises ValueError.
+alone, (rank(u) << base) + rank(v), and a miss hands those ranks to the
+engine, whose product walk is keyed by rank throughout; a fold multiplies
+by one class at a time, adding the degree part of each running key to the
+keys of a memoized pair (`_add_times`), and filters no zero, as no sum of
+positive structure constants cancels; `gromov_witten` keys each d once
+(`_degrees`) and reads one key of the fold's last product.  Keys are
+decoded only at the public boundary of a class (`items`, `coefficient`,
+`to_text`, `to_json_obj`), and the terms that come in there are checked
+and keyed by one function (`_class_terms`).  A fold, product or expansion
+of total grade g keeps every d_l ≤ g/2, so the fields never carry; a grade
+that could make one carry (g ≥ 2^(FIELD_BITS + 1)) raises ValueError.
 
 The polynomial presentation (relations and Schubert polynomial lifts) stays
 public; `qschubert verify` checks it against the products.
@@ -67,8 +69,8 @@ __all__ = [
     "gromov_witten",
 ]
 
-# the inversion count of each permutation, counted once: the dimension gate of
-# every gromov_witten call and the factor order of every product read it
+# the inversion count of each permutation, counted once: the grade of every
+# fold and the dimension gate of every gromov_witten call read it
 _length = lru_cache(maxsize=None)(length)
 
 
@@ -418,21 +420,21 @@ class _GradedQuotientRing:
         lexicographic order of S_n, so the pair is computed as u ≤ v."""
         if a > b:
             a, b = b, a
-        perms, base, products = self._codec._perms, self._codec.base, self._products
+        base, products = self._codec.base, self._products
         # wrap the product's own dict: on complete shapes it is the engine
         # memo's entry, which nothing mutates; a pair stored meanwhile by
         # another thread wins, so both orders hold one class
         got = products.setdefault(
-            (a << base) + b, self._class(self._pair_product(perms[a], perms[b])))
+            (a << base) + b, self._class(self._pair_product(a, b)))
         products[(b << base) + a] = got
         return got
 
-    def _pair_product(self, u: Perm, v: Perm) -> dict:
-        """σ_u ∗ σ_v, packed, on a memo miss, by transition on the shorter
-        factor."""
-        if _length(u) > _length(v):
-            u, v = v, u
-        terms = self._fl.product(u, v)
+    def _pair_product(self, a: int, b: int) -> dict:
+        """σ_u ∗ σ_v for u and v of ranks a and b, packed, on a memo miss, by
+        transition on the shorter factor: the engine walks ranks alone."""
+        if self._codec.length(a) > self._codec.length(b):
+            a, b = b, a
+        terms = self._fl.product(a, b)
         return terms if self._complete else self._compare(terms)
 
     def _compare(self, terms: dict) -> dict:
@@ -536,15 +538,19 @@ class _GradedQuotientRing:
         at most `grade`.  For N ≥ 2 one `quantum_product` call gives
         σ_{w_1} ∗ σ_{w_2}, whose dict starts the fold without a copy and is
         never mutated; each later factor, one class, multiplies the running
-        dict by its rank alone (`_add_times`) into a new dict.  ValueError
-        when that grade could carry a field of the keys (`_Codec.check`)."""
+        dict by its rank alone (`_add_times`) into a new dict.  No step
+        filters zeros: every pair class holds positive coefficients, which
+        are Gromov–Witten numbers, and stored classes hold no zero, so no
+        sum of a step can cancel and `quantum_product_multi` may wrap the
+        result.  ValueError when that grade could carry a field of the keys
+        (`_Codec.check`)."""
         self._codec.check(grade)
         index = self._codec.index
         if len(ws) == 1:
             return {index(ws[0]): 1}
         acc = self.quantum_product(ws[0], ws[1])._terms
         for w in ws[2:]:
-            acc = _nonzero(self._add_times({}, acc, index(w)))
+            acc = self._add_times({}, acc, index(w))
         return acc
 
     def _generator_classes(self) -> list:

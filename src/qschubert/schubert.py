@@ -398,6 +398,7 @@ class _Codec:
                        else _codec(n, n - 1)._perms)
         self._ranks = self._perms.ranks
         self._places = self._perms.places
+        self._lengths = {}  # rank of w → length(w), for the ranks read so far
 
     def __reduce__(self):
         # a pickled or copied class shares the codec of its (n, m) instead
@@ -415,6 +416,15 @@ class _Codec:
                 placed |= 1 << a
             self._perms[got] = w
             self._ranks[w] = got
+        return got
+
+    def length(self, i: int) -> int:
+        """The length of the permutation of rank i: the sum of the digits of
+        i in the factorial base, which are its Lehmer code."""
+        got = self._lengths.get(i)
+        if got is None:
+            got = self._lengths[i] = sum(
+                i // place % (k + 1) for k, place in enumerate(self._places[::-1]))
         return got
 
     def perm(self, i: int) -> Perm:
@@ -461,6 +471,24 @@ def _q_monomial(d: tuple) -> tuple:
     return tuple((("q", i), e) for i, e in enumerate(d, start=1) if e)
 
 
+def _descent(w: Perm) -> tuple:
+    """(r, v) for w ≠ id: r its last descent, s the last position after r
+    with w(s) < w(r), and v = w·t_rs, the parent of w in its transition
+    tree."""
+    r = max(i for i in range(1, len(w)) if w[i - 1] > w[i])
+    s = max(j for j in range(r + 1, len(w) + 1) if w[j - 1] < w[r - 1])
+    return r, (*w[:r - 1], w[s - 1], *w[r:s - 1], w[r - 1], *w[s:])
+
+
+def _less_head(terms: list, head, r: int, v: Perm, w: Perm) -> tuple:
+    """The terms of x_r ∗ σ_v less head, the term of σ_w, which must occur
+    exactly once: the R of σ_w = x_r ∗ σ_v − R."""
+    if terms.count(head) != 1:
+        raise RingError(f"x_{r}∗σ_{list(v)} does not contain σ_{list(w)} once")
+    terms.remove(head)
+    return tuple(terms)
+
+
 def _ascent(w: Perm) -> tuple:
     """The expand of 𝔖_w: w·s_i for the first ascent i of w, then i."""
     i = next(i for i in range(1, len(w)) if w[i - 1] < w[i])
@@ -501,11 +529,16 @@ class _Transition:
     quantum ones shorter, so the recursion ends.  Quantum Monk holds for the
     𝔖^q_w as polynomials in Z[x, q], so the same step lifts them (`lift`):
     𝔖^q_w = x_r·𝔖^q_v − Σ_R c·q^d·𝔖^q_u, down to 𝔖^q_id = 1.  Both walk
-    the transition tree of w, with their own rule per node, and share the
-    memo of `_step`, which holds each term of R as (dkey, u, c).  The
-    product node works on packed keys alone: its memo `_x_terms` holds
-    x_r ∗ σ_z as (delta, sign) pairs, so a term K with z = K & mask maps to
-    K + delta, and the q^d of a term of R adds its dkey; no tuple is built.
+    the transition tree of w (`_descent`), with their own rule per node.
+    The lift reads it by permutation, from the memo of `_step`, which holds
+    each term of R as (dkey, u, c).  The product walks ranks alone: `product`
+    takes the ranks of w and y, `_memo` is keyed by rank(y), then rank(w),
+    and its tree comes from `_rank_tree`, built once per w that a product
+    walk reaches, with R as (dkey, rank u, c) terms taken from the row of
+    x_r ∗ σ_v that the node reads.  That row memo, `_x_terms`, holds
+    x_r ∗ σ_z by rank(z) as (delta, sign) pairs, so a term K with
+    z = K & mask maps to K + delta, and the q^d of a term of R adds its
+    dkey; the node hashes no tuple.
     The 𝔖_w come from divided differences (`schubert`), so the
     recombination check, which folds them against the packed e_k(p)
     (`e_columns`), owes nothing to the lift or the Pieri rule.
@@ -555,8 +588,10 @@ class _Transition:
             self._edges[b].append((a, b, -1, dkey))
         # _x[r]: rank of z → x_r ∗ σ_z as (delta, sign) pairs
         self._x = [{} for _ in range(n + 1)]
-        self._steps = {}  # w → (r, v, R as (dkey, u, c) terms)
-        self._memo = {}   # y → {w → σ_w ∗ σ_y, packed}
+        self._steps = {}  # w → (r, v, R as (dkey, u, c) terms), for the lifts
+        # rank(w) → the expand of its product node (`_rank_tree`)
+        self._rank_steps = {}
+        self._memo = {}   # rank(y) → {rank(w) → σ_w ∗ σ_y, packed}
         # w → 𝔖^q_w as {packed monomial: coefficient}
         self._lifts = {self.identity: {0: 1}}
         # (k_1,…,k_p), p < n − 1 → e_{k_1}(1)⋯e_{k_p}(p) as {z: c}
@@ -611,20 +646,28 @@ class _Transition:
         return got
 
     def _step(self, w: Perm) -> tuple:
-        """(r, v, R) with σ_w = x_r ∗ σ_v − R."""
+        """(r, v, R) with σ_w = x_r ∗ σ_v − R, R as (dkey, u, c) terms."""
         got = self._steps.get(w)
-        if got is not None:
-            return got
-        r = max(i for i in range(1, self.n) if w[i - 1] > w[i])
-        s = max(j for j in range(r + 1, self.n + 1) if w[j - 1] < w[r - 1])
-        v = list(w)
-        v[r - 1], v[s - 1] = w[s - 1], w[r - 1]
-        v = tuple(v)
-        rest, head = self._monk(r, v), (0, w, 1)
-        if head not in rest:
-            raise RingError(f"x_{r}∗σ_{list(v)} does not contain σ_{list(w)} once")
-        rest.remove(head)
-        got = self._steps[w] = (r, v, tuple(rest))
+        if got is None:
+            r, v = _descent(w)
+            got = self._steps[w] = (r, v, _less_head(self._monk(r, v),
+                                                     (0, w, 1), r, v, w))
+        return got
+
+    def _rank_tree(self, wi: int) -> tuple:
+        """The expand of a product walk, in rank form, for w of rank wi:
+        rank(v) and the rank u of each term of R, then (r, rank(v), R as
+        (dkey, rank u, c) terms).  R is the row of x_r ∗ σ_v that the node
+        reads (`_x_terms`) less σ_w; built once per w."""
+        got = self._rank_steps.get(wi)
+        if got is None:
+            r, v = _descent(w := self.codec.perm(wi))
+            vi, mask = self.codec.index(v), self.codec.mask
+            rest = tuple((k - (k & mask), k & mask, c) for k, c in _less_head(
+                [(vi + delta, sign) for delta, sign in self._x_terms(r, vi)],
+                (wi, 1), r, v, w))
+            got = self._rank_steps[wi] = (
+                (vi, *(u for _, u, _ in rest)), r, vi, rest)
         return got
 
     def _walk(self, memo: dict, key, expand, node):
@@ -657,21 +700,22 @@ class _Transition:
         return memo[key]
 
     def _tree(self, w: Perm) -> tuple:
-        """The expand of a transition tree: v and the u of R, then the
-        step (r, v, R) of w."""
+        """The expand of a lift walk: v and the u of R, then the step
+        (r, v, R) of w."""
         _, v, rest = step = self._step(w)
         return (v, *(u for _, u, _ in rest)), *step
 
-    def product(self, w: Perm, y: Perm) -> dict:
-        """σ_w ∗ σ_y, packed, from the memo of the products with this σ_y;
-        the entry itself, which must not be changed."""
-        memo = self._memo.get(y)
+    def product(self, wi: int, yi: int) -> dict:
+        """σ_w ∗ σ_y for w and y of ranks wi and yi, packed, from the memo of
+        the products with this σ_y; the entry itself, which must not be
+        changed."""
+        memo = self._memo.get(yi)
         if memo is None:
-            memo = self._memo.setdefault(
-                y, {self.identity: {self.codec.index(y): 1}})
-        return self._walk(memo, w, self._tree, self._product_node)
+            # σ_id ∗ σ_y = σ_y, the identity of rank 0
+            memo = self._memo.setdefault(yi, {0: {yi: 1}})
+        return self._walk(memo, wi, self._rank_tree, self._product_node)
 
-    def _product_node(self, memo: dict, r: int, v: Perm, rest: tuple) -> dict:
+    def _product_node(self, memo: dict, r: int, v: int, rest: tuple) -> dict:
         """x_r ∗ (σ_v ∗ σ_y) less c·q^d·(σ_u ∗ σ_y) for each term of R,
         each term dropped as it cancels: a QuantumClass wraps the entry
         without a copy, so it holds no zero coefficient."""

@@ -246,9 +246,10 @@ def test_two_point_suite_fails_on_a_nonzero_invariant(
         capsys, cache_dir, monkeypatch):
     # q1·σ_w0 in σ_312 ∗ σ_321 would make ⟨σ_312, σ_321, σ_id⟩_(1,0) = 1
     class Broken(QuantumRing):
-        def _pair_product(self, u, v):
-            terms = dict(super()._pair_product(u, v))
-            if {u, v} == {(3, 1, 2), (3, 2, 1)}:
+        def _pair_product(self, a, b):
+            terms = dict(super()._pair_product(a, b))
+            if {self._codec.perm(a), self._codec.perm(b)} == {(3, 1, 2),
+                                                              (3, 2, 1)}:
                 terms[self._codec.key((1, 0), (3, 2, 1))] = 1
             return terms
 

@@ -1,5 +1,7 @@
 """Quantum cohomology ring of the complete flag manifold."""
 
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -635,9 +637,9 @@ def _slow_products(ring_class):
             super().__init__(arg)
             self._fl = _Transition(self.n)
 
-        def _pair_product(self, u, v):
+        def _pair_product(self, a, b):
             time.sleep(0.0002)
-            return super()._pair_product(u, v)
+            return super()._pair_product(a, b)
 
     return Slow
 
@@ -1007,6 +1009,56 @@ def test_fold_mutates_no_memo_entry():
                     for key, got in ring._products.items()} == before, query
 
 
+def test_fold_values_are_positive(monkeypatch):
+    # `_fold` filters no zero: every pair class is positive, so no sum of a
+    # fold step cancels, and `quantum_product_multi` wraps what it returns
+    folds = []
+    fold = _GradedQuotientRing._fold
+
+    def recorded(self, ws, grade):
+        got = fold(self, ws, grade)
+        folds.append(got)
+        return got
+
+    monkeypatch.setattr(_GradedQuotientRing, "_fold", recorded)
+    for ring, seed in ((QuantumRing(4), 44), (PartialRing(STEP134), 136)):
+        queries = [q for q in _gw_queries(ring, seed, 60) if len(q[0]) >= 3]
+        assert {len(ws) for ws, _, _ in queries} == {3, 4, 5}
+        _answers(ring, queries)
+    assert len(folds) > 50
+    assert all(c > 0 for got in folds for c in got.values())
+
+
+# sha256 over the products of `_digest_pairs`, one JSON line each
+PRODUCT_DIGEST = "94c556ffef4976633426bef4b4b3fe313fd20bbe67133f48dd5e6336aaff001c"
+
+
+def _digest_pairs():
+    """(label, ring, u, v): every pair of the full tables of Fl_3, Fl_4,
+    Fl_5, 2:4, 2:6, 1:3:4, 1:3:5, 2:4:6 and 3:7, then 400 seeded pairs of
+    Fl_6; 13 390 in all."""
+    for n in (3, 4, 5):
+        ring = QuantumRing(n)
+        for u, v in combinations_with_replacement(ring.basis, 2):
+            yield str(n), ring, u, v
+    for text in ("2:4", "2:6", "1:3:4", "1:3:5", "2:4:6", "3:7"):
+        ring = PartialRing(FlagShape.from_string(text))
+        for u, v in combinations_with_replacement(ring.basis, 2):
+            yield text, ring, u, v
+    ring, perms, rng = QuantumRing(6), all_permutations(6), random.Random(6)
+    for _ in range(400):
+        yield "6", ring, rng.choice(perms), rng.choice(perms)
+
+
+def test_products_match_digest():
+    digest = hashlib.sha256()
+    for label, ring, u, v in _digest_pairs():
+        line = json.dumps([label, list(u), list(v),
+                           ring.quantum_product(u, v).to_json_obj()])
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == PRODUCT_DIGEST
+
+
 def test_quantum_ring_9_multiplies_without_listing_s9(monkeypatch):
     def refuse(n):
         raise AssertionError(f"S_{n} listed")
@@ -1121,9 +1173,13 @@ def test_generator_classes_match_the_two_series_formula(shape):
     lambda: partial.partial_ring(FlagShape.complete(4)),
 ], ids=["quantum_ring", "partial_ring"])
 def test_complete_products_hold_the_engine_entries(make):
-    # each class holds the engine memo's own packed dict, not a copy
+    # each class holds the engine memo's own packed dict, not a copy, keyed
+    # by the ranks of the shorter factor and of the other
     ring = make()
+    index = ring._fl.codec.index
     for a, b in combinations_with_replacement(all_permutations(4), 2):
         u, v = (b, a) if length(a) > length(b) else (a, b)
-        assert ring.quantum_product(a, b)._terms is ring._fl.product(u, v)
+        assert (ring.quantum_product(a, b)._terms
+                is ring._fl._memo[index(v)][index(u)]
+                is ring._fl.product(index(u), index(v)))
         assert ring.quantum_product(a, b)._codec is ring._fl.codec

@@ -389,13 +389,14 @@ def test_pieri_is_the_q0_slice_of_the_product(n, sample):
         zs = sorted(sampled)
     engine = schubert._Transition(n)
     zero = (0,) * (n - 1)
-    decode = engine.codec.decode
+    decode, index = engine.codec.decode, engine.codec.index
     for z in zs:
         for p in range(1, n) if z in sampled else (n - 1,):
             rows = schubert._pieri(z, p)
             assert len(rows) == p + 1 and rows[0] == {z: 1}
             for k in range(1, p + 1):
-                product = engine.product(z, schubert._grassmannian(k, p, n))
+                product = engine.product(
+                    index(z), index(schubert._grassmannian(k, p, n)))
                 want = {y: c for (d, y), c in
                         ((decode(key), c) for key, c in product.items())
                         if d == zero}
@@ -511,16 +512,20 @@ def test_concurrent_engine_matches_serial(fresh_engines):
                                        (6, None), (7, 60)])
 def test_packed_lift_matches_the_polynomial_transition(n, sample):
     """Each packed lift is one transition step of the lifts below it, taken
-    in Polynomial arithmetic: 𝔖^q_w = x_r·𝔖^q_v − Σ c·q^d·𝔖^q_u."""
+    in Polynomial arithmetic: 𝔖^q_w = x_r·𝔖^q_v − Σ c·q^d·𝔖^q_u; and the
+    product walk takes the same step, on ranks."""
     ws = all_permutations(n)
     if sample:
         ws = random.Random(n).sample(ws, sample)
     engine = schubert._Transition(n)
+    index = engine.codec.index
     assert engine.lift(engine.identity) == Polynomial.constant(1)
     for w in ws:
         if w == engine.identity:
             continue
         r, v, rest = engine._step(w)
+        ranked = tuple((dkey, index(u), c) for dkey, u, c in rest)
+        assert engine._rank_tree(index(w))[1:] == (r, index(v), ranked), w
         want = x_var(r) * engine.lift(v)
         for dkey, u, c in rest:
             d = engine.codec.decode(dkey)[0]
