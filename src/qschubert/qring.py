@@ -9,9 +9,15 @@ permutations alone, in integers, and is memoized:
    Fomin–Gelfand–Postnikov (JAMS 1997) and Lascoux–Schützenberger
    transition; the same engine lifts the quantum Schubert polynomials.
 2. Fl(N) (`_GradedQuotientRing._compare`): Peterson's comparison formula
-   reads each structure constant off one term of the Fl_n product of the two
-   minimal coset representatives.  A term's fate depends on its Fl_n key
-   alone, so each ring compares each key once (`_compared`).
+   reads each structure constant off one term q^{d_B}·σ_y of the Fl_n
+   product of the two minimal coset representatives.  The term counts when
+   d_B is the lift of its d and y with each block [n_{l−1}, n_l) rotated,
+   its last t_l = (d_l − d_{l−1}) mod b_l entries first, increases in every
+   block; it becomes q^d·σ of that rotation.  The formula's w reverses two
+   runs of each block of w_0∘y, so w_0∘w is y with the same runs reversed,
+   and dual(w) = min_rep(w_0∘w) is that rotation.  The lift test and the
+   rotation depend on d_B alone, so each ring plans each degree part once
+   (`_plans`) and compares each Fl_n key once (`_compared`).
 3. Polynomials (`_GradedQuotientRing._horner`): Horner's rule over the
    classes of the ring's generators, with the bilinear class product, whose
    one-class step also folds N-point products and Gromov–Witten invariants.
@@ -39,7 +45,7 @@ public; `qschubert verify` checks it against the products.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from operator import index
+from operator import index, itemgetter
 
 from .perm import FlagShape, Perm, all_permutations, length, validate
 from .poly import Polynomial, _json_int
@@ -281,10 +287,11 @@ class _GradedQuotientRing:
     `classical_product` and `expand_classical` are the q⁰ slices.
 
     The element rules are the shape's, called on `_shape` directly:
-    `FlagShape.check`, `dual` and `moduli_dimension`.  A subclass supplies
-    only `basis`, `relations()` and the lifts `_basis_lift` and
-    `_classical_lift` (which `class_to_poly` and `basis_polynomial` return,
-    and the `relations` and `giambelli` suites of `qschubert verify` check).
+    `FlagShape.check`, `is_min_rep`, `dual` and `moduli_dimension`.  A
+    subclass supplies only `basis`, `relations()` and the lifts `_basis_lift`
+    and `_classical_lift` (which `class_to_poly` and `basis_polynomial`
+    return, and the `relations` and `giambelli` suites of `qschubert verify`
+    check).
     """
 
     def __init__(self, shape: FlagShape):
@@ -311,6 +318,8 @@ class _GradedQuotientRing:
         self._degrees = {}
         # Fl_n key → its key on this ring, −1 when `_compare` drops it
         self._compared = {}
+        # degree part of an Fl_n key → its comparison plan (`_plan`)
+        self._plans = {}
         self._gens = None
 
     def _classical_lift(self, w: Perm) -> Polynomial:
@@ -441,48 +450,59 @@ class _GradedQuotientRing:
         """The Fl(N) product of two minimal coset representatives, read off
         their Fl_n product by Peterson's comparison formula (Woodward,
         Proc. AMS 2005).  A term c·q^{d_B}·σ_y counts only if d_B is the lift
-        of d = (d_B[n_1], …, d_B[n_m]): in block l of size b, with
-        (a, t) = divmod(d_l − d_{l−1}, b) and d_0 = d_{m+1} = 0, the lift
-        climbs by a at each of the first b − t positions and by a + 1 at each
-        of the last t; and only if w = (w_0∘y)·ω′, which reverses each of
-        those two runs of every block, increases inside every block.  It adds
-        c to q^d·σ_{dual(w)}.
+        of d = (d_B[n_1], …, d_B[n_m]) (`_plan`), and only if y with each
+        block rotated, its last t entries first, increases inside every
+        block; it adds c to q^d·σ of that rotation.
 
-        d_B is read off the engine's key by shifts, and the lift, whose
-        levels lie between consecutive d_l, is packed the same way to be
-        compared with it whole.  What a term becomes depends on its key
-        alone, so the ring memoizes it per Fl_n key (`_compared`: the key
-        of q^d·σ_{dual(w)}, or −1 for a dropped term), each entry stored
-        whole in one assignment.
+        The formula reverses, in w_0∘y, the first b − t and the last t
+        positions of each block, and keeps w if it increases in every block;
+        w_0∘w is y with the same runs reversed, so dual(w) = min_rep(w_0∘w)
+        sorts each block by reversing it whole, which rotates y's block, and
+        w increases there exactly when that rotation does.
+
+        What a term becomes depends on its key alone, so the ring memoizes
+        it per Fl_n key (`_compared`: its key on this ring, or −1 for a
+        dropped term), and the lift test and the rotation per degree part
+        d_B (`_plans`), each entry stored whole in one assignment.
         """
-        shape, ns, n = self._shape, self._ns, self.n
-        src, dst = self._fl.codec, self._codec
-        base, mask, field = src.base, src.mask, (1 << FIELD_BITS) - 1
-        reads = [src.shifts[k - 1] for k in ns[1:-1]]
-        compared = self._compared
-        out = {}
+        src, compared, plans = self._fl.codec, self._compared, self._plans
+        base, mask, index = src.base, src.mask, self._codec.index
+        is_min_rep, out = self._shape.is_min_rep, {}
         for key, c in terms.items():
             k = compared.get(key)
             if k is None:
-                d = tuple(key >> s & field for s in reads)
-                steps = (0,) + d + (0,)
-                w = [n + 1 - e for e in src.perm(key & mask)]
-                level, lift = 0, 0
-                for l in range(1, len(ns)):
-                    lo, hi = ns[l - 1], ns[l]
-                    a, t = divmod(steps[l] - steps[l - 1], hi - lo)
-                    cut = hi - t
-                    for i in range(lo, min(hi, n - 1)):
-                        level += a + (i >= cut)
-                        lift = (lift << FIELD_BITS) + level
-                    w[lo:cut] = w[lo:cut][::-1]
-                    w[cut:hi] = w[cut:hi][::-1]
-                k = compared[key] = (
-                    dst.key(d, shape.dual(w))
-                    if lift == key >> base and shape.is_min_rep(w) else -1)
+                plan = plans.get(key >> base)
+                if plan is None:
+                    plan = plans[key >> base] = self._plan(key >> base)
+                w = plan and itemgetter(*plan[1])(src.perm(key & mask))
+                k = compared[key] = (plan[0] + index(w)
+                                     if plan and is_min_rep(w) else -1)
             if k >= 0:
                 out[k] = out.get(k, 0) + c
         return out
+
+    def _plan(self, lifted: int) -> tuple:
+        """The comparison plan of the degree part d_B = key >> base of an
+        Fl_n key, for `_plans`: () unless d_B is the lift of its
+        d = (d_B[n_1], …, d_B[n_m]), else (the key of q^d on this ring, the
+        positions of y that rotate each block).  In block l of size b, with
+        (a, t) = divmod(d_l − d_{l−1}, b) and d_0 = d_{m+1} = 0, the lift
+        climbs by a at each of the first b − t positions and by a + 1 at each
+        of the last t, and the rotation reads those last t positions first.
+        The lift, whose levels lie between consecutive d_l, is packed as d_B
+        is, to be compared with it whole."""
+        n, ns, field = self.n, self._ns, (1 << FIELD_BITS) - 1
+        # d_l is the field of q_{n_l}, n − 1 − n_l fields above the last
+        d = tuple(lifted >> (n - 1 - k) * FIELD_BITS & field for k in ns[1:-1])
+        level, lift, order = 0, 0, []
+        for lo, hi, e, f in zip(ns, ns[1:], (0, *d), (*d, 0)):
+            a, t = divmod(f - e, hi - lo)
+            for i in range(lo, min(hi, n - 1)):
+                level += a + (i >= hi - t)
+                lift = (lift << FIELD_BITS) + level
+            order += (*range(hi - t, hi), *range(lo, hi - t))
+        return ((self._codec.degree(d), tuple(order)) if lift == lifted
+                else ())
 
     def _times(self, acc: dict, other: dict) -> dict:
         """(Σ c·q^d·σ_v) ∗ (Σ c′·q^d′·σ_w) by bilinearity: `_add_times` once

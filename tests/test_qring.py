@@ -645,8 +645,11 @@ def _slow_products(ring_class):
 
 
 def test_concurrent_table_matches_serial():
+    # 1:3:5 has three blocks and several q-degrees, so threads meet each
+    # comparison plan from different keys
     for ring_class, arg in ((QuantumRing, 4), (PartialRing, STEP134),
-                            (PartialRing, FlagShape.from_string("2:6"))):
+                            (PartialRing, FlagShape.from_string("2:6")),
+                            (PartialRing, FlagShape.from_string("1:3:5"))):
         serial = _full_table(ring_class(arg))
         ring = _slow_products(ring_class)(arg)
         workers = 4
@@ -782,11 +785,17 @@ def test_comparison_memo_holds_each_key_compared_alone(shape):
     ring = PartialRing(shape)
     table = _full_table(ring)
     assert ring._compared
-    # each key compared alone, on a ring that has compared nothing yet
+    base = ring._fl.codec.base
+    assert {key >> base for key in ring._compared} == set(ring._plans)
+    # each key compared alone, on a ring that has compared nothing yet; the
+    # first key of each degree part builds its plan from that key alone
     fresh = PartialRing(shape)
     for key, k in ring._compared.items():
         assert key not in fresh._compared
+        plans = dict(fresh._plans)
         assert fresh._compare({key: 3}) == ({k: 3} if k >= 0 else {}), key
+        plans.setdefault(key >> base, ring._plans[key >> base])
+        assert fresh._plans == plans, key
     # the pairs walked backwards fill an equal memo and give equal tables
     backward = PartialRing(shape)
     basis = list(backward.basis)
@@ -795,6 +804,55 @@ def test_comparison_memo_holds_each_key_compared_alone(shape):
                      backward.classical_product(u, v))
             for u, v in reversed(pairs)} == table
     assert backward._compared == ring._compared
+    assert backward._plans == ring._plans
+
+
+def _peterson(ring, key) -> int:
+    """The key on a partial ring of the Fl_n term `key`, or −1 when the
+    comparison formula drops it, derived whole for each key: d_B against
+    the lift of d, w = (w_0∘y)·ω′ by reversing the two runs of each block,
+    and q^d·σ_{dual(w)} through the shape's own `dual`.  The route that
+    `_compare` took before it read a plan per degree part."""
+    shape, ns, n = ring._shape, ring._ns, ring.n
+    src, dst = ring._fl.codec, ring._codec
+    field = (1 << FIELD_BITS) - 1
+    d = tuple(key >> src.shifts[k - 1] & field for k in ns[1:-1])
+    steps = (0,) + d + (0,)
+    w = [n + 1 - e for e in src.perm(key & src.mask)]
+    level, lift = 0, 0
+    for l in range(1, len(ns)):
+        lo, hi = ns[l - 1], ns[l]
+        a, t = divmod(steps[l] - steps[l - 1], hi - lo)
+        cut = hi - t
+        for i in range(lo, min(hi, n - 1)):
+            level += a + (i >= cut)
+            lift = (lift << FIELD_BITS) + level
+        w[lo:cut] = w[lo:cut][::-1]
+        w[cut:hi] = w[cut:hi][::-1]
+    if lift == key >> src.base and shape.is_min_rep(w):
+        return dst.key(d, shape.dual(w))
+    return -1
+
+
+def test_comparison_matches_the_per_key_derivation():
+    rings = []
+    for text in ("2:4", "2:6", "1:3:4", "1:2:4:5", "2:4:6", "3:7", "4:8"):
+        ring = PartialRing(FlagShape.from_string(text))
+        for u, v in combinations_with_replacement(ring.basis, 2):
+            ring.quantum_product(u, v)
+        rings.append(ring)
+    # seeded pairs at n = 8, where each product walks thousands of terms
+    for text, seed, count in (("2:4:6:8", 2468, 40), ("1:3:5:7:8", 13578, 20)):
+        ring = PartialRing(FlagShape.from_string(text))
+        basis, rng = ring.basis, random.Random(seed)
+        for _ in range(count):
+            ring.quantum_product(rng.choice(basis), rng.choice(basis))
+        rings.append(ring)
+    for ring in rings:
+        compared = ring._compared
+        # both fates occur on every shape, so neither side goes unchecked
+        assert min(compared.values()) == -1 < max(compared.values())
+        assert {key: _peterson(ring, key) for key in compared} == compared
 
 
 def test_rings_expand_without_echelon_or_fractions(monkeypatch):
@@ -1050,13 +1108,41 @@ def _digest_pairs():
         yield "6", ring, rng.choice(perms), rng.choice(perms)
 
 
-def test_products_match_digest():
+def _digest(pairs) -> str:
     digest = hashlib.sha256()
-    for label, ring, u, v in _digest_pairs():
+    for label, ring, u, v in pairs:
         line = json.dumps([label, list(u), list(v),
                            ring.quantum_product(u, v).to_json_obj()])
         digest.update(line.encode() + b"\n")
-    assert digest.hexdigest() == PRODUCT_DIGEST
+    return digest.hexdigest()
+
+
+def test_products_match_digest():
+    assert _digest(_digest_pairs()) == PRODUCT_DIGEST
+
+
+# sha256 over the products of `_wider_digest_pairs`, as for PRODUCT_DIGEST
+WIDER_PRODUCT_DIGEST = (
+    "f5d49bc5623a0e82360bd2e2dd5f5550a81f45a133b9168c7d7dd937a73d68b5")
+
+
+def _wider_digest_pairs():
+    """(label, ring, u, v) on shapes that `_digest_pairs` lacks: every pair
+    of the full 1:2:4:5 and 4:8 tables, then 100 seeded pairs of 2:5:7 and
+    20 of 2:4:6:8; 4 435 in all."""
+    for text in ("1:2:4:5", "4:8"):
+        ring = PartialRing(FlagShape.from_string(text))
+        for u, v in combinations_with_replacement(ring.basis, 2):
+            yield text, ring, u, v
+    for text, count, seed in (("2:5:7", 100, 257), ("2:4:6:8", 20, 2468)):
+        ring = PartialRing(FlagShape.from_string(text))
+        basis, rng = ring.basis, random.Random(seed)
+        for _ in range(count):
+            yield text, ring, rng.choice(basis), rng.choice(basis)
+
+
+def test_wider_products_match_digest():
+    assert _digest(_wider_digest_pairs()) == WIDER_PRODUCT_DIGEST
 
 
 def test_quantum_ring_9_multiplies_without_listing_s9(monkeypatch):
