@@ -74,13 +74,9 @@ _LAZY = dict.fromkeys((
     "QuantumClass",
     "QuantumRing",
     "RingError",
-    "classical_product",
-    "expand_in_quantum_basis",
     "gromov_witten",
     "quantum_product",
-    "quantum_product_multi",
     "quantum_ring",
-    "relations",
 ), "qring") | dict.fromkeys((
     "PartialRing",
     "index_sets",
@@ -89,7 +85,6 @@ _LAZY = dict.fromkeys((
     "partial_gw",
     "partial_quantum_product",
     "partial_quantum_schubert",
-    "partial_relations",
     "partial_ring",
     "partial_universal_schubert_c",
     "tilde_E",

@@ -483,9 +483,10 @@ def cmd_product(args) -> int:
 
 def cmd_gw(args) -> int:
     n, shape = _selection(args)
-    parts = [p for p in args.insertions.split(";") if p]
-    if not parts:
-        raise CLIInputError("--insertions must list at least one permutation")
+    parts = args.insertions.split(";")
+    if "" in parts:
+        raise CLIInputError(
+            "--insertions must list ';'-separated permutations, none empty")
     ws = [_parse_element(p, n, shape) for p in parts]
     w = _parse_element(args.cls, n, shape)
     d = _parse_degree(args.degree, n - 1 if shape is None else shape.m)

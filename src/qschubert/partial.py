@@ -17,8 +17,8 @@ objects coincide exactly with their counterparts for the full flag manifold.
 
 The ring of a shape (`partial_ring`) owns the memos derived from it: the
 packed images of the ẽ^q_k(l) (`PartialRing._images`), built once, and the
-lifts, which `partial_quantum_schubert` reads; the other functions here,
-`partial_relations` among them, keep none.
+lifts, which `partial_quantum_schubert` reads; the other functions here
+keep none.
 """
 from __future__ import annotations
 
@@ -47,7 +47,6 @@ __all__ = [
     "tilde_E",
     "partial_universal_schubert_c",
     "partial_quantum_schubert",
-    "partial_relations",
     "partial_quantum_product",
     "partial_gw",
     "kernel_chern_partial_check",
@@ -170,18 +169,6 @@ def partial_quantum_schubert(w: Perm, shape: FlagShape) -> Polynomial:
     return partial_ring(shape)._basis_lift(w)
 
 
-def partial_relations(shape: FlagShape) -> list:
-    """The ring relations ẽ^q_k for k = 1..n; ẽ^q_1 is always q-free.
-
-    Complete shapes reproduce the relations of the full flag manifold in the
-    x alphabet; in particular {1} ⊂ C² yields [x1 + x2, x1·x2 + q1].
-
-    >>> [r.to_text() for r in partial_relations(FlagShape((1,), 3))]
-    ['s1^1 + s1^2', 's1^1·s1^2 + s2^2', 's1^1·s2^2 − q1']
-    """
-    return list(partial_ring(_check_shape(shape)).relations())
-
-
 class PartialRing(_GradedQuotientRing):
     """QH*(Fl(N)): basis σ_w for w ∈ S^(N) over Z[q_1,…,q_m].
 
@@ -228,6 +215,7 @@ class PartialRing(_GradedQuotientRing):
         return _pack_images(image, self.n)
 
     def relations(self) -> tuple:
+        """The ring relations ẽ^q_k, k = 1..n; ẽ^q_1 is always q-free."""
         return tuple(self._partial_e(k, self.q_count + 1)
                      for k in range(1, self.n + 1))
 

@@ -67,11 +67,7 @@ __all__ = [
     "QuantumRing",
     "RingError",
     "quantum_ring",
-    "relations",
-    "expand_in_quantum_basis",
     "quantum_product",
-    "quantum_product_multi",
-    "classical_product",
     "gromov_witten",
 ]
 
@@ -105,7 +101,7 @@ def _class_terms(n: int, shape, triples) -> tuple:
             raise ValueError(f"σ{list(w)} is not a class of the ring")
         if len(d) != q_count:
             raise ValueError(f"{list(d)} is not a q-degree of {q_count} entries")
-        # the key as `_Codec.key` packs it, field by field
+        # the key as `_Codec.degree` and `_Codec.index` pack it, field by field
         key = index(w)
         for e, s in zip(d, shifts):
             if e.__class__ is not int or e < 0 or e >> FIELD_BITS:
@@ -692,20 +688,6 @@ def quantum_ring(n: int) -> QuantumRing:
     return QuantumRing(n)
 
 
-def relations(n: int) -> list:
-    """Quantum relations e^q_k(n) for k = 1..n.
-
-    >>> relations(2)[1].to_text()
-    'x1·x2 + q1'
-    """
-    return list(quantum_ring(n).relations())
-
-
-def expand_in_quantum_basis(p: Polynomial, n: int) -> QuantumClass:
-    """Rewrite p ∈ Z[x_1..x_n, q_1..q_{n−1}] in the basis q^d·σ_w."""
-    return quantum_ring(n).expand_in_quantum_basis(p)
-
-
 def quantum_product(u: Perm, v: Perm) -> QuantumClass:
     """σ_u ∗ σ_v in QH*(Fl_n) with n = len(u).
 
@@ -714,19 +696,6 @@ def quantum_product(u: Perm, v: Perm) -> QuantumClass:
     """
     u = validate(u)
     return quantum_ring(len(u)).quantum_product(u, v)
-
-
-def quantum_product_multi(ws) -> QuantumClass:
-    ws = [validate(w) for w in ws]
-    if not ws:
-        raise ValueError("need at least one factor")
-    return quantum_ring(len(ws[0])).quantum_product_multi(ws)
-
-
-def classical_product(u: Perm, v: Perm) -> QuantumClass:
-    """σ_u · σ_v in H*(Fl_n): the q = 0 part of the quantum product."""
-    u = validate(u)
-    return quantum_ring(len(u)).classical_product(u, v)
 
 
 def gromov_witten(ws, w: Perm, d) -> int:

@@ -371,7 +371,7 @@ class _Codec:
     `_Unranked`), so a permutation never met costs nothing and a rank
     never met reads all the same.
 
-    The codec checks nothing: `key` and `degree` pack terms already known
+    The codec checks nothing: `index` and `degree` pack terms already known
     to be classes.  A term from outside the package, given to a
     `QuantumClass` or read from JSON, is checked by `qring._class_terms`,
     which packs it field by field in the same loop.
@@ -434,9 +434,6 @@ class _Codec:
     def degree(self, d) -> int:
         """The key of q^d·σ_id less rank(id) = 0."""
         return sum(e << s for e, s in zip(d, self.shifts))
-
-    def key(self, d, w: Perm) -> int:
-        return self.degree(d) + self.index(w)
 
     def decode(self, key: int) -> tuple:
         """(d, w) of a key."""

@@ -250,7 +250,8 @@ def test_two_point_suite_fails_on_a_nonzero_invariant(
             terms = dict(super()._pair_product(a, b))
             if {self._codec.perm(a), self._codec.perm(b)} == {(3, 1, 2),
                                                               (3, 2, 1)}:
-                terms[self._codec.key((1, 0), (3, 2, 1))] = 1
+                codec = self._codec
+                terms[codec.degree((1, 0)) + codec.index((3, 2, 1))] = 1
             return terms
 
     message = "⟨σ_(3, 1, 2),σ_(3, 2, 1),σ_(1, 2, 3)⟩_(1, 0) = 1, expected 0"
@@ -1136,6 +1137,8 @@ def test_associativity_at_n6_runs_in_bounded_memory():
     ("verify", "--suite", "lemma-es", "--n", "0"),
     ("gw", "--n", "3", "--insertions", "2,1,3;9,9,9", "--class", "1,2,3",
      "--degree", "0,0"),
+    ("gw", "--n", "3", "--insertions", "2,1,3;;2,1,3", "--class", "3,2,1",
+     "--degree", "1,0"),
 ])
 def test_bad_invocations_print_one_error_line(capsys, cache_dir, argv):
     code, out, err = run(capsys, *argv, cache=cache_dir)

@@ -42,7 +42,7 @@ def test_a_fresh_import_leaves_exactly_the_ring_names_unbound(run_fresh):
         "import qschubert\n"
         "print(*sorted(n for n in qschubert.__all__ if n not in vars(qschubert)))\n"
         "print(set(qschubert.__all__) <= set(dir(qschubert)))\n").splitlines()
-    assert len(_RING_NAMES) == 21
+    assert len(_RING_NAMES) == 16
     assert out == [" ".join(_RING_NAMES), "True"]
 
 

@@ -13,7 +13,6 @@ from qschubert import (
     FlagShape,
     QuantumClass,
     all_permutations,
-    classical_product,
     c_var,
     g_var,
     index_sets,
@@ -23,14 +22,13 @@ from qschubert import (
     partial_gw,
     partial_quantum_product,
     partial_quantum_schubert,
-    partial_relations,
     partial_ring,
     partial_universal_schubert_c,
     path_poly,
     quantum_product,
+    quantum_ring,
     quantum_schubert,
     q_var,
-    relations,
     sigma_var,
     sn_elements,
     tilde_E,
@@ -232,40 +230,44 @@ def test_partial_quantum_schubert_homogeneous():
 
 
 def test_partial_relations_p1():
-    assert partial_relations(P1) == [
+    assert partial_ring(P1).relations() == (
         x_var(1) + x_var(2),
         x_var(1) * x_var(2) + q_var(1),
-    ]
+    )
 
 
 def test_partial_relations_p2():
     s11, s12, s22 = sigma_var(1, 1), sigma_var(1, 2), sigma_var(2, 2)
-    assert partial_relations(P2) == [
+    rel = partial_ring(P2).relations()
+    assert rel == (
         s11 + s12,
         s11 * s12 + s22,
         s11 * s22 - q_var(1),
-    ]
+    )
+    assert [r.to_text() for r in rel] == [
+        "s1^1 + s1^2", "s1^1·s1^2 + s2^2", "s1^1·s2^2 − q1"]
 
 
 def test_partial_relations_gr24_whitney_with_top_sign():
     a1, a2 = sigma_var(1, 1), sigma_var(2, 1)
     b1, b2 = sigma_var(1, 2), sigma_var(2, 2)
-    assert partial_relations(GR24) == [
+    assert partial_ring(GR24).relations() == (
         a1 + b1,
         a2 + a1 * b1 + b2,
         a2 * b1 + a1 * b2,
         a2 * b2 - q_var(1),
-    ]
+    )
 
 
 def test_partial_relations_complete_shape_matches_complete_ring():
     for n in (2, 3, 4):
-        assert partial_relations(FlagShape.complete(n)) == relations(n)
+        assert partial_ring(FlagShape.complete(n)).relations() == \
+            quantum_ring(n).relations()
 
 
 def test_partial_relations_first_is_q_free():
     for shape in (P1, P2, GR24, TWO_STEP4, FlagShape((2,), 5)):
-        first = partial_relations(shape)[0]
+        first = partial_ring(shape).relations()[0]
         assert all(v[0] != "q" for v in first.variables())
 
 
@@ -364,11 +366,11 @@ def test_partial_classical_matches_complete_flag_subring():
     # classical ring stay supported on minimal representatives and agree
     # with the partial classical product.
     for shape in (P2, GR24, TWO_STEP4):
-        ring = partial_ring(shape)
+        ring, full = partial_ring(shape), quantum_ring(shape.n)
         reps = set(sn_elements(shape))
         for u in reps:
             for v in reps:
-                full_map = {key[1]: c for key, c in classical_product(u, v).items()}
+                full_map = {key[1]: c for key, c in full.classical_product(u, v).items()}
                 assert set(full_map) <= reps
                 partial_map = {key[1]: c for key, c in ring.classical_product(u, v).items()}
                 assert full_map == partial_map
